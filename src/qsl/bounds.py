@@ -12,6 +12,15 @@ ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
 matrix-free Chebyshev spectral filter for dimensions where diagonalization or
 superoperator materialization is off the table.
+
+All three work on the hermitised inputs H = (H_s + H_s†)/2 and
+S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
+arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
+single eigendecomposition of H_s (it also yields ||H_s||_inf and the
+near-degeneracy check); commutator is one product H S_h plus ||H_s||_inf;
+chebyshev is two products per application of (ad_H)², never a d² x d²
+superoperator.  For quadratic S each product with the lift H⊗1 + 1⊗H is two
+d x d contractions.
 """
 
 from __future__ import annotations
@@ -32,8 +41,9 @@ from .matcore import (
     check_entry_cap,
     commutator,
     frobenius_norm,
-    kron,
+    hermitize,
     operator_norm,
+    real_if_exact,
     require_hermitian,
     require_unitary,
 )
@@ -230,20 +240,79 @@ def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None
                         "||[S, H_d]||_F / sigma_min bound"])
 
 
-def _eigen_gaps_and_frame(H: np.ndarray, S: Symmetry):
-    """Eigenbasis data for the exact projection: (gap matrix, S in frame)."""
-    w, V = np.linalg.eigh(H)
-    if S.kind == "linear":
-        gaps = np.abs(w[:, None] - w[None, :])
-        frame = V.conj().T @ S.matrix @ V
-    else:
-        d = H.shape[0]
-        check_entry_cap(d**4)
-        sums = np.add.outer(w, w).reshape(-1)
-        gaps = np.abs(sums[:, None] - sums[None, :])
-        W = kron(V, V)
-        frame = W.conj().T @ S.matrix @ W
-    return w, gaps, frame
+def _check_symmetry_dimension(H: np.ndarray, S: Symmetry) -> None:
+    want = S.dimension if S.kind == "linear" else S.base_dimension
+    if H.shape[0] != want:
+        raise DimensionError("Hamiltonian dimension does not match symmetry")
+
+
+class _AdKernel:
+    """ad_L on Hermitian arguments, prepared once per numerator evaluation.
+
+    L is H (linear S) or the lift H⊗1 + 1⊗H (quadratic S), where H is the
+    hermitised H_s; ``S`` holds the hermitised symmetry matrix S_h.  Each is
+    stored in float64 when its imaginary part is exactly zero (Rydberg,
+    hopping, Pauli texts without Y), so the products and the
+    eigendecomposition of H run in real arithmetic.
+
+    For Hermitian Y, [L, Y] = P - P† with P = L Y; for anti-Hermitian C,
+    [L, C] = Q + Q† with Q = L C.  One application of ad_L therefore costs
+    one product with L and one of (ad_L)² costs two; the lift is applied as
+    two d x d contractions and never materialized.  Both outputs are exactly
+    (anti-)Hermitian in floating point, so real combinations of them, such as
+    the Chebyshev iterates, stay exactly Hermitian.
+    """
+
+    def __init__(self, H_s, S: Symmetry):
+        H = hermitize(require_hermitian(H_s))
+        _check_symmetry_dimension(H, S)
+        self.kind = S.kind
+        self.H = real_if_exact(H)
+        S_h = real_if_exact(hermitize(S.matrix))
+        dtype = np.result_type(self.H, S_h)
+        self._L = self.H.astype(dtype, copy=False)
+        self.S = S_h.astype(dtype, copy=False)
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        """L Y."""
+        L = self._L
+        if self.kind == "linear":
+            return L @ Y
+        d = L.shape[0]
+        Y3 = Y.reshape(d, d, -1)  # Y[(a, b), x] -> Y3[a, b, x]
+        first = (L @ Y.reshape(d, -1)).reshape(Y3.shape)  # (H⊗1) Y
+        return (first + L @ Y3).reshape(Y.shape)  # + (1⊗H) Y
+
+    def ad(self, Y: np.ndarray) -> np.ndarray:
+        """[L, Y] for Hermitian Y."""
+        P = self.lift(Y)
+        return P - P.conj().T
+
+    def ad2(self, Y: np.ndarray) -> np.ndarray:
+        """[L, [L, Y]] for Hermitian Y."""
+        Q = self.lift(self.ad(Y))
+        return Q + Q.conj().T
+
+
+def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
+    """Kernel-complement norm from one eigendecomposition of H.
+
+    Returns (norm, gaps, tol): the eigenvalue gaps of ad_L (pairwise-sum gaps
+    for the quadratic lift) and the degeneracy cut that split them into
+    kernel (gap <= tol) and complement.  ``gaps`` is None when H = 0.
+    """
+    w, V = np.linalg.eigh(kernel.H)
+    hnorm = float(np.max(np.abs(w))) if w.size else 0.0
+    if hnorm == 0.0:
+        return 0.0, None, 0.0
+    tol = DEGENERACY_RTOL * hnorm if tol_degeneracy is None else tol_degeneracy
+    if kernel.kind == "quadratic":
+        check_entry_cap(w.size**4)
+        w = np.add.outer(w, w).reshape(-1)
+        V = np.kron(V, V)
+    gaps = np.abs(w[:, None] - w[None, :])
+    frame = V.conj().T @ kernel.S @ V
+    return float(np.linalg.norm(frame[gaps > tol])), gaps, tol
 
 
 def kernel_complement_norm_exact(H_s, S: Symmetry,
@@ -254,33 +323,10 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
     within the degeneracy tolerance belong to the kernel and are dropped; the
     Frobenius norm of the rest is returned.  Quadratic S pairs with the
     doubled-space lift, whose spectrum is the pairwise eigenvalue sums.
+    Works on the hermitised H_s and S with a single eigendecomposition of
+    H_s, in real arithmetic when both are real.
     """
-    H = require_hermitian(H_s)
-    _check_symmetry_dimension(H, S)
-    w = np.linalg.eigvalsh(H)
-    hnorm = float(np.max(np.abs(w))) if w.size else 0.0
-    if hnorm == 0.0:
-        return 0.0
-    tol = DEGENERACY_RTOL * hnorm if tol_degeneracy is None else tol_degeneracy
-    _, gaps, frame = _eigen_gaps_and_frame(H, S)
-    return float(np.linalg.norm(frame[gaps > tol]))
-
-
-def _check_symmetry_dimension(H: np.ndarray, S: Symmetry) -> None:
-    want = S.dimension if S.kind == "linear" else S.base_dimension
-    if H.shape[0] != want:
-        raise DimensionError("Hamiltonian dimension does not match symmetry")
-
-
-def _iota_commutator(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """[H⊗1 + 1⊗H, Y] using d-dimensional contractions only."""
-    d = H.shape[0]
-    Y4 = Y.reshape(d, d, d, d)
-    out = (np.einsum("ae,ebcd->abcd", H, Y4)
-           + np.einsum("bf,afcd->abcd", H, Y4)
-           - np.einsum("abed,ec->abcd", Y4, H)
-           - np.einsum("abcf,fd->abcd", Y4, H))
-    return out.reshape(d * d, d * d)
+    return _exact_projection(_AdKernel(H_s, S), tol_degeneracy)[0]
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -288,16 +334,15 @@ def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
 
     ||[H_s, S]||_F / (2 ||H_s||_inf) for linear S; the quadratic version uses
     the doubled-space commutator and ||H⊗1 + 1⊗H||_inf <= 2 ||H_s||_inf.
-    Never exceeds the exact projection, needs no diagonalization.
+    Never exceeds the exact projection, needs no diagonalization beyond
+    ||H_s||_inf; the commutator of the hermitised inputs is one product.
     """
-    H = require_hermitian(H_s)
-    _check_symmetry_dimension(H, S)
-    hnorm = operator_norm(H)
+    kernel = _AdKernel(H_s, S)
+    hnorm = operator_norm(kernel.H)
     if hnorm <= 0:
         raise ValidationError("Hamiltonian must be nonzero")
-    if S.kind == "linear":
-        return frobenius_norm(commutator(H, S.matrix)) / (2.0 * hnorm)
-    return frobenius_norm(_iota_commutator(H, S.matrix)) / (4.0 * hnorm)
+    lift = 2.0 if S.kind == "linear" else 4.0
+    return float(np.linalg.norm(kernel.ad(kernel.S))) / (lift * hnorm)
 
 
 def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
@@ -305,29 +350,26 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
                            ) -> tuple[float, float]:
     """Matrix-free lower bound on the kernel-complement norm.
 
-    Applies the spectral filter p to A = (ad_{H_s})² acting on S, where each
-    application of A is a double commutator (d x d products only; A is never
-    materialized).  The estimates should bracket the nonzero spectrum of A.
+    Applies the spectral filter p to A = (ad_{H_s})² acting on the hermitised
+    symmetry S_h, where each application of A is two products with H_s
+    (d x d products only; A is never materialized).  The estimates should
+    bracket the nonzero spectrum of A.
 
-    Returns (value, ε) with value = sqrt(max(0, ||S||_F² - ||p(A) S||_F²)).
-    Because p(0) = 1 exactly, ||p(A) S||_F can only exceed the norm of the
-    kernel component of S, so the value is a valid lower bound on
-    ||(1 - P_ker) S||_F no matter how rough the estimates are; once the
+    Returns (value, ε) with value = sqrt(max(0, ||S_h||_F² - ||p(A) S_h||_F²)).
+    Because p(0) = 1 exactly, ||p(A) S_h||_F can only exceed the norm of the
+    kernel component of S_h, so the value is a valid lower bound on
+    ||(1 - P_ker) S_h||_F no matter how rough the estimates are; once the
     nonzero spectrum really lies in [σ_min_est, σ_max_est] it converges to
-    the exact norm at rate ε².
+    the exact norm at rate ε².  It bounds ||(1 - P_ker) S||_F as well: ad_H
+    commutes with Y ↦ Y†, so P_ker keeps the Hermitian and anti-Hermitian
+    parts apart, and ||(1-P)S||² = ||(1-P)S_h||² + ||(1-P)S_a||² >=
+    ||(1-P)S_h||² with S_a = S - S_h.
     """
-    H = require_hermitian(H_s)
-    _check_symmetry_dimension(H, S)
+    kernel = _AdKernel(H_s, S)
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
-    if S.kind == "linear":
-        def apply_a(Y):
-            return commutator(H, commutator(H, Y))
-    else:
-        def apply_a(Y):
-            return _iota_commutator(H, _iota_commutator(H, Y))
-    Z = filt.apply(apply_a, S.matrix)
-    s2 = S.frobenius**2
-    p2 = frobenius_norm(Z)**2
+    Z = filt.apply(kernel.ad2, kernel.S)
+    s2 = float(np.linalg.norm(kernel.S))**2
+    p2 = float(np.linalg.norm(Z))**2
     return float(np.sqrt(max(0.0, s2 - p2))), filt.epsilon
 
 
@@ -364,13 +406,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     warnings: list[str] = []
     inter: dict[str, float] = {"symmetry_frobenius": sfrob}
     if method == "exact":
-        num = kernel_complement_norm_exact(H, S, tol_degeneracy)
-        w = np.linalg.eigvalsh(H)
-        hnorm = float(np.max(np.abs(w))) if w.size else 0.0
-        tol = DEGENERACY_RTOL * hnorm if tol_degeneracy is None else tol_degeneracy
-        diffs = np.abs(w[:, None] - w[None, :])
-        near = (diffs > tol) & (diffs <= 10 * tol)
-        if np.any(near):
+        num, gaps, tol = _exact_projection(_AdKernel(H, S), tol_degeneracy)
+        if gaps is not None and np.any((gaps > tol) & (gaps <= 10 * tol)):
             warnings.append("spectral gaps within 10x of the degeneracy "
                             "tolerance; the exact projection is sensitive here")
     elif method == "commutator":
