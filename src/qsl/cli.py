@@ -4,7 +4,22 @@ Problem files are JSON: a dimension (or qubit count), a drift and controls
 given either as Pauli-string expressions or dense matrices, one target
 (unitary or Hamiltonian), and options.  Commands emit a JSON report on stdout
 and a short human summary on stderr; exit codes are 0 (success), 1
-(computation failed), 2 (bad input or usage).
+(computation failed), 2 (bad input or usage: a missing or malformed file, a
+bad option value, a model parameter the model rejects).
+
+``bound`` and every ``reproduce`` model run one pipeline, discover → choose
+→ restore → bound: a symmetry basis of the controls, the combination that
+``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
+the speed limit.  The cnot, swap and rydberg models bring their own
+symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
+``reproduce syk`` passes ``--iterations`` as ``optimize_symmetry``):
+``kind`` linear or quadratic (default quadratic for a unitary target, else
+linear); ``method`` exact, commutator or chebyshev (default exact up to
+dimension 64, else chebyshev); ``degree`` the Chebyshev degree, >= 1;
+``sigma_min``, ``sigma_max`` the filter interval; ``tol`` both the relative
+nullspace cut of symmetry discovery and the absolute degeneracy cut of the
+exact numerator; ``seed``, ``optimize_symmetry`` seed and random directions
+of the symmetry search, >= 0.
 """
 
 from __future__ import annotations
@@ -186,9 +201,41 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
         raise ProblemFormatError(f"{what}: {exc}") from None
 
 
-_NAMED_UNITARIES = {"CNOT", "SWAP"}
-_OPTION_KEYS = {"kind", "method", "degree", "sigma_min", "sigma_max", "seed",
-                "tol", "optimize_symmetry"}
+_METHODS = ("exact", "commutator", "chebyshev")
+_KINDS = ("linear", "quadratic")
+
+
+def _int_at_least(low: int):
+    return f"an integer >= {low}", lambda v: type(v) is int and v >= low
+
+
+_POSITIVE = ("a positive finite number", lambda v: type(v) in (int, float)
+             and math.isfinite(v) and v > 0)
+
+# option key -> (what a valid value is, test).  The same rules check problem
+# file options and command-line flags; None always means "not set".
+_OPTION_RULES = {
+    "kind": ("'linear' or 'quadratic'", lambda v: v in _KINDS),
+    "method": ("'exact', 'commutator' or 'chebyshev'", lambda v: v in _METHODS),
+    "degree": _int_at_least(1), "seed": _int_at_least(0),
+    "optimize_symmetry": _int_at_least(0),
+    "sigma_min": _POSITIVE, "sigma_max": _POSITIVE, "tol": _POSITIVE,
+}
+
+
+def _checked_options(options: dict) -> dict:
+    """The options unchanged, once every value that is set obeys its rule."""
+    for key, value in options.items():
+        what, valid = _OPTION_RULES[key]
+        if value is not None and not valid(value):
+            raise ProblemFormatError(f"option {key!r} must be {what}, "
+                                     f"got {value!r}")
+    return options
+
+
+def _default_method(dimension: int) -> str:
+    """Exact numerator up to dimension 64, the Chebyshev filter above."""
+    return "exact" if dimension <= 64 else "chebyshev"
 
 
 def _named_unitary(name: str, dimension: int) -> np.ndarray:
@@ -263,18 +310,16 @@ def load_problem(path: str) -> ProblemSpec:
         target_h = _hamiltonian_from_spec(target["hamiltonian"], qubits,
                                           dimension, "target hamiltonian")
 
-    options = dict(data.get("options") or {})
-    extra = set(options) - _OPTION_KEYS
+    options = data.get("options") or {}
+    if not isinstance(options, dict):
+        raise ProblemFormatError("'options' must be a JSON object")
+    extra = set(options) - set(_OPTION_RULES)
     if extra:
         raise ProblemFormatError(f"unknown option keys: {sorted(extra)}")
-    options.setdefault("method", "exact" if dimension <= 64 else "chebyshev")
-    options.setdefault("degree", 64)
-    options.setdefault("seed", 0)
-    options.setdefault("optimize_symmetry", 0)
-    if options["method"] not in ("exact", "commutator", "chebyshev"):
-        raise ProblemFormatError(f"unknown method {options['method']!r}")
-    if options.get("kind") not in (None, "linear", "quadratic"):
-        raise ProblemFormatError(f"unknown kind {options.get('kind')!r}")
+    options = _checked_options({
+        "method": _default_method(dimension), "degree": 64, "seed": 0,
+        "optimize_symmetry": 0,
+        **{k: v for k, v in options.items() if v is not None}})
 
     source = {
         "qubits": qubits, "dimension": dimension, "drift": data["drift"],
@@ -285,16 +330,14 @@ def load_problem(path: str) -> ProblemSpec:
                        options, source)
 
 
-def _merge_options(spec: ProblemSpec, args) -> dict:
-    opts = dict(spec.options)
-    for key, attr in (("kind", "kind"), ("method", "method"),
-                      ("degree", "degree"), ("sigma_min", "sigma_min"),
-                      ("sigma_max", "sigma_max"), ("seed", "seed"),
-                      ("tol", "tol"), ("optimize_symmetry", "optimize_symmetry")):
-        v = getattr(args, attr, None)
-        if v is not None:
-            opts[key] = v
-    return opts
+def _merge_options(base: dict, args) -> dict:
+    """The base options overridden by every option flag that was given."""
+    opts = dict(base)
+    for key in _OPTION_RULES:
+        value = getattr(args, key, None)
+        if value is not None:
+            opts[key] = value
+    return _checked_options(opts)
 
 
 def _bound_report_dict(rep) -> dict:
@@ -309,21 +352,21 @@ def _bound_report_dict(rep) -> dict:
     return out
 
 
-def _symmetry_basis(spec: ProblemSpec, kind: str, tol) -> list[Symmetry]:
+def _symmetry_basis(controls, kind: str, tol) -> list[Symmetry]:
     kwargs = {} if tol is None else {"tol": tol}
     if kind == "quadratic":
-        return quadratic_symmetry_basis(spec.controls, **kwargs)
-    return commutant_basis(spec.controls, **kwargs)
+        return quadratic_symmetry_basis(controls, **kwargs)
+    return commutant_basis(controls, **kwargs)
 
 
 def cmd_symmetries(args) -> dict:
     spec = load_problem(args.problem)
-    opts = _merge_options(spec, args)
-    kinds = [opts["kind"]] if opts.get("kind") else ["linear", "quadratic"]
+    opts = _merge_options(spec.options, args)
+    kinds = [opts["kind"]] if opts.get("kind") else list(_KINDS)
     report: dict = {"inputs": spec.source, "symmetries": {}}
     for kind in kinds:
         try:
-            basis = _symmetry_basis(spec, kind, opts.get("tol"))
+            basis = _symmetry_basis(spec.controls, kind, opts.get("tol"))
         except DimensionCapError as exc:
             report["symmetries"][kind] = {"skipped": str(exc)}
             continue
@@ -334,151 +377,139 @@ def cmd_symmetries(args) -> dict:
     return report
 
 
-def _choose_symmetry(basis: list[Symmetry], objective, opts) -> Symmetry:
-    return optimize_symmetry(basis, objective,
-                             iterations=int(opts.get("optimize_symmetry") or 0),
-                             seed=int(opts.get("seed") or 0))
+def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
+                    symmetry=None, perturbation=None):
+    """Bound for the one target that is not None: discover → choose →
+    restore → bound.  A given ``symmetry`` skips discovery and choice, a given
+    ``perturbation`` restoration.  Returns the report and the basis, if any.
+    """
+    unitary = target_unitary is not None
+    kind = opts.get("kind") or ("quadratic" if unitary else "linear")
+    if unitary:
+        def bound(sym, pert, drift=None):
+            return unitary_speed_limit(target_unitary, sym, pert, drift=drift)
+    else:
+        kwargs = {"method": opts.get("method") or _default_method(H_d.shape[0]),
+                  "degree": opts.get("degree"),
+                  "sigma_min_est": opts.get("sigma_min"),
+                  "sigma_max_est": opts.get("sigma_max"),
+                  "tol_degeneracy": opts.get("tol")}
+
+        def bound(sym, pert, drift=None):
+            return hamiltonian_speed_limit(target_hamiltonian, sym, pert,
+                                           drift=drift, **kwargs)
+
+    basis = None
+    if symmetry is None:
+        basis = _symmetry_basis(controls, kind, opts.get("tol"))
+        symmetry = optimize_symmetry(
+            basis, lambda s: bound(s, restore_symmetry(s, H_d)).bound_time,
+            iterations=opts["optimize_symmetry"], seed=opts["seed"])
+    if perturbation is None:
+        perturbation = restore_symmetry(symmetry, H_d)
+    # only the reported bound gets the drift: with a linear symmetry the
+    # unitary limit then adds its analytic variant to the intermediates
+    return bound(symmetry, perturbation, drift=H_d), basis
 
 
-def cmd_bound_unitary(args) -> dict:
+def cmd_bound(args) -> dict:
     spec = load_problem(args.problem)
-    if spec.target_unitary is None:
-        raise ProblemFormatError("'bound unitary' needs a unitary target")
-    opts = _merge_options(spec, args)
-    kind = opts.get("kind") or "quadratic"
-    basis = _symmetry_basis(spec, kind, opts.get("tol"))
-
-    def objective(sym: Symmetry) -> float:
-        pert = restore_symmetry(sym, spec.drift)
-        return unitary_speed_limit(spec.target_unitary, sym, pert).bound_time
-
-    best = _choose_symmetry(basis, objective, opts)
-    pert = restore_symmetry(best, spec.drift)
-    rep = unitary_speed_limit(spec.target_unitary, best, pert, drift=spec.drift)
-    out = {"inputs": spec.source, "symmetry_kind": kind,
-           "symmetry_count": len(basis), **_bound_report_dict(rep)}
-    if pert.op_norm > 0:
-        out["uniform_bound"] = uniform_speed_limit(pert)
-    return out
+    unitary = args.target_kind == "unitary"
+    if (spec.target_unitary if unitary else spec.target_hamiltonian) is None:
+        raise ProblemFormatError(
+            f"'bound {args.target_kind}' needs a "
+            f"{'unitary' if unitary else 'Hamiltonian'} target")
+    rep, basis = _bound_pipeline(spec.drift, spec.controls, spec.target_unitary,
+                                 spec.target_hamiltonian,
+                                 _merge_options(spec.options, args))
+    return {"inputs": spec.source, "symmetry_kind": rep.symmetry.kind,
+            "symmetry_count": len(basis), **_bound_report_dict(rep),
+            "uniform_bound": uniform_speed_limit(rep.perturbation)}
 
 
-def cmd_bound_hamiltonian(args) -> dict:
-    spec = load_problem(args.problem)
-    if spec.target_hamiltonian is None:
-        raise ProblemFormatError("'bound hamiltonian' needs a Hamiltonian target")
-    opts = _merge_options(spec, args)
-    kind = opts.get("kind") or "linear"
-    basis = _symmetry_basis(spec, kind, opts.get("tol"))
-    method = opts["method"]
-    kwargs = {"method": method}
-    if method == "chebyshev":
-        kwargs["degree"] = int(opts["degree"])
-        if opts.get("sigma_min") is not None:
-            kwargs["sigma_min_est"] = float(opts["sigma_min"])
-        if opts.get("sigma_max") is not None:
-            kwargs["sigma_max_est"] = float(opts["sigma_max"])
-    if opts.get("tol") is not None:
-        kwargs["tol_degeneracy"] = float(opts["tol"])
+def _build(builder, *args, **kwargs):
+    """Call a model builder; a parameter it rejects is bad input."""
+    try:
+        return builder(*args, **kwargs)
+    except ValidationError as exc:
+        raise ProblemFormatError(str(exc)) from None
 
-    def objective(sym: Symmetry) -> float:
-        pert = restore_symmetry(sym, spec.drift)
-        return hamiltonian_speed_limit(spec.target_hamiltonian, sym, pert,
-                                       **kwargs).bound_time
 
-    best = _choose_symmetry(basis, objective, opts)
-    pert = restore_symmetry(best, spec.drift)
-    rep = hamiltonian_speed_limit(spec.target_hamiltonian, best, pert, **kwargs)
-    out = {"inputs": spec.source, "symmetry_kind": kind,
-           "symmetry_count": len(basis), **_bound_report_dict(rep)}
-    if pert.op_norm > 0:
-        out["uniform_bound"] = uniform_speed_limit(pert)
-    return out
+def _model_bound(bundle, opts):
+    """Bound for a model bundle with its own symmetry and perturbation."""
+    return _bound_pipeline(bundle.system.drift, bundle.system.controls,
+                           bundle.target_unitary, bundle.target_hamiltonian,
+                           opts, bundle.symmetry, bundle.perturbation)[0]
+
+
+def _reproduce_cnot(args, opts) -> dict:
+    g = args.g if args.g is not None else 1.0
+    bundle = _build(coupled_qubit_model, g)
+    rep = _model_bound(bundle, opts)
+    refs = bundle.references
+    return {"parameters": {"g": g}, **_bound_report_dict(rep),
+            "closed_form": refs["bound_time"],
+            "literature_time": refs["literature_time"],
+            "literature_ratio": refs["literature_time"] / rep.bound_time}
+
+
+def _reproduce_swap(args, opts) -> dict:
+    N = args.N if args.N is not None else 3
+    bundle = _build(hopping_chain_model, N, args.J)
+    refs, sym = bundle.references, bundle.symmetry
+    # The paper's closed form, term by term: the overlap form of the
+    # breaking norm over the 3 pi² J/N² bound on the restored gap.  It lies
+    # below the exact bound of the same symmetry and perturbation.
+    bound = refs["breaking_norm"] / (2.0 * sym.frobenius
+                                     * refs["gap_over_bound"])
+    return {"parameters": {"N": N, "J": args.J},
+            "bound_time": bound, "theorem": "T1b",
+            "closed_form": refs["closed_form"],
+            "bound_time_exact": _model_bound(bundle, opts).bound_time,
+            "intermediates": {"symmetry_frobenius": sym.frobenius, **{
+                k: refs[k] for k in ("breaking_norm", "breaking_norm_exact",
+                                     "gap_over_bound", "delta_h_op_norm")}}}
+
+
+def _reproduce_rydberg(args, opts) -> dict:
+    params = {"N": args.N if args.N is not None else 5, "C": args.C,
+              "a": args.a, "J": args.J, "h": args.h,
+              "g": args.g if args.g is not None else 0.5}
+    bundle = _build(rydberg_chain_model, **params)
+    lo, hi = bundle.spectral_estimates
+    rep = _model_bound(bundle, {
+        **opts, "sigma_min": lo, "sigma_max": hi,
+        "degree": opts.get("degree") or chebyshev_degree_for(1e-2, lo, hi)})
+    refs = bundle.references
+    return {"parameters": params, **_bound_report_dict(rep),
+            "delta_h_closed_form": refs["delta_h_closed_form"],
+            "trend_limit": refs["trend_limit"]}
+
+
+def _reproduce_syk(args, opts) -> dict:
+    n = args.n_majorana
+    H = _build(syk_model, n, seed=opts["seed"], mu=args.mu)
+    rep, basis = _bound_pipeline(H, global_controls(n // 2), None, H, opts)
+    return {"parameters": {"n_majorana": n, "seed": opts["seed"],
+                           "mu": args.mu, "iterations": args.iterations},
+            "commutant_dimension": len(basis), **_bound_report_dict(rep)}
+
+
+# model name -> report function; also the parser's choices for `reproduce`
+_MODELS = {"cnot": _reproduce_cnot, "swap": _reproduce_swap,
+           "rydberg": _reproduce_rydberg, "syk": _reproduce_syk}
 
 
 def cmd_reproduce(args) -> dict:
-    model = args.model
-    if model == "cnot":
-        g = args.g if args.g is not None else 1.0
-        bundle = coupled_qubit_model(g)
-        rep = unitary_speed_limit(bundle.target_unitary, bundle.symmetry,
-                                  bundle.perturbation)
-        refs = bundle.references
-        return {"model": "cnot", "parameters": {"g": g},
-                **_bound_report_dict(rep),
-                "closed_form": refs["bound_time"],
-                "literature_time": refs["literature_time"],
-                "literature_ratio": refs["literature_time"] / rep.bound_time}
-    if model == "swap":
-        N = args.N if args.N is not None else 3
-        J = args.J if args.J is not None else 1.0
-        bundle = hopping_chain_model(N, J)
-        refs = bundle.references
-        sym = bundle.symmetry
-        bound = refs["breaking_norm"] / (2.0 * sym.frobenius
-                                         * refs["gap_over_bound"])
-        rep_exact = unitary_speed_limit(bundle.target_unitary, sym,
-                                        bundle.perturbation)
-        return {"model": "swap", "parameters": {"N": N, "J": J},
-                "bound_time": bound, "theorem": "T1b",
-                "closed_form": refs["closed_form"],
-                "bound_time_exact": rep_exact.bound_time,
-                "intermediates": {
-                    "breaking_norm": refs["breaking_norm"],
-                    "breaking_norm_exact": refs["breaking_norm_exact"],
-                    "gap_over_bound": refs["gap_over_bound"],
-                    "delta_h_op_norm": refs["delta_h_op_norm"],
-                    "symmetry_frobenius": sym.frobenius,
-                }}
-    if model == "rydberg":
-        N = args.N if args.N is not None else 5
-        J = args.J if args.J is not None else 1.0
-        bundle = rydberg_chain_model(N, C=args.C, a=args.a, J=J,
-                                     g=args.g if args.g is not None else 0.5,
-                                     h=args.h)
-        method = args.method or ("exact" if N <= 6 else "chebyshev")
-        kwargs = {"method": method}
-        if method == "chebyshev":
-            lo, hi = bundle.spectral_estimates
-            kwargs.update(sigma_min_est=lo, sigma_max_est=hi,
-                          degree=args.degree or chebyshev_degree_for(1e-2, lo, hi))
-        rep = hamiltonian_speed_limit(bundle.target_hamiltonian,
-                                      bundle.symmetry, bundle.perturbation,
-                                      **kwargs)
-        refs = bundle.references
-        return {"model": "rydberg",
-                "parameters": {"N": N, "C": args.C, "a": args.a, "J": J,
-                               "g": args.g if args.g is not None else 0.5,
-                               "h": args.h},
-                **_bound_report_dict(rep),
-                "delta_h_closed_form": refs["delta_h_closed_form"],
-                "trend_limit": refs["trend_limit"]}
-    if model == "syk":
-        n = args.n_majorana
-        seed = args.seed if args.seed is not None else 0
-        H = syk_model(n, seed=seed, mu=args.mu)
-        basis = commutant_basis(global_controls(n // 2))
-
-        def objective(sym: Symmetry) -> float:
-            pert = restore_symmetry(sym, H)
-            return hamiltonian_speed_limit(H, sym, pert,
-                                           method="exact").bound_time
-
-        best = optimize_symmetry(basis, objective,
-                                 iterations=args.iterations, seed=seed)
-        pert = restore_symmetry(best, H)
-        rep = hamiltonian_speed_limit(H, best, pert, method="exact")
-        return {"model": "syk",
-                "parameters": {"n_majorana": n, "seed": seed, "mu": args.mu,
-                               "iterations": args.iterations},
-                "commutant_dimension": len(basis),
-                **_bound_report_dict(rep)}
-    raise ProblemFormatError(f"unknown model {model!r}")
+    opts = _merge_options({"seed": 0, "optimize_symmetry": args.iterations},
+                          args)
+    return {"model": args.model, **_MODELS[args.model](args, opts)}
 
 
 def cmd_verify_duhamel(args) -> dict:
     spec = load_problem(args.problem)
     system = ControlSystem(spec.drift, spec.controls, label="duhamel-check")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
+    rng = np.random.default_rng(_merge_options({"seed": 0}, args)["seed"])
     d = system.dimension
     violations = 0
     worst = -math.inf
@@ -541,37 +572,36 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
 
     def bound_flags(p):
-        p.add_argument("--method", choices=["exact", "commutator", "chebyshev"],
+        p.add_argument("--method", choices=_METHODS,
                        default=None)
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--sigma-min", dest="sigma_min", type=float, default=None)
         p.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-        p.add_argument("--kind", choices=["linear", "quadratic"], default=None)
+        p.add_argument("--kind", choices=_KINDS, default=None)
         p.add_argument("--optimize-symmetry", dest="optimize_symmetry",
                        type=int, default=None, metavar="ITERS")
         p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("symmetries", help="list symmetry bases for a problem")
     p.add_argument("problem")
-    p.add_argument("--kind", choices=["linear", "quadratic"], default=None)
+    p.add_argument("--kind", choices=_KINDS, default=None)
     p.add_argument("--tol", type=float, default=None)
     common(p)
     p.set_defaults(func=cmd_symmetries)
 
     pb = sub.add_parser("bound", help="evaluate a speed limit")
     bsub = pb.add_subparsers(dest="target_kind", required=True)
-    for name, fn in (("unitary", cmd_bound_unitary),
-                     ("hamiltonian", cmd_bound_hamiltonian)):
+    for name in ("unitary", "hamiltonian"):
         p = bsub.add_parser(name)
         p.add_argument("problem")
         bound_flags(p)
         common(p)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("reproduce", help="run a built-in reference model")
-    p.add_argument("model", choices=["cnot", "swap", "rydberg", "syk"])
+    p.add_argument("model", choices=list(_MODELS))
     p.add_argument("--N", type=int, default=None)
-    p.add_argument("--J", type=float, default=None)
+    p.add_argument("--J", type=float, default=1.0)
     p.add_argument("--g", type=float, default=None,
                    help="coupling for cnot, transverse field for rydberg")
     p.add_argument("--C", type=float, default=1.0)
@@ -580,7 +610,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--n-majorana", dest="n_majorana", type=int, default=6)
     p.add_argument("--iterations", type=int, default=60)
-    p.add_argument("--method", choices=["exact", "commutator", "chebyshev"],
+    p.add_argument("--method", choices=_METHODS,
                    default=None)
     p.add_argument("--degree", type=int, default=None)
     common(p)

@@ -17,7 +17,6 @@ from .matcore import (
     ConditioningError,
     ClosureTruncatedError,
     DimensionError,
-    GAP_RTOL,
     TAU_RANK,
     ValidationError,
     adjoint_superoperator,
@@ -28,10 +27,10 @@ from .matcore import (
     hermitize,
     iota,
     kron,
-    min_eigenvalue_gap,
     require_hermitian,
     require_unitary,
     row_vectorize,
+    spectral_gap_min,
 )
 
 
@@ -100,9 +99,7 @@ class Symmetry:
         if self.sigma_min_hint is not None:
             return self.sigma_min_hint
         if self._sigma_min is None:
-            w = np.linalg.eigvalsh(self.matrix)
-            cluster_tol = GAP_RTOL * float(np.max(np.abs(w)))
-            self._sigma_min = min_eigenvalue_gap(w, cluster_tol)
+            self._sigma_min = spectral_gap_min(self.matrix)
         return self._sigma_min
 
     def scaled(self, factor: float) -> "Symmetry":

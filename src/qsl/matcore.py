@@ -267,3 +267,11 @@ def min_eigenvalue_gap(values, cluster_tol: float) -> float:
         raise NoSpectralGapError("all eigenvalues coincide within tolerance")
     reps = np.array([c.mean() for c in clusters])
     return float(np.min(np.diff(reps)))
+
+
+def spectral_gap_min(S) -> float:
+    """Smallest nonzero gap between eigenvalues of S, clustered at GAP_RTOL
+    relative to the operator norm so near-degenerate pairs do not count.
+    Equals 1 for orthogonal projections."""
+    w = np.linalg.eigvalsh(require_hermitian(S))
+    return min_eigenvalue_gap(w, GAP_RTOL * float(np.max(np.abs(w))))

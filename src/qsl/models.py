@@ -234,6 +234,8 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         raise ValidationError("array needs at least 3 atoms")
     if N > 14:
         raise DimensionCapError("dense construction is limited to 14 atoms")
+    if C <= 0 or a <= 0:
+        raise ValidationError("interaction strength and spacing must be positive")
     bits = _occupation_diagonal(N)
     pair_diag = np.zeros(2**N)
     for i in range(N):

@@ -4,8 +4,8 @@ Given a symmetry S broken by the drift H_d, the minimal-Frobenius-norm
 Hermitian perturbation with [S, H_d + ΔH] = 0 is the Moore-Penrose solution
 ΔH = -ad_S⁺ ad_S(H_d).  For linear S this is an entrywise projection in the
 eigenbasis of S (kill every matrix element of H_d joining distinct eigenvalue
-clusters); for quadratic S it is a least-squares solve of the doubled-space
-commutation constraint over Hermitian arguments.
+clusters); for quadratic S it is the minimal-norm least-squares solve of the
+doubled-space commutation constraint, which is Hermitian.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ from .matcore import (
     TAU_RANK,
     ValidationError,
     check_entry_cap,
+    cluster_eigenvalues,
     commutator,
+    devectorize,
     frobenius_norm,
     hermitize,
     iota,
-    min_eigenvalue_gap,
     operator_norm,
     require_hermitian,
     row_vectorize,
+    spectral_gap_min,  # noqa: F401  (re-exported)
 )
 
 
@@ -57,30 +59,11 @@ class Perturbation:
         return cls(dH, symmetry, operator_norm(dH), frobenius_norm(dH), residual)
 
 
-def spectral_gap_min(S) -> float:
-    """Smallest nonzero gap between eigenvalues of S.
-
-    Eigenvalues are clustered at a tolerance relative to the operator norm
-    before gaps are measured, so numerically-degenerate pairs do not produce
-    spurious tiny gaps.  Equals 1 for orthogonal projections.
-    """
-    A = require_hermitian(S)
-    w = np.linalg.eigvalsh(A)
-    return min_eigenvalue_gap(w, GAP_RTOL * float(np.max(np.abs(w))))
-
-
-def _cluster_labels(w: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster ids for ascending eigenvalues, split at adjacent gaps > tol."""
-    labels = np.zeros(w.size, dtype=int)
-    for i in range(1, w.size):
-        labels[i] = labels[i - 1] + (1 if w[i] - w[i - 1] > tol else 0)
-    return labels
-
-
 def _restore_linear(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
     w, V = np.linalg.eigh(S.matrix)
     cluster_tol = GAP_RTOL * float(np.max(np.abs(w)))
-    labels = _cluster_labels(w, cluster_tol)
+    clusters = cluster_eigenvalues(w, cluster_tol)
+    labels = np.repeat(np.arange(len(clusters)), [c.size for c in clusters])
     Hd_eig = V.conj().T @ H_d @ V
     off_cluster = labels[:, None] != labels[None, :]
     dH_eig = np.where(off_cluster, -Hd_eig, 0.0)
@@ -95,43 +78,22 @@ def _restore_linear(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
     return Perturbation(dH, S, operator_norm(dH), frobenius_norm(dH), residual)
 
 
-def _hermitian_unit_basis(d: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[i, i] = 1.0
-        basis.append(E)
-    for i in range(d):
-        for j in range(i + 1, d):
-            E = np.zeros((d, d), dtype=complex)
-            E[i, j] = E[j, i] = 1.0 / np.sqrt(2)
-            basis.append(E)
-            F = np.zeros((d, d), dtype=complex)
-            F[i, j] = 1j / np.sqrt(2)
-            F[j, i] = -1j / np.sqrt(2)
-            basis.append(F)
-    return basis
-
-
 def _restore_quadratic(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
     d = H_d.shape[0]
-    check_entry_cap(2 * d**6)  # least-squares matrix is (2 d^4) x d^2
-
-    def embed(M: np.ndarray) -> np.ndarray:
-        v = row_vectorize(M)
-        return np.concatenate([v.real, v.imag])
+    check_entry_cap(2 * d**6)  # K below holds d^4 x d^2 complex entries
+    eye = np.eye(d)
 
     def constraint(Y: np.ndarray) -> np.ndarray:
-        return commutator(S.matrix, iota(Y))
+        # lifted by hand: iota accepts Hermitian Y only
+        return commutator(S.matrix, np.kron(Y, eye) + np.kron(eye, Y))
 
-    basis = _hermitian_unit_basis(d)
-    M = np.array([embed(constraint(B)) for B in basis]).T
-    rhs = -embed(constraint(H_d))
-    coeffs, *_ = np.linalg.lstsq(M, rhs, rcond=TAU_RANK)
-    dH = np.zeros((d, d), dtype=complex)
-    for c, B in zip(coeffs, basis):
-        dH = dH + c * B
-    dH = hermitize(dH)
+    # K vec(Y) = vec(constraint(Y)) for complex Y, one column per unit matrix.
+    # K(Y†) = -K(Y)†, so the minimal-norm solution is Hermitian and hermitize
+    # only removes rounding.
+    K = np.array([row_vectorize(constraint(E))
+                  for E in np.eye(d * d).reshape(d * d, d, d)]).T
+    y, *_ = np.linalg.lstsq(K, -row_vectorize(constraint(H_d)), rcond=TAU_RANK)
+    dH = hermitize(devectorize(y))
     residual = frobenius_norm(constraint(H_d + dH))
     limit = tol * max(1.0, S.frobenius * frobenius_norm(H_d))
     if residual > limit:
@@ -146,10 +108,10 @@ def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     """Minimal-Frobenius-norm Hermitian ΔH with the symmetry restored.
 
     Linear kind: [S, H_d + ΔH] = 0, solved in the eigenbasis of S.  Quadratic
-    kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, solved by least squares over an
-    orthonormal Hermitian basis (the minimal-coefficient-norm solution is the
-    minimal-Frobenius-norm one).  Drift directions already compatible with S
-    are left untouched, so ΔH is generally much smaller than -H_d.
+    kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, the minimal-norm least-squares
+    solution over complex vec(ΔH), which is Hermitian.  Drift directions
+    already compatible with S are left untouched, so ΔH is generally much
+    smaller than -H_d.
     """
     H = require_hermitian(H_d)
     if S.kind == "linear":

@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +312,108 @@ class TestRunCommand:
         a.pop("elapsed_seconds")
         b.pop("elapsed_seconds")
         assert a == b
+
+
+BAD_FILE_OPTIONS = [
+    ("unitary", {"seed": "abc"}),
+    ("unitary", {"seed": -1}),
+    ("unitary", {"optimize_symmetry": -1}),
+    ("unitary", {"optimize_symmetry": 2.5}),
+    ("unitary", {"kind": "cubic"}),
+    ("hamiltonian", {"method": "chebyshev", "degree": [3]}),
+    ("hamiltonian", {"method": "chebyshev", "degree": 0}),
+    ("hamiltonian", {"method": "chebyshev", "degree": True}),
+    ("hamiltonian", {"method": "fast"}),
+    ("hamiltonian", {"method": "chebyshev", "sigma_min": 0}),
+    ("hamiltonian", {"method": "chebyshev", "sigma_max": "big"}),
+    ("hamiltonian", {"tol": -1e-9}),
+    ("hamiltonian", ["not", "an", "object"]),
+]
+
+BAD_ARGV = [
+    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
+     "--degree", "0"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--sigma-min", "nan"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--sigma-max", "inf"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--tol", "0"],
+    ["bound", "unitary", CNOT_PROBLEM, "--optimize-symmetry", "-1"],
+    ["bound", "unitary", CNOT_PROBLEM, "--seed", "-3"],
+    ["reproduce", "rydberg", "--degree", "0"],
+    ["reproduce", "rydberg", "--N", "2"],
+    ["reproduce", "rydberg", "--a", "0"],
+    ["reproduce", "rydberg", "--C", "0"],
+    ["reproduce", "swap", "--N", "2"],
+    ["reproduce", "swap", "--J", "-1"],
+    ["reproduce", "syk", "--n-majorana", "5"],
+    ["reproduce", "syk", "--iterations", "-1"],
+    ["reproduce", "cnot", "--g", "-1"],
+    ["verify", "duhamel", CNOT_PROBLEM, "--seed", "-1"],
+]
+
+
+class TestBadInputExits2:
+    """Unusable input ends with exit code 2 and a one-line error, never a
+    traceback or a silently substituted default."""
+
+    def _expect_exit_2(self, capsys, argv):
+        code, report, err = _run(capsys, argv)
+        assert code == 2
+        assert report is None
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("target,options", BAD_FILE_OPTIONS)
+    def test_bad_file_option(self, capsys, tmp_path, target, options):
+        path = tmp_path / "p.json"
+        source = json.loads(Path(CNOT_PROBLEM if target == "unitary"
+                                 else ISING_PROBLEM).read_text())
+        source["options"] = options
+        path.write_text(json.dumps(source))
+        self._expect_exit_2(capsys, ["bound", target, str(path)])
+
+    @pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda argv: " ".join(
+        Path(a).name for a in argv))
+    def test_bad_flag_or_model_parameter(self, capsys, argv):
+        self._expect_exit_2(capsys, argv)
+
+    def test_null_option_means_unset(self, tmp_path):
+        path = tmp_path / "p.json"
+        source = json.loads(Path(ISING_PROBLEM).read_text())
+        source["options"] = {"method": None, "degree": None}
+        path.write_text(json.dumps(source))
+        spec = load_problem(str(path))
+        assert spec.options["method"] == "exact"
+        assert spec.options["degree"] == 64
+
+
+# Reports of successful commands, recorded before the commands were moved
+# onto one bound pipeline: each entry's argv run with --json-only, with
+# elapsed_seconds dropped.  "{problems}" stands for the bundled problem folder.
+GOLDEN_REPORTS = Path(__file__).parent / "data" / "cli_reports.json"
+GOLDEN = json.loads(GOLDEN_REPORTS.read_text())
+PROBLEMS = str(resources.files("qsl") / "problems")
+
+
+def _assert_report_matches(got, want, where="report"):
+    """Equal structure and strings; floats within rel 1e-9."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and set(got) == set(want), where
+        for key in want:
+            _assert_report_matches(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_report_matches(g, w, f"{where}[{k}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_matches_golden(name, capsys):
+    """Successful commands reproduce the recorded JSON reports."""
+    argv = [a.replace("{problems}", PROBLEMS) for a in GOLDEN[name]["argv"]]
+    code, report, _ = _run(capsys, argv + ["--json-only"])
+    assert code == 0
+    report.pop("elapsed_seconds")
+    _assert_report_matches(report, GOLDEN[name]["report"])

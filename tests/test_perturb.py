@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from qsl.lie import Symmetry
+from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import (
     NoSpectralGapError,
     PAULI,
+    TAU_RANK,
     ValidationError,
     commutator,
     frobenius_norm,
+    hermitize,
     iota,
     kron,
     operator_norm,
+    row_vectorize,
 )
 from qsl.models import coupled_qubit_model
 from qsl.perturb import (
@@ -89,7 +92,47 @@ class TestLinearRestore:
         assert np.allclose(a.matrix, b.matrix, atol=1e-10)
 
 
+def _hermitian_basis_restore(S: Symmetry, H: np.ndarray) -> np.ndarray:
+    """Reference quadratic restoration: real least squares over an
+    orthonormal Hermitian basis, the real and imaginary parts stacked."""
+    d = H.shape[0]
+    basis = []
+    for i in range(d):
+        for j in range(i, d):
+            E = np.zeros((d, d), dtype=complex)
+            if i == j:
+                E[i, i] = 1.0
+                basis.append(E)
+                continue
+            E[i, j] = E[j, i] = 1.0 / np.sqrt(2)
+            F = np.zeros((d, d), dtype=complex)
+            F[i, j], F[j, i] = 1j / np.sqrt(2), -1j / np.sqrt(2)
+            basis += [E, F]
+
+    def embed(Y):
+        v = row_vectorize(commutator(S.matrix, iota(Y)))
+        return np.concatenate([v.real, v.imag])
+
+    M = np.array([embed(B) for B in basis]).T
+    coeffs, *_ = np.linalg.lstsq(M, -embed(H), rcond=TAU_RANK)
+    return hermitize(sum(c * B for c, B in zip(coeffs, basis)))
+
+
 class TestQuadraticRestore:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_hermitian_basis_solver(self, rng, d):
+        controls = [random_hermitian(rng, d)]
+        if d == 4:  # local control of two qubits leaves a 4-element basis
+            controls = [kron(X, I2), kron(Z, I2), kron(I2, X), kron(I2, Z)]
+        basis = quadratic_symmetry_basis(controls)
+        for _ in range(5):
+            M = sum(rng.standard_normal() * b.matrix for b in basis)
+            S = Symmetry("quadratic", M + rng.standard_normal() * np.eye(d * d))
+            H = random_hermitian(rng, d)
+            got = restore_symmetry(S, H).matrix
+            want = _hermitian_basis_restore(S, H)
+            assert frobenius_norm(got - want) <= 1e-10 * frobenius_norm(want)
+
     def test_coupled_qubit_pair(self):
         g = 0.7
         bundle = coupled_qubit_model(g)
