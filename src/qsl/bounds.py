@@ -41,9 +41,8 @@ from .matcore import (
     check_entry_cap,
     commutator,
     frobenius_norm,
-    hermitize,
+    hermitian_part,
     operator_norm,
-    real_if_exact,
     require_hermitian,
     require_unitary,
 )
@@ -264,11 +263,10 @@ class _AdKernel:
     """
 
     def __init__(self, H_s, S: Symmetry):
-        H = hermitize(require_hermitian(H_s))
-        _check_symmetry_dimension(H, S)
+        self.H = hermitian_part(require_hermitian(H_s))
+        _check_symmetry_dimension(self.H, S)
         self.kind = S.kind
-        self.H = real_if_exact(H)
-        S_h = real_if_exact(hermitize(S.matrix))
+        S_h = hermitian_part(S.matrix)
         dtype = np.result_type(self.H, S_h)
         self._L = self.H.astype(dtype, copy=False)
         self.S = S_h.astype(dtype, copy=False)
@@ -396,31 +394,32 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     symmetries fall back to the analytic ||[S, H_d]||_F / σ_min bound on
     ||ΔH||_inf, quadratic ones get an explicit minimal perturbation.
     """
-    H = require_hermitian(H_s)
     if method not in ("exact", "commutator", "chebyshev"):
         raise ValidationError(f"unknown projection method {method!r}")
     sfrob = S.frobenius
     if sfrob <= 0:
         raise ValidationError("symmetry matrix must be nonzero")
 
+    # H_s is validated and hermitised once, by the numerator's _AdKernel; only
+    # a defaulted Chebyshev interval reads ||H_s||_inf from H_s as well
     warnings: list[str] = []
     inter: dict[str, float] = {"symmetry_frobenius": sfrob}
     if method == "exact":
-        num, gaps, tol = _exact_projection(_AdKernel(H, S), tol_degeneracy)
+        num, gaps, tol = _exact_projection(_AdKernel(H_s, S), tol_degeneracy)
         if gaps is not None and np.any((gaps > tol) & (gaps <= 10 * tol)):
             warnings.append("spectral gaps within 10x of the degeneracy "
                             "tolerance; the exact projection is sensitive here")
     elif method == "commutator":
-        num = kernel_complement_norm_commutator(H, S)
+        num = kernel_complement_norm_commutator(H_s, S)
     else:
         if sigma_max_est is None or sigma_min_est is None:
-            lo, hi = _default_filter_interval(H, S.kind)
+            lo, hi = _default_filter_interval(H_s, S.kind)
             sigma_min_est = lo if sigma_min_est is None else sigma_min_est
             sigma_max_est = hi if sigma_max_est is None else sigma_max_est
         if degree is None:
             degree = chebyshev_degree_for(DEFAULT_FILTER_EPS,
                                           sigma_min_est, sigma_max_est)
-        num, eps = chebyshev_filter_bound(H, S, degree, sigma_min_est,
+        num, eps = chebyshev_filter_bound(H_s, S, degree, sigma_min_est,
                                           sigma_max_est)
         inter.update({"epsilon": eps, "degree": float(degree),
                       "sigma_min_est": sigma_min_est,

@@ -16,7 +16,7 @@ symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
 linear); ``method`` exact, commutator or chebyshev (default exact up to
 dimension 64, else chebyshev); ``degree`` the Chebyshev degree, >= 1;
-``sigma_min``, ``sigma_max`` the filter interval; ``tol`` both the relative
+``sigma_min`` <= ``sigma_max`` the filter interval; ``tol`` both the relative
 nullspace cut of symmetry discovery and the absolute degeneracy cut of the
 exact numerator; ``seed``, ``optimize_symmetry`` seed and random directions
 of the symmetry search, >= 0.
@@ -47,6 +47,7 @@ from .matcore import (
     PAULI,
     QslError,
     ValidationError,
+    _qubit_product,
     hermitize,
     operator_norm,
     permutation_operator,
@@ -89,7 +90,8 @@ def parse_pauli_expression(text: str, n_qubits: int) -> np.ndarray:
     Grammar: terms joined by '+'/'-'; each term is an optional signed decimal
     coefficient (default 1), an optional '*', then one or more factors like
     ``X0`` or ``Z3`` (letter in XYZI, 0-based qubit index).  Factors in one
-    term act on distinct qubits and multiply as tensor components.
+    term act on distinct qubits and multiply as tensor components; each term
+    is added as a phased permutation with O(2^n) stores.
     """
     if n_qubits < 1:
         raise ValidationError("need at least one qubit")
@@ -144,10 +146,8 @@ def parse_pauli_expression(text: str, n_qubits: int) -> np.ndarray:
             pos = fm.end()
         if not sites:
             raise PauliParseError("expected a Pauli factor like X0", pos)
-        term = np.eye(1, dtype=complex)
-        for q in range(n_qubits):
-            term = np.kron(term, PAULI[sites.get(q, "I")])
-        total += sign * coeff * term
+        _qubit_product({q: PAULI[letter] for q, letter in sites.items()
+                        if letter != "I"}, n_qubits, total, sign * coeff)
     return total
 
 
@@ -224,12 +224,17 @@ _OPTION_RULES = {
 
 
 def _checked_options(options: dict) -> dict:
-    """The options unchanged, once every value that is set obeys its rule."""
+    """The options unchanged, once every value that is set obeys its rule
+    and a filter interval given at both ends is not inverted."""
     for key, value in options.items():
         what, valid = _OPTION_RULES[key]
         if value is not None and not valid(value):
             raise ProblemFormatError(f"option {key!r} must be {what}, "
                                      f"got {value!r}")
+    lo, hi = options.get("sigma_min"), options.get("sigma_max")
+    if lo is not None and hi is not None and lo > hi:
+        raise ProblemFormatError(f"option 'sigma_min' ({lo!r}) must not "
+                                 f"exceed 'sigma_max' ({hi!r})")
     return options
 
 
@@ -507,6 +512,9 @@ def cmd_reproduce(args) -> dict:
 
 
 def cmd_verify_duhamel(args) -> dict:
+    if args.trials < 1:
+        raise ProblemFormatError(
+            f"--trials must be an integer >= 1, got {args.trials}")
     spec = load_problem(args.problem)
     system = ControlSystem(spec.drift, spec.controls, label="duhamel-check")
     rng = np.random.default_rng(_merge_options({"seed": 0}, args)["seed"])

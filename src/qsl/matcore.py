@@ -3,8 +3,9 @@
 Everything downstream (symmetry discovery, perturbation construction, the
 speed-limit formulas) is built on the handful of primitives in this module:
 Hermitian/unitary validation, norms, eigendecomposition-based exponentials,
-Kronecker products, row-vectorization and the adjoint superoperator, and
-tensor-factor permutation operators.
+Kronecker products, qubit tensor products built by index arithmetic,
+row-vectorization and the adjoint superoperator, and tensor-factor
+permutation operators.
 
 Matrices are plain ``numpy.ndarray`` values with complex128 entries.  The
 validator helpers (``require_square``, ``require_hermitian``, ...) are the
@@ -13,6 +14,8 @@ validated input.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -102,14 +105,24 @@ def require_same_dimension(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+def _hermitian_defect(A: np.ndarray) -> float:
+    """||A - A†||_F of a square A, a block of 64 rows at a time, so that no
+    d x d conjugate transpose is ever formed."""
+    total = 0.0
+    for i in range(0, A.shape[0], 64):
+        D = A[i:i + 64] - A[:, i:i + 64].conj().T
+        total += np.vdot(D, D).real
+    return math.sqrt(total)
+
+
 def is_hermitian(M, tol: float = TAU_H) -> bool:
     A = require_square(M)
-    return np.linalg.norm(A - A.conj().T) <= tol * max(1.0, np.linalg.norm(A))
+    return _hermitian_defect(A) <= tol * max(1.0, np.linalg.norm(A))
 
 
 def require_hermitian(M, tol: float = TAU_H) -> np.ndarray:
     A = require_square(M)
-    defect = np.linalg.norm(A - A.conj().T)
+    defect = _hermitian_defect(A)
     if defect > tol * max(1.0, np.linalg.norm(A)):
         raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
     return A
@@ -138,10 +151,17 @@ def hermitize(M) -> np.ndarray:
     return 0.5 * (A + A.conj().T)
 
 
-def real_if_exact(A: np.ndarray) -> np.ndarray:
-    """A as contiguous float64 when its imaginary part is exactly zero, else
-    A itself; real BLAS/LAPACK calls need about a quarter of the work."""
-    return A if A.imag.any() else np.ascontiguousarray(A.real)
+def hermitian_part(M) -> np.ndarray:
+    """hermitize(M), as contiguous float64 when its imaginary part is exactly
+    zero; real BLAS/LAPACK calls need about a quarter of the work.  An
+    exactly real M is hermitised in real arithmetic, with no complex copy."""
+    A = require_square(M)
+    if not A.imag.any():
+        R = A.real + A.real.T
+        R *= 0.5
+        return R
+    H = hermitize(A)
+    return H if H.imag.any() else np.ascontiguousarray(H.real)
 
 
 def commutator(A, B) -> np.ndarray:
@@ -156,10 +176,16 @@ def frobenius_norm(M) -> float:
 
 def operator_norm(M) -> float:
     """Largest singular value; max |eigenvalue| on the Hermitian path, in
-    real arithmetic when the hermitised input is exactly real."""
+    real arithmetic when the hermitised input is exactly real.  A diagonal
+    matrix with an exactly real diagonal is its own spectrum: max |diagonal|,
+    with no decomposition."""
     A = as_operator(M)
+    diag = A.diagonal()
+    if (A.shape[0] == A.shape[1] and diag.size and not diag.imag.any()
+            and np.count_nonzero(A) == np.count_nonzero(diag)):
+        return float(np.max(np.abs(diag.real)))
     if A.shape[0] == A.shape[1] and is_hermitian(A):
-        w = np.linalg.eigvalsh(real_if_exact(0.5 * (A + A.conj().T)))
+        w = np.linalg.eigvalsh(hermitian_part(A))
         return float(np.max(np.abs(w))) if w.size else 0.0
     return float(np.linalg.norm(A, ord=2))
 
@@ -174,6 +200,46 @@ def matrix_exponential(H, t: float) -> np.ndarray:
 def kron(A, B) -> np.ndarray:
     """Kronecker product, (A⊗B)[i·dB+k, j·dB+l] = A[i,j]·B[k,l]."""
     return np.kron(as_operator(A), as_operator(B))
+
+
+def _qubit_product(factors: dict, n_qubits: int, out=None, weight=None):
+    """Add weight·(F_0 ⊗ ... ⊗ F_{n-1}) to ``out`` and return it, where F_q
+    is the 2x2 matrix ``factors[q]`` or the identity; ``out`` defaults to a
+    fresh zero matrix and ``weight`` to 1.
+
+    Index arithmetic in place of a chain of np.kron calls: column c maps to
+    the rows that differ from c only on the factor sites (qubit 0 is the most
+    significant bit), and each entry is the product of the factor entries
+    taken in site order, as the kron chain takes it, so the result equals the
+    chain bit for bit.  Zero factor entries are skipped: a Pauli string is a
+    phased permutation written with O(d) stores.
+    """
+    d = 2**n_qubits
+    cols = np.arange(d)
+    rows, vals = cols, np.ones(d, dtype=complex)
+    for q in sorted(factors):
+        F = as_operator(factors[q])
+        if F.shape != (2, 2):
+            raise DimensionError(f"qubit factors must be 2x2, got {F.shape}")
+        if not 0 <= q < n_qubits:
+            raise DimensionError(f"site {q} out of range for {n_qubits} qubits")
+        shift = n_qubits - 1 - q
+        c_bit = (cols >> shift) & 1
+        parts = []
+        for r_bit in (0, 1):
+            w = F[r_bit, c_bit]
+            keep = np.flatnonzero(w)
+            parts.append((rows[keep] ^ ((c_bit[keep] ^ r_bit) << shift),
+                          cols[keep], vals[keep] * w[keep]))
+        rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    if weight is not None:
+        vals = weight * vals
+    if out is None:
+        out = np.zeros((d, d), dtype=complex)
+        out[rows, cols] = vals
+    else:
+        out[rows, cols] += vals
+    return out
 
 
 def row_vectorize(M) -> np.ndarray:

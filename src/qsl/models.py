@@ -9,6 +9,15 @@ generic pipeline can be cross-checked end to end.
 
 Conventions: qubits are tensor factors left to right, |0> is the Z eigenvalue
 +1 state, chain sites 1..N map to the standard basis vectors of C^N.
+
+Qubit operators (site operators, the collective controls, Majorana strings)
+are built by index arithmetic in ``matcore._qubit_product``, never by chains
+of np.kron: a Pauli string on n qubits is a phased permutation written with
+2^n stores, equal bit for bit to the kron chain.  The Rydberg bundle at N
+atoms (d = 2^N) is diagonal except for sum X_i, so after that its cost is
+O(d²) memory passes (hermiticity checks of the drift, controls, symmetry and
+ΔH) plus one real d x d product for the restoration residual; ||ΔH||_inf is
+read off the diagonal.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .matcore import (
     DimensionCapError,
     PAULI,
     ValidationError,
+    _qubit_product,
     matrix_exponential,
     permutation_operator,
     require_hermitian,
@@ -90,14 +100,15 @@ class PulseSchedule:
 
 def local_operator(op, site: int, n_qubits: int) -> np.ndarray:
     """op acting on one qubit, identity elsewhere."""
-    out = np.eye(1, dtype=complex)
-    for k in range(n_qubits):
-        out = np.kron(out, op if k == site else PAULI["I"])
-    return out
+    return _qubit_product({site: op}, n_qubits)
 
 
 def site_sum(op, n_qubits: int) -> np.ndarray:
-    return sum(local_operator(op, k, n_qubits) for k in range(n_qubits))
+    """sum_k op_k, accumulated in site order with O(d) stores per site."""
+    out = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+    for k in range(n_qubits):
+        _qubit_product({k: op}, n_qubits, out)
+    return out
 
 
 def global_controls(n_qubits: int) -> list[np.ndarray]:
@@ -117,7 +128,7 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     if g <= 0:
         raise ValidationError("coupling must be positive")
     Z, X = PAULI["Z"], PAULI["X"]
-    drift = g * np.kron(Z, Z)
+    drift = g * _qubit_product({0: Z, 1: Z}, 2)
     controls = [local_operator(X, 0, 2), local_operator(Z, 0, 2),
                 local_operator(X, 1, 2), local_operator(Z, 1, 2)]
     cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
@@ -241,15 +252,15 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     for i in range(N):
         for j in range(i + 1, N):
             pair_diag += (C / (a * (j - i))**6) * bits[i] * bits[j]
-    drift = np.diag(pair_diag).astype(complex)
+    drift = np.diag(pair_diag.astype(complex))
     controls = global_controls(N)
 
     zz = np.zeros(2**N)
     z = 1.0 - 2.0 * bits
     for i in range(N - 1):
         zz += z[i] * z[i + 1]
-    H_s = J * np.diag(zz).astype(complex) + g * site_sum(PAULI["X"], N) \
-        + h * np.diag(z.sum(axis=0)).astype(complex)
+    H_s = g * controls[0]  # g sum X_i, plus the diagonal below
+    H_s[np.diag_indices(2**N)] = J * zz + h * z.sum(axis=0)
 
     S = permutation_operator([1, 0] + list(range(2, N)), [2] * N)
     sym = Symmetry("linear", S, note="swap of the first two atoms",
@@ -261,7 +272,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     for j in range(2, N):
         delta = 0.5 * C / a**6 * (1.0 / (j - 1)**6 - 1.0 / j**6)
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
-    dH = np.diag(dh_diag).astype(complex)
+    dH = np.diag(dh_diag.astype(complex))
     pert = Perturbation.from_matrix(sym, dH, drift=drift)
 
     hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
@@ -287,14 +298,8 @@ def majorana_operators(n_majorana: int) -> list[np.ndarray]:
         raise ValidationError("need a positive even number of Majorana modes")
     q = n_majorana // 2
     X, Y, Z = PAULI["X"], PAULI["Y"], PAULI["Z"]
-    ops = []
-    prefix = np.eye(1, dtype=complex)
-    for i in range(q):
-        tail = np.eye(2**(q - i - 1), dtype=complex)
-        for last in (Z, Y):
-            ops.append(np.kron(np.kron(prefix, last), tail) / math.sqrt(2))
-        prefix = np.kron(prefix, X)
-    return ops
+    return [_qubit_product({**dict.fromkeys(range(i), X), i: last}, q)
+            / math.sqrt(2) for i in range(q) for last in (Z, Y)]
 
 
 def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:

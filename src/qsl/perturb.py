@@ -25,6 +25,7 @@ from .matcore import (
     commutator,
     devectorize,
     frobenius_norm,
+    hermitian_part,
     hermitize,
     iota,
     operator_norm,
@@ -52,10 +53,12 @@ class Perturbation:
         residual = None
         if drift is not None:
             H = require_hermitian(drift) + dH
-            if symmetry.kind == "linear":
-                residual = frobenius_norm(commutator(symmetry.matrix, H))
-            else:
-                residual = frobenius_norm(commutator(symmetry.matrix, iota(H)))
+            if symmetry.kind == "quadratic":
+                H = iota(hermitize(H))
+            # [S, H] = P - P† with P = S H for the hermitised operands: one
+            # product, in real arithmetic when both are exactly real
+            P = hermitian_part(symmetry.matrix) @ hermitian_part(H)
+            residual = float(np.linalg.norm(P - P.conj().T))
         return cls(dH, symmetry, operator_norm(dH), frobenius_norm(dH), residual)
 
 

@@ -328,6 +328,7 @@ BAD_FILE_OPTIONS = [
     ("hamiltonian", {"method": "chebyshev", "sigma_max": "big"}),
     ("hamiltonian", {"tol": -1e-9}),
     ("hamiltonian", ["not", "an", "object"]),
+    ("hamiltonian", {"method": "chebyshev", "sigma_min": 5, "sigma_max": 1}),
 ]
 
 BAD_ARGV = [
@@ -348,6 +349,10 @@ BAD_ARGV = [
     ["reproduce", "syk", "--iterations", "-1"],
     ["reproduce", "cnot", "--g", "-1"],
     ["verify", "duhamel", CNOT_PROBLEM, "--seed", "-1"],
+    ["verify", "duhamel", CNOT_PROBLEM, "--trials", "0"],
+    ["verify", "duhamel", CNOT_PROBLEM, "--trials", "-1"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
+     "--sigma-min", "5", "--sigma-max", "1"],
 ]
 
 

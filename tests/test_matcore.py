@@ -8,12 +8,14 @@ from qsl.matcore import (
     NoSpectralGapError,
     PAULI,
     ValidationError,
+    _hermitian_defect,
     adjoint_superoperator,
     check_entry_cap,
     cluster_eigenvalues,
     commutator,
     devectorize,
     frobenius_norm,
+    hermitian_part,
     hermitize,
     iota,
     kron,
@@ -215,3 +217,88 @@ class TestSpectralClustering:
         check_entry_cap(10)
         with pytest.raises(DimensionCapError):
             check_entry_cap(2**21)
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    fn = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dtype)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+class TestOperatorNormDiagonal:
+    """A diagonal matrix with an exactly real diagonal is its own spectrum."""
+
+    @pytest.mark.parametrize("diag", [
+        [1.0, -3.0, 2.0], [0.0, -0.5, 0.0, 0.25], [0.0, 0.0, 0.0], [-7.5],
+        [0.0]])
+    def test_shortcut_equals_eigvalsh(self, monkeypatch, diag):
+        want = float(np.max(np.abs(np.linalg.eigvalsh(np.diag(diag)))))
+        calls = _count_eigvalsh(monkeypatch)
+        for A in (np.diag(diag), np.diag(diag).astype(complex)):
+            assert operator_norm(A) == want
+        assert calls == []
+
+    def test_tiny_diagonal_is_exact(self):
+        # LAPACK rescales so tiny a spectrum and rounds it; the diagonal is exact
+        A = np.diag([1e-300, -2e-300])
+        assert operator_norm(A) == 2e-300
+        assert operator_norm(A) == pytest.approx(
+            np.max(np.abs(np.linalg.eigvalsh(A))), rel=1e-14)
+
+    def test_random_real_diagonals(self, rng, monkeypatch):
+        cases = [rng.standard_normal(d) * (rng.random(d) < 0.7)
+                 for d in (1, 2, 5, 64, 300)]
+        wants = [float(np.max(np.abs(np.linalg.eigvalsh(np.diag(v)))))
+                 for v in cases]
+        calls = _count_eigvalsh(monkeypatch)
+        assert [operator_norm(np.diag(v)) for v in cases] == wants
+        assert calls == []
+
+    def test_complex_diagonal_falls_through(self, monkeypatch):
+        calls = _count_eigvalsh(monkeypatch)
+        A = np.diag([2.0 + 1e-14j, -1.0])  # Hermitian within tolerance
+        assert operator_norm(A) == pytest.approx(2.0)
+        assert calls == [np.float64]
+        B = np.diag([3j, -1.0])  # not Hermitian: largest singular value
+        assert operator_norm(B) == pytest.approx(3.0)
+
+    def test_off_diagonal_entry_falls_through(self, monkeypatch):
+        calls = _count_eigvalsh(monkeypatch)
+        A = np.diag([1.0, -1.0, 0.5]).astype(complex)
+        A[0, 2] = A[2, 0] = 1e-3
+        assert operator_norm(A) == pytest.approx(0.75 + np.sqrt(0.0625 + 1e-6),
+                                                 rel=1e-12)
+        assert calls == [np.float64]
+
+    def test_empty_matrix(self):
+        assert operator_norm(np.zeros((0, 0))) == 0.0
+
+
+class TestHermitianHelpers:
+    @pytest.mark.parametrize("d", [1, 2, 63, 64, 65, 130])
+    def test_defect_is_frobenius_norm_of_anti_hermitian_part(self, rng, d):
+        for A in (_rand_complex(rng, (d, d)), rng.standard_normal((d, d)),
+                  random_hermitian(rng, d)):
+            A = np.asarray(A, dtype=complex)
+            assert _hermitian_defect(A) == pytest.approx(
+                np.linalg.norm(A - A.conj().T), rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_hermitian_part(self, rng, d):
+        real = rng.standard_normal((d, d)).astype(complex)
+        got = hermitian_part(real)
+        assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, hermitize(real).real)
+        # imaginary part symmetric: hermitised away exactly
+        sym_imag = real + 1j * hermitize(rng.standard_normal((d, d))).real
+        assert hermitian_part(sym_imag).dtype == np.float64
+        assert np.array_equal(hermitian_part(sym_imag), hermitize(sym_imag).real)
+        cplx = _rand_complex(rng, (d, d))
+        got = hermitian_part(cplx)
+        assert got.dtype == (np.complex128 if d > 1 else np.float64)
+        assert np.array_equal(got, hermitize(cplx))

@@ -186,3 +186,32 @@ class TestPerturbationRecord:
         pert = restore_symmetry(bundle.symmetry, bundle.system.drift)
         cap = perturbation_norm_bound(bundle.symmetry, bundle.system.drift)
         assert pert.op_norm <= cap + 1e-12
+
+
+class TestResidualFromOneProduct:
+    """Perturbation.from_matrix forms ||[S, H]||_F as ||P - P†||_F with
+    P = S H (or S iota(H)); the two-product commutator is the oracle."""
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [2, 5, 9])
+    def test_linear(self, rng, d, real):
+        for _ in range(5):
+            S, H_d, dH = (random_hermitian(rng, d) for _ in range(3))
+            if real:
+                S, H_d, dH = S.real, H_d.real, dH.real
+            pert = Perturbation.from_matrix(Symmetry("linear", S), dH, drift=H_d)
+            want = frobenius_norm(commutator(S, H_d + dH))
+            assert pert.residual == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_quadratic(self, rng, d, real):
+        for _ in range(5):
+            S = random_hermitian(rng, d * d)
+            H_d, dH = random_hermitian(rng, d), random_hermitian(rng, d)
+            if real:
+                S, H_d, dH = S.real, H_d.real, dH.real
+            pert = Perturbation.from_matrix(Symmetry("quadratic", S), dH,
+                                            drift=H_d)
+            want = frobenius_norm(commutator(S, iota(H_d + dH)))
+            assert pert.residual == pytest.approx(want, rel=1e-12)
