@@ -16,10 +16,11 @@ symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
 linear); ``method`` exact, commutator or chebyshev (default exact up to
 dimension 64, else chebyshev); ``degree`` the Chebyshev degree, >= 1;
-``sigma_min`` <= ``sigma_max`` the filter interval; ``tol`` both the relative
-nullspace cut of symmetry discovery and the absolute degeneracy cut of the
-exact numerator; ``seed``, ``optimize_symmetry`` seed and random directions
-of the symmetry search, >= 0.
+``sigma_min`` <= ``sigma_max`` the filter interval (an end not given is
+derived from ||H_s||); ``tol`` both the relative nullspace cut of symmetry
+discovery and the absolute degeneracy cut of the exact numerator; ``seed``,
+``optimize_symmetry`` seed and random directions of the symmetry search,
+>= 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _default_filter_interval,
     chebyshev_degree_for,
     hamiltonian_speed_limit,
     optimize_symmetry,
@@ -394,7 +396,17 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
         def bound(sym, pert, drift=None):
             return unitary_speed_limit(target_unitary, sym, pert, drift=drift)
     else:
-        kwargs = {"method": opts.get("method") or _default_method(H_d.shape[0]),
+        method = opts.get("method") or _default_method(H_d.shape[0])
+        lo, hi = opts.get("sigma_min"), opts.get("sigma_max")
+        if method == "chebyshev" and (lo is None) != (hi is None):
+            # fill the open end with the default the library would derive,
+            # so that an inverted interval is caught here as bad input
+            d_lo, d_hi = _default_filter_interval(
+                target_hamiltonian, kind if symmetry is None else symmetry.kind)
+            opts = _checked_options({**opts,
+                                     "sigma_min": d_lo if lo is None else lo,
+                                     "sigma_max": d_hi if hi is None else hi})
+        kwargs = {"method": method,
                   "degree": opts.get("degree"),
                   "sigma_min_est": opts.get("sigma_min"),
                   "sigma_max_est": opts.get("sigma_max"),

@@ -4,7 +4,10 @@ A bilinear control system H(t) = H_d + sum_j f_j(t) H_j generates the real
 Lie algebra spanned by iterated commutators of {iH_d, iH_j}.  Symmetries live
 in commutants: linear symmetries commute with every control on the base space,
 quadratic symmetries commute with the doubled-space lifts H⊗1 + 1⊗H.  Both
-kinds are found as SVD nullspaces of stacked adjoint superoperators.
+kinds are found as SVD nullspaces of stacked adjoint superoperators.  Only
+the right singular vectors are computed: the stack of k controls has k·n²
+rows for n² unknowns, never fewer rows than columns, so its left basis is
+never built.
 """
 
 from __future__ import annotations
@@ -187,10 +190,15 @@ def project_onto_span(X, basis: OperatorBasis) -> tuple[np.ndarray, float]:
 
 
 def _nullspace(K: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Right nullspace vectors of K at a relative singular-value threshold."""
+    """Right nullspace vectors of K at a relative singular-value threshold.
+
+    Only the right singular vectors are read.  For a tall or square K the
+    reduced factorisation already returns all of them, so the m×m left basis
+    is built only for a wide K, whose null rows the reduced Vh would lack.
+    """
     if K.size == 0:
         return []
-    _, s, Vh = np.linalg.svd(K, full_matrices=True)
+    _, s, Vh = np.linalg.svd(K, full_matrices=K.shape[0] < K.shape[1])
     smax = s[0] if s.size else 0.0
     rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
     return [Vh[i].conj() for i in range(rank, Vh.shape[0])]
@@ -224,12 +232,14 @@ def _hermitian_basis_from_nullspace(vectors, dim: int, tol: float) -> list[np.nd
     return out
 
 
-def _verify_commutation(mats, ops, tol: float, lift) -> None:
+def _verify_commutation(mats, ops, tol: float) -> None:
+    """Re-check [L, M] = 0 for every basis element M and (lifted) control L."""
+    op_norms = [frobenius_norm(L) for L in ops]
     for M in mats:
-        for op in ops:
-            L = lift(op)
+        m_norm = frobenius_norm(M)
+        for L, l_norm in zip(ops, op_norms):
             defect = frobenius_norm(commutator(L, M))
-            scale = max(1.0, frobenius_norm(M) * frobenius_norm(L))
+            scale = max(1.0, m_norm * l_norm)
             if defect > 100 * tol * scale:
                 raise ConditioningError(
                     "nullspace element fails the commutation re-check",
@@ -248,7 +258,7 @@ def commutant_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     d = mats[0].shape[0]
     K = np.vstack([adjoint_superoperator(op) for op in mats])
     basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), d, tol)
-    _verify_commutation(basis, mats, tol, lift=lambda op: op)
+    _verify_commutation(basis, mats, tol)
     return [Symmetry("linear", M, note="commutant") for M in basis]
 
 
@@ -256,9 +266,10 @@ def quadratic_symmetry_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     """Orthonormal Hermitian basis of {S on H⊗H : [S, H_j⊗1 + 1⊗H_j] = 0}."""
     mats = _validated_generators(ops)
     D = mats[0].shape[0] ** 2
-    K = np.vstack([adjoint_superoperator(iota(op)) for op in mats])
+    lifts = [iota(op) for op in mats]  # one lift per control, reused below
+    K = np.vstack([adjoint_superoperator(L) for L in lifts])
     basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), D, tol)
-    _verify_commutation(basis, mats, tol, lift=iota)
+    _verify_commutation(basis, lifts, tol)
     return [Symmetry("quadratic", M, note="quadratic commutant") for M in basis]
 
 

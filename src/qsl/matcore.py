@@ -268,13 +268,24 @@ def adjoint_superoperator(H) -> np.ndarray:
     return np.kron(A, eye) - np.kron(eye, A.T)
 
 
+def _lift(Y: np.ndarray) -> np.ndarray:
+    """Y⊗1 + 1⊗Y for a d×d array or a stack of them, of any dtype and
+    unchecked.  Each entry is 0, one entry of Y or the sum of two, as in the
+    sum of np.kron products, so it equals that sum bit for bit."""
+    d = Y.shape[-1]
+    eye = np.eye(d)
+    # [..., a, b, c, f] -> Y[a, c]·1[b, f] + 1[a, c]·Y[b, f], the entry in
+    # row (a, b) and column (c, f)
+    L = (Y[..., :, None, :, None] * eye[None, :, None, :]
+         + eye[:, None, :, None] * Y[..., None, :, None, :])
+    return L.reshape(Y.shape[:-2] + (d * d, d * d))
+
+
 def iota(H) -> np.ndarray:
     """H⊗1 + 1⊗H on the doubled space; spectrum is pairwise eigenvalue sums."""
     A = require_hermitian(H)
-    d = A.shape[0]
-    check_entry_cap(d**4)
-    eye = np.eye(d)
-    return np.kron(A, eye) + np.kron(eye, A)
+    check_entry_cap(A.shape[0]**4)
+    return _lift(A)
 
 
 def permutation_operator(perm, local_dims) -> np.ndarray:

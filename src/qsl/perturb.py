@@ -20,6 +20,7 @@ from .matcore import (
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
+    _lift,
     check_entry_cap,
     cluster_eigenvalues,
     commutator,
@@ -81,20 +82,30 @@ def _restore_linear(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
     return Perturbation(dH, S, operator_norm(dH), frobenius_norm(dH), residual)
 
 
+def _quadratic_constraint(S: np.ndarray, d: int) -> np.ndarray:
+    """K with K vec(Y) = vec([S, Y⊗1 + 1⊗Y]) for complex d×d Y.
+
+    Column e is the constraint of the e-th unit matrix.  The lifts of all d²
+    unit matrices form one 0/1/2 array of shape (d², d², d²), and one
+    batched product gives every column.  Each entry of S·lift is a sum of at
+    most two exact products, so K equals the column-by-column build bit for
+    bit.
+    """
+    lifts = _lift(np.eye(d * d).reshape(d * d, d, d))
+    return (S @ lifts - lifts @ S).reshape(d * d, -1).T
+
+
 def _restore_quadratic(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
     d = H_d.shape[0]
-    check_entry_cap(2 * d**6)  # K below holds d^4 x d^2 complex entries
-    eye = np.eye(d)
+    # K holds d^4 x d^2 complex entries, the unit-matrix lifts d^6 real ones
+    check_entry_cap(2 * d**6)
 
     def constraint(Y: np.ndarray) -> np.ndarray:
-        # lifted by hand: iota accepts Hermitian Y only
-        return commutator(S.matrix, np.kron(Y, eye) + np.kron(eye, Y))
+        return commutator(S.matrix, _lift(Y))
 
-    # K vec(Y) = vec(constraint(Y)) for complex Y, one column per unit matrix.
     # K(Y†) = -K(Y)†, so the minimal-norm solution is Hermitian and hermitize
     # only removes rounding.
-    K = np.array([row_vectorize(constraint(E))
-                  for E in np.eye(d * d).reshape(d * d, d, d)]).T
+    K = _quadratic_constraint(S.matrix, d)
     y, *_ = np.linalg.lstsq(K, -row_vectorize(constraint(H_d)), rcond=TAU_RANK)
     dH = hermitize(devectorize(y))
     residual = frobenius_norm(constraint(H_d + dH))

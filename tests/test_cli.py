@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsl.bounds import _default_filter_interval
 from qsl.cli import (
     PauliParseError,
     ProblemFormatError,
@@ -329,6 +330,9 @@ BAD_FILE_OPTIONS = [
     ("hamiltonian", {"tol": -1e-9}),
     ("hamiltonian", ["not", "an", "object"]),
     ("hamiltonian", {"method": "chebyshev", "sigma_min": 5, "sigma_max": 1}),
+    # one end given, inverted against the defaulted other end
+    ("hamiltonian", {"method": "chebyshev", "sigma_min": 1e9}),
+    ("hamiltonian", {"method": "chebyshev", "sigma_max": 1e-9}),
 ]
 
 BAD_ARGV = [
@@ -353,6 +357,10 @@ BAD_ARGV = [
     ["verify", "duhamel", CNOT_PROBLEM, "--trials", "-1"],
     ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
      "--sigma-min", "5", "--sigma-max", "1"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
+     "--sigma-min", "1e9"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
+     "--sigma-max", "1e-9"],
 ]
 
 
@@ -379,6 +387,21 @@ class TestBadInputExits2:
         Path(a).name for a in argv))
     def test_bad_flag_or_model_parameter(self, capsys, argv):
         self._expect_exit_2(capsys, argv)
+
+    @pytest.mark.parametrize("flag,value,open_end,k", [
+        ("--sigma-min", "1e-3", "sigma_max_est", 1),
+        ("--sigma-max", "50", "sigma_min_est", 0)])
+    def test_one_sided_interval_keeps_default_end(self, capsys, flag, value,
+                                                  open_end, k):
+        """A valid one-sided interval runs; the open end is the default
+        bounds.hamiltonian_speed_limit derives."""
+        code, report, _ = _run(capsys, ["bound", "hamiltonian", ISING_PROBLEM,
+                                        "--method", "chebyshev", flag, value,
+                                        "--json-only"])
+        assert code == 0
+        H = load_problem(ISING_PROBLEM).target_hamiltonian
+        default = _default_filter_interval(H, "linear")[k]
+        assert report["intermediates"][open_end] == default
 
     def test_null_option_means_unset(self, tmp_path):
         path = tmp_path / "p.json"

@@ -4,6 +4,7 @@ import pytest
 from qsl.lie import (
     OperatorBasis,
     Symmetry,
+    _nullspace,
     center_dimension,
     commutant_basis,
     lie_closure,
@@ -15,7 +16,9 @@ from qsl.lie import (
 from qsl.matcore import (
     ClosureTruncatedError,
     PAULI,
+    TAU_RANK,
     ValidationError,
+    adjoint_superoperator,
     commutator,
     frobenius_norm,
     iota,
@@ -174,6 +177,65 @@ class TestQuadraticSymmetries:
             assert len(basis) == 2
             assert span_residual(np.eye(d * d), basis) < 1e-8
             assert span_residual(permutation_operator([1, 0], [d, d]), basis) < 1e-8
+
+
+def _stack(ops, quadratic):
+    lift = iota if quadratic else (lambda op: op)
+    return np.vstack([adjoint_superoperator(lift(op)) for op in ops])
+
+
+def _nullspace_full_svd(K, tol=TAU_RANK):
+    """Oracle: the right nullspace from the full factorisation, the m×m
+    left basis included."""
+    _, s, Vh = np.linalg.svd(K, full_matrices=True)
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    return [Vh[i].conj() for i in range(rank, Vh.shape[0])]
+
+
+class TestNullspace:
+    """Discovery reads only the right singular vectors of the stacked
+    superoperator; skipping the left basis must not change them beyond
+    rounding (LAPACK may take a different path for the reduced
+    factorisation, so equality is not always bit for bit)."""
+
+    @pytest.mark.parametrize("quadratic", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_full_svd(self, rng, quadratic, k):
+        stacks = [_stack(CNOT_CONTROLS[:k], quadratic),
+                  _stack([random_hermitian(rng, 3) for _ in range(k)],
+                         quadratic)]
+        if not quadratic:
+            stacks.append(_stack(global_controls(3)[:k], quadratic))
+        for K in stacks:
+            assert K.shape[0] >= K.shape[1]
+            got, want = _nullspace(K, TAU_RANK), _nullspace_full_svd(K)
+            assert len(got) == len(want) > 0
+            for g, w in zip(got, want):
+                assert np.allclose(g, w, rtol=0, atol=1e-14)
+
+    def test_wide_matrix_keeps_its_full_nullspace(self, rng):
+        K = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+        got = _nullspace(K, TAU_RANK)
+        assert len(got) == 4
+        for g, w in zip(got, _nullspace_full_svd(K)):
+            assert np.allclose(g, w, rtol=0, atol=1e-14)
+        V = np.array(got)
+        assert np.allclose(K @ V.T, 0, atol=1e-12)
+        assert np.allclose(V.conj() @ V.T, np.eye(4), atol=1e-12)
+
+    def test_cnot_discovery_builds_no_left_basis(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, full_matrices=True, **kwargs):
+            calls.append((a.shape, full_matrices))
+            return svd(a, full_matrices=full_matrices, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        assert len(quadratic_symmetry_basis(CNOT_CONTROLS)) == 4
+        assert ((1024, 256), False) in calls
+        assert not [shape for shape, full in calls
+                    if full and shape[0] > shape[1]]
 
 
 class TestSymmetryDataclass:

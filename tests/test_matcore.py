@@ -9,6 +9,7 @@ from qsl.matcore import (
     PAULI,
     ValidationError,
     _hermitian_defect,
+    _lift,
     adjoint_superoperator,
     check_entry_cap,
     cluster_eigenvalues,
@@ -160,6 +161,18 @@ class TestVectorization:
 
     def test_iota_of_z(self):
         assert np.allclose(iota(Z), np.diag([2.0, 0.0, 0.0, -2.0]))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_lift_equals_kron_sum(self, rng, d):
+        eye = np.eye(d)
+        Ys = [rng.standard_normal((d, d)),
+              rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))]
+        for Y in Ys:
+            assert np.array_equal(_lift(Y), np.kron(Y, eye) + np.kron(eye, Y))
+        stack = np.array(Ys)
+        assert np.array_equal(_lift(stack), np.array([_lift(Y) for Y in Ys]))
+        H = random_hermitian(rng, d)
+        assert np.array_equal(iota(H), np.kron(H, eye) + np.kron(eye, H))
 
 
 class TestPermutation:

@@ -18,6 +18,7 @@ from qsl.matcore import (
 from qsl.models import coupled_qubit_model
 from qsl.perturb import (
     Perturbation,
+    _quadratic_constraint,
     perturbation_norm_bound,
     restore_symmetry,
     spectral_gap_min,
@@ -152,6 +153,34 @@ class TestQuadraticRestore:
         S = Symmetry("quadratic", np.eye(4))
         with pytest.raises(ValidationError):
             perturbation_norm_bound(S, np.eye(2))
+
+
+def _constraint_by_columns(S: np.ndarray, d: int) -> np.ndarray:
+    """Oracle: the quadratic restoration constraint built one unit matrix at
+    a time, K[:, e] = vec([S, E_e⊗1 + 1⊗E_e])."""
+    eye = np.eye(d)
+    return np.array([
+        row_vectorize(commutator(S, np.kron(E, eye) + np.kron(eye, E)))
+        for E in np.eye(d * d).reshape(d * d, d, d)]).T
+
+
+class TestQuadraticConstraint:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("complex_s", [False, True])
+    def test_batched_equals_column_build(self, rng, d, complex_s):
+        for _ in range(3):
+            S = random_hermitian(rng, d * d)
+            if not complex_s:
+                S = S.real
+            got = _quadratic_constraint(S, d)
+            assert got.dtype == S.dtype
+            assert np.array_equal(got, _constraint_by_columns(S, d))
+
+    def test_discovered_symmetries(self):
+        for sym in quadratic_symmetry_basis(
+                [kron(X, I2), kron(Z, I2), kron(I2, X), kron(I2, Z)]):
+            assert np.array_equal(_quadratic_constraint(sym.matrix, 4),
+                                  _constraint_by_columns(sym.matrix, 4))
 
 
 class TestPerturbationRecord:
