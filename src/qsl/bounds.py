@@ -10,16 +10,16 @@ H_s the numerator becomes the part of S outside the commutant of H_s,
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
-matrix-free Chebyshev spectral filter for dimensions where diagonalization or
-superoperator materialization is off the table.
+Chebyshev spectral filter whose value is certified by an explicit residual.
 
 All three work on the hermitised inputs H = (H_s + H_s†)/2 and
 S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
 arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
 single eigendecomposition of H_s (it also yields ||H_s||_inf and the
 near-degeneracy check); commutator is one product H S_h plus ||H_s||_inf;
-chebyshev is two products per application of (ad_H)², never a d² x d²
-superoperator.  For quadratic S each product with the lift H⊗1 + 1⊗H is two
+chebyshev is the same eigendecomposition plus about five products, whatever
+the filter degree, and never a d² x d² superoperator.  For quadratic S each
+product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
 d x d contractions.
 """
 
@@ -115,7 +115,11 @@ class ChebyshevFilter:
         return 2 * e / (1 + e * e)
 
     def evaluate(self, x):
-        """p(x), stable for arguments far outside the suppression interval."""
+        """p(x), stable for arguments far outside the suppression interval.
+
+        Where |p(x)| exceeds the float range the value is ±inf, returned
+        without an overflow warning.
+        """
         lo, hi = self._interval
         m = self.degree
         y = (hi + lo - 2 * np.asarray(x, dtype=float)) / (hi - lo)
@@ -126,34 +130,11 @@ class ChebyshevFilter:
         out[inside] = np.cos(m * np.arccos(y[inside])) * math.exp(-log_tm_x0)
         yo = y[~inside]
         th = np.arccosh(np.abs(yo))
-        mag = np.exp(m * th + np.log1p(np.exp(-2 * m * th)) - math.log(2) - log_tm_x0)
+        with np.errstate(over="ignore"):  # far outside the band p is ±inf
+            mag = np.exp(m * th + np.log1p(np.exp(-2 * m * th)) - math.log(2)
+                         - log_tm_x0)
         out[~inside] = np.where(yo > 0, mag, mag * (-1) ** m)
         return out if np.ndim(x) else float(out)
-
-    def apply(self, apply_a, Y: np.ndarray) -> np.ndarray:
-        """p(A) Y through the three-term recurrence, A given as a callable.
-
-        Uses the normalized iterates Z_k = T_k(ℓ(A)) Y / T_k(x0), whose
-        components all stay bounded by ||Y||, so the recurrence is stable for
-        any degree; the Chebyshev values T_k(x0) themselves would overflow.
-        """
-        lo, hi = self._interval
-        x0 = self._x0
-        shift = (hi + lo) / (hi - lo)
-        scale = 2.0 / (hi - lo)
-
-        def mapped(Z):
-            return shift * Z - scale * apply_a(Z)
-
-        z_prev = Y
-        z_curr = mapped(Y) / x0
-        r_prev = 1.0 / x0
-        for _ in range(self.degree - 1):
-            r_curr = 1.0 / (2 * x0 - r_prev)
-            z_next = 2 * r_curr * mapped(z_curr) - r_curr * r_prev * z_prev
-            z_prev, z_curr = z_curr, z_next
-            r_prev = r_curr
-        return z_curr
 
 
 def chebyshev_degree_for(eps_target: float, sigma_min: float, sigma_max: float,
@@ -258,8 +239,7 @@ class _AdKernel:
     [L, C] = Q + Q† with Q = L C.  One application of ad_L therefore costs
     one product with L and one of (ad_L)² costs two; the lift is applied as
     two d x d contractions and never materialized.  Both outputs are exactly
-    (anti-)Hermitian in floating point, so real combinations of them, such as
-    the Chebyshev iterates, stay exactly Hermitian.
+    (anti-)Hermitian in floating point.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -286,10 +266,61 @@ class _AdKernel:
         P = self.lift(Y)
         return P - P.conj().T
 
+    def ad_anti(self, C: np.ndarray) -> np.ndarray:
+        """[L, C] for anti-Hermitian C."""
+        Q = self.lift(C)
+        return Q + Q.conj().T
+
     def ad2(self, Y: np.ndarray) -> np.ndarray:
         """[L, [L, Y]] for Hermitian Y."""
-        Q = self.lift(self.ad(Y))
-        return Q + Q.conj().T
+        return self.ad_anti(self.ad(Y))
+
+
+def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
+    """T M T† with T = A (linear) or T = A⊗A (quadratic).
+
+    A⊗A is never formed: like ``_AdKernel.lift`` it is applied as d x d
+    contractions, one per tensor factor on each side.
+    """
+    if kind == "linear":
+        return A @ M @ A.conj().T
+    d = A.shape[0]
+    M = (A @ M.reshape(d, -1)).reshape(d, d, -1)  # A on the first row factor
+    M = (A @ M).reshape(-1, d, d)  # A on the second; columns split as (a, b)
+    # right product with (A⊗A)† = A†⊗A†: conj(A) on a, A† on b
+    return (A.conj() @ M @ A.conj().T).reshape(d * d, d * d)
+
+
+def _eigenframe(kernel: _AdKernel):
+    """S_h in the eigenbasis of L, from one eigendecomposition of H.
+
+    Returns (w, V, lam, frame): H = V diag(w) V†, lam the spectrum of L (w,
+    or the pairwise sums w_a + w_b in the column order of V⊗V for the lift)
+    and frame = W† S_h W with W = V or V⊗V.  ad_L acts on the frame as the
+    entrywise product with the signed gaps lam_i - lam_j.
+    """
+    w, V = np.linalg.eigh(kernel.H)
+    lam = w if kernel.kind == "linear" else np.add.outer(w, w).reshape(-1)
+    return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind)
+
+
+def _certified_numerator(kernel: _AdKernel, X: np.ndarray) -> float:
+    """sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²)) for any X.
+
+    ad_L is self-adjoint under the Hilbert-Schmidt inner product, so
+    P_ker(S_h - ad_L X) = P_ker S_h and the residual is at least as large as
+    the kernel component of S_h: the value is a lower bound on
+    ||(1 - P_ker) S_h||_F however X was computed, because the residual is
+    formed explicitly here.  Only the anti-Hermitian part of X is used; its
+    Hermitian part would add an anti-Hermitian term, orthogonal to the
+    Hermitian rest of the residual, and so only enlarge it.
+    """
+    C = X - X.conj().T
+    C *= 0.5
+    R = kernel.S - kernel.ad_anti(C)
+    s2 = float(np.linalg.norm(kernel.S))**2
+    r2 = float(np.linalg.norm(R))**2
+    return float(np.sqrt(max(0.0, s2 - r2)))
 
 
 def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
@@ -299,17 +330,14 @@ def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
     for the quadratic lift) and the degeneracy cut that split them into
     kernel (gap <= tol) and complement.  ``gaps`` is None when H = 0.
     """
-    w, V = np.linalg.eigh(kernel.H)
+    w, _, lam, frame = _eigenframe(kernel)
     hnorm = float(np.max(np.abs(w))) if w.size else 0.0
     if hnorm == 0.0:
         return 0.0, None, 0.0
     tol = DEGENERACY_RTOL * hnorm if tol_degeneracy is None else tol_degeneracy
     if kernel.kind == "quadratic":
         check_entry_cap(w.size**4)
-        w = np.add.outer(w, w).reshape(-1)
-        V = np.kron(V, V)
-    gaps = np.abs(w[:, None] - w[None, :])
-    frame = V.conj().T @ kernel.S @ V
+    gaps = np.abs(np.subtract.outer(lam, lam))
     return float(np.linalg.norm(frame[gaps > tol])), gaps, tol
 
 
@@ -346,29 +374,40 @@ def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
 def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
                            sigma_min_est: float, sigma_max_est: float
                            ) -> tuple[float, float]:
-    """Matrix-free lower bound on the kernel-complement norm.
+    """Lower bound on the kernel-complement norm from a spectral filter.
 
-    Applies the spectral filter p to A = (ad_{H_s})² acting on the hermitised
-    symmetry S_h, where each application of A is two products with H_s
-    (d x d products only; A is never materialized).  The estimates should
-    bracket the nonzero spectrum of A.
+    The filter p (p(0) = 1, at most ε in size on [σ_min_est, σ_max_est]) is
+    applied to A = (ad_{H_s})² acting on the hermitised symmetry S_h.  The
+    estimates should bracket the nonzero spectrum of A.  p(A) S_h is written
+    as a residual S_h - ad_L X: in the eigenframe of L, where ad_L multiplies
+    entry (i, j) by the gap g = lam_i - lam_j, X' = ((1 - p(g²))/g) ∘ S'.
+    Entries with g = 0, or where |p(g²)| > 1 or overflows (an interval that
+    misses part of the spectrum), keep X' = 0 and so stay unfiltered.
 
-    Returns (value, ε) with value = sqrt(max(0, ||S_h||_F² - ||p(A) S_h||_F²)).
-    Because p(0) = 1 exactly, ||p(A) S_h||_F can only exceed the norm of the
-    kernel component of S_h, so the value is a valid lower bound on
-    ||(1 - P_ker) S_h||_F no matter how rough the estimates are; once the
-    nonzero spectrum really lies in [σ_min_est, σ_max_est] it converges to
+    Returns (value, ε) with value = sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²))
+    and the residual formed explicitly in the original basis.  ad_L is
+    self-adjoint, so that residual can never be smaller than the kernel
+    component of S_h, whatever rounding went into X: the value is a valid
+    lower bound on ||(1 - P_ker) S_h||_F for any degree and estimates, and
+    once the nonzero spectrum lies in [σ_min_est, σ_max_est] it converges to
     the exact norm at rate ε².  It bounds ||(1 - P_ker) S||_F as well: ad_H
     commutes with Y ↦ Y†, so P_ker keeps the Hermitian and anti-Hermitian
     parts apart, and ||(1-P)S||² = ||(1-P)S_h||² + ||(1-P)S_a||² >=
     ||(1-P)S_h||² with S_a = S - S_h.
+
+    Cost: one eigendecomposition of H_s, two similarity transforms and the
+    residual's product with L, independent of the degree; p is evaluated in
+    closed form on the squared gaps.
     """
     kernel = _AdKernel(H_s, S)
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
-    Z = filt.apply(kernel.ad2, kernel.S)
-    s2 = float(np.linalg.norm(kernel.S))**2
-    p2 = float(np.linalg.norm(Z))**2
-    return float(np.sqrt(max(0.0, s2 - p2))), filt.epsilon
+    _, V, lam, frame = _eigenframe(kernel)
+    g = np.subtract.outer(lam, lam)
+    p = filt.evaluate(g * g)
+    frame *= np.divide(1.0 - p, g, out=np.zeros_like(g),
+                       where=(np.abs(p) <= 1.0) & (g != 0))
+    X = _similarity(V, frame, kernel.kind)
+    return _certified_numerator(kernel, X), filt.epsilon
 
 
 def _default_filter_interval(H: np.ndarray, kind: str) -> tuple[float, float]:

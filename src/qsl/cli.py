@@ -15,12 +15,15 @@ symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
 ``reproduce syk`` passes ``--iterations`` as ``optimize_symmetry``):
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
 linear); ``method`` exact, commutator or chebyshev (default exact up to
-dimension 64, else chebyshev); ``degree`` the Chebyshev degree, >= 1;
-``sigma_min`` <= ``sigma_max`` the filter interval (an end not given is
-derived from ||H_s||); ``tol`` both the relative nullspace cut of symmetry
-discovery and the absolute degeneracy cut of the exact numerator; ``seed``,
-``optimize_symmetry`` seed and random directions of the symmetry search,
->= 0.
+dimension 64, else chebyshev; both cost one eigendecomposition of H_s, and
+chebyshev's cost does not depend on its degree); ``degree`` the Chebyshev
+degree, >= 1; ``sigma_min`` <= ``sigma_max`` the filter interval (an end not
+given is derived from ||H_s||); ``tol`` both the relative nullspace cut of
+symmetry discovery and the absolute degeneracy cut of the exact numerator;
+``seed``, ``optimize_symmetry`` seed and random directions of the symmetry
+search, >= 0.
+
+Run as ``qsl ...`` once installed, or as ``python -m qsl ...``.
 """
 
 from __future__ import annotations
@@ -673,3 +676,7 @@ def run_command(argv) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

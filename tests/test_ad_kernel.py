@@ -2,8 +2,13 @@
 
 The kernel applies ad_L (L = H or H⊗1 + 1⊗H) with one product per
 application by exploiting hermiticity.  These tests hold it against the plain
-commutator formulas it replaced, which survive here only as oracles.
+commutator formulas it replaced, which survive here only as oracles, and hold
+the eigenframe Chebyshev numerator against the three-term recurrence it
+replaced.
 """
+
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +17,9 @@ from hypothesis import given, settings, strategies as st
 from qsl.bounds import (
     ChebyshevFilter,
     _AdKernel,
+    _certified_numerator,
+    _eigenframe,
+    _similarity,
     chebyshev_degree_for,
     chebyshev_filter_bound,
     hamiltonian_speed_limit,
@@ -46,10 +54,36 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
+def chebyshev_apply(self, apply_a, Y: np.ndarray) -> np.ndarray:
+    """p(A) Y through the three-term recurrence, A given as a callable.
+
+    Uses the normalized iterates Z_k = T_k(ℓ(A)) Y / T_k(x0), whose
+    components all stay bounded by ||Y||, so the recurrence is stable for
+    any degree; the Chebyshev values T_k(x0) themselves would overflow.
+    """
+    lo, hi = self._interval
+    x0 = self._x0
+    shift = (hi + lo) / (hi - lo)
+    scale = 2.0 / (hi - lo)
+
+    def mapped(Z):
+        return shift * Z - scale * apply_a(Z)
+
+    z_prev = Y
+    z_curr = mapped(Y) / x0
+    r_prev = 1.0 / x0
+    for _ in range(self.degree - 1):
+        r_curr = 1.0 / (2 * x0 - r_prev)
+        z_next = 2 * r_curr * mapped(z_curr) - r_curr * r_prev * z_prev
+        z_prev, z_curr = z_curr, z_next
+        r_prev = r_curr
+    return z_curr
+
+
 def chebyshev_reference(H, S, degree, lo, hi):
     """The numerator with the original 4-matmul double commutator and ||S||."""
-    Z = ChebyshevFilter(degree, lo, hi).apply(
-        lambda Y: commutator(H, commutator(H, Y)), S.matrix)
+    Z = chebyshev_apply(ChebyshevFilter(degree, lo, hi),
+                        lambda Y: commutator(H, commutator(H, Y)), S.matrix)
     return float(np.sqrt(max(0.0, S.frobenius**2 - np.linalg.norm(Z)**2)))
 
 
@@ -178,3 +212,176 @@ class TestExactPathCost:
         rep = hamiltonian_speed_limit(H, S, pert, method="exact")
         assert rep.bound_time > 0
         assert calls == [("eigh", np.float64 if real else np.complex128)]
+
+
+def recurrence_numerator(H, S, degree, lo, hi):
+    """The former library numerator: the recurrence on the prepared kernel."""
+    k = _AdKernel(H, S)
+    Z = chebyshev_apply(ChebyshevFilter(degree, lo, hi), k.ad2, k.S)
+    return math.sqrt(max(0.0, np.linalg.norm(k.S)**2 - np.linalg.norm(Z)**2))
+
+
+def lift_spectrum(H, kind):
+    w = np.linalg.eigvalsh(H)
+    return w if kind == "linear" else np.add.outer(w, w).reshape(-1)
+
+
+def draw_problem(rng, kind, d, real):
+    H = draw_hermitian(rng, d, real)
+    n = d if kind == "linear" else d * d
+    return H, Symmetry(kind, draw_hermitian(rng, n, real))
+
+
+def optimal_x(H, S):
+    """The X whose residual S_h - ad_L X is exactly the kernel part of S_h."""
+    k = _AdKernel(H, S)
+    _, V, lam, frame = _eigenframe(k)
+    g = np.subtract.outer(lam, lam)
+    keep = np.abs(g) > 1e-8 * np.max(np.abs(g))
+    frame[keep] /= g[keep]
+    frame[~keep] = 0
+    return _similarity(V, frame, k.kind)
+
+
+PROBLEM = dict(kind=st.sampled_from(["linear", "quadratic"]),
+               seed=st.integers(0, 2**32 - 1), real=st.booleans())
+
+
+class TestEigenframeChebyshev:
+    """One eigendecomposition and one explicit residual per solve."""
+
+    @given(**PROBLEM, data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_recurrence(self, kind, seed, real, data):
+        d = data.draw(st.integers(2, 8) if kind == "linear"
+                      else st.integers(2, 4), label="d")
+        degree = data.draw(st.integers(1, 10597), label="degree")
+        lo_scale = data.draw(st.floats(1e-3, 3.0), label="lo_scale")
+        hi_scale = data.draw(st.floats(1.0, 1.5), label="hi_scale")
+        H, S = draw_problem(np.random.default_rng(seed), kind, d, real)
+        lam = lift_spectrum(H, kind)
+        gaps = np.abs(np.subtract.outer(lam, lam))
+        nz = gaps[gaps > 1e-9 * gaps.max()] ** 2
+        # every squared gap below hi + lo keeps |p| <= 1: no entry is dropped
+        hi = hi_scale * float(nz.max())
+        lo = min(lo_scale * float(nz.min()), hi)
+        got, eps = chebyshev_filter_bound(H, S, degree, lo, hi)
+        assert eps == ChebyshevFilter(degree, lo, hi).epsilon
+        assert got == pytest.approx(recurrence_numerator(H, S, degree, lo, hi),
+                                    rel=1e-9)
+
+    @pytest.mark.parametrize("N,seed", [(5, 0), (5, 1), (5, 2), (6, 0)])
+    def test_matches_recurrence_rydberg(self, N, seed):
+        rng = np.random.default_rng(seed)
+        b = rydberg_chain_model(N, J=rng.uniform(0.8, 1.2),
+                                g=rng.uniform(0.3, 0.7), h=rng.uniform(0.3, 0.7))
+        lo, hi = b.spectral_estimates
+        degree = chebyshev_degree_for(1e-2, lo, hi)
+        got, _ = chebyshev_filter_bound(b.target_hamiltonian, b.symmetry,
+                                        degree, lo, hi)
+        want = recurrence_numerator(b.target_hamiltonian, b.symmetry, degree,
+                                    lo, hi)
+        assert got == pytest.approx(want, rel=1e-9)
+
+    @given(**PROBLEM, d=st.integers(2, 4), scale=st.floats(-2.0, 3.0),
+           noise=st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_any_x_stays_below_exact(self, kind, seed, real, d, scale, noise):
+        rng = np.random.default_rng(seed)
+        H, S = draw_problem(rng, kind, d, real)
+        k = _AdKernel(H, S)
+        exact = kernel_complement_norm_exact(H, S)
+        n = k.S.shape[0]
+        wild = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        best = optimal_x(H, S)
+        # rounding in the explicit residual only; no slack for wrong X
+        slack = 1e-12 * np.linalg.norm(k.S)
+        for X in (wild, scale * best, best + noise * wild, 1j * k.S, best):
+            assert _certified_numerator(k, X) <= exact + slack
+        assert _certified_numerator(k, best) == pytest.approx(exact, rel=1e-9)
+        # a Hermitian X leaves the residual at S_h: the value is 0
+        assert _certified_numerator(k, k.S) == 0.0
+
+    @pytest.mark.parametrize("kind,d", [("linear", 6), ("quadratic", 3)])
+    def test_cost_does_not_grow_with_degree(self, monkeypatch, kind, d):
+        class Counted(np.ndarray):
+            """Counts every matmul on arrays derived from the eigenbasis."""
+
+            matmuls = 0
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul:
+                    Counted.matmuls += 1
+
+                def plain(a):
+                    return a.view(np.ndarray) if isinstance(a, Counted) else a
+                inputs = tuple(plain(a) for a in inputs)
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+                out = getattr(ufunc, method)(*inputs, **kwargs)
+                return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+        eigh = np.linalg.eigh
+        eighs = []
+
+        def counted_eigh(A, *args, **kwargs):
+            eighs.append(A.shape)
+            w, V = eigh(A, *args, **kwargs)
+            return w, V.view(Counted)
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        H, S = draw_problem(np.random.default_rng(7), kind, d, real=False)
+        costs = []
+        for degree in (10, 10_000):
+            eighs.clear()
+            Counted.matmuls = 0
+            chebyshev_filter_bound(H, S, degree, 0.1, 50.0)
+            costs.append((len(eighs), Counted.matmuls))
+        assert costs[0] == costs[1]
+        assert costs[0][0] == 1 and costs[0][1] > 0
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_contraction_frame_equals_kron(self, rng, d, real):
+        H, S = draw_problem(rng, "quadratic", d, real)
+        _, V, lam, frame = _eigenframe(_AdKernel(H, S))
+        W = np.kron(V, V)
+        assert rel_err(frame, W.conj().T @ S.matrix @ W) <= 1e-13
+        assert rel_err(W.conj().T @ iota(H) @ W, np.diag(lam)) <= 1e-13
+        M = draw_hermitian(rng, d * d, real)
+        assert rel_err(_similarity(V, M, "quadratic"),
+                       W @ M @ W.conj().T) <= 1e-13
+
+
+class TestMisSetInterval:
+    """Intervals that miss the spectrum: every entry with |p| > 1 is left
+    unfiltered, so the value stays finite, valid and warning-free."""
+
+    @pytest.mark.parametrize("interval", [(0.5, 2.0), (1e-6, 1e-3)])
+    def test_rydberg_n5(self, interval):
+        b = rydberg_chain_model(5)
+        H, S = b.target_hamiltonian, b.symmetry
+        lo, hi = interval
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, eps = chebyshev_filter_bound(H, S, 10597, lo, hi)
+        w = np.linalg.eigvalsh(H)
+        g2 = np.subtract.outer(w, w) ** 2
+        assert np.any((g2 >= lo) & (g2 <= hi))
+        assert math.isfinite(got) and math.isfinite(eps)
+        assert 0.0 < got <= kernel_complement_norm_exact(H, S)
+
+    def test_interval_above_the_spectrum(self, rng):
+        H, S = draw_problem(rng, "linear", 6, real=False)
+        top = float(np.ptp(np.linalg.eigvalsh(H))) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, _ = chebyshev_filter_bound(H, S, 10597, 10 * top, 20 * top)
+        assert 0.0 <= got <= kernel_complement_norm_exact(H, S)
+
+    def test_evaluate_overflows_quietly(self):
+        filt = ChebyshevFilter(10597, 1e-6, 1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = filt.evaluate(np.array([0.0, 5e-4, 1.0, 100.0]))
+        assert p[0] == pytest.approx(1.0) and abs(p[1]) <= filt.epsilon
+        assert np.all(np.isinf(p[2:]))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -445,3 +448,20 @@ def test_report_matches_golden(name, capsys):
     assert code == 0
     report.pop("elapsed_seconds")
     _assert_report_matches(report, GOLDEN[name]["report"])
+
+
+def test_python_dash_m_runs_commands():
+    """``python -m qsl`` is the installed ``qsl`` command."""
+    import qsl
+    env = dict(os.environ)
+    src = str(Path(qsl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qsl", "reproduce", "cnot",
+                           "--json-only"], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    report.pop("elapsed_seconds")
+    _assert_report_matches(report, GOLDEN["reproduce-cnot"]["report"])
