@@ -230,9 +230,10 @@ class _AdKernel:
     """ad_L on Hermitian arguments, prepared once per numerator evaluation.
 
     L is H (linear S) or the lift H⊗1 + 1⊗H (quadratic S), where H is the
-    hermitised H_s; ``S`` holds the hermitised symmetry matrix S_h.  Each is
-    stored in float64 when its imaginary part is exactly zero (Rydberg,
-    hopping, Pauli texts without Y), so the products and the
+    hermitised H_s, checked and formed in one pass (H_s itself when it is
+    exactly Hermitian); ``S`` holds the symmetry's ``hermitian`` part S_h.
+    Each is stored in float64 when its imaginary part is exactly zero
+    (Rydberg, hopping, Pauli texts without Y), so the products and the
     eigendecomposition of H run in real arithmetic.
 
     For Hermitian Y, [L, Y] = P - P† with P = L Y; for anti-Hermitian C,
@@ -243,13 +244,12 @@ class _AdKernel:
     """
 
     def __init__(self, H_s, S: Symmetry):
-        self.H = hermitian_part(require_hermitian(H_s))
+        self.H = hermitian_part(H_s)
         _check_symmetry_dimension(self.H, S)
         self.kind = S.kind
-        S_h = hermitian_part(S.matrix)
-        dtype = np.result_type(self.H, S_h)
+        dtype = np.result_type(self.H, S.hermitian)
         self._L = self.H.astype(dtype, copy=False)
-        self.S = S_h.astype(dtype, copy=False)
+        self.S = S.hermitian.astype(dtype, copy=False)
 
     def lift(self, Y: np.ndarray) -> np.ndarray:
         """L Y."""

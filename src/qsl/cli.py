@@ -14,11 +14,12 @@ the speed limit.  The cnot, swap and rydberg models bring their own
 symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
 ``reproduce syk`` passes ``--iterations`` as ``optimize_symmetry``):
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
-linear); ``method`` exact, commutator or chebyshev (default exact up to
-dimension 64, else chebyshev; both cost one eigendecomposition of H_s, and
-chebyshev's cost does not depend on its degree); ``degree`` the Chebyshev
-degree, >= 1; ``sigma_min`` <= ``sigma_max`` the filter interval (an end not
-given is derived from ||H_s||); ``tol`` both the relative nullspace cut of
+linear); ``method`` exact, commutator or chebyshev (default exact at every
+dimension: exact and chebyshev both cost one eigendecomposition of H_s, and
+exact is the tighter of the two; chebyshev's cost does not depend on its
+degree); ``degree`` the Chebyshev degree, >= 1; ``sigma_min`` <=
+``sigma_max`` the filter interval (an end not given is derived from
+||H_s||); ``tol`` both the relative nullspace cut of
 symmetry discovery and the absolute degeneracy cut of the exact numerator;
 ``seed``, ``optimize_symmetry`` seed and random directions of the symmetry
 search, >= 0.
@@ -243,11 +244,6 @@ def _checked_options(options: dict) -> dict:
     return options
 
 
-def _default_method(dimension: int) -> str:
-    """Exact numerator up to dimension 64, the Chebyshev filter above."""
-    return "exact" if dimension <= 64 else "chebyshev"
-
-
 def _named_unitary(name: str, dimension: int) -> np.ndarray:
     if name == "CNOT":
         if dimension != 4:
@@ -327,7 +323,7 @@ def load_problem(path: str) -> ProblemSpec:
     if extra:
         raise ProblemFormatError(f"unknown option keys: {sorted(extra)}")
     options = _checked_options({
-        "method": _default_method(dimension), "degree": 64, "seed": 0,
+        "method": "exact", "degree": 64, "seed": 0,
         "optimize_symmetry": 0,
         **{k: v for k, v in options.items() if v is not None}})
 
@@ -399,7 +395,7 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
         def bound(sym, pert, drift=None):
             return unitary_speed_limit(target_unitary, sym, pert, drift=drift)
     else:
-        method = opts.get("method") or _default_method(H_d.shape[0])
+        method = opts.get("method") or "exact"
         lo, hi = opts.get("sigma_min"), opts.get("sigma_max")
         if method == "chebyshev" and (lo is None) != (hi is None):
             # fill the open end with the default the library would derive,

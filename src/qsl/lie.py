@@ -27,10 +27,12 @@ from .matcore import (
     commutator,
     devectorize,
     frobenius_norm,
+    hermitian_part,
     hermitize,
     iota,
     kron,
     require_hermitian,
+    require_square,
     require_unitary,
     row_vectorize,
     spectral_gap_min,
@@ -65,7 +67,9 @@ class Symmetry:
     space and commutes with the H⊗1 + 1⊗H lifts instead.  ``sigma_min`` is the
     smallest gap between distinct eigenvalues (clustered at a tolerance
     relative to the operator norm) and is computed lazily unless a hint is
-    supplied by the caller.
+    supplied by the caller.  ``hermitian`` is S_h = (S + S†)/2, checked and
+    formed once, in the one hermiticity pass of construction: ``matrix``
+    itself when it is exactly Hermitian (float64 when exactly real).
     """
 
     kind: str
@@ -73,11 +77,13 @@ class Symmetry:
     note: str = ""
     sigma_min_hint: float | None = None
     _sigma_min: float | None = field(default=None, repr=False)
+    hermitian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise ValidationError(f"unknown symmetry kind {self.kind!r}")
-        self.matrix = require_hermitian(self.matrix)
+        self.matrix = require_square(self.matrix)
+        self.hermitian = hermitian_part(self.matrix)
 
     @property
     def dimension(self) -> int:
@@ -110,7 +116,9 @@ class Symmetry:
 
 
 def _validated_generators(generators) -> list[np.ndarray]:
-    gens = [require_hermitian(G) for G in generators]
+    # complex128 whatever the input dtype: a real stack would send the
+    # nullspace SVD down another LAPACK path and rotate the discovered basis
+    gens = [np.asarray(require_hermitian(G), dtype=complex) for G in generators]
     if not gens:
         raise DimensionError("at least one generator is required")
     d = gens[0].shape[0]

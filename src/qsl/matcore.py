@@ -7,10 +7,16 @@ Kronecker products, qubit tensor products built by index arithmetic,
 row-vectorization and the adjoint superoperator, and tensor-factor
 permutation operators.
 
-Matrices are plain ``numpy.ndarray`` values with complex128 entries.  The
-validator helpers (``require_square``, ``require_hermitian``, ...) are the
-boundary where array-shaped garbage is rejected; internal code may assume
-validated input.
+Matrices are plain ``numpy.ndarray`` values with float64 or complex128
+entries: a float64 input stays float64 (an exactly real operator such as the
+Rydberg bundle's drift, controls and swap needs half the memory and real
+BLAS/LAPACK calls), every other input becomes complex128.  Builders that
+produce qubit or permutation operators return complex128.  The validator
+helpers (``require_square``, ``require_hermitian``, ``hermitian_part``, ...)
+are the boundary where array-shaped garbage is rejected; internal code may
+assume validated input.  Each hermiticity check is one pass over the matrix,
+64 rows at a time; ``hermitian_part`` checks and hermitises in that same
+pass, and returns its input unchanged when it is already exactly Hermitian.
 """
 
 from __future__ import annotations
@@ -84,8 +90,11 @@ PAULI = {
 
 
 def as_operator(M) -> np.ndarray:
-    """Coerce to a 2-d complex128 array without copying when possible."""
-    A = np.asarray(M, dtype=complex)
+    """Coerce to a 2-d array without copying when possible: float64 input
+    stays float64, any other dtype becomes complex128."""
+    A = np.asarray(M)
+    if A.dtype != np.float64:
+        A = np.asarray(A, dtype=complex)
     if A.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of rank {A.ndim}")
     return A
@@ -105,25 +114,60 @@ def require_same_dimension(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def _hermitian_defect(A: np.ndarray) -> float:
-    """||A - A†||_F of a square A, a block of 64 rows at a time, so that no
-    d x d conjugate transpose is ever formed."""
+def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
+    """(H, ||A - A†||_F) for a square A, from one pass over A a block of 64
+    rows at a time, so that no d x d conjugate transpose is ever formed.
+
+    With ``hermitise``, H = (A + A†)/2 in the dtype ``hermitian_part``
+    promises; otherwise H is None.  H is A itself while every block is
+    exactly Hermitian, since then 0.5·(a + a) = a; a copy is started at the
+    first block that is not, and its rows are 0.5·(A + A†) as ``hermitize``
+    computes them.
+    """
     total = 0.0
+    H = None
     for i in range(0, A.shape[0], 64):
-        D = A[i:i + 64] - A[:, i:i + 64].conj().T
-        total += np.vdot(D, D).real
-    return math.sqrt(total)
+        rows, cols = A[i:i + 64], A[:, i:i + 64].conj().T
+        D = rows - cols
+        s = np.vdot(D, D).real
+        total += s
+        if hermitise and (s or H is not None):
+            if H is None:
+                H = np.empty(A.shape, dtype=A.dtype)
+                H[:i] = A[:i]
+            block = H[i:i + 64]
+            np.add(rows, cols, out=block)
+            block *= 0.5
+    if hermitise:
+        H = A if H is None else H
+        if H.dtype == complex and not H.imag.any():
+            H = np.ascontiguousarray(H.real)
+    return H, math.sqrt(total)
+
+
+def _hermitian_defect(A: np.ndarray) -> float:
+    """||A - A†||_F of a square A, one pass a block of 64 rows at a time."""
+    return _hermitian_pass(A)[1]
+
+
+def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:
+    """The rule of every hermiticity check: defect > tol·max(1, ||A||_F).
+    An exactly Hermitian A (defect 0) never needs the norm."""
+    return defect > 0.0 and defect > tol * max(1.0, np.linalg.norm(A))
 
 
 def is_hermitian(M, tol: float = TAU_H) -> bool:
     A = require_square(M)
-    return _hermitian_defect(A) <= tol * max(1.0, np.linalg.norm(A))
+    return not _too_far_from_hermitian(A, _hermitian_defect(A), tol)
 
 
 def require_hermitian(M, tol: float = TAU_H) -> np.ndarray:
+    """M as a square float64 or complex128 array (no copy when it already is
+    one), after checking ||M - M†||_F <= tol·max(1, ||M||_F); the Frobenius
+    norm is computed only when the defect is nonzero."""
     A = require_square(M)
     defect = _hermitian_defect(A)
-    if defect > tol * max(1.0, np.linalg.norm(A)):
+    if _too_far_from_hermitian(A, defect, tol):
         raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
     return A
 
@@ -152,16 +196,20 @@ def hermitize(M) -> np.ndarray:
 
 
 def hermitian_part(M) -> np.ndarray:
-    """hermitize(M), as contiguous float64 when its imaginary part is exactly
-    zero; real BLAS/LAPACK calls need about a quarter of the work.  An
-    exactly real M is hermitised in real arithmetic, with no complex copy."""
+    """(M + M†)/2 of a Hermitian M, checked and hermitised in one pass.
+
+    Raises ValidationError exactly where ``require_hermitian`` does.  The
+    result is M itself (no copy) when M is exactly Hermitian and is float64,
+    or complex with a nonzero imaginary part; otherwise a new array with the
+    values of ``hermitize(M)``.  A complex result whose imaginary part is
+    exactly zero is returned as contiguous float64: real BLAS/LAPACK calls
+    need about a quarter of the work.
+    """
     A = require_square(M)
-    if not A.imag.any():
-        R = A.real + A.real.T
-        R *= 0.5
-        return R
-    H = hermitize(A)
-    return H if H.imag.any() else np.ascontiguousarray(H.real)
+    H, defect = _hermitian_pass(A, hermitise=True)
+    if _too_far_from_hermitian(A, defect, TAU_H):
+        raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
+    return H
 
 
 def commutator(A, B) -> np.ndarray:
@@ -178,15 +226,18 @@ def operator_norm(M) -> float:
     """Largest singular value; max |eigenvalue| on the Hermitian path, in
     real arithmetic when the hermitised input is exactly real.  A diagonal
     matrix with an exactly real diagonal is its own spectrum: max |diagonal|,
-    with no decomposition."""
+    with no decomposition.  A Hermitian input costs one hermiticity pass and,
+    when it is exactly Hermitian, no copy."""
     A = as_operator(M)
-    diag = A.diagonal()
-    if (A.shape[0] == A.shape[1] and diag.size and not diag.imag.any()
-            and np.count_nonzero(A) == np.count_nonzero(diag)):
-        return float(np.max(np.abs(diag.real)))
-    if A.shape[0] == A.shape[1] and is_hermitian(A):
-        w = np.linalg.eigvalsh(hermitian_part(A))
-        return float(np.max(np.abs(w))) if w.size else 0.0
+    if A.shape[0] == A.shape[1]:
+        diag = A.diagonal()
+        if (diag.size and not diag.imag.any()
+                and np.count_nonzero(A) == np.count_nonzero(diag)):
+            return float(np.max(np.abs(diag.real)))
+        H, defect = _hermitian_pass(A, hermitise=True)
+        if not _too_far_from_hermitian(A, defect, TAU_H):
+            w = np.linalg.eigvalsh(H)
+            return float(np.max(np.abs(w))) if w.size else 0.0
     return float(np.linalg.norm(A, ord=2))
 
 
@@ -205,7 +256,8 @@ def kron(A, B) -> np.ndarray:
 def _qubit_product(factors: dict, n_qubits: int, out=None, weight=None):
     """Add weight·(F_0 ⊗ ... ⊗ F_{n-1}) to ``out`` and return it, where F_q
     is the 2x2 matrix ``factors[q]`` or the identity; ``out`` defaults to a
-    fresh zero matrix and ``weight`` to 1.
+    fresh complex128 zero matrix and ``weight`` to 1.  The entries are
+    computed in the dtype of ``out``, so a float64 ``out`` takes real factors.
 
     Index arithmetic in place of a chain of np.kron calls: column c maps to
     the rows that differ from c only on the factor sites (qubit 0 is the most
@@ -216,7 +268,8 @@ def _qubit_product(factors: dict, n_qubits: int, out=None, weight=None):
     """
     d = 2**n_qubits
     cols = np.arange(d)
-    rows, vals = cols, np.ones(d, dtype=complex)
+    rows = cols
+    vals = np.ones(d, dtype=complex if out is None else out.dtype)
     for q in sorted(factors):
         F = as_operator(factors[q])
         if F.shape != (2, 2):
@@ -288,14 +341,8 @@ def iota(H) -> np.ndarray:
     return _lift(A)
 
 
-def permutation_operator(perm, local_dims) -> np.ndarray:
-    """Unitary permuting tensor factors: factor a of the input moves to slot
-    perm[a] of the output.
-
-    For a product state v_0 ⊗ ... ⊗ v_{k-1} the result places v_a at position
-    perm[a].  Transpositions are self-inverse; compositions satisfy
-    P_sigma @ P_tau = P_{sigma after tau}.
-    """
+def _permutation_indices(perm, local_dims) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols): the nonzero entries of ``permutation_operator``."""
     perm = list(perm)
     dims = [int(d) for d in local_dims]
     k = len(dims)
@@ -314,9 +361,20 @@ def permutation_operator(perm, local_dims) -> np.ndarray:
     for a, target in enumerate(perm):
         new_digits[target] = digits[a]
         new_dims[target] = dims[a]
-    new_idx = np.ravel_multi_index(list(new_digits), new_dims)
-    P = np.zeros((D, D), dtype=complex)
-    P[new_idx, idx] = 1.0
+    return np.ravel_multi_index(list(new_digits), new_dims), idx
+
+
+def permutation_operator(perm, local_dims) -> np.ndarray:
+    """Unitary permuting tensor factors: factor a of the input moves to slot
+    perm[a] of the output.
+
+    For a product state v_0 ⊗ ... ⊗ v_{k-1} the result places v_a at position
+    perm[a].  Transpositions are self-inverse; compositions satisfy
+    P_sigma @ P_tau = P_{sigma after tau}.
+    """
+    rows, cols = _permutation_indices(perm, local_dims)
+    P = np.zeros((cols.size, cols.size), dtype=complex)
+    P[rows, cols] = 1.0
     return P
 
 

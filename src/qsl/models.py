@@ -14,10 +14,11 @@ Qubit operators (site operators, the collective controls, Majorana strings)
 are built by index arithmetic in ``matcore._qubit_product``, never by chains
 of np.kron: a Pauli string on n qubits is a phased permutation written with
 2^n stores, equal bit for bit to the kron chain.  The Rydberg bundle at N
-atoms (d = 2^N) is diagonal except for sum X_i, so after that its cost is
-O(d²) memory passes (hermiticity checks of the drift, controls, symmetry and
-ΔH) plus one real d x d product for the restoration residual; ||ΔH||_inf is
-read off the diagonal.
+atoms (d = 2^N) is exactly real and stored as float64: drift, controls, H_s,
+the swap S and ΔH.  It is diagonal except for sum X_i and S, so after that
+its cost is one hermiticity pass per operator (drift, both controls, S, ΔH
+and the restored drift H_d + ΔH) plus one real d x d product for the
+restoration residual; ||ΔH||_inf is read off the diagonal.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .matcore import (
     DimensionCapError,
     PAULI,
     ValidationError,
+    _permutation_indices,
     _qubit_product,
     matrix_exponential,
     permutation_operator,
@@ -247,33 +249,39 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         raise DimensionCapError("dense construction is limited to 14 atoms")
     if C <= 0 or a <= 0:
         raise ValidationError("interaction strength and spacing must be positive")
+    d = 2**N
     bits = _occupation_diagonal(N)
-    pair_diag = np.zeros(2**N)
+    pair_diag = np.zeros(d)
     for i in range(N):
         for j in range(i + 1, N):
             pair_diag += (C / (a * (j - i))**6) * bits[i] * bits[j]
-    drift = np.diag(pair_diag.astype(complex))
-    controls = global_controls(N)
-
-    zz = np.zeros(2**N)
+    drift = np.diag(pair_diag)
+    # the collective controls of global_controls(N), built in float64
     z = 1.0 - 2.0 * bits
+    sum_z = z.sum(axis=0)
+    sum_x = np.zeros((d, d))
+    for k in range(N):
+        _qubit_product({k: PAULI["X"].real}, N, sum_x)
+    controls = [sum_x, np.diag(sum_z)]
+
+    zz = np.zeros(d)
     for i in range(N - 1):
         zz += z[i] * z[i + 1]
-    H_s = g * controls[0]  # g sum X_i, plus the diagonal below
-    H_s[np.diag_indices(2**N)] = J * zz + h * z.sum(axis=0)
+    H_s = g * sum_x  # g sum X_i, plus the diagonal below
+    H_s[np.diag_indices(d)] = J * zz + h * sum_z
 
-    S = permutation_operator([1, 0] + list(range(2, N)), [2] * N)
+    S = np.zeros((d, d))
+    S[_permutation_indices([1, 0] + list(range(2, N)), [2] * N)] = 1.0
     sym = Symmetry("linear", S, note="swap of the first two atoms",
                    sigma_min_hint=2.0)
 
     # delta_j = half the difference of the couplings of atoms 1, 2 to atom j;
     # summing (n_1 - n_2) n_j delta_j symmetrizes the drift.
-    dh_diag = np.zeros(2**N)
+    dh_diag = np.zeros(d)
     for j in range(2, N):
         delta = 0.5 * C / a**6 * (1.0 / (j - 1)**6 - 1.0 / j**6)
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
-    dH = np.diag(dh_diag.astype(complex))
-    pert = Perturbation.from_matrix(sym, dH, drift=drift)
+    pert = Perturbation.from_matrix(sym, np.diag(dh_diag), drift=drift)
 
     hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
     sigma_max = (2 * hs_norm_bound)**2

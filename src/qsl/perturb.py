@@ -31,6 +31,7 @@ from .matcore import (
     iota,
     operator_norm,
     require_hermitian,
+    require_same_dimension,
     row_vectorize,
     spectral_gap_min,  # noqa: F401  (re-exported)
 )
@@ -49,16 +50,21 @@ class Perturbation:
     @classmethod
     def from_matrix(cls, symmetry: Symmetry, matrix, drift=None) -> "Perturbation":
         """Wrap a known-feasible ΔH, computing norms and, when the drift is
-        supplied, the commutation residual of the restored Hamiltonian."""
+        supplied, the commutation residual of the restored Hamiltonian.
+
+        The drift is checked as part of H_d + ΔH, in the one hermiticity pass
+        that also hermitises that sum; the caller has usually checked H_d
+        itself already."""
         dH = require_hermitian(matrix)
         residual = None
         if drift is not None:
-            H = require_hermitian(drift) + dH
+            H_d, dH = require_same_dimension(drift, dH)
+            H = hermitian_part(H_d + dH)
             if symmetry.kind == "quadratic":
-                H = iota(hermitize(H))
+                H = iota(H)
             # [S, H] = P - P† with P = S H for the hermitised operands: one
             # product, in real arithmetic when both are exactly real
-            P = hermitian_part(symmetry.matrix) @ hermitian_part(H)
+            P = symmetry.hermitian @ H
             residual = float(np.linalg.norm(P - P.conj().T))
         return cls(dH, symmetry, operator_norm(dH), frobenius_norm(dH), residual)
 

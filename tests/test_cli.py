@@ -13,12 +13,14 @@ from qsl.bounds import _default_filter_interval
 from qsl.cli import (
     PauliParseError,
     ProblemFormatError,
+    _bound_pipeline,
     load_problem,
     matrix_to_json,
     parse_pauli_expression,
     run_command,
 )
-from qsl.matcore import PAULI, ValidationError, kron
+from qsl.lie import Symmetry
+from qsl.matcore import PAULI, ValidationError, kron, permutation_operator
 from qsl.models import coupled_qubit_model
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
@@ -422,6 +424,48 @@ class TestBadInputExits2:
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "cli_reports.json"
 GOLDEN = json.loads(GOLDEN_REPORTS.read_text())
 PROBLEMS = str(resources.files("qsl") / "problems")
+
+
+class TestExactByDefault:
+    """The exact numerator is the default at every dimension: above d = 64
+    the Chebyshev filter costs the same eigendecomposition and more, and
+    gives a looser bound."""
+
+    def test_reproduce_rydberg_n7(self, capsys):
+        code, default, _ = _run(capsys, ["reproduce", "rydberg", "--N", "7",
+                                         "--json-only"])
+        assert code == 0 and default["projection_method"] == "exact"
+        code, cheb, _ = _run(capsys, ["reproduce", "rydberg", "--N", "7",
+                                      "--method", "chebyshev", "--json-only"])
+        assert code == 0 and cheb["projection_method"] == "chebyshev"
+        assert default["bound_time"] >= cheb["bound_time"]
+
+    def test_seven_qubit_problem_file(self, tmp_path):
+        """A 7-qubit file (d = 128) defaults to exact.  Discovery caps the
+        ``bound`` command at 5 qubits, so the file's options run through
+        the same pipeline with the swap of qubits 0 and 1, a symmetry of the
+        collective controls, given."""
+        n = 7
+        chain = " + ".join(f"Z{i} Z{i + 1}" for i in range(n - 1))
+        path = tmp_path / "ising7.json"
+        path.write_text(json.dumps({
+            "qubits": n, "drift": {"pauli": chain},
+            "controls": [{"pauli": " + ".join(f"X{i}" for i in range(n))},
+                         {"pauli": " + ".join(f"Z{i}" for i in range(n))}],
+            "target": {"hamiltonian": {"pauli": chain + " + 0.5 X0 + 0.25 Z1"}}}))
+        spec = load_problem(str(path))
+        assert spec.options["method"] == "exact"
+        swap = Symmetry("linear", permutation_operator(
+            [1, 0] + list(range(2, n)), [2] * n))
+        reports = {}
+        for method in (None, "chebyshev"):
+            opts = {**spec.options, "method": method}
+            reports[method] = _bound_pipeline(
+                spec.drift, spec.controls, None, spec.target_hamiltonian,
+                opts, swap)[0]
+        assert reports[None].projection_method == "exact"
+        assert reports["chebyshev"].projection_method == "chebyshev"
+        assert reports[None].bound_time >= reports["chebyshev"].bound_time > 0
 
 
 def _assert_report_matches(got, want, where="report"):

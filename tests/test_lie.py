@@ -266,6 +266,35 @@ class TestSymmetryDataclass:
         assert symmetry_breaking_norm(sym, U) < 1e-12
 
 
+    def test_hermitian_part_formed_once(self, rng):
+        """``hermitian`` is the matrix itself when that is exactly Hermitian,
+        and hermitize's values, checked at construction, when it is not."""
+        exact = Symmetry("linear", random_hermitian(rng, 4))
+        assert exact.hermitian is exact.matrix
+        near = exact.matrix + 1e-13 * rng.standard_normal((4, 4))
+        sym = Symmetry("linear", near)
+        assert sym.matrix is near
+        assert np.array_equal(sym.hermitian, 0.5 * (near + near.conj().T))
+        with pytest.raises(ValidationError):
+            Symmetry("linear", near + 1e-3 * np.triu(np.ones((4, 4))))
+
+
+class TestDiscoveryDtype:
+    """A float64 control stack would send the nullspace SVD down another
+    LAPACK path and rotate the discovered basis; discovery works in
+    complex128 whatever the input dtype."""
+
+    def test_float64_controls_give_the_same_basis(self):
+        for find, controls in ((commutant_basis, global_controls(3)),
+                               (quadratic_symmetry_basis, CNOT_CONTROLS)):
+            real = [C.real.copy() for C in controls]
+            assert all(C.dtype == np.float64 for C in real)
+            want, got = find(controls), find(real)
+            assert len(got) == len(want) > 1
+            for g, w in zip(got, want):
+                assert np.array_equal(g.matrix, w.matrix)
+
+
 class TestCenter:
     def test_su2_has_no_center(self):
         assert center_dimension(lie_closure([X, Z])) == 0

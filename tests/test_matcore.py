@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl.matcore
 from qsl.matcore import (
+    TAU_H,
     DimensionCapError,
     DimensionError,
     NoSpectralGapError,
@@ -11,6 +13,7 @@ from qsl.matcore import (
     _hermitian_defect,
     _lift,
     adjoint_superoperator,
+    as_operator,
     check_entry_cap,
     cluster_eigenvalues,
     commutator,
@@ -303,15 +306,125 @@ class TestHermitianHelpers:
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_hermitian_part(self, rng, d):
-        real = rng.standard_normal((d, d)).astype(complex)
+        # hermitian_part checks its input as require_hermitian does, so the
+        # inputs are Hermitian up to a defect far inside TAU_H
+        real = (hermitize(rng.standard_normal((d, d)))
+                + 1e-13 * rng.standard_normal((d, d))).astype(complex)
         got = hermitian_part(real)
         assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
         assert np.array_equal(got, hermitize(real).real)
         # imaginary part symmetric: hermitised away exactly
-        sym_imag = real + 1j * hermitize(rng.standard_normal((d, d))).real
+        sym_imag = real + 1e-13j * hermitize(rng.standard_normal((d, d))).real
         assert hermitian_part(sym_imag).dtype == np.float64
         assert np.array_equal(hermitian_part(sym_imag), hermitize(sym_imag).real)
-        cplx = _rand_complex(rng, (d, d))
+        cplx = random_hermitian(rng, d) + 1e-13 * _rand_complex(rng, (d, d))
         got = hermitian_part(cplx)
         assert got.dtype == (np.complex128 if d > 1 else np.float64)
         assert np.array_equal(got, hermitize(cplx))
+        # far from Hermitian: rejected
+        for far in (rng.standard_normal((d, d)) + 1j, _rand_complex(rng, (d, d))):
+            with pytest.raises(ValidationError):
+                hermitian_part(far)
+
+
+def _at_defect_ratio(rng, d, real, ratio):
+    """A Hermitian matrix plus an anti-Hermitian term sized so that its
+    defect is ``ratio`` times the tolerance TAU_H·max(1, ||A||_F)."""
+    H = rng.standard_normal((d, d)) if real else _rand_complex(rng, (d, d))
+    H = H + H.conj().T
+    K = rng.standard_normal((d, d)) if real else _rand_complex(rng, (d, d))
+    K = K - K.conj().T
+    if not np.any(K):  # d = 1 and real: no anti-Hermitian direction
+        return None
+    A = H + ratio * TAU_H * max(1.0, np.linalg.norm(H)) / np.linalg.norm(
+        K - K.conj().T) * K
+    got = np.linalg.norm(A - A.conj().T) / (TAU_H * max(1.0, np.linalg.norm(A)))
+    assert got == pytest.approx(ratio, rel=1e-6)
+    return A
+
+
+class TestFusedHermitianPass:
+    """hermitian_part checks and hermitises in one pass over the matrix."""
+
+    @given(d=st.integers(1, 140), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_tolerance_edge(self, d, seed, real):
+        rng = np.random.default_rng(seed)
+        outside = _at_defect_ratio(rng, d, real, 2.0)
+        if outside is None:
+            return
+        with pytest.raises(ValidationError):
+            require_hermitian(outside)
+        with pytest.raises(ValidationError):
+            hermitian_part(outside)
+        inside = _at_defect_ratio(rng, d, real, 0.5)
+        require_hermitian(inside)
+        got = hermitian_part(inside)
+        # inexact input: the values of hermitize, float64 when they are real
+        want = hermitize(inside)
+        if not want.imag.any():
+            want = want.real
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got is not inside
+
+    @given(d=st.integers(1, 140), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_exactly_hermitian_input_is_returned(self, d, seed):
+        rng = np.random.default_rng(seed)
+        real = rng.standard_normal((d, d))
+        real = real + real.T
+        assert hermitian_part(real) is real
+        cplx = _rand_complex(rng, (d, d))
+        cplx = cplx + cplx.conj().T
+        if cplx.imag.any():  # d = 1 has a real diagonal only
+            assert hermitian_part(cplx) is cplx
+        # complex with a zero imaginary part: contiguous float64, same values
+        zero_imag = real.astype(complex)
+        got = hermitian_part(zero_imag)
+        assert got.dtype == np.float64 and got.flags["C_CONTIGUOUS"]
+        assert np.array_equal(got, real)
+
+    def test_one_pass_and_no_norm_when_exact(self, rng, monkeypatch):
+        norms = []
+        fn = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda *a, **k: norms.append(1) or fn(*a, **k))
+        A = rng.standard_normal((200, 200))
+        A = A + A.T
+        require_hermitian(A)
+        assert hermitian_part(A) is A
+        assert norms == []
+        require_hermitian(A + 1e-14 * np.triu(A))
+        assert len(norms) == 1
+
+    def test_operator_norm_needs_no_copy(self, rng, monkeypatch):
+        """An exactly Hermitian operator: one pass, the input itself handed
+        to eigvalsh, no second check."""
+        A = rng.standard_normal((130, 130))
+        A = A + A.T
+        passes, given_to_eigvalsh = [], []
+        pass_fn, eig_fn = qsl.matcore._hermitian_pass, np.linalg.eigvalsh
+        monkeypatch.setattr(qsl.matcore, "_hermitian_pass",
+                            lambda *a, **k: passes.append(1) or pass_fn(*a, **k))
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda M: given_to_eigvalsh.append(M) or eig_fn(M))
+        assert operator_norm(A) == float(np.max(np.abs(eig_fn(A))))
+        assert passes == [1] and given_to_eigvalsh[0] is A
+
+
+class TestAsOperator:
+    def test_float64_stays_float64(self, rng):
+        A = rng.standard_normal((4, 4))
+        assert as_operator(A) is A
+        assert require_hermitian(A + A.T).dtype == np.float64
+
+    @pytest.mark.parametrize("value", [
+        np.eye(3, dtype=np.float32), np.eye(3, dtype=int),
+        [[1, 0], [0, 1]], np.eye(2, dtype=np.complex64)])
+    def test_other_dtypes_become_complex128(self, value):
+        assert as_operator(value).dtype == np.complex128
+
+    def test_builders_stay_complex128(self):
+        assert permutation_operator([1, 0], [2, 2]).dtype == np.complex128
+        assert np.asarray(PAULI["X"]).dtype == np.complex128
