@@ -16,24 +16,13 @@ from .bounds import (
     ChebyshevFilter,
     chebyshev_degree_for,
     chebyshev_filter_bound,
-    evolution_from_identity_peak,
     hamiltonian_speed_limit,
     kernel_complement_norm_commutator,
     kernel_complement_norm_exact,
-    kernel_projection_lower_bound,
     optimize_symmetry,
     single_control_bound,
     uniform_speed_limit,
     unitary_speed_limit,
-)
-from .cli import (
-    PauliParseError,
-    ProblemFormatError,
-    ProblemSpec,
-    load_problem,
-    main,
-    parse_pauli_expression,
-    run_command,
 )
 from .lie import (
     OperatorBasis,
@@ -67,6 +56,7 @@ from .matcore import (
     operator_norm,
     permutation_operator,
     row_vectorize,
+    spectral_gap_min,
 )
 from .models import (
     ControlSystem,
@@ -83,14 +73,23 @@ from .models import (
     site_sum,
     syk_model,
 )
-from .perturb import (
-    Perturbation,
-    perturbation_norm_bound,
-    restore_symmetry,
-    spectral_gap_min,
-)
+from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 
 __version__ = "0.1.0"
+
+# The command-line names resolve on first use, so that ``python -m qsl.cli``
+# does not find ``qsl.cli`` already imported by the package.
+_CLI_NAMES = frozenset({"PauliParseError", "ProblemFormatError", "ProblemSpec",
+                        "load_problem", "main", "parse_pauli_expression",
+                        "run_command"})
+
+
+def __getattr__(name: str):
+    if name in _CLI_NAMES:
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BoundReport",
@@ -121,7 +120,6 @@ __all__ = [
     "commutator",
     "coupled_qubit_model",
     "devectorize",
-    "evolution_from_identity_peak",
     "frobenius_norm",
     "global_controls",
     "hamiltonian_speed_limit",
@@ -131,7 +129,6 @@ __all__ = [
     "iota",
     "kernel_complement_norm_commutator",
     "kernel_complement_norm_exact",
-    "kernel_projection_lower_bound",
     "kron",
     "lie_closure",
     "load_problem",

@@ -32,9 +32,9 @@ import numpy as np
 
 from .lie import Symmetry, symmetry_breaking_norm
 from .matcore import (
+    DEFAULT_FILTER_CUT_REL,
     DEGENERACY_RTOL,
     DimensionError,
-    GAP_RTOL,
     QslError,
     TAU_RANK,
     ValidationError,
@@ -45,15 +45,10 @@ from .matcore import (
     operator_norm,
     require_hermitian,
     require_unitary,
+    spectral_gap_min,
 )
-from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry, spectral_gap_min
+from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 
-# Filter policy used when the caller supplies no spectral estimates: treat
-# eigenvalue gaps below this fraction of the (estimated) spectral span as
-# effectively degenerate.  Components of S at smaller gaps are then not
-# counted by the Chebyshev numerator, which keeps it a valid lower bound but
-# costs tightness; callers with sharper knowledge should pass estimates.
-DEFAULT_FILTER_CUT_REL = 2.5e-4
 DEFAULT_FILTER_EPS = 1e-2
 DEFAULT_MAX_DEGREE = 20000
 
@@ -209,7 +204,8 @@ def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None
     inter = {"symmetry_frobenius": sfrob, "breaking_norm": breaking,
              "delta_h_op_norm": dh, **extras}
     if S.kind == "linear" and drift is not None:
-        dh_analytic = perturbation_norm_bound(S, drift)
+        dh_analytic = (dh if source == "analytic-bound"
+                       else perturbation_norm_bound(S, drift))
         if dh_analytic > 0:
             inter["analytic_bound"] = breaking / (2.0 * sfrob * dh_analytic)
             inter["sigma_min"] = S.sigma_min
@@ -579,49 +575,3 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
         result = Symmetry(kind, mats[0] / np.linalg.norm(mats[0]),
                           note="optimized")
     return result
-
-
-def kernel_projection_lower_bound(A, v) -> float:
-    """Lower bound on ||(1 - P_ker A) v||² without computing the kernel.
-
-    For Hermitian A: max{ <v, A v> / ||A||_inf, ||A v||² / ||A||_inf² }.
-    The first branch vanishes identically for v = vec(S) with Hermitian S and
-    A the adjoint map of a Hamiltonian (trace cyclicity), which is why the
-    commutator-method numerator uses only the second; both are kept here for
-    general vectors.
-    """
-    A = require_hermitian(A)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    anorm = operator_norm(A)
-    if anorm <= 0:
-        return 0.0
-    Av = A @ v
-    quad = float(np.real(np.vdot(v, Av))) / anorm
-    grad = float(np.real(np.vdot(Av, Av))) / anorm**2
-    return max(quad, grad)
-
-
-def evolution_from_identity_peak(A, v, n_grid: int = 2000,
-                                 horizon_factor: float = 200.0) -> float:
-    """max_t ||(e^{-itA} - 1) v||² over a dense grid.
-
-    The grid spans [0, horizon_factor / λ] with λ the smallest nonzero
-    |eigenvalue| of A; over that horizon the time average already comes
-    within a few percent of 2 ||(1 - P_ker A) v||², so the grid maximum does
-    too.
-    """
-    A = require_hermitian(A)
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    w, V = np.linalg.eigh(A)
-    c = V.conj().T @ v
-    wmax = float(np.max(np.abs(w))) if w.size else 0.0
-    if wmax == 0.0:
-        return 0.0
-    nonzero = np.abs(w) > GAP_RTOL * wmax
-    if not np.any(nonzero):
-        return 0.0
-    lam = float(np.min(np.abs(w[nonzero])))
-    ts = np.linspace(0.0, horizon_factor / lam, n_grid)
-    weights = np.abs(c)**2
-    vals = 2.0 * (1.0 - np.cos(np.outer(ts, w))) @ weights
-    return float(np.max(vals))

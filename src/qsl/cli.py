@@ -5,7 +5,8 @@ given either as Pauli-string expressions or dense matrices, one target
 (unitary or Hamiltonian), and options.  Commands emit a JSON report on stdout
 and a short human summary on stderr; exit codes are 0 (success), 1
 (computation failed), 2 (bad input or usage: a missing or malformed file, a
-bad option value, a model parameter the model rejects).
+bad option value, a model parameter the model rejects, input too large for
+the dense method).
 
 ``bound`` and every ``reproduce`` model run one pipeline, discover → choose
 → restore → bound: a symmetry basis of the controls, the combination that
@@ -655,7 +656,7 @@ def run_command(argv) -> int:
     t0 = time.perf_counter()
     try:
         report = args.func(args)
-    except (ProblemFormatError, OSError) as exc:
+    except (ProblemFormatError, DimensionCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except QslError as exc:

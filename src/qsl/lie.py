@@ -22,6 +22,7 @@ from .matcore import (
     DimensionError,
     TAU_RANK,
     ValidationError,
+    _spectral_gap,
     adjoint_superoperator,
     as_operator,
     commutator,
@@ -35,7 +36,6 @@ from .matcore import (
     require_square,
     require_unitary,
     row_vectorize,
-    spectral_gap_min,
 )
 
 
@@ -70,6 +70,7 @@ class Symmetry:
     supplied by the caller.  ``hermitian`` is S_h = (S + S†)/2, checked and
     formed once, in the one hermiticity pass of construction: ``matrix``
     itself when it is exactly Hermitian (float64 when exactly real).
+    ``sigma_min`` decomposes ``hermitian`` with no second check.
     """
 
     kind: str
@@ -108,7 +109,7 @@ class Symmetry:
         if self.sigma_min_hint is not None:
             return self.sigma_min_hint
         if self._sigma_min is None:
-            self._sigma_min = spectral_gap_min(self.matrix)
+            self._sigma_min = _spectral_gap(self.hermitian)
         return self._sigma_min
 
     def scaled(self, factor: float) -> "Symmetry":

@@ -32,6 +32,12 @@ TAU_U = 1e-10          # unitarity, Frobenius scale per sqrt(dim)
 TAU_RANK = 1e-9        # rank / nullspace decisions, relative to s_max
 GAP_RTOL = 1e-8        # eigenvalue clustering, relative to operator norm
 DEGENERACY_RTOL = 1e-8  # kernel-projection degeneracy cut, relative to ||H||_inf
+# Chebyshev filter interval when the caller supplies no spectral estimates:
+# ad_H eigenvalue gaps below this fraction of the spectral span count as
+# degenerate.  S components at smaller gaps are then not counted by the
+# filtered numerator, which keeps it a valid lower bound but costs
+# tightness; callers with sharper knowledge should pass estimates.
+DEFAULT_FILTER_CUT_REL = 2.5e-4
 
 # Guard for materialized superoperators (adjoint representations, the
 # quadratic restoration map).  Counts dense entries; larger problems must go
@@ -154,11 +160,6 @@ def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:
     """The rule of every hermiticity check: defect > tol·max(1, ||A||_F).
     An exactly Hermitian A (defect 0) never needs the norm."""
     return defect > 0.0 and defect > tol * max(1.0, np.linalg.norm(A))
-
-
-def is_hermitian(M, tol: float = TAU_H) -> bool:
-    A = require_square(M)
-    return not _too_far_from_hermitian(A, _hermitian_defect(A), tol)
 
 
 def require_hermitian(M, tol: float = TAU_H) -> np.ndarray:
@@ -378,18 +379,10 @@ def permutation_operator(perm, local_dims) -> np.ndarray:
     return P
 
 
-def cluster_eigenvalues(values, tol: float) -> list[np.ndarray]:
-    """Group sorted real values into clusters whose adjacent gaps are <= tol."""
-    w = np.sort(np.asarray(values, dtype=float).reshape(-1))
-    if w.size == 0:
-        return []
-    clusters = [[w[0]]]
-    for x in w[1:]:
-        if x - clusters[-1][-1] <= tol:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    return [np.asarray(c) for c in clusters]
+def _cluster_labels(w: np.ndarray, tol: float) -> np.ndarray:
+    """Cluster index of each value of the ascending array w: a new cluster
+    starts at every adjacent gap above tol."""
+    return np.concatenate(([0], np.cumsum(np.diff(w) > tol)))
 
 
 def min_eigenvalue_gap(values, cluster_tol: float) -> float:
@@ -397,16 +390,21 @@ def min_eigenvalue_gap(values, cluster_tol: float) -> float:
 
     Raises NoSpectralGapError when everything collapses to one cluster.
     """
-    clusters = cluster_eigenvalues(values, cluster_tol)
-    if len(clusters) < 2:
+    w = np.sort(np.asarray(values, dtype=float).reshape(-1))
+    labels = _cluster_labels(w, cluster_tol)
+    if labels[-1] == 0:
         raise NoSpectralGapError("all eigenvalues coincide within tolerance")
-    reps = np.array([c.mean() for c in clusters])
-    return float(np.min(np.diff(reps)))
+    return float(np.min(np.diff(np.bincount(labels, w) / np.bincount(labels))))
+
+
+def _spectral_gap(H: np.ndarray) -> float:
+    """``spectral_gap_min`` of an already validated Hermitian H."""
+    w = np.linalg.eigvalsh(H)
+    return min_eigenvalue_gap(w, GAP_RTOL * float(np.max(np.abs(w))))
 
 
 def spectral_gap_min(S) -> float:
     """Smallest nonzero gap between eigenvalues of S, clustered at GAP_RTOL
     relative to the operator norm so near-degenerate pairs do not count.
     Equals 1 for orthogonal projections."""
-    w = np.linalg.eigvalsh(require_hermitian(S))
-    return min_eigenvalue_gap(w, GAP_RTOL * float(np.max(np.abs(w))))
+    return _spectral_gap(require_hermitian(S))

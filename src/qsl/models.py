@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DEFAULT_FILTER_CUT_REL
 from .lie import Symmetry
 from .matcore import (
+    DEFAULT_FILTER_CUT_REL,
     DimensionCapError,
     PAULI,
     ValidationError,

@@ -6,6 +6,14 @@ Hermitian perturbation with [S, H_d + ΔH] = 0 is the Moore-Penrose solution
 eigenbasis of S (kill every matrix element of H_d joining distinct eigenvalue
 clusters); for quadratic S it is the minimal-norm least-squares solve of the
 doubled-space commutation constraint, which is Hermitian.
+
+One cluster rule serves this projection and every spectral gap σ_min: the
+ascending eigenvalues start a new cluster at each adjacent gap above
+GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
+the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
+P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
+S, one product in place of two.  ``restore_symmetry`` is the one place where
+a restored ΔH is measured, checked against its limit and wrapped.
 """
 
 from __future__ import annotations
@@ -20,21 +28,29 @@ from .matcore import (
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
+    _cluster_labels,
     _lift,
     check_entry_cap,
-    cluster_eigenvalues,
     commutator,
     devectorize,
     frobenius_norm,
     hermitian_part,
     hermitize,
-    iota,
     operator_norm,
     require_hermitian,
     require_same_dimension,
     row_vectorize,
-    spectral_gap_min,  # noqa: F401  (re-exported)
 )
+
+
+def _commutator_norm(S: Symmetry, H: np.ndarray) -> float:
+    """||[S_h, H]||_F for an exactly Hermitian H (lifted for quadratic S) as
+    ||P - P†||_F with P = S_h H: one product, in real arithmetic when both
+    operands are exactly real."""
+    if S.kind == "quadratic":
+        H = _lift(H)
+    P = S.hermitian @ H
+    return float(np.linalg.norm(P - P.conj().T))
 
 
 @dataclass
@@ -59,33 +75,16 @@ class Perturbation:
         residual = None
         if drift is not None:
             H_d, dH = require_same_dimension(drift, dH)
-            H = hermitian_part(H_d + dH)
-            if symmetry.kind == "quadratic":
-                H = iota(H)
-            # [S, H] = P - P† with P = S H for the hermitised operands: one
-            # product, in real arithmetic when both are exactly real
-            P = symmetry.hermitian @ H
-            residual = float(np.linalg.norm(P - P.conj().T))
+            residual = _commutator_norm(symmetry, hermitian_part(H_d + dH))
         return cls(dH, symmetry, operator_norm(dH), frobenius_norm(dH), residual)
 
 
-def _restore_linear(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
-    w, V = np.linalg.eigh(S.matrix)
-    cluster_tol = GAP_RTOL * float(np.max(np.abs(w)))
-    clusters = cluster_eigenvalues(w, cluster_tol)
-    labels = np.repeat(np.arange(len(clusters)), [c.size for c in clusters])
+def _restore_linear(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
+    w, V = np.linalg.eigh(S.hermitian)
+    labels = _cluster_labels(w, GAP_RTOL * float(np.max(np.abs(w))))
     Hd_eig = V.conj().T @ H_d @ V
-    off_cluster = labels[:, None] != labels[None, :]
-    dH_eig = np.where(off_cluster, -Hd_eig, 0.0)
-    dH = hermitize(V @ dH_eig @ V.conj().T)
-    residual = frobenius_norm(commutator(S.matrix, H_d + dH))
-    limit = tol * max(1.0, S.frobenius * frobenius_norm(H_d))
-    if residual > limit:
-        raise ConditioningError(
-            "restored drift still fails to commute with the symmetry",
-            {"residual": residual, "limit": limit},
-        )
-    return Perturbation(dH, S, operator_norm(dH), frobenius_norm(dH), residual)
+    dH_eig = np.where(labels[:, None] != labels[None, :], -Hd_eig, 0.0)
+    return hermitize(V @ dH_eig @ V.conj().T)
 
 
 def _quadratic_constraint(S: np.ndarray, d: int) -> np.ndarray:
@@ -101,27 +100,17 @@ def _quadratic_constraint(S: np.ndarray, d: int) -> np.ndarray:
     return (S @ lifts - lifts @ S).reshape(d * d, -1).T
 
 
-def _restore_quadratic(S: Symmetry, H_d: np.ndarray, tol: float) -> Perturbation:
+def _restore_quadratic(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
     d = H_d.shape[0]
     # K holds d^4 x d^2 complex entries, the unit-matrix lifts d^6 real ones
     check_entry_cap(2 * d**6)
-
-    def constraint(Y: np.ndarray) -> np.ndarray:
-        return commutator(S.matrix, _lift(Y))
-
     # K(Y†) = -K(Y)†, so the minimal-norm solution is Hermitian and hermitize
     # only removes rounding.
     K = _quadratic_constraint(S.matrix, d)
-    y, *_ = np.linalg.lstsq(K, -row_vectorize(constraint(H_d)), rcond=TAU_RANK)
-    dH = hermitize(devectorize(y))
-    residual = frobenius_norm(constraint(H_d + dH))
-    limit = tol * max(1.0, S.frobenius * frobenius_norm(H_d))
-    if residual > limit:
-        raise ConditioningError(
-            "quadratic restoration left a commutation residual",
-            {"residual": residual, "limit": limit},
-        )
-    return Perturbation(dH, S, operator_norm(dH), frobenius_norm(dH), residual)
+    # b = K vec(H_d), formed as K's columns are: S·lift - lift·S
+    b = row_vectorize(commutator(S.matrix, _lift(H_d)))
+    y, *_ = np.linalg.lstsq(K, -b, rcond=TAU_RANK)
+    return hermitize(devectorize(y))
 
 
 def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
@@ -131,16 +120,21 @@ def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, the minimal-norm least-squares
     solution over complex vec(ΔH), which is Hermitian.  Drift directions
     already compatible with S are left untouched, so ΔH is generally much
-    smaller than -H_d.
+    smaller than -H_d.  Raises ConditioningError when the restored drift
+    still fails to commute, beyond tol·max(1, ||S||_F ||H_d||_F).
     """
     H = require_hermitian(H_d)
-    if S.kind == "linear":
-        if H.shape[0] != S.dimension:
-            raise ValidationError("drift dimension does not match symmetry")
-        return _restore_linear(S, H, tol)
     if H.shape[0] != S.base_dimension:
-        raise ValidationError("drift dimension does not match quadratic symmetry")
-    return _restore_quadratic(S, H, tol)
+        raise ValidationError(f"drift dimension does not match {S.kind} symmetry")
+    solve = _restore_linear if S.kind == "linear" else _restore_quadratic
+    pert = Perturbation.from_matrix(S, solve(S, H), drift=H)
+    limit = tol * max(1.0, S.frobenius * frobenius_norm(H))
+    if pert.residual > limit:
+        raise ConditioningError(
+            "restored drift still fails to commute with the symmetry",
+            {"residual": pert.residual, "limit": limit},
+        )
+    return pert
 
 
 def perturbation_norm_bound(S: Symmetry, H_d) -> float:
@@ -152,5 +146,5 @@ def perturbation_norm_bound(S: Symmetry, H_d) -> float:
     if S.kind != "linear":
         raise ValidationError("analytic perturbation bound applies to linear "
                               "symmetries only")
-    H = require_hermitian(H_d)
-    return frobenius_norm(commutator(S.matrix, H)) / S.sigma_min
+    H, _ = require_same_dimension(hermitian_part(H_d), S.hermitian)
+    return _commutator_norm(S, H) / S.sigma_min

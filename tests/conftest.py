@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qsl import hermitize
+from qsl import hermitize, operator_norm
+from qsl.matcore import GAP_RTOL, require_hermitian
 
 
 @pytest.fixture
@@ -23,3 +24,66 @@ def random_unitary(rng, d):
 def random_state(rng, d):
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return v / np.linalg.norm(v)
+
+
+def kernel_projection_lower_bound(A, v) -> float:
+    """Oracle: lower bound on ||(1 - P_ker A) v||² without the kernel.
+
+    For Hermitian A: max{ <v, A v> / ||A||_inf, ||A v||² / ||A||_inf² }.
+    The first branch vanishes identically for v = vec(S) with Hermitian S and
+    A the adjoint map of a Hamiltonian (trace cyclicity), which is why the
+    commutator-method numerator uses only the second.
+    """
+    A = require_hermitian(A)
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    anorm = operator_norm(A)
+    if anorm <= 0:
+        return 0.0
+    Av = A @ v
+    quad = float(np.real(np.vdot(v, Av))) / anorm
+    grad = float(np.real(np.vdot(Av, Av))) / anorm**2
+    return max(quad, grad)
+
+
+def evolution_from_identity_peak(A, v, n_grid: int = 2000,
+                                 horizon_factor: float = 200.0) -> float:
+    """Oracle: max_t ||(e^{-itA} - 1) v||² over a dense grid.
+
+    The grid spans [0, horizon_factor / λ] with λ the smallest nonzero
+    |eigenvalue| of A; over that horizon the time average already comes
+    within a few percent of 2 ||(1 - P_ker A) v||², so the grid maximum does
+    too.
+    """
+    A = require_hermitian(A)
+    v = np.asarray(v, dtype=complex).reshape(-1)
+    w, V = np.linalg.eigh(A)
+    c = V.conj().T @ v
+    wmax = float(np.max(np.abs(w))) if w.size else 0.0
+    if wmax == 0.0:
+        return 0.0
+    nonzero = np.abs(w) > GAP_RTOL * wmax
+    if not np.any(nonzero):
+        return 0.0
+    lam = float(np.min(np.abs(w[nonzero])))
+    ts = np.linspace(0.0, horizon_factor / lam, n_grid)
+    weights = np.abs(c)**2
+    vals = 2.0 * (1.0 - np.cos(np.outer(ts, w))) @ weights
+    return float(np.max(vals))
+
+
+def clusters_by_loop(w, tol) -> list[list[float]]:
+    """Oracle: ascending values grouped one at a time, a new cluster at each
+    adjacent gap above tol."""
+    clusters = [[w[0]]]
+    for x in w[1:]:
+        if x - clusters[-1][-1] <= tol:
+            clusters[-1].append(x)
+        else:
+            clusters.append([x])
+    return clusters
+
+
+def loop_labels(w, tol) -> np.ndarray:
+    """Cluster index of each value, from ``clusters_by_loop``."""
+    sizes = [len(c) for c in clusters_by_loop(w, tol)]
+    return np.repeat(np.arange(len(sizes)), sizes)

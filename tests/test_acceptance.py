@@ -18,7 +18,6 @@ import pytest
 from qsl.bounds import (
     chebyshev_degree_for,
     chebyshev_filter_bound,
-    evolution_from_identity_peak,
     hamiltonian_speed_limit,
     kernel_complement_norm_commutator,
     kernel_complement_norm_exact,
@@ -47,7 +46,8 @@ from qsl.models import (
     syk_model,
 )
 from qsl.perturb import restore_symmetry
-from conftest import random_hermitian, random_state, random_unitary
+from conftest import (evolution_from_identity_peak, random_hermitian, random_state,
+                      random_unitary)
 
 
 _CAPTURE_MANAGER = [None]

@@ -7,11 +7,9 @@ from qsl.bounds import (
     ChebyshevFilter,
     chebyshev_degree_for,
     chebyshev_filter_bound,
-    evolution_from_identity_peak,
     hamiltonian_speed_limit,
     kernel_complement_norm_commutator,
     kernel_complement_norm_exact,
-    kernel_projection_lower_bound,
     optimize_symmetry,
     single_control_bound,
     uniform_speed_limit,
@@ -30,7 +28,8 @@ from qsl.matcore import (
 )
 from qsl.models import coupled_qubit_model, global_controls
 from qsl.perturb import Perturbation, restore_symmetry
-from conftest import random_hermitian, random_state
+from conftest import (evolution_from_identity_peak, kernel_projection_lower_bound,
+                      random_hermitian, random_state)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 

@@ -408,6 +408,30 @@ class TestBadInputExits2:
         default = _default_filter_interval(H, "linear")[k]
         assert report["intermediates"][open_end] == default
 
+    def test_problem_too_large_for_discovery(self, capsys, tmp_path):
+        """A 6-qubit file: discovery's stacked superoperator exceeds the
+        entry cap, which the input size alone decides."""
+        n = 6
+        chain = " + ".join(f"Z{i} Z{i + 1}" for i in range(n - 1))
+        path = tmp_path / "ising6.json"
+        path.write_text(json.dumps({
+            "qubits": n, "drift": {"pauli": chain},
+            "controls": [{"pauli": " + ".join(f"X{i}" for i in range(n))},
+                         {"pauli": " + ".join(f"Z{i}" for i in range(n))}],
+            "target": {"hamiltonian": {"pauli": chain + " + 0.5 X0"}},
+            "options": {"kind": "linear"}}))
+        code, _, err = _run(capsys, ["bound", "hamiltonian", str(path)])
+        assert code == 2 and err.startswith("error: dense intermediate")
+        assert err.count("\n") == 1
+        # symmetries still reports the capped kind as skipped
+        code, report, _ = _run(capsys, ["symmetries", str(path), "--json-only"])
+        assert code == 0 and "skipped" in report["symmetries"]["linear"]
+
+    def test_rydberg_chain_too_long_for_dense_build(self, capsys):
+        code, report, err = _run(capsys, ["reproduce", "rydberg", "--N", "15"])
+        assert code == 2 and report is None
+        assert err == "error: dense construction is limited to 14 atoms\n"
+
     def test_null_option_means_unset(self, tmp_path):
         path = tmp_path / "p.json"
         source = json.loads(Path(ISING_PROBLEM).read_text())
@@ -494,16 +518,28 @@ def test_report_matches_golden(name, capsys):
     _assert_report_matches(report, GOLDEN[name]["report"])
 
 
-def test_python_dash_m_runs_commands():
-    """``python -m qsl`` is the installed ``qsl`` command."""
+def _python_m(*args):
     import qsl
     env = dict(os.environ)
     src = str(Path(qsl.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "qsl", "reproduce", "cnot",
-                           "--json-only"], capture_output=True, text=True,
-                          env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_cli_module_warns_nothing():
+    """The package resolves its command-line names lazily, so running
+    ``qsl.cli`` as a script finds no copy of it already imported."""
+    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli",
+                     "reproduce", "cnot", "--json-only")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+
+
+def test_python_dash_m_runs_commands():
+    """``python -m qsl`` is the installed ``qsl`` command."""
+    done = _python_m("-m", "qsl", "reproduce", "cnot", "--json-only")
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     report = json.loads(done.stdout)

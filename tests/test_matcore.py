@@ -10,12 +10,12 @@ from qsl.matcore import (
     NoSpectralGapError,
     PAULI,
     ValidationError,
+    _cluster_labels,
     _hermitian_defect,
     _lift,
     adjoint_superoperator,
     as_operator,
     check_entry_cap,
-    cluster_eigenvalues,
     commutator,
     devectorize,
     frobenius_norm,
@@ -31,7 +31,7 @@ from qsl.matcore import (
     require_unitary,
     row_vectorize,
 )
-from conftest import random_hermitian
+from conftest import clusters_by_loop, loop_labels, random_hermitian
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -216,8 +216,33 @@ class TestPermutation:
 
 class TestSpectralClustering:
     def test_cluster_eigenvalues(self):
-        clusters = cluster_eigenvalues(np.array([1.0, 1.0 + 1e-12, 2.0]), 1e-8)
-        assert [len(c) for c in clusters] == [2, 1]
+        labels = _cluster_labels(np.array([1.0, 1.0 + 1e-12, 2.0]), 1e-8)
+        assert labels.tolist() == [0, 0, 1]
+
+    @given(steps=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+                          min_size=0, max_size=30),
+           start=st.integers(-16, 16), tol=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_equal_loop_clusters(self, steps, start, tol):
+        """Values on a grid of 1/4 subtract exactly, so many adjacent gaps
+        lie exactly at tol."""
+        w = start / 4 + np.cumsum([0.0] + steps)
+        assert np.array_equal(np.diff(w), steps)
+        assert _cluster_labels(w, tol).tolist() == loop_labels(w, tol).tolist()
+
+    @given(w=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40),
+           tol=st.floats(0.0, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_equal_loop_clusters_arbitrary(self, w, tol):
+        w = np.sort(np.array(w))
+        assert _cluster_labels(w, tol).tolist() == loop_labels(w, tol).tolist()
+        if len(clusters_by_loop(w, tol)) > 1:
+            # the cluster means are summed in another order: each may move
+            # by n·eps·max|w|
+            means = [np.mean(c) for c in clusters_by_loop(w, tol)]
+            slack = 2 * w.size * np.finfo(float).eps * max(1.0, np.max(np.abs(w)))
+            assert abs(min_eigenvalue_gap(w, tol)
+                       - float(np.min(np.diff(means)))) <= slack
 
     def test_min_gap(self):
         assert min_eigenvalue_gap(np.array([0.0, 1.0, 3.0]), 1e-8) == pytest.approx(1.0)
@@ -339,7 +364,9 @@ def _at_defect_ratio(rng, d, real, ratio):
     A = H + ratio * TAU_H * max(1.0, np.linalg.norm(H)) / np.linalg.norm(
         K - K.conj().T) * K
     got = np.linalg.norm(A - A.conj().T) / (TAU_H * max(1.0, np.linalg.norm(A)))
-    assert got == pytest.approx(ratio, rel=1e-6)
+    # adding a term ratio·TAU_H the size of H to H rounds that term by about
+    # eps / (ratio·TAU_H) relative: a few parts in 1e6
+    assert got == pytest.approx(ratio, rel=1e-4)
     return A
 
 

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
 
+import qsl.matcore
 from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import (
+    ConditioningError,
+    GAP_RTOL,
     NoSpectralGapError,
     PAULI,
     TAU_RANK,
     ValidationError,
+    _lift,
     commutator,
+    devectorize,
     frobenius_norm,
     hermitize,
     iota,
     kron,
     operator_norm,
     row_vectorize,
+    spectral_gap_min,
 )
 from qsl.models import coupled_qubit_model
 from qsl.perturb import (
@@ -21,9 +27,8 @@ from qsl.perturb import (
     _quadratic_constraint,
     perturbation_norm_bound,
     restore_symmetry,
-    spectral_gap_min,
 )
-from conftest import random_hermitian
+from conftest import loop_labels, random_hermitian, random_unitary
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
@@ -48,6 +53,17 @@ class TestSpectralGap:
     def test_matches_symmetry_accessor(self, rng):
         M = random_hermitian(rng, 5)
         assert spectral_gap_min(M) == pytest.approx(Symmetry("linear", M).sigma_min)
+
+    def test_sigma_min_makes_no_hermiticity_pass(self, rng, monkeypatch):
+        """Construction checks S once; sigma_min decomposes the stored
+        hermitian part without a second pass."""
+        S = Symmetry("linear", random_hermitian(rng, 6))
+        calls = []
+        fn = qsl.matcore._hermitian_pass
+        monkeypatch.setattr(qsl.matcore, "_hermitian_pass",
+                            lambda *a, **k: calls.append(1) or fn(*a, **k))
+        assert S.sigma_min > 0
+        assert calls == []
 
 
 class TestLinearRestore:
@@ -244,3 +260,84 @@ class TestResidualFromOneProduct:
                                             drift=H_d)
             want = frobenius_norm(commutator(S, iota(H_d + dH)))
             assert pert.residual == pytest.approx(want, rel=1e-12)
+
+
+# Oracles: each solver forms its own two-product commutator residual, and
+# the eigenvalues of S are clustered one at a time.
+
+def _oracle_restore_linear(S: Symmetry, H_d: np.ndarray):
+    w, V = np.linalg.eigh(S.matrix)
+    labels = loop_labels(w, GAP_RTOL * float(np.max(np.abs(w))))
+    Hd_eig = V.conj().T @ H_d @ V
+    off_cluster = labels[:, None] != labels[None, :]
+    dH = hermitize(V @ np.where(off_cluster, -Hd_eig, 0.0) @ V.conj().T)
+    return dH, frobenius_norm(commutator(S.matrix, H_d + dH))
+
+
+def _oracle_restore_quadratic(S: Symmetry, H_d: np.ndarray):
+    d = H_d.shape[0]
+    K = _quadratic_constraint(S.matrix, d)
+    y, *_ = np.linalg.lstsq(
+        K, -row_vectorize(commutator(S.matrix, _lift(H_d))), rcond=TAU_RANK)
+    dH = hermitize(devectorize(y))
+    return dH, frobenius_norm(commutator(S.matrix, _lift(H_d + dH)))
+
+
+def _rounded_spectrum(rng, d):
+    """Exactly Hermitian, with eigenvalues rounded to a few integers, so
+    the clusters are degenerate."""
+    V = random_unitary(rng, d)
+    w = np.round(2.0 * rng.standard_normal(d))
+    return hermitize((V * w) @ V.conj().T)
+
+
+class TestOneExit:
+    """restore_symmetry returns the oracles' ΔH and op_norm bit for bit, and
+    their residual to rounding."""
+
+    def _assert_matches(self, S, H, oracle):
+        want_dH, want_residual = oracle(S, H)
+        pert = restore_symmetry(S, H)
+        assert np.array_equal(pert.matrix, want_dH)
+        assert pert.op_norm == operator_norm(want_dH)
+        scale = max(1.0, S.frobenius * frobenius_norm(H))
+        assert abs(pert.residual - want_residual) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("spectrum", ["random", "rounded"])
+    def test_linear(self, rng, d, spectrum):
+        for _ in range(5):
+            M = (random_hermitian(rng, d) if spectrum == "random"
+                 else _rounded_spectrum(rng, d))
+            self._assert_matches(Symmetry("linear", M),
+                                 random_hermitian(rng, d),
+                                 _oracle_restore_linear)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_quadratic(self, rng, d):
+        basis = quadratic_symmetry_basis([random_hermitian(rng, d)])
+        for _ in range(5):
+            M = sum(rng.standard_normal() * b.matrix for b in basis)
+            S = Symmetry("quadratic", M + rng.standard_normal() * np.eye(d * d))
+            self._assert_matches(S, random_hermitian(rng, d),
+                                 _oracle_restore_quadratic)
+
+    def test_coupled_qubit_bundle(self):
+        bundle = coupled_qubit_model(0.7)
+        self._assert_matches(bundle.symmetry, bundle.system.drift,
+                             _oracle_restore_quadratic)
+
+    @pytest.mark.parametrize("kind,d", [("linear", 4), ("quadratic", 2)])
+    def test_zero_tolerance_raises(self, rng, kind, d):
+        dim = d if kind == "linear" else d * d
+        S = Symmetry(kind, random_hermitian(rng, dim))
+        with pytest.raises(ConditioningError) as err:
+            restore_symmetry(S, random_hermitian(rng, d), tol=0.0)
+        assert err.value.diagnostics["limit"] == 0.0
+        assert err.value.diagnostics["residual"] > 0.0
+
+    def test_dimension_mismatch_rejected(self, rng):
+        for S in (Symmetry("linear", random_hermitian(rng, 3)),
+                  Symmetry("quadratic", random_hermitian(rng, 9))):
+            with pytest.raises(ValidationError):
+                restore_symmetry(S, random_hermitian(rng, 2))
