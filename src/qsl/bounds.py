@@ -1,11 +1,18 @@
 """Speed-limit evaluation.
 
-Two families of lower bounds on control time are computed here.  For a target
-unitary U and a symmetry S broken by U but preserved by the controls, the time
-obeys T >= ||[U, S]||_F / (2 ||S||_F ||ΔH||_inf) (linear S; the quadratic
-version carries U⊗U and a 4 in the denominator).  For a target Hamiltonian
-H_s the numerator becomes the part of S outside the commutant of H_s,
-||(1 - P_ker ad_{H_s}) S||_F, and the denominator picks up a sqrt(2).
+All four theorems are one inequality on the control time,
+
+    T >= numerator / (c · k · ||S||_F · ||ΔH||_inf),
+
+evaluated in one place.  c = 2 for implementing a unitary U (theorems T1),
+whose numerator is the breaking norm ||[U, S]||_F (||[U⊗U, S]||_F for
+quadratic S), and c = √2 for simulating a Hamiltonian H_s (theorems T2), whose
+numerator is the part of S outside the commutant of H_s,
+||(1 - P_ker ad_{H_s}) S||_F.  k = 2 for a quadratic symmetry (suffix a),
+which acts on two copies of the system, and k = 1 for a linear one (suffix b).
+||ΔH||_inf comes from a supplied perturbation or, given only the drift, from
+the analytic cap ||[S, H_d]||_F / σ_min (linear S) or the restored minimal
+perturbation (quadratic S).
 
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
@@ -152,74 +159,73 @@ def uniform_speed_limit(perturbation) -> float:
     return 1.0 / (4.0 * dh)
 
 
-def _delta_h_inf(S: Symmetry, perturbation, drift):
-    """Resolve ||ΔH||_inf from an explicit perturbation or from the drift.
+def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
+                 inter: dict, warnings: list) -> BoundReport:
+    """The report of T >= numerator / (c · k · ||S||_F · ||ΔH||_inf).
 
-    Returns (value, perturbation-or-None, source, extras) where extras are
-    intermediates worth reporting.
+    A gate (``method`` "not_applicable") is T1, with c = 2 and the breaking
+    norm as numerator; a simulated Hamiltonian is T2, with c = √2 and the
+    kernel-complement norm.  ``numerator`` is called after the ||S||_F check,
+    so the checks keep their order.
     """
-    extras: dict[str, float] = {}
+    sfrob = S.frobenius
+    if sfrob <= 0:
+        raise ValidationError("symmetry matrix must be nonzero")
+    num = numerator()
     if perturbation is not None:
         dh = perturbation.op_norm
         if dh <= 0:
             raise ValidationError("perturbation operator norm must be positive")
-        return dh, perturbation, "supplied", extras
-    if drift is None:
+    elif drift is None:
         raise ValidationError("either a perturbation or a drift is required")
-    if S.kind == "linear":
-        dh = perturbation_norm_bound(S, drift)
+    else:
+        if S.kind == "linear":
+            dh = perturbation_norm_bound(S, drift)
+        else:
+            perturbation = restore_symmetry(S, drift)
+            dh = perturbation.op_norm
         if dh <= 0:
             raise ValidationError("symmetry already commutes with the drift; "
                                   "no time bound follows")
-        extras["sigma_min"] = S.sigma_min
-        return dh, None, "analytic-bound", extras
-    pert = restore_symmetry(S, drift)
-    if pert.op_norm <= 0:
-        raise ValidationError("symmetry already commutes with the drift; "
-                              "no time bound follows")
-    return pert.op_norm, pert, "restored", extras
+        if perturbation is None:
+            inter["sigma_min"] = S.sigma_min
+            warnings.append("perturbation norm taken from the analytic "
+                            "||[S, H_d]||_F / sigma_min bound")
+    gate = method == "not_applicable"
+    c = 2.0 if gate else math.sqrt(2.0)
+    k = 2.0 if S.kind == "quadratic" else 1.0
+    inter.update({"symmetry_frobenius": sfrob, "delta_h_op_norm": dh,
+                  "breaking_norm" if gate else "kernel_complement_norm": num})
+    theorem = ("T1" if gate else "T2") + ("a" if k == 2.0 else "b")
+    return BoundReport(num / (c * k * sfrob * dh), theorem, method, inter,
+                       symmetry=S, perturbation=perturbation,
+                       warnings=warnings)
 
 
 def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None,
                         *, drift=None) -> BoundReport:
     """Speed limit for implementing the unitary U.
 
-    Quadratic S:  T >= ||[U⊗U, S]||_F / (4 ||S||_F ||ΔH||_inf).
-    Linear S:     T >= ||[U, S]||_F / (2 ||S||_F ||ΔH||_inf).
+    Quadratic S:  T >= ||[U⊗U, S]||_F / (4 ||S||_F ||ΔH||_inf)  (T1a).
+    Linear S:     T >= ||[U, S]||_F / (2 ||S||_F ||ΔH||_inf)    (T1b).
 
     With a linear S and a drift supplied, the fully analytic variant replacing
     ||ΔH||_inf by ||[S, H_d]||_F / σ_min is also evaluated and reported; it is
     the bound when no explicit perturbation is given.
     """
     U = require_unitary(U)
-    sfrob = S.frobenius
-    if sfrob <= 0:
-        raise ValidationError("symmetry matrix must be nonzero")
-    breaking = symmetry_breaking_norm(S, U)
-    dh, pert, source, extras = _delta_h_inf(S, perturbation, drift)
-    if S.kind == "quadratic":
-        theorem, denom = "T1a", 4.0 * sfrob * dh
-    else:
-        theorem, denom = "T1b", 2.0 * sfrob * dh
-    inter = {"symmetry_frobenius": sfrob, "breaking_norm": breaking,
-             "delta_h_op_norm": dh, **extras}
+    rep = _speed_limit(lambda: symmetry_breaking_norm(S, U), S, perturbation,
+                       drift, "not_applicable", {}, [])
     if S.kind == "linear" and drift is not None:
-        dh_analytic = (dh if source == "analytic-bound"
+        inter = rep.intermediates
+        # without a perturbation the bound already used the analytic cap
+        dh_analytic = (inter["delta_h_op_norm"] if rep.perturbation is None
                        else perturbation_norm_bound(S, drift))
         if dh_analytic > 0:
-            inter["analytic_bound"] = breaking / (2.0 * sfrob * dh_analytic)
+            inter["analytic_bound"] = inter["breaking_norm"] / (
+                2.0 * inter["symmetry_frobenius"] * dh_analytic)
             inter["sigma_min"] = S.sigma_min
-    return BoundReport(breaking / denom, theorem, "not_applicable", inter,
-                       symmetry=S, perturbation=pert,
-                       warnings=[] if source != "analytic-bound" else
-                       ["perturbation norm taken from the analytic "
-                        "||[S, H_d]||_F / sigma_min bound"])
-
-
-def _check_symmetry_dimension(H: np.ndarray, S: Symmetry) -> None:
-    want = S.dimension if S.kind == "linear" else S.base_dimension
-    if H.shape[0] != want:
-        raise DimensionError("Hamiltonian dimension does not match symmetry")
+    return rep
 
 
 class _AdKernel:
@@ -241,7 +247,8 @@ class _AdKernel:
 
     def __init__(self, H_s, S: Symmetry):
         self.H = hermitian_part(H_s)
-        _check_symmetry_dimension(self.H, S)
+        if self.H.shape[0] != S.base_dimension:
+            raise DimensionError("Hamiltonian dimension does not match symmetry")
         self.kind = S.kind
         dtype = np.result_type(self.H, S.hermitian)
         self._L = self.H.astype(dtype, copy=False)
@@ -266,10 +273,6 @@ class _AdKernel:
         """[L, C] for anti-Hermitian C."""
         Q = self.lift(C)
         return Q + Q.conj().T
-
-    def ad2(self, Y: np.ndarray) -> np.ndarray:
-        """[L, [L, Y]] for Hermitian Y."""
-        return self.ad_anti(self.ad(Y))
 
 
 def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
@@ -422,8 +425,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
                             tol_degeneracy: float | None = None) -> BoundReport:
     """Speed limit for simulating the Hamiltonian H_s.
 
-    T >= numerator / (2√2 ||S||_F ||ΔH||_inf) for quadratic S, or
-    numerator / (√2 ||S||_F ||ΔH||_inf) for linear S, with the numerator
+    T >= numerator / (2√2 ||S||_F ||ΔH||_inf) for quadratic S (T2a), or
+    numerator / (√2 ||S||_F ||ΔH||_inf) for linear S (T2b), with the numerator
     produced by the selected kernel-projection method (exact, commutator, or
     chebyshev).  When no perturbation is supplied the drift is used: linear
     symmetries fall back to the analytic ||[S, H_d]||_F / σ_min bound on
@@ -431,45 +434,36 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     """
     if method not in ("exact", "commutator", "chebyshev"):
         raise ValidationError(f"unknown projection method {method!r}")
-    sfrob = S.frobenius
-    if sfrob <= 0:
-        raise ValidationError("symmetry matrix must be nonzero")
+    warnings: list[str] = []
+    inter: dict[str, float] = {}
 
     # H_s is validated and hermitised once, by the numerator's _AdKernel; only
     # a defaulted Chebyshev interval reads ||H_s||_inf from H_s as well
-    warnings: list[str] = []
-    inter: dict[str, float] = {"symmetry_frobenius": sfrob}
-    if method == "exact":
-        num, gaps, tol = _exact_projection(_AdKernel(H_s, S), tol_degeneracy)
-        if gaps is not None and np.any((gaps > tol) & (gaps <= 10 * tol)):
-            warnings.append("spectral gaps within 10x of the degeneracy "
-                            "tolerance; the exact projection is sensitive here")
-    elif method == "commutator":
-        num = kernel_complement_norm_commutator(H_s, S)
-    else:
-        if sigma_max_est is None or sigma_min_est is None:
-            lo, hi = _default_filter_interval(H_s, S.kind)
-            sigma_min_est = lo if sigma_min_est is None else sigma_min_est
-            sigma_max_est = hi if sigma_max_est is None else sigma_max_est
-        if degree is None:
-            degree = chebyshev_degree_for(DEFAULT_FILTER_EPS,
-                                          sigma_min_est, sigma_max_est)
-        num, eps = chebyshev_filter_bound(H_s, S, degree, sigma_min_est,
-                                          sigma_max_est)
-        inter.update({"epsilon": eps, "degree": float(degree),
-                      "sigma_min_est": sigma_min_est,
-                      "sigma_max_est": sigma_max_est})
+    def numerator() -> float:
+        if method == "exact":
+            num, gaps, tol = _exact_projection(_AdKernel(H_s, S),
+                                               tol_degeneracy)
+            if gaps is not None and np.any((gaps > tol) & (gaps <= 10 * tol)):
+                warnings.append("spectral gaps within 10x of the degeneracy "
+                                "tolerance; the exact projection is "
+                                "sensitive here")
+            return num
+        if method == "commutator":
+            return kernel_complement_norm_commutator(H_s, S)
+        lo, hi = sigma_min_est, sigma_max_est
+        if lo is None or hi is None:
+            d_lo, d_hi = _default_filter_interval(H_s, S.kind)
+            lo = d_lo if lo is None else lo
+            hi = d_hi if hi is None else hi
+        m = (chebyshev_degree_for(DEFAULT_FILTER_EPS, lo, hi) if degree is None
+             else degree)
+        num, eps = chebyshev_filter_bound(H_s, S, m, lo, hi)
+        inter.update({"epsilon": eps, "degree": float(m),
+                      "sigma_min_est": lo, "sigma_max_est": hi})
+        return num
 
-    dh, pert, source, extras = _delta_h_inf(S, perturbation, drift)
-    inter.update(extras)
-    inter.update({"kernel_complement_norm": num, "delta_h_op_norm": dh})
-    if source == "analytic-bound":
-        warnings.append("perturbation norm taken from the analytic "
-                        "||[S, H_d]||_F / sigma_min bound")
-    factor = 2.0 * math.sqrt(2.0) if S.kind == "quadratic" else math.sqrt(2.0)
-    theorem = "T2a" if S.kind == "quadratic" else "T2b"
-    return BoundReport(num / (factor * sfrob * dh), theorem, method, inter,
-                       symmetry=S, perturbation=pert, warnings=warnings)
+    return _speed_limit(numerator, S, perturbation, drift, method, inter,
+                        warnings)
 
 
 def single_control_bound(H_d, H_c, U) -> float:
@@ -516,31 +510,28 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
     eye = np.eye(dim)
     n = len(mats)
 
-    def assemble(coeffs) -> Symmetry | None:
+    best_value, best_coeffs, best = -np.inf, None, None
+
+    def consider(coeffs) -> bool:
+        """Assemble and score a candidate; keep it if it beats the best so far.
+
+        A degenerate candidate, a non-finite value or a QslError from the
+        objective never wins, and a tie keeps the earlier candidate.
+        """
+        nonlocal best_value, best_coeffs, best
         M = sum(c * B for c, B in zip(coeffs[:n], mats)) + coeffs[n] * eye
         nrm = np.linalg.norm(M)
         if nrm <= 1e-12:
-            return None
-        return Symmetry(kind, M / nrm, note="optimized")
-
-    def score(sym: Symmetry | None) -> float:
-        if sym is None:
-            return -np.inf
+            return False
+        sym = Symmetry(kind, M / nrm, note="optimized")
         try:
             v = float(objective(sym))
         except QslError:
-            return -np.inf
-        return v if np.isfinite(v) else -np.inf
-
-    best_coeffs = None
-    best_value = -np.inf
-
-    def consider(coeffs) -> None:
-        nonlocal best_coeffs, best_value
-        v = score(assemble(coeffs))
-        if v > best_value:
-            best_value = v
-            best_coeffs = np.array(coeffs, dtype=float)
+            return False
+        if not (np.isfinite(v) and v > best_value):
+            return False
+        best_value, best_coeffs, best = v, np.array(coeffs, dtype=float), sym
+        return True
 
     for k in range(n):
         e = np.zeros(n + 1)
@@ -564,14 +555,10 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
                 for delta in (step, -step):
                     trial = best_coeffs.copy()
                     trial[k] += delta
-                    v = score(assemble(trial))
-                    if v > best_value:
-                        best_value, best_coeffs = v, trial
-                        improved = True
+                    improved |= consider(trial)
         step *= 0.25
 
-    result = assemble(best_coeffs)
-    if result is None:  # only if every candidate was degenerate
-        result = Symmetry(kind, mats[0] / np.linalg.norm(mats[0]),
-                          note="optimized")
-    return result
+    if best is None:  # no candidate scored
+        best = Symmetry(kind, mats[0] / np.linalg.norm(mats[0]),
+                        note="optimized")
+    return best

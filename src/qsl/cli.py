@@ -42,7 +42,6 @@ import numpy as np
 
 from .bounds import (
     _default_filter_interval,
-    chebyshev_degree_for,
     hamiltonian_speed_limit,
     optimize_symmetry,
     uniform_speed_limit,
@@ -276,7 +275,7 @@ def load_problem(path: str) -> ProblemSpec:
     if qubits is None and dimension is None:
         raise ProblemFormatError("need 'qubits' or 'dimension'")
     if qubits is not None:
-        if not isinstance(qubits, int) or qubits < 1:
+        if type(qubits) is not int or qubits < 1:
             raise ProblemFormatError("'qubits' must be a positive integer")
         if dimension is not None and dimension != 2**qubits:
             raise ProblemFormatError("'dimension' contradicts 'qubits'")
@@ -317,8 +316,10 @@ def load_problem(path: str) -> ProblemSpec:
         target_h = _hamiltonian_from_spec(target["hamiltonian"], qubits,
                                           dimension, "target hamiltonian")
 
-    options = data.get("options") or {}
-    if not isinstance(options, dict):
+    options = data.get("options")
+    if options is None:
+        options = {}
+    elif not isinstance(options, dict):
         raise ProblemFormatError("'options' must be a JSON object")
     extra = set(options) - set(_OPTION_RULES)
     if extra:
@@ -494,9 +495,7 @@ def _reproduce_rydberg(args, opts) -> dict:
               "g": args.g if args.g is not None else 0.5}
     bundle = _build(rydberg_chain_model, **params)
     lo, hi = bundle.spectral_estimates
-    rep = _model_bound(bundle, {
-        **opts, "sigma_min": lo, "sigma_max": hi,
-        "degree": opts.get("degree") or chebyshev_degree_for(1e-2, lo, hi)})
+    rep = _model_bound(bundle, {**opts, "sigma_min": lo, "sigma_max": hi})
     refs = bundle.references
     return {"parameters": params, **_bound_report_dict(rep),
             "delta_h_closed_form": refs["delta_h_closed_form"],

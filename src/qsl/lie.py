@@ -3,11 +3,12 @@
 A bilinear control system H(t) = H_d + sum_j f_j(t) H_j generates the real
 Lie algebra spanned by iterated commutators of {iH_d, iH_j}.  Symmetries live
 in commutants: linear symmetries commute with every control on the base space,
-quadratic symmetries commute with the doubled-space lifts H⊗1 + 1⊗H.  Both
-kinds are found as SVD nullspaces of stacked adjoint superoperators.  Only
-the right singular vectors are computed: the stack of k controls has k·n²
-rows for n² unknowns, never fewer rows than columns, so its left basis is
-never built.
+quadratic symmetries commute with the doubled-space lifts H⊗1 + 1⊗H, so
+quadratic discovery is the linear commutant of the lifted controls.  Both
+kinds come from one solver: the SVD nullspace of the stacked adjoint
+superoperators.  Only the right singular vectors are computed: the stack of
+k controls has k·n² rows for n² unknowns, never fewer rows than columns, so
+its left basis is never built.
 """
 
 from __future__ import annotations
@@ -198,6 +199,18 @@ def project_onto_span(X, basis: OperatorBasis) -> tuple[np.ndarray, float]:
     return coeffs, float(np.linalg.norm(R))
 
 
+def _rank(s: np.ndarray, tol: float) -> int:
+    """Number of singular values s (descending) above tol · max(s)."""
+    smax = s[0] if s.size else 0.0
+    return int(np.sum(s > tol * smax)) if smax > 0 else 0
+
+
+def _real_coordinates(M) -> np.ndarray:
+    """Row-vectorized M as one real vector, real parts then imaginary."""
+    v = row_vectorize(M)
+    return np.concatenate([v.real, v.imag])
+
+
 def _nullspace(K: np.ndarray, tol: float) -> list[np.ndarray]:
     """Right nullspace vectors of K at a relative singular-value threshold.
 
@@ -208,12 +221,10 @@ def _nullspace(K: np.ndarray, tol: float) -> list[np.ndarray]:
     if K.size == 0:
         return []
     _, s, Vh = np.linalg.svd(K, full_matrices=K.shape[0] < K.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return [Vh[i].conj() for i in range(rank, Vh.shape[0])]
+    return [Vh[i].conj() for i in range(_rank(s, tol), Vh.shape[0])]
 
 
-def _hermitian_basis_from_nullspace(vectors, dim: int, tol: float) -> list[np.ndarray]:
+def _hermitian_basis_from_nullspace(vectors, tol: float) -> list[np.ndarray]:
     """Split nullspace matrices into Hermitian parts and orthonormalize.
 
     A matrix commutes with Hermitian H iff its Hermitian and antihermitian
@@ -227,18 +238,11 @@ def _hermitian_basis_from_nullspace(vectors, dim: int, tol: float) -> list[np.nd
         herms.append((M - M.conj().T) / 2j)
     if not herms:
         return []
-    rows = np.array([
-        np.concatenate([row_vectorize(H).real, row_vectorize(H).imag])
-        for H in herms
-    ])
+    rows = np.array([_real_coordinates(H) for H in herms])
     _, s, Vh = np.linalg.svd(rows, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    out = []
-    for i in range(int(np.sum(s > tol * smax)) if smax > 0 else 0):
-        r = Vh[i]
-        M = devectorize(r[: dim * dim] + 1j * r[dim * dim:])
-        out.append(hermitize(M))
-    return out
+    half = rows.shape[1] // 2
+    return [hermitize(devectorize(r[:half] + 1j * r[half:]))
+            for r in Vh[:_rank(s, tol)]]
 
 
 def _verify_commutation(mats, ops, tol: float) -> None:
@@ -256,42 +260,43 @@ def _verify_commutation(mats, ops, tol: float) -> None:
                 )
 
 
+def _commutant(ops: list[np.ndarray], kind: str, note: str,
+               tol: float) -> list[Symmetry]:
+    """Orthonormal Hermitian basis of {S : [S, L] = 0 for every L in ops}.
+
+    Solved as the SVD nullspace of the stacked adjoint superoperators, then
+    hermitized, re-orthonormalized, and re-verified.
+    """
+    K = np.vstack([adjoint_superoperator(L) for L in ops])
+    basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), tol)
+    _verify_commutation(basis, ops, tol)
+    return [Symmetry(kind, M, note=note) for M in basis]
+
+
 def commutant_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     """Orthonormal Hermitian basis of {S : [S, H_j] = 0 for all j}.
 
-    Solved as the SVD nullspace of the stacked adjoint superoperators, then
-    hermitized, re-orthonormalized, and re-verified.  Always contains the
-    identity direction.
+    Always contains the identity direction.
     """
-    mats = _validated_generators(ops)
-    d = mats[0].shape[0]
-    K = np.vstack([adjoint_superoperator(op) for op in mats])
-    basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), d, tol)
-    _verify_commutation(basis, mats, tol)
-    return [Symmetry("linear", M, note="commutant") for M in basis]
+    return _commutant(_validated_generators(ops), "linear", "commutant", tol)
 
 
 def quadratic_symmetry_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
-    """Orthonormal Hermitian basis of {S on H⊗H : [S, H_j⊗1 + 1⊗H_j] = 0}."""
-    mats = _validated_generators(ops)
-    D = mats[0].shape[0] ** 2
-    lifts = [iota(op) for op in mats]  # one lift per control, reused below
-    K = np.vstack([adjoint_superoperator(L) for L in lifts])
-    basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), D, tol)
-    _verify_commutation(basis, lifts, tol)
-    return [Symmetry("quadratic", M, note="quadratic commutant") for M in basis]
+    """Orthonormal Hermitian basis of {S on H⊗H : [S, H_j⊗1 + 1⊗H_j] = 0},
+    the linear commutant of the lifted controls."""
+    lifts = [iota(op) for op in _validated_generators(ops)]
+    return _commutant(lifts, "quadratic", "quadratic commutant", tol)
 
 
 def symmetry_breaking_norm(S: Symmetry, target) -> float:
     """||[U, S]||_F for linear S, ||[U⊗U, S]||_F for quadratic S."""
     U = require_unitary(target)
-    if S.kind == "linear":
-        if U.shape[0] != S.dimension:
-            raise DimensionError("target dimension does not match symmetry")
-        return frobenius_norm(commutator(U, S.matrix))
     if U.shape[0] != S.base_dimension:
-        raise DimensionError("target dimension does not match quadratic symmetry")
-    return frobenius_norm(commutator(kron(U, U), S.matrix))
+        raise DimensionError(f"target dimension does not match {S.kind} "
+                             "symmetry")
+    if S.kind == "quadratic":
+        U = kron(U, U)
+    return frobenius_norm(commutator(U, S.matrix))
 
 
 def span_residual(X, symmetries) -> float:
@@ -301,11 +306,8 @@ def span_residual(X, symmetries) -> float:
             for s in symmetries]
     if not mats:
         return frobenius_norm(A)
-    cols = np.array([
-        np.concatenate([row_vectorize(M).real, row_vectorize(M).imag])
-        for M in mats
-    ]).T
-    rhs = np.concatenate([row_vectorize(A).real, row_vectorize(A).imag])
+    cols = np.array([_real_coordinates(M) for M in mats]).T
+    rhs = _real_coordinates(A)
     coeffs, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     return float(np.linalg.norm(rhs - cols @ coeffs))
 
@@ -315,15 +317,7 @@ def center_dimension(basis: OperatorBasis, tol: float = TAU_RANK) -> int:
     n = basis.size
     if n == 0:
         return 0
-    cols = []
-    for k in range(n):
-        col = []
-        for j in range(n):
-            c = row_vectorize(commutator(basis.elements[k], basis.elements[j]))
-            col.append(np.concatenate([c.real, c.imag]))
-        cols.append(np.concatenate(col))
-    M = np.array(cols).T
-    s = np.linalg.svd(M, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
-    return n - rank
+    cols = [np.concatenate([_real_coordinates(commutator(a, b))
+                            for b in basis.elements])
+            for a in basis.elements]
+    return n - _rank(np.linalg.svd(np.array(cols).T, compute_uv=False), tol)

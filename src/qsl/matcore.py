@@ -40,8 +40,8 @@ DEGENERACY_RTOL = 1e-8  # kernel-projection degeneracy cut, relative to ||H||_in
 DEFAULT_FILTER_CUT_REL = 2.5e-4
 
 # Guard for materialized superoperators (adjoint representations, the
-# quadratic restoration map).  Counts dense entries; larger problems must go
-# through the matrix-free paths in the bounds module.
+# quadratic restoration map).  Counts dense entries; the dense method does
+# not support larger problems, and no other method exists for them.
 DIMENSION_CAP = 2**20
 
 
@@ -186,7 +186,7 @@ def check_entry_cap(entries: int, cap: int = DIMENSION_CAP) -> None:
     if entries > cap:
         raise DimensionCapError(
             f"dense intermediate needs {entries} entries, cap is {cap}; "
-            "use a matrix-free method for problems of this size"
+            "the dense method does not support problems this large"
         )
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsl import bounds
 from qsl.bounds import (
     ChebyshevFilter,
     chebyshev_degree_for,
@@ -18,6 +19,8 @@ from qsl.bounds import (
 from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
     PAULI,
+    DimensionError,
+    QslError,
     ValidationError,
     commutator,
     frobenius_norm,
@@ -27,9 +30,9 @@ from qsl.matcore import (
     operator_norm,
 )
 from qsl.models import coupled_qubit_model, global_controls
-from qsl.perturb import Perturbation, restore_symmetry
+from qsl.perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 from conftest import (evolution_from_identity_peak, kernel_projection_lower_bound,
-                      random_hermitian, random_state)
+                      random_hermitian, random_state, random_unitary)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -310,6 +313,198 @@ class TestSingleControl:
             single_control_bound(Z, X, U) / 2, rel=1e-12)
 
 
+# theorem -> (symmetry kind, gate target?, c, k) in
+# T >= numerator / (c · k · ||S||_F · ||ΔH||_inf)
+THEOREMS = {"T1a": ("quadratic", True, 2.0, 2.0),
+            "T1b": ("linear", True, 2.0, 1.0),
+            "T2a": ("quadratic", False, math.sqrt(2.0), 2.0),
+            "T2b": ("linear", False, math.sqrt(2.0), 1.0)}
+ANALYTIC_WARNING = ("perturbation norm taken from the analytic "
+                    "||[S, H_d]||_F / sigma_min bound")
+
+
+def theorem_problem(theorem):
+    """(bound, numerator, S, drift) for one theorem on d = 4: ``bound``
+    evaluates the theorem's speed limit, ``numerator`` is its numerator
+    computed from the plain formula.  Quadratic symmetries are the coupled
+    qubit bundle's, which its drift breaks; linear ones are random."""
+    kind, gate, _, _ = THEOREMS[theorem]
+    rng = np.random.default_rng(11)
+    if kind == "quadratic":
+        bundle = coupled_qubit_model(1.0)
+        S, drift = bundle.symmetry, bundle.system.drift
+    else:
+        S = Symmetry("linear", random_hermitian(rng, 4))
+        drift = random_hermitian(rng, 4)
+    if gate:
+        U = random_unitary(rng, 4)
+        lifted = kron(U, U) if kind == "quadratic" else U
+        return (lambda *a, **kw: unitary_speed_limit(U, S, *a, **kw),
+                frobenius_norm(commutator(lifted, S.matrix)), S, drift)
+    H = random_hermitian(rng, 4)
+    return (lambda *a, **kw: hamiltonian_speed_limit(H, S, *a, **kw),
+            kernel_complement_norm_exact(H, S), S, drift)
+
+
+class TestOneTheoremTail:
+    """All four theorems are T >= numerator / (c · k · ||S||_F · ||ΔH||_inf),
+    with ||ΔH||_inf from a supplied perturbation, the analytic cap (linear S
+    given a drift) or the restored perturbation (quadratic S given a drift)."""
+
+    @pytest.mark.parametrize("source", ["supplied", "drift"])
+    @pytest.mark.parametrize("theorem", sorted(THEOREMS))
+    def test_closed_form(self, theorem, source):
+        kind, gate, c, k = THEOREMS[theorem]
+        bound, num, S, drift = theorem_problem(theorem)
+        if source == "supplied":
+            pert = Perturbation.from_matrix(
+                S, random_hermitian(np.random.default_rng(3), 4))
+            rep = bound(pert)
+            dh, warnings = pert.op_norm, []
+            assert rep.perturbation is pert
+        elif kind == "linear":  # the analytic cap
+            rep = bound(drift=drift)
+            dh, warnings = perturbation_norm_bound(S, drift), [ANALYTIC_WARNING]
+            assert rep.perturbation is None
+            assert rep.intermediates["sigma_min"] == S.sigma_min
+        else:  # the restored minimal perturbation
+            rep = bound(drift=drift)
+            restored = restore_symmetry(S, drift)
+            dh, warnings = restored.op_norm, []
+            assert np.array_equal(rep.perturbation.matrix, restored.matrix)
+        assert rep.theorem == theorem
+        assert rep.bound_time == num / (c * k * S.frobenius * dh)
+        assert rep.warnings == warnings
+        assert rep.intermediates["delta_h_op_norm"] == dh
+        assert rep.intermediates["symmetry_frobenius"] == S.frobenius
+        name = "breaking_norm" if gate else "kernel_complement_norm"
+        assert rep.intermediates[name] == num
+        assert rep.projection_method == ("not_applicable" if gate else "exact")
+
+    @pytest.mark.parametrize("case,message", [
+        ("zero perturbation", "perturbation operator norm must be positive"),
+        ("neither", "either a perturbation or a drift is required"),
+        ("commuting drift", "symmetry already commutes with the drift; "
+                            "no time bound follows")])
+    @pytest.mark.parametrize("theorem", sorted(THEOREMS))
+    def test_error_messages(self, theorem, case, message):
+        bound, _, S, _ = theorem_problem(theorem)
+        if case == "zero perturbation":
+            args, kwargs = (Perturbation.from_matrix(S, np.zeros((4, 4))),), {}
+        elif case == "neither":
+            args, kwargs = (), {}
+        else:  # the identity commutes with S and, lifted, with quadratic S
+            args, kwargs = (), {"drift": np.eye(4)}
+        with pytest.raises(ValidationError) as err:
+            bound(*args, **kwargs)
+        assert str(err.value) == message
+
+    def test_zero_symmetry_checked_before_the_numerator(self):
+        """A zero S is reported before a target of the wrong dimension."""
+        S = Symmetry("linear", np.zeros((2, 2)))
+        pert = Perturbation.from_matrix(S, X)
+        for bound in (lambda: unitary_speed_limit(np.eye(3), S, pert),
+                      lambda: hamiltonian_speed_limit(np.eye(3), S, pert)):
+            with pytest.raises(ValidationError, match="must be nonzero"):
+                bound()
+
+    @pytest.mark.parametrize("supplied", [False, True])
+    def test_one_analytic_cap_per_linear_unitary_bound(self, monkeypatch,
+                                                       supplied):
+        calls = []
+
+        def counted(S, H_d):
+            calls.append(1)
+            return perturbation_norm_bound(S, H_d)
+
+        monkeypatch.setattr(bounds, "perturbation_norm_bound", counted)
+        bound, num, S, drift = theorem_problem("T1b")
+        pert = restore_symmetry(S, drift) if supplied else None
+        rep = bound(pert, drift=drift)
+        assert len(calls) == 1
+        dh = perturbation_norm_bound(S, drift)
+        assert rep.intermediates["analytic_bound"] == num / (
+            2.0 * S.frobenius * dh)
+        assert rep.intermediates["sigma_min"] == S.sigma_min
+
+
+def optimize_symmetry_reference(basis, objective, iterations=200, seed=0):
+    """The optimiser as it stood with separate assemble, score and compare
+    steps, kept as an oracle: the library's single ``consider`` must pick
+    the same candidate."""
+    if not basis:
+        raise ValidationError("symmetry basis must be nonempty")
+    kind = basis[0].kind
+    if any(b.kind != kind for b in basis):
+        raise ValidationError("all basis elements must share one kind")
+    dim = basis[0].dimension
+    if any(b.dimension != dim for b in basis):
+        raise DimensionError("all basis elements must share one dimension")
+    mats = [b.matrix for b in basis]
+    eye = np.eye(dim)
+    n = len(mats)
+
+    def assemble(coeffs):
+        M = sum(c * B for c, B in zip(coeffs[:n], mats)) + coeffs[n] * eye
+        nrm = np.linalg.norm(M)
+        if nrm <= 1e-12:
+            return None
+        return Symmetry(kind, M / nrm, note="optimized")
+
+    def score(sym):
+        if sym is None:
+            return -np.inf
+        try:
+            v = float(objective(sym))
+        except QslError:
+            return -np.inf
+        return v if np.isfinite(v) else -np.inf
+
+    best_coeffs = None
+    best_value = -np.inf
+
+    def consider(coeffs):
+        nonlocal best_coeffs, best_value
+        v = score(assemble(coeffs))
+        if v > best_value:
+            best_value = v
+            best_coeffs = np.array(coeffs, dtype=float)
+
+    for k in range(n):
+        e = np.zeros(n + 1)
+        e[k] = 1.0
+        consider(e)
+
+    rng = np.random.default_rng(seed)
+    for _ in range(max(0, int(iterations))):
+        consider(rng.standard_normal(n + 1))
+
+    if best_coeffs is None:
+        best_coeffs = np.zeros(n + 1)
+        best_coeffs[0] = 1.0
+
+    step = 0.5
+    for _ in range(4):
+        improved = True
+        while improved:
+            improved = False
+            for k in range(n + 1):
+                for delta in (step, -step):
+                    trial = best_coeffs.copy()
+                    trial[k] += delta
+                    v = score(assemble(trial))
+                    if v > best_value:
+                        best_value, best_coeffs = v, trial
+                        improved = True
+        step *= 0.25
+
+    result = assemble(best_coeffs)
+    if result is None:
+        result = Symmetry(kind, mats[0] / np.linalg.norm(mats[0]),
+                          note="optimized")
+    return result
+
+
 class TestOptimizeSymmetry:
     @staticmethod
     def _setup(rng):
@@ -370,6 +565,62 @@ class TestOptimizeSymmetry:
 
         best = optimize_symmetry(basis, objective, iterations=60, seed=3)
         assert objective(best) >= math.sqrt(2) / 4 - 1e-9
+
+
+class TestOptimizerMatchesReference:
+    """The optimiser picks bit for bit the candidate of the reference."""
+
+    @staticmethod
+    def _bases():
+        bundle = coupled_qubit_model(1.0)
+        return {"linear": commutant_basis(global_controls(3)),
+                "quadratic": quadratic_symmetry_basis(bundle.system.controls)}
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_speed_limit_objective(self, kind):
+        basis = self._bases()[kind]
+        rng = np.random.default_rng(5)
+        if kind == "linear":
+            H_s, drift = random_hermitian(rng, 8), random_hermitian(rng, 8)
+
+            def objective(sym):
+                return hamiltonian_speed_limit(
+                    H_s, sym, restore_symmetry(sym, drift)).bound_time
+        else:
+            bundle = coupled_qubit_model(1.0)
+
+            def objective(sym):
+                return unitary_speed_limit(
+                    bundle.target_unitary, sym,
+                    restore_symmetry(sym, bundle.system.drift)).bound_time
+        got = optimize_symmetry(basis, objective, iterations=12, seed=4)
+        want = optimize_symmetry_reference(basis, objective, iterations=12,
+                                           seed=4)
+        assert np.array_equal(got.matrix, want.matrix)
+
+    @pytest.mark.parametrize("special",
+                             ["raise", "nan", "inf", "always", "plateau"])
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    def test_objectives_that_fail_or_tie(self, kind, special):
+        """A linear objective that raises a QslError, returns NaN or +inf,
+        or is flat (every candidate ties) on part of the sphere; "always"
+        raises everywhere."""
+        basis = self._bases()[kind]
+        A = random_hermitian(np.random.default_rng(6), basis[0].dimension)
+        replace = {"nan": math.nan, "inf": math.inf, "plateau": 0.5}
+
+        def objective(sym):
+            v = float(np.real(np.vdot(A, sym.matrix)))
+            if special == "always" or v > 0.5:
+                if special in ("raise", "always"):
+                    raise ValidationError("rejected candidate")
+                return replace[special]
+            return v
+
+        got = optimize_symmetry(basis, objective, iterations=40, seed=1)
+        want = optimize_symmetry_reference(basis, objective, iterations=40,
+                                           seed=1)
+        assert np.array_equal(got.matrix, want.matrix)
 
 
 class TestStateSpaceHelpers:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsl.bounds import _default_filter_interval
+from qsl.bounds import _default_filter_interval, chebyshev_degree_for
 from qsl.cli import (
     PauliParseError,
     ProblemFormatError,
@@ -21,7 +21,7 @@ from qsl.cli import (
 )
 from qsl.lie import Symmetry
 from qsl.matcore import PAULI, ValidationError, kron, permutation_operator
-from qsl.models import coupled_qubit_model
+from qsl.models import coupled_qubit_model, rydberg_chain_model
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -338,6 +338,11 @@ BAD_FILE_OPTIONS = [
     # one end given, inverted against the defaulted other end
     ("hamiltonian", {"method": "chebyshev", "sigma_min": 1e9}),
     ("hamiltonian", {"method": "chebyshev", "sigma_max": 1e-9}),
+    # only null or a missing key means "no options"
+    ("hamiltonian", []),
+    ("hamiltonian", 0),
+    ("hamiltonian", False),
+    ("hamiltonian", ""),
 ]
 
 BAD_ARGV = [
@@ -388,6 +393,14 @@ class TestBadInputExits2:
         path.write_text(json.dumps(source))
         self._expect_exit_2(capsys, ["bound", target, str(path)])
 
+    def test_boolean_qubit_count(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "qubits": True, "drift": {"pauli": "Z0"},
+            "controls": [{"pauli": "X0"}],
+            "target": {"hamiltonian": {"pauli": "Z0 + 0.5 X0"}}}))
+        self._expect_exit_2(capsys, ["bound", "hamiltonian", str(path)])
+
     @pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda argv: " ".join(
         Path(a).name for a in argv))
     def test_bad_flag_or_model_parameter(self, capsys, argv):
@@ -423,6 +436,10 @@ class TestBadInputExits2:
         code, _, err = _run(capsys, ["bound", "hamiltonian", str(path)])
         assert code == 2 and err.startswith("error: dense intermediate")
         assert err.count("\n") == 1
+        # no matrix-free method exists to point the user at
+        assert "matrix-free" not in err
+        assert err.endswith("the dense method does not support problems "
+                            "this large\n")
         # symmetries still reports the capped kind as skipped
         code, report, _ = _run(capsys, ["symmetries", str(path), "--json-only"])
         assert code == 0 and "skipped" in report["symmetries"]["linear"]
@@ -490,6 +507,25 @@ class TestExactByDefault:
         assert reports[None].projection_method == "exact"
         assert reports["chebyshev"].projection_method == "chebyshev"
         assert reports[None].bound_time >= reports["chebyshev"].bound_time > 0
+
+
+def test_rydberg_chebyshev_default_degree(capsys):
+    """Without --degree the library derives the filter degree for the
+    model's spectral estimates; the report is the one an explicit degree
+    gives, and the value recorded before the CLI stopped computing it."""
+    lo, hi = rydberg_chain_model(5).spectral_estimates
+    degree = chebyshev_degree_for(1e-2, lo, hi)
+    argv = ["reproduce", "rydberg", "--N", "5", "--method", "chebyshev",
+            "--json-only"]
+    code, report, _ = _run(capsys, argv)
+    assert code == 0
+    assert report["intermediates"]["degree"] == degree
+    assert report["bound_time"] == pytest.approx(1.1519269942359252, rel=1e-9)
+    code, explicit, _ = _run(capsys, argv + ["--degree", str(degree)])
+    assert code == 0
+    report.pop("elapsed_seconds")
+    explicit.pop("elapsed_seconds")
+    assert report == explicit
 
 
 def _assert_report_matches(got, want, where="report"):
