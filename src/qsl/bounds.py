@@ -18,6 +18,10 @@ The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
 Chebyshev spectral filter whose value is certified by an explicit residual.
+The exact projection is the one restoration applies to the drift,
+``matcore._drop_kernel``, with one cluster rule: the sorted eigenvalues of
+ad_H start a new cluster at each adjacent gap above the cut (default
+GAP_RTOL·||H_s||_inf), and the kernel joins the eigenvectors of one cluster.
 
 All three work on the hermitised inputs H = (H_s + H_s†)/2 and
 S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
@@ -40,12 +44,12 @@ import numpy as np
 from .lie import Symmetry, symmetry_breaking_norm
 from .matcore import (
     DEFAULT_FILTER_CUT_REL,
-    DEGENERACY_RTOL,
     DimensionError,
+    GAP_RTOL,
     QslError,
     TAU_RANK,
     ValidationError,
-    check_entry_cap,
+    _drop_kernel,
     commutator,
     frobenius_norm,
     hermitian_part,
@@ -325,31 +329,32 @@ def _certified_numerator(kernel: _AdKernel, X: np.ndarray) -> float:
 def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
     """Kernel-complement norm from one eigendecomposition of H.
 
-    Returns (norm, gaps, tol): the eigenvalue gaps of ad_L (pairwise-sum gaps
-    for the quadratic lift) and the degeneracy cut that split them into
-    kernel (gap <= tol) and complement.  ``gaps`` is None when H = 0.
+    Returns (norm, near) of ``matcore._drop_kernel`` on the eigenframe,
+    with the spectrum of L and the cut tol_degeneracy, by default
+    GAP_RTOL·||H||_inf.
     """
     w, _, lam, frame = _eigenframe(kernel)
-    hnorm = float(np.max(np.abs(w))) if w.size else 0.0
-    if hnorm == 0.0:
-        return 0.0, None, 0.0
-    tol = DEGENERACY_RTOL * hnorm if tol_degeneracy is None else tol_degeneracy
-    if kernel.kind == "quadratic":
-        check_entry_cap(w.size**4)
-    gaps = np.abs(np.subtract.outer(lam, lam))
-    return float(np.linalg.norm(frame[gaps > tol])), gaps, tol
+    tol = (GAP_RTOL * float(np.max(np.abs(w))) if tol_degeneracy is None
+           else tol_degeneracy)
+    near = _drop_kernel(lam, frame, tol)
+    return float(np.linalg.norm(frame)), near
 
 
 def kernel_complement_norm_exact(H_s, S: Symmetry,
                                  tol_degeneracy: float | None = None) -> float:
     """||(1 - P_ker ad_{H_s}) S||_F by explicit diagonalization.
 
-    Matrix elements of S between eigenvectors whose eigenvalue difference is
-    within the degeneracy tolerance belong to the kernel and are dropped; the
-    Frobenius norm of the rest is returned.  Quadratic S pairs with the
-    doubled-space lift, whose spectrum is the pairwise eigenvalue sums.
-    Works on the hermitised H_s and S with a single eigendecomposition of
-    H_s, in real arithmetic when both are real.
+    The sorted eigenvalues of ad_{H_s} start a new cluster at each adjacent
+    gap above tol_degeneracy (default GAP_RTOL·||H_s||_inf), the rule
+    restoration uses; matrix elements of S joining one cluster form the
+    kernel and are dropped, and the Frobenius norm of the rest is returned.
+    Every pair within the tolerance lies in one cluster, so the value never
+    exceeds that of the pairwise cut |λ_i - λ_j| <= tol and stays a lower
+    bound; the two agree unless a chain of gaps within the tolerance spans
+    more than it.  Quadratic S pairs with the doubled-space lift, whose
+    spectrum is the pairwise eigenvalue sums.  Works on the hermitised H_s
+    and S with a single eigendecomposition of H_s, in real arithmetic when
+    both are real.
     """
     return _exact_projection(_AdKernel(H_s, S), tol_degeneracy)[0]
 
@@ -441,12 +446,11 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     # a defaulted Chebyshev interval reads ||H_s||_inf from H_s as well
     def numerator() -> float:
         if method == "exact":
-            num, gaps, tol = _exact_projection(_AdKernel(H_s, S),
-                                               tol_degeneracy)
-            if gaps is not None and np.any((gaps > tol) & (gaps <= 10 * tol)):
+            num, near = _exact_projection(_AdKernel(H_s, S), tol_degeneracy)
+            if near:
                 warnings.append("spectral gaps within 10x of the degeneracy "
-                                "tolerance; the exact projection is "
-                                "sensitive here")
+                                "tolerance, or a cluster wider than it; the "
+                                "exact projection is sensitive here")
             return num
         if method == "commutator":
             return kernel_complement_norm_commutator(H_s, S)

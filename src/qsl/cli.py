@@ -5,8 +5,8 @@ given either as Pauli-string expressions or dense matrices, one target
 (unitary or Hamiltonian), and options.  Commands emit a JSON report on stdout
 and a short human summary on stderr; exit codes are 0 (success), 1
 (computation failed), 2 (bad input or usage: a missing or malformed file, a
-bad option value, a model parameter the model rejects, input too large for
-the dense method).
+malformed Pauli expression, a NaN or infinite number, a bad option value, a
+model parameter the model rejects, input too large for the dense method).
 
 ``bound`` and every ``reproduce`` model run one pipeline, discover → choose
 → restore → bound: a symmetry basis of the controls, the combination that
@@ -21,7 +21,8 @@ exact is the tighter of the two; chebyshev's cost does not depend on its
 degree); ``degree`` the Chebyshev degree, >= 1; ``sigma_min`` <=
 ``sigma_max`` the filter interval (an end not given is derived from
 ||H_s||); ``tol`` both the relative nullspace cut of
-symmetry discovery and the absolute degeneracy cut of the exact numerator;
+symmetry discovery and the absolute eigenvalue-cluster cut of the exact
+numerator;
 ``seed``, ``optimize_symmetry`` seed and random directions of the symmetry
 search, >= 0.
 
@@ -73,16 +74,16 @@ from .models import (
 from .perturb import restore_symmetry
 
 
-class PauliParseError(QslError):
+class ProblemFormatError(QslError):
+    """Problem file violates the schema."""
+
+
+class PauliParseError(ProblemFormatError):
     """Pauli expression rejected; ``position`` is the character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
         self.position = position
-
-
-class ProblemFormatError(QslError):
-    """Problem file violates the schema."""
 
 
 _NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
@@ -131,6 +132,9 @@ def parse_pauli_expression(text: str, n_qubits: int) -> np.ndarray:
         m = _NUMBER.match(text, pos)
         if m:
             coeff = float(m.group())
+            if not math.isfinite(coeff):
+                raise PauliParseError(f"coefficient {m.group()} is not finite",
+                                      pos)
             pos = m.end()
             skip_ws()
             if pos < n and text[pos] == "*":
@@ -201,8 +205,15 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
     if M.shape[0] != dimension:
         raise ProblemFormatError(f"{what}: dimension {M.shape[0]} does not "
                                  f"match the declared {dimension}")
+    return _checked(require_hermitian, M, what)
+
+
+def _checked(check, M: np.ndarray, what: str) -> np.ndarray:
+    """check(M); a matrix it rejects is bad input.  An infinite entry makes
+    the check's defect NaN, which it reports, so numpy's warning is not."""
     try:
-        return require_hermitian(M)
+        with np.errstate(invalid="ignore"):
+            return check(M)
     except (QslError, ValueError) as exc:
         raise ProblemFormatError(f"{what}: {exc}") from None
 
@@ -308,10 +319,7 @@ def load_problem(path: str) -> ProblemSpec:
             M = _matrix_from_json(u["matrix"], "target unitary")
             if M.shape[0] != dimension:
                 raise ProblemFormatError("target unitary dimension mismatch")
-            try:
-                target_u = require_unitary(M)
-            except (QslError, ValueError) as exc:
-                raise ProblemFormatError(f"target unitary: {exc}") from None
+            target_u = _checked(require_unitary, M, "target unitary")
     else:
         target_h = _hamiltonian_from_spec(target["hamiltonian"], qubits,
                                           dimension, "target hamiltonian")

@@ -30,8 +30,8 @@ import numpy as np
 TAU_H = 1e-10          # hermiticity, Frobenius scale
 TAU_U = 1e-10          # unitarity, Frobenius scale per sqrt(dim)
 TAU_RANK = 1e-9        # rank / nullspace decisions, relative to s_max
-GAP_RTOL = 1e-8        # eigenvalue clustering, relative to operator norm
-DEGENERACY_RTOL = 1e-8  # kernel-projection degeneracy cut, relative to ||H||_inf
+GAP_RTOL = 1e-8        # eigenvalue clustering, relative to operator norm:
+                       # spectral gaps, restoration and the exact numerator
 # Chebyshev filter interval when the caller supplies no spectral estimates:
 # ad_H eigenvalue gaps below this fraction of the spectral span count as
 # degenerate.  S components at smaller gaps are then not counted by the
@@ -157,28 +157,40 @@ def _hermitian_defect(A: np.ndarray) -> float:
 
 
 def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:
-    """The rule of every hermiticity check: defect > tol·max(1, ||A||_F).
-    An exactly Hermitian A (defect 0) never needs the norm."""
-    return defect > 0.0 and defect > tol * max(1.0, np.linalg.norm(A))
+    """The rule of every hermiticity check: defect > tol·max(1, ||A||_F), or
+    a non-finite defect, which any non-finite entry of A gives.  An exactly
+    Hermitian A (defect 0) never needs the norm."""
+    return not math.isfinite(defect) or (
+        defect > 0.0 and defect > tol * max(1.0, np.linalg.norm(A)))
+
+
+def _invalid(defect: float, what: str) -> ValidationError:
+    """The error of a failed hermiticity or unitarity check."""
+    if not math.isfinite(defect):
+        return ValidationError(f"matrix has non-finite entries (defect {defect})")
+    return ValidationError(f"matrix is not {what} (defect {defect:.3e})")
 
 
 def require_hermitian(M, tol: float = TAU_H) -> np.ndarray:
     """M as a square float64 or complex128 array (no copy when it already is
     one), after checking ||M - M†||_F <= tol·max(1, ||M||_F); the Frobenius
-    norm is computed only when the defect is nonzero."""
+    norm is computed only when the defect is nonzero.  Non-finite entries
+    fail the check."""
     A = require_square(M)
     defect = _hermitian_defect(A)
     if _too_far_from_hermitian(A, defect, tol):
-        raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
+        raise _invalid(defect, "Hermitian")
     return A
 
 
 def require_unitary(M, tol: float = TAU_U) -> np.ndarray:
+    """M as a square array after checking ||M†M - 1||_F <= tol·sqrt(d);
+    non-finite entries make the defect non-finite and fail the check."""
     A = require_square(M)
     d = A.shape[0]
-    defect = np.linalg.norm(A.conj().T @ A - np.eye(d))
-    if defect > tol * np.sqrt(d):
-        raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
+    defect = float(np.linalg.norm(A.conj().T @ A - np.eye(d)))
+    if not defect <= tol * np.sqrt(d):
+        raise _invalid(defect, "unitary")
     return A
 
 
@@ -209,7 +221,7 @@ def hermitian_part(M) -> np.ndarray:
     A = require_square(M)
     H, defect = _hermitian_pass(A, hermitise=True)
     if _too_far_from_hermitian(A, defect, TAU_H):
-        raise ValidationError(f"matrix is not Hermitian (defect {defect:.3e})")
+        raise _invalid(defect, "Hermitian")
     return H
 
 
@@ -383,6 +395,39 @@ def _cluster_labels(w: np.ndarray, tol: float) -> np.ndarray:
     """Cluster index of each value of the ascending array w: a new cluster
     starts at every adjacent gap above tol."""
     return np.concatenate(([0], np.cumsum(np.diff(w) > tol)))
+
+
+def _drop_kernel(w: np.ndarray, X: np.ndarray, tol: float) -> bool:
+    """(1 - P_ker ad_A) X in the eigenframe of A, in place, for eigenvalues
+    w of A in any order; returns whether the cut tol sits near the spectrum.
+
+    The kernel joins the eigenvalues of one ``_cluster_labels`` cluster of
+    the sorted w (a new cluster at each adjacent gap above tol): those
+    entries of X become +0.0.  Every pair within tol of each other lies in
+    one cluster, so the kernel is never smaller than the pairwise cut
+    |w_i - w_j| <= tol gives, and equal to it while no cluster is wider than
+    tol.  Near: an adjacent gap between clusters in (tol, 10·tol], or a
+    cluster wider than tol, which covers every pair with a gap in
+    (tol, 10·tol].  Ascending w (an ``eigh`` spectrum) needs no sort, and
+    its clusters are square blocks of X.
+    """
+    # ndarray methods and slices, not np.diff/np.fill_diagonal: restoration
+    # and the numerator call this thousands of times on small matrices
+    order = None if (w[:-1] <= w[1:]).all() else np.argsort(w, kind="stable")
+    ws = w if order is None else w[order]
+    gaps = ws[1:] - ws[:-1]
+    split = gaps > tol
+    X.flat[::X.shape[0] + 1] = 0.0
+    near = bool((gaps[split] <= 10 * tol).any())
+    if not split.all():
+        edges = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()
+        for s, e in zip(edges, edges[1:]):
+            if e - s > 1:
+                block = (slice(s, e),) * 2 if order is None else np.ix_(
+                    order[s:e], order[s:e])
+                X[block] = 0.0
+                near = near or bool(ws[e - 1] - ws[s] > tol)
+    return near
 
 
 def min_eigenvalue_gap(values, cluster_tol: float) -> float:

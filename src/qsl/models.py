@@ -113,6 +113,13 @@ def site_sum(op, n_qubits: int) -> np.ndarray:
     return out
 
 
+def _require_finite(**params) -> None:
+    """Reject NaN and infinite model parameters."""
+    bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise ValidationError(f"parameters must be finite, got {', '.join(bad)}")
+
+
 def global_controls(n_qubits: int) -> list[np.ndarray]:
     """Collective controls [sum X_i, sum Z_i]."""
     return [site_sum(PAULI["X"], n_qubits), site_sum(PAULI["Z"], n_qubits)]
@@ -127,6 +134,7 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     the speed limit is sqrt(2)/(4g).  Full excitation transfer needs pi/(4g),
     a factor pi/sqrt(2) above the bound.
     """
+    _require_finite(g=g)
     if g <= 0:
         raise ValidationError("coupling must be positive")
     Z, X = PAULI["Z"], PAULI["X"]
@@ -174,6 +182,7 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     """
     if N < 3:
         raise ValidationError("chain needs at least 3 sites")
+    _require_finite(J=J)
     if J <= 0:
         raise ValidationError("coupling must be positive")
     drift = J * (np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1))
@@ -247,6 +256,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         raise ValidationError("array needs at least 3 atoms")
     if N > 14:
         raise DimensionCapError("dense construction is limited to 14 atoms")
+    _require_finite(C=C, a=a, J=J, g=g, h=h)
     if C <= 0 or a <= 0:
         raise ValidationError("interaction strength and spacing must be positive")
     d = 2**N
@@ -321,6 +331,7 @@ def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:
     """
     if n_majorana % 2 != 0 or n_majorana < 4:
         raise ValidationError("need an even number of Majorana modes, at least 4")
+    _require_finite(mu=mu)
     chi = majorana_operators(n_majorana)
     d = chi[0].shape[0]
     rng = np.random.default_rng(seed)

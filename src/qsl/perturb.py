@@ -7,8 +7,10 @@ eigenbasis of S (kill every matrix element of H_d joining distinct eigenvalue
 clusters); for quadratic S it is the minimal-norm least-squares solve of the
 doubled-space commutation constraint, which is Hermitian.
 
-One cluster rule serves this projection and every spectral gap σ_min: the
-ascending eigenvalues start a new cluster at each adjacent gap above
+One cluster rule serves this projection, the exact kernel-complement
+numerator of ``bounds`` (the same projection, ``matcore._drop_kernel``, in
+the eigenframe of H_s) and every spectral gap σ_min: the ascending
+eigenvalues start a new cluster at each adjacent gap above
 GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
 the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
 P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
@@ -28,7 +30,7 @@ from .matcore import (
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
-    _cluster_labels,
+    _drop_kernel,
     _lift,
     check_entry_cap,
     commutator,
@@ -81,9 +83,9 @@ class Perturbation:
 
 def _restore_linear(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
     w, V = np.linalg.eigh(S.hermitian)
-    labels = _cluster_labels(w, GAP_RTOL * float(np.max(np.abs(w))))
-    Hd_eig = V.conj().T @ H_d @ V
-    dH_eig = np.where(labels[:, None] != labels[None, :], -Hd_eig, 0.0)
+    # negated before the kernel is zeroed, so its entries are +0.0
+    dH_eig = -(V.conj().T @ H_d @ V)
+    _drop_kernel(w, dH_eig, GAP_RTOL * float(np.max(np.abs(w))))
     return hermitize(V @ dH_eig @ V.conj().T)
 
 

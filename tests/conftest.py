@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qsl import hermitize, operator_norm
-from qsl.matcore import GAP_RTOL, require_hermitian
+from qsl.matcore import GAP_RTOL, hermitian_part, kron, require_hermitian
 
 
 @pytest.fixture
@@ -87,3 +87,29 @@ def loop_labels(w, tol) -> np.ndarray:
     """Cluster index of each value, from ``clusters_by_loop``."""
     sizes = [len(c) for c in clusters_by_loop(w, tol)]
     return np.repeat(np.arange(len(sizes)), sizes)
+
+
+def pairwise_kernel_complement(H_s, S, tol=None):
+    """Oracle: the exact numerator with the pairwise degeneracy cut.
+
+    Returns (norm, near, lam, tol): the Frobenius norm of the eigenframe of
+    the hermitised S without every entry whose eigenvalue pair of ad_L lies
+    within tol of each other (default GAP_RTOL·||H_s||_inf), whether some
+    pairwise gap lies in (tol, 10·tol], the spectrum of L (pairwise sums for
+    quadratic S) and the cut.  H = 0 gives (0, False, lam, 0).  The
+    eigendecomposition is the library's own call on the same array, so both
+    see the same eigenvalues.
+    """
+    w, V = np.linalg.eigh(hermitian_part(H_s))
+    if S.kind == "quadratic":
+        lam, W = np.add.outer(w, w).reshape(-1), kron(V, V)
+    else:
+        lam, W = w, V
+    hnorm = float(np.max(np.abs(w)))
+    if hnorm == 0.0:
+        return 0.0, False, lam, 0.0
+    tol = GAP_RTOL * hnorm if tol is None else tol
+    frame = W.conj().T @ S.hermitian @ W
+    gaps = np.abs(np.subtract.outer(lam, lam))
+    near = bool(np.any((gaps > tol) & (gaps <= 10 * tol)))
+    return float(np.linalg.norm(frame[gaps > tol])), near, lam, tol

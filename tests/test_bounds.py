@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qsl import bounds
 from qsl.bounds import (
@@ -18,10 +19,12 @@ from qsl.bounds import (
 )
 from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
+    GAP_RTOL,
     PAULI,
     DimensionError,
     QslError,
     ValidationError,
+    _cluster_labels,
     commutator,
     frobenius_norm,
     hermitize,
@@ -32,7 +35,8 @@ from qsl.matcore import (
 from qsl.models import coupled_qubit_model, global_controls
 from qsl.perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 from conftest import (evolution_from_identity_peak, kernel_projection_lower_bound,
-                      random_hermitian, random_state, random_unitary)
+                      pairwise_kernel_complement, random_hermitian, random_state,
+                      random_unitary)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -161,6 +165,93 @@ class TestKernelComplement:
             lo = kernel_complement_norm_commutator(H, S)
             hi = kernel_complement_norm_exact(H, S)
             assert lo <= hi + 1e-9
+
+
+def _exact_with_flag(H, S, tol=None):
+    return bounds._exact_projection(bounds._AdKernel(H, S), tol)
+
+
+def _widest_cluster(lam, tol):
+    """Largest max - min over the clusters of the sorted values."""
+    w = np.sort(lam)
+    starts = np.flatnonzero(np.diff(_cluster_labels(w, tol), prepend=-1))
+    ends = np.append(starts[1:], w.size) - 1
+    return float(np.max(w[ends] - w[starts]))
+
+
+class TestOneClusterRule:
+    """The exact numerator's kernel is the eigenvalue clusters of ad_L, the
+    rule restoration uses: never a larger value than the pairwise cut
+    |λ_i - λ_j| <= tol, the same value unless a cluster is wider than tol,
+    and the near-degeneracy warning wherever the pairwise cut gives it."""
+
+    @given(d=st.integers(2, 12), quadratic=st.booleans(), real=st.booleans(),
+           seed=st.integers(0, 2**32 - 1), explicit_tol=st.booleans(),
+           steps=st.lists(st.sampled_from([0.0, 0.3, 0.7, 0.95, 2.0, 5.0,
+                                           9.5, 30.0]),
+                          min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_never_exceeds_pairwise_cut(self, d, quadratic, real, seed,
+                                        explicit_tol, steps):
+        if quadratic:
+            d = 2 + d % 3  # 2 to 4
+        rng = np.random.default_rng(seed)
+        # spectrum in [-1, 1] with |w| = 1 at one end, and a chain of
+        # eigenvalues spaced by the given multiples of the cut
+        tol = 1e-3 if explicit_tol else GAP_RTOL
+        w = rng.uniform(-1.0, 1.0, d)
+        w[0] = 1.0
+        chain = steps[:d - 2]
+        w[2:2 + len(chain)] = w[1] + tol * np.cumsum(chain)
+        U = (np.linalg.qr(rng.standard_normal((d, d)))[0] if real
+             else random_unitary(rng, d))
+        H = hermitize((U * w) @ U.conj().T)
+        n = d * d if quadratic else d
+        M = random_hermitian(rng, n)
+        S = Symmetry("quadratic" if quadratic else "linear",
+                     M.real if real else M)
+        cut = tol if explicit_tol else None
+        got, near = _exact_with_flag(H, S, cut)
+        want, want_near, lam, used = pairwise_kernel_complement(H, S, cut)
+        slack = 1e-12 * frobenius_norm(S.hermitian)
+        assert got <= want + slack
+        if _widest_cluster(lam, used) <= used:
+            assert abs(got - want) <= slack
+        if want_near:
+            assert near
+
+    def test_chain_wider_than_tol(self):
+        """Adjacent gaps 6e-4 <= tol = 1e-3 chain 0 and 1.2e-3 into one
+        cluster: their entry joins the kernel, which the pairwise cut keeps,
+        and the warning still fires."""
+        H = np.diag([0.0, 6e-4, 1.2e-3, 1.0])
+        S = Symmetry("linear", np.ones((4, 4)))
+        got = kernel_complement_norm_exact(H, S, 1e-3)
+        want, want_near, _, _ = pairwise_kernel_complement(H, S, 1e-3)
+        assert got == pytest.approx(math.sqrt(6), rel=1e-14)
+        assert want == pytest.approx(math.sqrt(8), rel=1e-14) and want_near
+        pert = Perturbation.from_matrix(S, np.diag([1.0, 0.0, 0.0, 0.0]))
+        rep = hamiltonian_speed_limit(H, S, pert, tol_degeneracy=1e-3)
+        assert any("degeneracy" in w for w in rep.warnings)
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("rel,warned", [(1 - 1e-6, True),
+                                            (1 + 1e-6, False)])
+    def test_warning_band_edge(self, kind, rel, warned):
+        """An adjacent gap just inside or just outside 10·tol."""
+        tol = 1e-3
+        g = 10 * tol * rel
+        if kind == "linear":
+            H = np.diag([0.0, g, 1.0])
+        else:  # pairwise sums 0, g, g, 2g: adjacent gaps g, 0, g
+            H = np.diag([0.0, g])
+        d = H.shape[0]
+        n = d if kind == "linear" else d * d
+        S = Symmetry(kind, random_hermitian(np.random.default_rng(5), n))
+        pert = Perturbation.from_matrix(S, np.eye(d)[::-1])
+        rep = hamiltonian_speed_limit(H, S, pert, tol_degeneracy=tol)
+        assert any("degeneracy" in w for w in rep.warnings) is warned
+        assert pairwise_kernel_complement(H, S, tol)[1] is warned
 
 
 class TestChebyshev:

@@ -371,7 +371,34 @@ BAD_ARGV = [
      "--sigma-min", "1e9"],
     ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
      "--sigma-max", "1e-9"],
+    # non-finite model parameters
+    ["reproduce", "rydberg", "--h", "nan"],
+    ["reproduce", "rydberg", "--C", "inf"],
+    ["reproduce", "swap", "--J", "nan"],
+    ["reproduce", "cnot", "--g", "inf"],
+    ["reproduce", "syk", "--mu", "nan"],
 ]
+
+_NAN, _INF = float("nan"), float("inf")
+_ONE_QUBIT = {"qubits": 1, "drift": {"pauli": "Z0"},
+              "controls": [{"pauli": "X0"}],
+              "target": {"hamiltonian": {"pauli": "Z0 + 0.5 X0"}}}
+
+# (target kind, one-qubit problem) pairs that must be rejected as bad input:
+# non-finite matrix entries or Pauli coefficients, malformed expressions
+BAD_PROBLEMS = {
+    "nan-in-drift": ("hamiltonian", {**_ONE_QUBIT, "drift": {
+        "matrix": [[[_NAN, 0], [0, 0]], [[0, 0], [-1, 0]]]}}),
+    "inf-in-target-hamiltonian": ("hamiltonian", {**_ONE_QUBIT, "target": {
+        "hamiltonian": {"matrix": [[[_INF, 0], [0, 0]], [[0, 0], [-1, 0]]]}}}),
+    "nan-in-target-unitary": ("unitary", {**_ONE_QUBIT, "target": {
+        "unitary": {"matrix": [[[_NAN, 0], [1, 0]], [[1, 0], [0, 0]]]}}}),
+    "overflowing-pauli-coefficient": ("hamiltonian", {**_ONE_QUBIT, "target": {
+        "hamiltonian": {"pauli": "1e999 Z0 + 0.5 X0"}}}),
+    "qubit-index-out-of-range": ("hamiltonian", {**_ONE_QUBIT,
+                                                 "drift": {"pauli": "Z3"}}),
+    "dangling-plus": ("hamiltonian", {**_ONE_QUBIT, "drift": {"pauli": "X0 +"}}),
+}
 
 
 class TestBadInputExits2:
@@ -405,6 +432,14 @@ class TestBadInputExits2:
         Path(a).name for a in argv))
     def test_bad_flag_or_model_parameter(self, capsys, argv):
         self._expect_exit_2(capsys, argv)
+
+    @pytest.mark.parametrize("name", sorted(BAD_PROBLEMS))
+    def test_bad_problem_file(self, capsys, tmp_path, name):
+        target, problem = BAD_PROBLEMS[name]
+        path = tmp_path / "p.json"
+        # json writes NaN and Infinity as the bare tokens json.load reads back
+        path.write_text(json.dumps(problem))
+        self._expect_exit_2(capsys, ["bound", target, str(path)])
 
     @pytest.mark.parametrize("flag,value,open_end,k", [
         ("--sigma-min", "1e-3", "sigma_max_est", 1),

@@ -138,7 +138,8 @@ def test_drift_checked_once_in_from_matrix():
 
 def test_memory_budget_at_n9():
     """tracemalloc peaks in units of one d x d float64 matrix (d = 512):
-    the complex128 bundle peaked at 17.0 / 18.1 / 17.0."""
+    the complex128 bundle peaked at 17.0 / 18.1 / 17.0; the exact solve with
+    a d x d pairwise gap matrix at 10.1, without it at 9.0."""
     rydberg_chain_model(4)  # imports and first-call allocations
     unit = 8 * 512**2
     tracemalloc.start()
@@ -153,7 +154,7 @@ def test_memory_budget_at_n9():
     finally:
         tracemalloc.stop()
     build, exact, commutator = peaks
-    assert build <= 10 and exact <= 11 and commutator <= 9, peaks
+    assert build <= 10 and exact <= 9.5 and commutator <= 9, peaks
 
 
 def test_control_system_keeps_float64():

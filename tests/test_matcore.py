@@ -11,6 +11,7 @@ from qsl.matcore import (
     PAULI,
     ValidationError,
     _cluster_labels,
+    _drop_kernel,
     _hermitian_defect,
     _lift,
     adjoint_superoperator,
@@ -31,7 +32,8 @@ from qsl.matcore import (
     require_unitary,
     row_vectorize,
 )
-from conftest import clusters_by_loop, loop_labels, random_hermitian
+from conftest import (clusters_by_loop, loop_labels, random_hermitian,
+                      random_unitary)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -244,6 +246,37 @@ class TestSpectralClustering:
             assert abs(min_eigenvalue_gap(w, tol)
                        - float(np.min(np.diff(means)))) <= slack
 
+    @given(w=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]),
+                      min_size=1, max_size=12),
+           tol=st.sampled_from([0.0, 0.25, 0.5]), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_drop_kernel_any_order(self, w, tol, seed):
+        """Entries joining one cluster of the sorted values become +0.0, the
+        rest stay, whatever the order of w."""
+        w = np.array(w)
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((w.size, w.size))
+        got = X.copy()
+        _drop_kernel(w, got, tol)
+        order = np.argsort(w, kind="stable")
+        labels = np.empty(w.size, dtype=int)
+        labels[order] = loop_labels(w[order], tol)
+        same = labels[:, None] == labels[None, :]
+        assert np.array_equal(got, np.where(same, 0.0, X))
+        assert not np.signbit(got[same]).any()
+
+    def test_drop_kernel_near_flag(self):
+        """Near: an adjacent gap between clusters in (tol, 10·tol], or a
+        cluster wider than tol."""
+        def near(w):
+            w = np.array(w)
+            return _drop_kernel(w, np.ones((w.size, w.size)), 1.0)
+        assert not near([0.0, 1.0, 12.0])      # gaps: in a cluster, far
+        assert near([0.0, 1.0, 11.0])          # a gap of exactly 10·tol
+        assert near([0.0, 0.6, 1.2, 50.0])     # a chain 1.2 wide
+        assert not near([0.0, 0.5, 1.0, 50.0])  # a chain exactly tol wide
+        assert not near([5.0])
+
     def test_min_gap(self):
         assert min_eigenvalue_gap(np.array([0.0, 1.0, 3.0]), 1e-8) == pytest.approx(1.0)
 
@@ -438,6 +471,37 @@ class TestFusedHermitianPass:
                             lambda M: given_to_eigvalsh.append(M) or eig_fn(M))
         assert operator_norm(A) == float(np.max(np.abs(eig_fn(A))))
         assert passes == [1] and given_to_eigvalsh[0] is A
+
+
+class TestNonFiniteEntries:
+    """NaN or ±inf anywhere makes the defect non-finite, which every
+    hermiticity and unitarity check rejects, naming the entries."""
+
+    @given(d=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+           imag=st.booleans(), mirror=st.booleans(), diagonal=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_rejected(self, d, seed, real, bad, imag, mirror, diagonal):
+        rng = np.random.default_rng(seed)
+        i, j = rng.integers(d, size=2)
+        if diagonal:
+            j = i
+        value = complex(0.0, bad) if imag and not real else bad
+        H = random_hermitian(rng, d)
+        U = random_unitary(rng, d)
+        if real:
+            H, U = H.real + H.real.T, np.linalg.qr(rng.standard_normal((d, d)))[0]
+        for A, checks in ((H, (require_hermitian, hermitian_part)),
+                          (U, (require_unitary,))):
+            A = A.copy()
+            A[i, j] = value
+            if mirror:  # keep the Hermitian pattern: A[j, i] = conj(A[i, j])
+                A[j, i] = np.conj(value)
+            for check in checks:
+                # numpy warns of inf - inf; the check reports it
+                with np.errstate(invalid="ignore"), pytest.raises(
+                        ValidationError, match="non-finite"):
+                    check(A)
 
 
 class TestAsOperator:
