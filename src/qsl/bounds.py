@@ -12,7 +12,10 @@ numerator is the part of S outside the commutant of H_s,
 which acts on two copies of the system, and k = 1 for a linear one (suffix b).
 ||ΔH||_inf comes from a supplied perturbation or, given only the drift, from
 the analytic cap ||[S, H_d]||_F / σ_min (linear S) or the restored minimal
-perturbation (quadratic S).
+perturbation (quadratic S).  Both are 0 for a drift that keeps S by
+restoration's acceptance test, and ||ΔH||_inf <= 0 is the one ΔH test here:
+it refuses the bound.  ``single_control_bound`` is T1b on this route, with
+S = H_c.
 
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
@@ -47,16 +50,12 @@ from .matcore import (
     DimensionError,
     GAP_RTOL,
     QslError,
-    TAU_RANK,
     ValidationError,
+    _check_tolerance,
     _drop_kernel,
-    commutator,
-    frobenius_norm,
     hermitian_part,
     operator_norm,
-    require_hermitian,
     require_unitary,
-    spectral_gap_min,
 )
 from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 
@@ -158,6 +157,9 @@ def uniform_speed_limit(perturbation) -> float:
     """T* >= 1/(4 ||ΔH||_inf): no symmetry information, just the drift change."""
     dh = perturbation.op_norm if isinstance(perturbation, Perturbation) \
         else float(perturbation)
+    if not math.isfinite(dh):
+        raise ValidationError(f"perturbation operator norm must be finite, "
+                              f"got {dh!r}")
     if dh <= 0:
         raise ValidationError("perturbation operator norm must be positive")
     return 1.0 / (4.0 * dh)
@@ -331,8 +333,11 @@ def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
 
     Returns (norm, near) of ``matcore._drop_kernel`` on the eigenframe,
     with the spectrum of L and the cut tol_degeneracy, by default
-    GAP_RTOL·||H||_inf.
+    GAP_RTOL·||H||_inf.  A negative or non-finite cut is rejected: it would
+    drop no kernel entry, or every one.
     """
+    if tol_degeneracy is not None:
+        _check_tolerance(tol_degeneracy, "degeneracy", zero_ok=True)
     w, _, lam, frame = _eigenframe(kernel)
     tol = (GAP_RTOL * float(np.max(np.abs(w))) if tol_degeneracy is None
            else tol_degeneracy)
@@ -471,22 +476,11 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
 
 
 def single_control_bound(H_d, H_c, U) -> float:
-    """Speed limit when a single control is available.
-
-    The control Hamiltonian itself is then a symmetry of the reachable set:
+    """Speed limit when a single control is available: T1b's analytic route
+    with S = H_c, for the control is then a symmetry of the reachable set:
     T >= ||[U, H_c]||_F σ_min(H_c) / (2 ||H_c||_F ||[H_c, H_d]||_F).
     """
-    Hd = require_hermitian(H_d)
-    Hc = require_hermitian(H_c)
-    U = require_unitary(U)
-    comm = frobenius_norm(commutator(Hc, Hd))
-    scale = max(1.0, frobenius_norm(Hc) * frobenius_norm(Hd))
-    if comm <= TAU_RANK * scale:
-        raise ValidationError("control commutes with the drift; the bound "
-                              "degenerates (division by zero)")
-    sigma = spectral_gap_min(Hc)
-    return frobenius_norm(commutator(U, Hc)) * sigma / (
-        2.0 * frobenius_norm(Hc) * comm)
+    return unitary_speed_limit(U, Symmetry("linear", H_c), drift=H_d).bound_time
 
 
 def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,

@@ -55,6 +55,7 @@ from .matcore import (
     QslError,
     ValidationError,
     _qubit_product,
+    check_entry_cap,
     hermitize,
     operator_norm,
     permutation_operator,
@@ -293,6 +294,8 @@ def load_problem(path: str) -> ProblemSpec:
         dimension = 2**qubits
     if not isinstance(dimension, int) or dimension < 2:
         raise ProblemFormatError("'dimension' must be an integer >= 2")
+    # before any operator is built: a dimension too large to hold exits 2
+    check_entry_cap(dimension * dimension)
 
     if "drift" not in data:
         raise ProblemFormatError("missing 'drift'")

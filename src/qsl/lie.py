@@ -23,6 +23,7 @@ from .matcore import (
     DimensionError,
     TAU_RANK,
     ValidationError,
+    _check_tolerance,
     _spectral_gap,
     adjoint_superoperator,
     as_operator,
@@ -142,6 +143,7 @@ def lie_closure(generators, max_dim: int | None = None,
     keep appearing.
     """
     gens = _validated_generators(generators)
+    _check_tolerance(tol, "rank")
     d = gens[0].shape[0]
     limit = d * d if max_dim is None else min(int(max_dim), d * d)
     if limit < 1:
@@ -267,6 +269,7 @@ def _commutant(ops: list[np.ndarray], kind: str, note: str,
     Solved as the SVD nullspace of the stacked adjoint superoperators, then
     hermitized, re-orthonormalized, and re-verified.
     """
+    _check_tolerance(tol, "rank")
     K = np.vstack([adjoint_superoperator(L) for L in ops])
     basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), tol)
     _verify_commutation(basis, ops, tol)
@@ -314,6 +317,7 @@ def span_residual(X, symmetries) -> float:
 
 def center_dimension(basis: OperatorBasis, tol: float = TAU_RANK) -> int:
     """Dimension of the center of the algebra spanned by the basis."""
+    _check_tolerance(tol, "rank")
     n = basis.size
     if n == 0:
         return 0

@@ -194,6 +194,16 @@ def require_unitary(M, tol: float = TAU_U) -> np.ndarray:
     return A
 
 
+def _check_tolerance(tol: float, what: str, zero_ok: bool = False) -> None:
+    """Reject a tolerance that is not finite and positive (or zero, when
+    zero_ok): such a cut decides every rank or degeneracy question one way,
+    whatever the input."""
+    if not (math.isfinite(tol) and (tol >= 0 if zero_ok else tol > 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValidationError(f"{what} tolerance must be finite and {sign}, "
+                              f"got {tol!r}")
+
+
 def check_entry_cap(entries: int, cap: int = DIMENSION_CAP) -> None:
     if entries > cap:
         raise DimensionCapError(

@@ -16,6 +16,13 @@ the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
 P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
 S, one product in place of two.  ``restore_symmetry`` is the one place where
 a restored ΔH is measured, checked against its limit and wrapped.
+
+One acceptance rule, ``_commuting_limit``, decides whether a drift keeps S:
+||[S_h, H]||_F <= tol·max(1, ||S||_F ||H||_F).  A restored drift must pass
+it; a drift that passes it unchanged gets an all-zero ΔH from
+``restore_symmetry`` and 0.0 from the analytic cap, so every bound refuses
+it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0) rather than divide
+rounding noise by rounding noise.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .matcore import (
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
+    _check_tolerance,
     _drop_kernel,
     _lift,
     check_entry_cap,
@@ -41,6 +49,7 @@ from .matcore import (
     operator_norm,
     require_hermitian,
     require_same_dimension,
+    require_square,
     row_vectorize,
 )
 
@@ -115,6 +124,12 @@ def _restore_quadratic(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
     return hermitize(devectorize(y))
 
 
+def _commuting_limit(S: Symmetry, H: np.ndarray, tol: float) -> float:
+    """The one rule: a drift H keeps S when ||[S_h, H]||_F is at most this."""
+    _check_tolerance(tol, "restoration", zero_ok=True)
+    return tol * max(1.0, S.frobenius * frobenius_norm(H))
+
+
 def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     """Minimal-Frobenius-norm Hermitian ΔH with the symmetry restored.
 
@@ -122,15 +137,22 @@ def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, the minimal-norm least-squares
     solution over complex vec(ΔH), which is Hermitian.  Drift directions
     already compatible with S are left untouched, so ΔH is generally much
-    smaller than -H_d.  Raises ConditioningError when the restored drift
-    still fails to commute, beyond tol·max(1, ||S||_F ||H_d||_F).
+    smaller than -H_d.  A drift commutes when ||[S_h, H]||_F is at most
+    tol·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is all
+    zeros, op_norm 0.0, and no bound follows.  Raises ConditioningError when
+    the restored drift H_d + ΔH fails the test, ValidationError for a
+    negative or non-finite tol.
     """
-    H = require_hermitian(H_d)
+    H = require_square(H_d)
+    Hh = hermitian_part(H)  # require_hermitian's check; the solvers take H
     if H.shape[0] != S.base_dimension:
         raise ValidationError(f"drift dimension does not match {S.kind} symmetry")
+    limit = _commuting_limit(S, H, tol)
+    breaking = _commutator_norm(S, Hh)
+    if breaking <= limit:  # H_d keeps S: the minimal ΔH is zero
+        return Perturbation(np.zeros_like(H), S, 0.0, 0.0, breaking)
     solve = _restore_linear if S.kind == "linear" else _restore_quadratic
     pert = Perturbation.from_matrix(S, solve(S, H), drift=H)
-    limit = tol * max(1.0, S.frobenius * frobenius_norm(H))
     if pert.residual > limit:
         raise ConditioningError(
             "restored drift still fails to commute with the symmetry",
@@ -143,10 +165,13 @@ def perturbation_norm_bound(S: Symmetry, H_d) -> float:
     """Analytic bound ||ΔH||_inf <= ||[S, H_d]||_F / sigma_min(S).
 
     Linear kind only; always at least the operator norm of the perturbation
-    returned by restore_symmetry.
+    returned by restore_symmetry.  0.0 for a drift that keeps S by
+    restoration's test at its default tolerance, TAU_RANK: no bound follows.
     """
     if S.kind != "linear":
         raise ValidationError("analytic perturbation bound applies to linear "
                               "symmetries only")
     H, _ = require_same_dimension(hermitian_part(H_d), S.hermitian)
-    return _commutator_norm(S, H) / S.sigma_min
+    breaking = _commutator_norm(S, H)
+    keeps = breaking <= _commuting_limit(S, H, TAU_RANK)
+    return 0.0 if keeps else breaking / S.sigma_min

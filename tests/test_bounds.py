@@ -75,6 +75,11 @@ class TestUniform:
     def test_half_strength(self):
         assert uniform_speed_limit(0.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError, match="must be finite"):
+            uniform_speed_limit(value)
+
 
 class TestUnitaryBound:
     def test_coupled_qubit_reference_value(self):
@@ -145,6 +150,18 @@ class TestKernelComplement:
         S = Symmetry("linear", S_ker + off)
         got = kernel_complement_norm_exact(H, S)
         assert got == pytest.approx(frobenius_norm(off), rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_unusable_degeneracy_tolerance_rejected(self, tol):
+        """The swap of the first two levels commutes with diag(1, 1, 2): the
+        true numerator is 0, which a negative cut misses."""
+        H, S = np.diag([1.0, 1.0, 2.0]), Symmetry("linear", np.eye(3)[[1, 0, 2]])
+        assert kernel_complement_norm_exact(H, S, 0.0) == 0.0
+        with pytest.raises(ValidationError, match="degeneracy tolerance"):
+            kernel_complement_norm_exact(H, S, tol)
+        with pytest.raises(ValidationError, match="degeneracy tolerance"):
+            hamiltonian_speed_limit(H, S, Perturbation.from_matrix(S, np.ones((3, 3))),
+                                    tol_degeneracy=tol)
 
     def test_identity_generator_has_trivial_kernel_complement(self, rng):
         S = Symmetry("linear", random_hermitian(rng, 4))
@@ -402,6 +419,34 @@ class TestSingleControl:
         U = matrix_exponential(X, 0.7)
         assert single_control_bound(2 * Z, X, U) == pytest.approx(
             single_control_bound(Z, X, U) / 2, rel=1e-12)
+
+    def test_is_the_analytic_linear_unitary_bound(self, rng):
+        for d in (2, 3, 5):
+            H_d, H_c = random_hermitian(rng, d), random_hermitian(rng, d)
+            U = random_unitary(rng, d)
+            rep = unitary_speed_limit(U, Symmetry("linear", H_c), drift=H_d)
+            assert single_control_bound(H_d, H_c, U) == rep.bound_time
+
+
+class TestDriftKeepsSymmetry:
+    """S a ±1-valued function of H_d, and U = exp(-i H_d t) reached by the
+    drift alone in t: every bound built on S must refuse."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_every_bound_refuses(self, rng, d):
+        for _ in range(5):
+            H_d = random_hermitian(rng, d)
+            w, V = np.linalg.eigh(H_d)
+            signs = np.where(w > np.median(w), 1.0, -1.0)
+            S = Symmetry("linear", (V * signs) @ V.conj().T)
+            U = matrix_exponential(H_d, 1e-3)
+            for bound in (
+                    lambda: unitary_speed_limit(U, S, drift=H_d),
+                    lambda: unitary_speed_limit(U, S,
+                                                restore_symmetry(S, H_d)),
+                    lambda: single_control_bound(H_d, S.matrix, U)):
+                with pytest.raises(ValidationError):
+                    bound()
 
 
 # theorem -> (symmetry kind, gate target?, c, k) in

@@ -27,6 +27,8 @@ X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
 CNOT_PROBLEM = str(resources.files("qsl") / "problems" / "cnot.json")
 ISING_PROBLEM = str(resources.files("qsl") / "problems" / "ising3.json")
+DRIFT_KEEPS_SYMMETRY = str(Path(__file__).parent / "data"
+                           / "drift_keeps_symmetry.json")
 
 
 class TestPauliParser:
@@ -265,6 +267,17 @@ class TestRunCommand:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--optimize-symmetry", "20"]])
+    def test_drift_keeping_every_symmetry_exits_1(self, capsys, extra):
+        """Controls n·σ on qubit 0 and m·σ on qubit 1 with random axes, drift
+        (n·σ)⊗(m·σ), target exp(-0.01 i H_d): the drift alone reaches the
+        target at t = 0.01, and it keeps every linear symmetry of the
+        controls up to rounding, so no bound follows."""
+        code, report, err = _run(capsys, ["bound", "unitary",
+                                          DRIFT_KEEPS_SYMMETRY, *extra])
+        assert code == 1 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_bound_unitary_cnot(self, capsys):
         code, report, _ = _run(capsys, ["bound", "unitary", CNOT_PROBLEM,
                                         "--json-only"])
@@ -478,6 +491,23 @@ class TestBadInputExits2:
         # symmetries still reports the capped kind as skipped
         code, report, _ = _run(capsys, ["symmetries", str(path), "--json-only"])
         assert code == 0 and "skipped" in report["symmetries"]["linear"]
+
+    @pytest.mark.parametrize("qubits", [11, 40])
+    @pytest.mark.parametrize("command", [["bound", "hamiltonian"],
+                                         ["symmetries"]])
+    def test_problem_too_large_to_hold(self, capsys, tmp_path, qubits,
+                                       command):
+        """One d×d operator alone exceeds the entry cap: the file is
+        rejected before any operator is parsed."""
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "qubits": qubits, "drift": {"pauli": "Z0 Z1"},
+            "controls": [{"pauli": "X0"}],
+            "target": {"hamiltonian": {"pauli": "Z0 Z1 + 0.5 X0"}}}))
+        code, report, err = _run(capsys, [*command, str(path)])
+        assert code == 2 and report is None
+        assert err.startswith("error: dense intermediate")
+        assert err.count("\n") == 1
 
     def test_rydberg_chain_too_long_for_dense_build(self, capsys):
         code, report, err = _run(capsys, ["reproduce", "rydberg", "--N", "15"])

@@ -137,6 +137,15 @@ class TestCommutant:
                 overlap = np.trace(a.matrix.conj().T @ b.matrix).real
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+    @pytest.mark.parametrize("find", [commutant_basis, quadratic_symmetry_basis,
+                                      lie_closure])
+    def test_unusable_tolerance_rejected(self, find, tol):
+        """Such a cut returns an empty basis (every commutant holds the
+        identity) or a closure that never closes."""
+        with pytest.raises(ValidationError, match="rank tolerance"):
+            find([X, Z], tol=tol)
+
 
 class TestQuadraticSymmetries:
     def test_cnot_controls_dimension(self):
@@ -298,6 +307,12 @@ class TestDiscoveryDtype:
 class TestCenter:
     def test_su2_has_no_center(self):
         assert center_dimension(lie_closure([X, Z])) == 0
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+    def test_unusable_tolerance_rejected(self, tol):
+        """A NaN cut counts all three directions of su(2) as central."""
+        with pytest.raises(ValidationError, match="rank tolerance"):
+            center_dimension(lie_closure([X, Z]), tol=tol)
 
     def test_abelian_algebra_is_all_center(self):
         assert center_dimension(lie_closure([Z])) == 1

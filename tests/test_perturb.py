@@ -341,3 +341,42 @@ class TestOneExit:
                   Symmetry("quadratic", random_hermitian(rng, 9))):
             with pytest.raises(ValidationError):
                 restore_symmetry(S, random_hermitian(rng, 2))
+
+
+class TestDriftKeepsSymmetry:
+    """A drift that passes restoration's acceptance test by itself keeps S:
+    its ΔH is all zeros and the analytic cap is 0.0, so no bound follows."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_linear(self, rng, d):
+        for _ in range(5):
+            # H_d a polynomial in S commutes with it up to rounding
+            S = Symmetry("linear", _rounded_spectrum(rng, d))
+            H = S.matrix @ S.matrix - 0.5 * S.matrix
+            assert frobenius_norm(commutator(S.matrix, H)) > 0.0
+            pert = restore_symmetry(S, H)
+            assert not pert.matrix.any() and pert.matrix.shape == (d, d)
+            assert pert.op_norm == 0.0 and pert.frob_norm == 0.0
+            assert perturbation_norm_bound(S, H) == 0.0
+
+    def test_quadratic(self, rng):
+        controls = [kron(random_hermitian(rng, 2), I2),
+                    kron(I2, random_hermitian(rng, 2))]
+        basis = quadratic_symmetry_basis(controls)
+        for _ in range(5):
+            S = Symmetry("quadratic", sum(rng.standard_normal() * b.matrix
+                                          for b in basis))
+            H = sum(rng.standard_normal() * C for C in controls)
+            pert = restore_symmetry(S, H)
+            assert not pert.matrix.any() and pert.op_norm == 0.0
+
+    def test_decided_at_the_limit(self):
+        """||[Z, X]||_F = 2√2 against tol·max(1, ||Z||_F ||X||_F) = 2 tol."""
+        S = Symmetry("linear", Z)
+        assert restore_symmetry(S, X, tol=1.5).op_norm == 0.0
+        assert np.array_equal(restore_symmetry(S, X, tol=1.4).matrix, -X)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    def test_unusable_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="restoration tolerance"):
+            restore_symmetry(Symmetry("linear", Z), X, tol=tol)
