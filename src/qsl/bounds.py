@@ -10,12 +10,14 @@ quadratic S), and c = √2 for simulating a Hamiltonian H_s (theorems T2), whose
 numerator is the part of S outside the commutant of H_s,
 ||(1 - P_ker ad_{H_s}) S||_F.  k = 2 for a quadratic symmetry (suffix a),
 which acts on two copies of the system, and k = 1 for a linear one (suffix b).
-||ΔH||_inf comes from a supplied perturbation or, given only the drift, from
-the analytic cap ||[S, H_d]||_F / σ_min (linear S) or the restored minimal
-perturbation (quadratic S).  Both are 0 for a drift that keeps S by
-restoration's acceptance test, and ||ΔH||_inf <= 0 is the one ΔH test here:
-it refuses the bound.  ``single_control_bound`` is T1b on this route, with
-S = H_c.
+Both denominators are measurements: ||S||_F of S's matrix, and ||ΔH||_inf,
+from its one source, a supplied perturbation (measured from its own matrix),
+or, given only the drift, the analytic cap ||[S, H_d]||_F / σ_min with σ_min
+measured from S (linear S) or the restored minimal perturbation (quadratic
+S).  Both routes give 0 for a drift that keeps S by restoration's acceptance
+test, and ||ΔH||_inf <= 0 is the one ΔH test here: it refuses the bound with
+one text, "symmetry already commutes with the drift; no time bound follows".
+``single_control_bound`` is T1b on this route, with S = H_c.
 
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
@@ -61,6 +63,9 @@ from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 
 DEFAULT_FILTER_EPS = 1e-2
 DEFAULT_MAX_DEGREE = 20000
+# the one refusal of ||ΔH||_inf = 0, raised by every bound and the CLI
+_DRIFT_KEEPS_SYMMETRY = ("symmetry already commutes with the drift; no time "
+                         "bound follows")
 
 
 @dataclass
@@ -180,23 +185,19 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
     num = numerator()
     if perturbation is not None:
         dh = perturbation.op_norm
-        if dh <= 0:
-            raise ValidationError("perturbation operator norm must be positive")
     elif drift is None:
         raise ValidationError("either a perturbation or a drift is required")
+    elif S.kind == "linear":
+        dh = perturbation_norm_bound(S, drift)
     else:
-        if S.kind == "linear":
-            dh = perturbation_norm_bound(S, drift)
-        else:
-            perturbation = restore_symmetry(S, drift)
-            dh = perturbation.op_norm
-        if dh <= 0:
-            raise ValidationError("symmetry already commutes with the drift; "
-                                  "no time bound follows")
-        if perturbation is None:
-            inter["sigma_min"] = S.sigma_min
-            warnings.append("perturbation norm taken from the analytic "
-                            "||[S, H_d]||_F / sigma_min bound")
+        perturbation = restore_symmetry(S, drift)
+        dh = perturbation.op_norm
+    if dh <= 0:
+        raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
+    if perturbation is None:
+        inter["sigma_min"] = S.sigma_min
+        warnings.append("perturbation norm taken from the analytic "
+                        "||[S, H_d]||_F / sigma_min bound")
     gate = method == "not_applicable"
     c = 2.0 if gate else math.sqrt(2.0)
     k = 2.0 if S.kind == "quadratic" else 1.0

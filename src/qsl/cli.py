@@ -42,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import (
+    _DRIFT_KEEPS_SYMMETRY,
     _default_filter_interval,
     hamiltonian_speed_limit,
     optimize_symmetry,
@@ -396,6 +397,15 @@ def cmd_symmetries(args) -> dict:
     return report
 
 
+def _drift_keeps(S, H_d) -> bool:
+    """Whether restoration leaves ΔH = 0; a solve that fails was a drift
+    breaking S."""
+    try:
+        return restore_symmetry(S, H_d).op_norm <= 0
+    except QslError:
+        return False
+
+
 def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
                     symmetry=None, perturbation=None):
     """Bound for the one target that is not None: discover → choose →
@@ -431,6 +441,10 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
     basis = None
     if symmetry is None:
         basis = _symmetry_basis(controls, kind, opts.get("tol"))
+        # a drift that keeps every basis element keeps every combination:
+        # refuse once, before the search scores each candidate by refusing it
+        if all(_drift_keeps(s, H_d) for s in basis):
+            raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
         symmetry = optimize_symmetry(
             basis, lambda s: bound(s, restore_symmetry(s, H_d)).bound_time,
             iterations=opts["optimize_symmetry"], seed=opts["seed"])

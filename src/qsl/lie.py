@@ -68,18 +68,18 @@ class Symmetry:
     kind "linear" acts on the base space; kind "quadratic" acts on the doubled
     space and commutes with the H⊗1 + 1⊗H lifts instead.  ``sigma_min`` is the
     smallest gap between distinct eigenvalues (clustered at a tolerance
-    relative to the operator norm) and is computed lazily unless a hint is
-    supplied by the caller.  ``hermitian`` is S_h = (S + S†)/2, checked and
-    formed once, in the one hermiticity pass of construction: ``matrix``
-    itself when it is exactly Hermitian (float64 when exactly real).
-    ``sigma_min`` decomposes ``hermitian`` with no second check.
+    relative to the operator norm), always measured from the matrix, on first
+    use, and cached; no caller can set it.  ``hermitian`` is S_h = (S + S†)/2,
+    checked and formed once, in the one hermiticity pass of construction:
+    ``matrix`` itself when it is exactly Hermitian (float64 when exactly
+    real).  ``sigma_min`` decomposes ``hermitian`` with no second check.
     """
 
     kind: str
     matrix: np.ndarray
     note: str = ""
-    sigma_min_hint: float | None = None
-    _sigma_min: float | None = field(default=None, repr=False)
+    _sigma_min: float | None = field(init=False, default=None, repr=False,
+                                     compare=False)
     hermitian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -108,8 +108,6 @@ class Symmetry:
 
     @property
     def sigma_min(self) -> float:
-        if self.sigma_min_hint is not None:
-            return self.sigma_min_hint
         if self._sigma_min is None:
             self._sigma_min = _spectral_gap(self.hermitian)
         return self._sigma_min

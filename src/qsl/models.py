@@ -199,8 +199,7 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     alpha = a2 - ratio * a1
     alpha = alpha / np.linalg.norm(alpha)
     S = np.outer(alpha, alpha.conj())
-    sym = Symmetry("linear", S, note="projection onto the control-blind state",
-                   sigma_min_hint=1.0)
+    sym = Symmetry("linear", S, note="projection onto the control-blind state")
     dH = (energies[0] - energies[1]) * np.outer(a2, a2.conj())
     pert = Perturbation.from_matrix(sym, dH, drift=drift)
     # Two numerators for ||[U, S]||_F: the overlap form 2|<N|alpha>| treats
@@ -282,8 +281,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
 
     S = np.zeros((d, d))
     S[_permutation_indices([1, 0] + list(range(2, N)), [2] * N)] = 1.0
-    sym = Symmetry("linear", S, note="swap of the first two atoms",
-                   sigma_min_hint=2.0)
+    sym = Symmetry("linear", S, note="swap of the first two atoms")
 
     # delta_j = half the difference of the couplings of atoms 1, 2 to atom j;
     # summing (n_1 - n_2) n_j delta_j symmetrizes the drift.

@@ -15,25 +15,29 @@ GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
 the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
 P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
 S, one product in place of two.  ``restore_symmetry`` is the one place where
-a restored ΔH is measured, checked against its limit and wrapped.
+a restored ΔH is checked against its limit and wrapped.  A ``Perturbation``
+measures its own norms from its matrix, which must be Hermitian and act on
+the symmetry's base space; no caller sets ||ΔH||_inf, nor σ_min, which
+``Symmetry`` measures from S.
 
 One acceptance rule, ``_commuting_limit``, decides whether a drift keeps S:
 ||[S_h, H]||_F <= tol·max(1, ||S||_F ||H||_F).  A restored drift must pass
 it; a drift that passes it unchanged gets an all-zero ΔH from
 ``restore_symmetry`` and 0.0 from the analytic cap, so every bound refuses
-it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0) rather than divide
-rounding noise by rounding noise.
+it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0 with one text) rather
+than divide rounding noise by rounding noise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lie import Symmetry
 from .matcore import (
     ConditioningError,
+    DimensionError,
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
@@ -66,28 +70,42 @@ def _commutator_norm(S: Symmetry, H: np.ndarray) -> float:
 
 @dataclass
 class Perturbation:
-    """A drift modification ΔH restoring a symmetry, with its norms."""
+    """A drift modification ΔH restoring a symmetry, with its norms.
+
+    ``op_norm`` (||ΔH||_inf) and ``frob_norm`` are measured from ``matrix``
+    at construction, after the hermiticity check, and cannot be set; ΔH must
+    act on the symmetry's base space (d for a quadratic S on d² dimensions).
+    ``residual`` is ||[S_h, H_d + ΔH]||_F when the drift is known.
+    """
 
     matrix: np.ndarray
     symmetry: Symmetry
-    op_norm: float
-    frob_norm: float
     residual: float | None = None
+    op_norm: float = field(init=False)
+    frob_norm: float = field(init=False)
+
+    def __post_init__(self):
+        self.matrix = require_hermitian(self.matrix)
+        if self.matrix.shape[0] != self.symmetry.base_dimension:
+            raise DimensionError("perturbation dimension does not match "
+                                 f"{self.symmetry.kind} symmetry")
+        self.op_norm = operator_norm(self.matrix)
+        self.frob_norm = frobenius_norm(self.matrix)
 
     @classmethod
     def from_matrix(cls, symmetry: Symmetry, matrix, drift=None) -> "Perturbation":
-        """Wrap a known-feasible ΔH, computing norms and, when the drift is
-        supplied, the commutation residual of the restored Hamiltonian.
+        """Wrap a known-feasible ΔH with, when the drift is supplied, the
+        commutation residual of the restored Hamiltonian.
 
         The drift is checked as part of H_d + ΔH, in the one hermiticity pass
         that also hermitises that sum; the caller has usually checked H_d
         itself already."""
-        dH = require_hermitian(matrix)
-        residual = None
+        pert = cls(matrix, symmetry)
         if drift is not None:
-            H_d, dH = require_same_dimension(drift, dH)
-            residual = _commutator_norm(symmetry, hermitian_part(H_d + dH))
-        return cls(dH, symmetry, operator_norm(dH), frobenius_norm(dH), residual)
+            H_d, dH = require_same_dimension(drift, pert.matrix)
+            pert.residual = _commutator_norm(symmetry,
+                                             hermitian_part(H_d + dH))
+        return pert
 
 
 def _restore_linear(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
@@ -150,7 +168,7 @@ def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     limit = _commuting_limit(S, H, tol)
     breaking = _commutator_norm(S, Hh)
     if breaking <= limit:  # H_d keeps S: the minimal ΔH is zero
-        return Perturbation(np.zeros_like(H), S, 0.0, 0.0, breaking)
+        return Perturbation(np.zeros_like(H), S, residual=breaking)
     solve = _restore_linear if S.kind == "linear" else _restore_quadratic
     pert = Perturbation.from_matrix(S, solve(S, H), drift=H)
     if pert.residual > limit:

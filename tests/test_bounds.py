@@ -518,7 +518,8 @@ class TestOneTheoremTail:
         assert rep.projection_method == ("not_applicable" if gate else "exact")
 
     @pytest.mark.parametrize("case,message", [
-        ("zero perturbation", "perturbation operator norm must be positive"),
+        ("zero perturbation", "symmetry already commutes with the drift; "
+                              "no time bound follows"),
         ("neither", "either a perturbation or a drift is required"),
         ("commuting drift", "symmetry already commutes with the drift; "
                             "no time bound follows")])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl.cli
 from qsl.bounds import _default_filter_interval, chebyshev_degree_for
 from qsl.cli import (
     PauliParseError,
@@ -22,6 +23,7 @@ from qsl.cli import (
 from qsl.lie import Symmetry
 from qsl.matcore import PAULI, ValidationError, kron, permutation_operator
 from qsl.models import coupled_qubit_model, rydberg_chain_model
+from qsl.perturb import restore_symmetry
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -268,15 +270,26 @@ class TestRunCommand:
         assert "error" in err
 
     @pytest.mark.parametrize("extra", [[], ["--optimize-symmetry", "20"]])
-    def test_drift_keeping_every_symmetry_exits_1(self, capsys, extra):
+    def test_drift_keeping_every_symmetry_exits_1(self, capsys, monkeypatch,
+                                                  extra):
         """Controls n·σ on qubit 0 and m·σ on qubit 1 with random axes, drift
         (n·σ)⊗(m·σ), target exp(-0.01 i H_d): the drift alone reaches the
         target at t = 0.01, and it keeps every linear symmetry of the
-        controls up to rounding, so no bound follows."""
+        controls up to rounding, so no bound follows.  The pipeline refuses
+        once, before the search: one restoration per basis element."""
+        calls = []
+
+        def counted(S, H_d, *args, **kwargs):
+            calls.append(1)
+            return restore_symmetry(S, H_d, *args, **kwargs)
+
+        monkeypatch.setattr(qsl.cli, "restore_symmetry", counted)
         code, report, err = _run(capsys, ["bound", "unitary",
                                           DRIFT_KEEPS_SYMMETRY, *extra])
         assert code == 1 and report is None
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == ("error: symmetry already commutes with the drift; "
+                       "no time bound follows\n")
+        assert len(calls) <= 4  # the linear commutant of the two controls
 
     def test_bound_unitary_cnot(self, capsys):
         code, report, _ = _run(capsys, ["bound", "unitary", CNOT_PROBLEM,

@@ -83,8 +83,7 @@ def _reports(H_s, sym, pert, lo, hi):
 def test_bounds_equal_those_of_complex_copies(N):
     b = rydberg_chain_model(N, **PARAMS[1])
     lo, hi = b.spectral_estimates
-    sym = Symmetry("linear", b.symmetry.matrix.astype(complex),
-                   sigma_min_hint=2.0)
+    sym = Symmetry("linear", b.symmetry.matrix.astype(complex))
     drift = b.system.drift.astype(complex)
     pert = Perturbation.from_matrix(
         sym, b.perturbation.matrix.astype(complex), drift=drift)

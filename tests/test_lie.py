@@ -23,6 +23,7 @@ from qsl.matcore import (
     frobenius_norm,
     iota,
     kron,
+    spectral_gap_min,
 )
 from qsl.models import coupled_qubit_model, global_controls
 from conftest import random_hermitian
@@ -256,9 +257,14 @@ class TestSymmetryDataclass:
         P = np.diag([1.0, 0.0, 0.0]).astype(complex)
         assert Symmetry("linear", P).sigma_min == pytest.approx(1.0)
 
-    def test_hint_wins(self):
-        sym = Symmetry("linear", np.diag([0.0, 5.0]), sigma_min_hint=2.5)
-        assert sym.sigma_min == 2.5
+    def test_gap_is_measured_never_set(self):
+        """σ_min divides the analytic bound, so no caller may set it."""
+        M = np.diag([0.0, 5.0])
+        for setting in ({"sigma_min_hint": 2.5}, {"_sigma_min": 2.5}):
+            with pytest.raises(TypeError):
+                Symmetry("linear", M, **setting)
+        sym = Symmetry("linear", M)
+        assert sym.sigma_min == spectral_gap_min(M) == 5.0
 
     def test_scaling_scales_gaps(self):
         sym = Symmetry("linear", np.diag([0.0, 1.0, 3.0]))

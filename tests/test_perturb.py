@@ -5,6 +5,7 @@ import qsl.matcore
 from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import (
     ConditioningError,
+    DimensionError,
     GAP_RTOL,
     NoSpectralGapError,
     PAULI,
@@ -205,6 +206,25 @@ class TestPerturbationRecord:
         pert = Perturbation.from_matrix(sym, 2.0 * X)
         assert pert.op_norm == pytest.approx(2.0)
         assert pert.frob_norm == pytest.approx(2.0 * np.sqrt(2))
+
+    def test_norms_are_measured_never_set(self):
+        """||ΔH||_inf divides every bound, so both norms come from the matrix."""
+        sym = Symmetry("linear", Z)
+        with pytest.raises(TypeError):
+            Perturbation(X, sym, 1e-9, 1.0)
+        pert = Perturbation(2.0 * X, sym)
+        assert (pert.op_norm, pert.frob_norm) == (
+            operator_norm(2.0 * X), frobenius_norm(2.0 * X))
+        with pytest.raises(ValidationError):
+            Perturbation(np.array([[0.0, 1.0], [0.0, 0.0]]), sym)
+
+    def test_dimension_checked_against_the_base_space(self):
+        with pytest.raises(DimensionError):
+            Perturbation.from_matrix(Symmetry("linear", Z), np.eye(3))
+        quad = Symmetry("quadratic", kron(Z, I2) + kron(I2, Z))
+        assert Perturbation.from_matrix(quad, X).op_norm == 1.0
+        with pytest.raises(DimensionError):
+            Perturbation.from_matrix(quad, np.eye(4))
 
     def test_from_matrix_residual_with_drift(self):
         sym = Symmetry("linear", Z)
