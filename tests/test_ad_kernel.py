@@ -65,11 +65,14 @@ def chebyshev_apply(self, apply_a, Y: np.ndarray) -> np.ndarray:
     Uses the normalized iterates Z_k = T_k(ℓ(A)) Y / T_k(x0), whose
     components all stay bounded by ||Y||, so the recurrence is stable for
     any degree; the Chebyshev values T_k(x0) themselves would overflow.
+    The scalars are carried in the precision of Y, so a long-double Y runs
+    the whole recurrence in extended precision.
     """
-    lo, hi = self._interval
-    x0 = self._x0
+    real = np.finfo(Y.dtype).dtype.type
+    lo, hi = (real(v) for v in self._interval)
     shift = (hi + lo) / (hi - lo)
-    scale = 2.0 / (hi - lo)
+    x0 = shift
+    scale = 2 / (hi - lo)
 
     def mapped(Z):
         return shift * Z - scale * apply_a(Z)
@@ -219,12 +222,22 @@ class TestExactPathCost:
         assert calls == [("eigh", np.float64 if real else np.complex128)]
 
 
-def recurrence_numerator(H, S, degree, lo, hi):
-    """The former library numerator: the recurrence on the prepared kernel."""
+def recurrence_numerator(H, S, degree, lo, hi, extended=False):
+    """The former library numerator: the recurrence on the prepared kernel.
+
+    ``extended`` runs it in long double.  In float64 every step adds a
+    rounding error to the kernel component of Z, and ||S||² - ||Z||²
+    magnifies it when the numerator is small against ||S||, so at degrees in
+    the hundreds the float64 recurrence can miss the eigenframe value by
+    more than 1e-9 relative.
+    """
     k = _AdKernel(H, S)
+    Y = k.S
+    if extended:
+        Y = Y.astype(np.longdouble if np.isrealobj(Y) else np.clongdouble)
     Z = chebyshev_apply(ChebyshevFilter(degree, lo, hi),
-                        lambda Y: ad2(k, Y), k.S)
-    return math.sqrt(max(0.0, np.linalg.norm(k.S)**2 - np.linalg.norm(Z)**2))
+                        lambda Y: ad2(k, Y), Y)
+    return math.sqrt(max(0.0, np.linalg.norm(Y)**2 - np.linalg.norm(Z)**2))
 
 
 def lift_spectrum(H, kind):
@@ -273,8 +286,8 @@ class TestEigenframeChebyshev:
         lo = min(lo_scale * float(nz.min()), hi)
         got, eps = chebyshev_filter_bound(H, S, degree, lo, hi)
         assert eps == ChebyshevFilter(degree, lo, hi).epsilon
-        assert got == pytest.approx(recurrence_numerator(H, S, degree, lo, hi),
-                                    rel=1e-9)
+        want = recurrence_numerator(H, S, degree, lo, hi, extended=True)
+        assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("N,seed", [(5, 0), (5, 1), (5, 2), (6, 0)])
     def test_matches_recurrence_rydberg(self, N, seed):
