@@ -147,15 +147,16 @@ class ChebyshevFilter:
         return out if np.ndim(x) else float(out)
 
 
-def chebyshev_degree_for(eps_target: float, sigma_min: float, sigma_max: float,
-                         max_degree: int = DEFAULT_MAX_DEGREE) -> int:
-    """Smallest degree whose filter error is below eps_target, capped."""
+def chebyshev_degree_for(eps_target: float, sigma_min: float,
+                         sigma_max: float) -> int:
+    """Smallest degree whose filter error is below eps_target, capped at
+    DEFAULT_MAX_DEGREE."""
     if not (0 < eps_target < 1):
         raise ValidationError("eps_target must lie in (0, 1)")
     probe = ChebyshevFilter(1, sigma_min, sigma_max)
     theta = math.acosh(probe._x0)
     m = int(math.ceil(math.acosh(1.0 / eps_target) / theta))
-    return max(1, min(m, max_degree))
+    return max(1, min(m, DEFAULT_MAX_DEGREE))
 
 
 def uniform_speed_limit(perturbation) -> float:

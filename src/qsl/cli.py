@@ -12,8 +12,10 @@ model parameter the model rejects, input too large for the dense method).
 → restore → bound: a symmetry basis of the controls, the combination that
 ``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
 the speed limit.  The cnot, swap and rydberg models bring their own
-symmetry and ΔH.  Option keys (a flag of the same name overrides the file;
-``reproduce syk`` passes ``--iterations`` as ``optimize_symmetry``):
+symmetry and ΔH.  Each command takes only the flags it reads.  Option keys,
+one schema for the problem files of every command (a flag of the same name
+overrides the file; ``reproduce syk`` passes ``--iterations`` as
+``optimize_symmetry``):
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
 linear); ``method`` exact, commutator or chebyshev (default exact at every
 dimension: exact and chebyshev both cost one eigendecomposition of H_s, and
@@ -240,6 +242,14 @@ _OPTION_RULES = {
     "optimize_symmetry": _int_at_least(0),
     "sigma_min": _POSITIVE, "sigma_max": _POSITIVE, "tol": _POSITIVE,
 }
+
+# flag -> its type or choices, for every flag of every command; a command
+# adds only the flags it reads (``_add_flags``)
+_FLAGS = {"kind": _KINDS, "method": _METHODS, "degree": int, "seed": int,
+          "optimize_symmetry": int, "sigma_min": float, "sigma_max": float,
+          "tol": float, "trials": int, "N": int, "n_majorana": int,
+          "iterations": int, **dict.fromkeys(("J", "g", "C", "a", "h", "mu"),
+                                             float)}
 
 
 def _checked_options(options: dict) -> dict:
@@ -485,39 +495,36 @@ def _model_bound(bundle, opts):
                            opts, bundle.symmetry, bundle.perturbation)[0]
 
 
-def _reproduce_cnot(args, opts) -> dict:
-    g = args.g if args.g is not None else 1.0
-    bundle = _build(coupled_qubit_model, g)
-    rep = _model_bound(bundle, opts)
+def _reproduce_cnot(args) -> dict:
+    bundle = _build(coupled_qubit_model, args.g)
+    rep = _model_bound(bundle, {})
     refs = bundle.references
-    return {"parameters": {"g": g}, **_bound_report_dict(rep),
+    return {"parameters": {"g": args.g}, **_bound_report_dict(rep),
             "closed_form": refs["bound_time"],
             "literature_time": refs["literature_time"],
             "literature_ratio": refs["literature_time"] / rep.bound_time}
 
 
-def _reproduce_swap(args, opts) -> dict:
-    N = args.N if args.N is not None else 3
-    bundle = _build(hopping_chain_model, N, args.J)
+def _reproduce_swap(args) -> dict:
+    bundle = _build(hopping_chain_model, args.N, args.J)
     refs, sym = bundle.references, bundle.symmetry
     # The paper's closed form, term by term: the overlap form of the
     # breaking norm over the 3 pi² J/N² bound on the restored gap.  It lies
     # below the exact bound of the same symmetry and perturbation.
     bound = refs["breaking_norm"] / (2.0 * sym.frobenius
                                      * refs["gap_over_bound"])
-    return {"parameters": {"N": N, "J": args.J},
+    return {"parameters": {"N": args.N, "J": args.J},
             "bound_time": bound, "theorem": "T1b",
             "closed_form": refs["closed_form"],
-            "bound_time_exact": _model_bound(bundle, opts).bound_time,
+            "bound_time_exact": _model_bound(bundle, {}).bound_time,
             "intermediates": {"symmetry_frobenius": sym.frobenius, **{
                 k: refs[k] for k in ("breaking_norm", "breaking_norm_exact",
                                      "gap_over_bound", "delta_h_op_norm")}}}
 
 
-def _reproduce_rydberg(args, opts) -> dict:
-    params = {"N": args.N if args.N is not None else 5, "C": args.C,
-              "a": args.a, "J": args.J, "h": args.h,
-              "g": args.g if args.g is not None else 0.5}
+def _reproduce_rydberg(args) -> dict:
+    opts = _merge_options({}, args)
+    params = {k: getattr(args, k) for k in ("N", "C", "a", "J", "h", "g")}
     bundle = _build(rydberg_chain_model, **params)
     lo, hi = bundle.spectral_estimates
     rep = _model_bound(bundle, {**opts, "sigma_min": lo, "sigma_max": hi})
@@ -527,24 +534,30 @@ def _reproduce_rydberg(args, opts) -> dict:
             "trend_limit": refs["trend_limit"]}
 
 
-def _reproduce_syk(args, opts) -> dict:
+def _reproduce_syk(args) -> dict:
+    opts = _merge_options({"optimize_symmetry": args.iterations}, args)
     n = args.n_majorana
-    H = _build(syk_model, n, seed=opts["seed"], mu=args.mu)
+    H = _build(syk_model, n, seed=args.seed, mu=args.mu)
     rep, basis = _bound_pipeline(H, global_controls(n // 2), None, H, opts)
-    return {"parameters": {"n_majorana": n, "seed": opts["seed"],
+    return {"parameters": {"n_majorana": n, "seed": args.seed,
                            "mu": args.mu, "iterations": args.iterations},
             "commutant_dimension": len(basis), **_bound_report_dict(rep)}
 
 
-# model name -> report function; also the parser's choices for `reproduce`
-_MODELS = {"cnot": _reproduce_cnot, "swap": _reproduce_swap,
-           "rydberg": _reproduce_rydberg, "syk": _reproduce_syk}
+_NUMERATOR = dict.fromkeys(("method", "degree"))
+# model name -> (report function, the flags it reads with their defaults)
+_MODELS = {
+    "cnot": (_reproduce_cnot, {"g": 1.0}),
+    "swap": (_reproduce_swap, {"N": 3, "J": 1.0}),
+    "rydberg": (_reproduce_rydberg, {"N": 5, "C": 1.0, "a": 1.0, "J": 1.0,
+                                     "g": 0.5, "h": 0.5, **_NUMERATOR}),
+    "syk": (_reproduce_syk, {"n_majorana": 6, "mu": 0.0, "iterations": 60,
+                             "seed": 0, **_NUMERATOR}),
+}
 
 
 def cmd_reproduce(args) -> dict:
-    opts = _merge_options({"seed": 0, "optimize_symmetry": args.iterations},
-                          args)
-    return {"model": args.model, **_MODELS[args.model](args, opts)}
+    return {"model": args.model, **_MODELS[args.model][0](args)}
 
 
 def cmd_verify_duhamel(args) -> dict:
@@ -604,68 +617,53 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value)}")
 
 
+def _add_flags(p, defaults: dict) -> None:
+    """The flags a command reads, with their defaults, and --json-only.
+    Each is taken spelled in full only: an abbreviation would let a flag the
+    command lacks, such as ``--h``, stand for another (``--help``)."""
+    p.allow_abbrev = False
+    for key, default in defaults.items():
+        kind = _FLAGS[key]
+        p.add_argument("--" + key.replace("_", "-"), dest=key, default=default,
+                       **({"choices": kind} if isinstance(kind, tuple)
+                          else {"type": kind}))
+    p.add_argument("--json-only", action="store_true",
+                   help="suppress the human summary on stderr")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsl",
         description="Lower bounds on quantum control time from symmetries.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json-only", action="store_true",
-                       help="suppress the human summary on stderr")
-        p.add_argument("--seed", type=int, default=None)
-
-    def bound_flags(p):
-        p.add_argument("--method", choices=_METHODS,
-                       default=None)
-        p.add_argument("--degree", type=int, default=None)
-        p.add_argument("--sigma-min", dest="sigma_min", type=float, default=None)
-        p.add_argument("--sigma-max", dest="sigma_max", type=float, default=None)
-        p.add_argument("--kind", choices=_KINDS, default=None)
-        p.add_argument("--optimize-symmetry", dest="optimize_symmetry",
-                       type=int, default=None, metavar="ITERS")
-        p.add_argument("--tol", type=float, default=None)
-
     p = sub.add_parser("symmetries", help="list symmetry bases for a problem")
     p.add_argument("problem")
-    p.add_argument("--kind", choices=_KINDS, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    common(p)
+    _add_flags(p, {"kind": None, "tol": None})
     p.set_defaults(func=cmd_symmetries)
 
+    search = dict.fromkeys(("kind", "optimize_symmetry", "tol", "seed"))
     pb = sub.add_parser("bound", help="evaluate a speed limit")
     bsub = pb.add_subparsers(dest="target_kind", required=True)
-    for name in ("unitary", "hamiltonian"):
+    for name, flags in (("unitary", search), ("hamiltonian", {
+            **search, **_NUMERATOR, "sigma_min": None, "sigma_max": None})):
         p = bsub.add_parser(name)
         p.add_argument("problem")
-        bound_flags(p)
-        common(p)
+        _add_flags(p, flags)
         p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("reproduce", help="run a built-in reference model")
-    p.add_argument("model", choices=list(_MODELS))
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--J", type=float, default=1.0)
-    p.add_argument("--g", type=float, default=None,
-                   help="coupling for cnot, transverse field for rydberg")
-    p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=0.5)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--n-majorana", dest="n_majorana", type=int, default=6)
-    p.add_argument("--iterations", type=int, default=60)
-    p.add_argument("--method", choices=_METHODS,
-                   default=None)
-    p.add_argument("--degree", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_reproduce)
+    pr = sub.add_parser("reproduce", help="run a built-in reference model")
+    rsub = pr.add_subparsers(dest="model", required=True)
+    for name, (_, flags) in _MODELS.items():
+        p = rsub.add_parser(name)
+        _add_flags(p, flags)
+        p.set_defaults(func=cmd_reproduce)
 
     pv = sub.add_parser("verify", help="property checks by simulation")
     vsub = pv.add_subparsers(dest="check", required=True)
     p = vsub.add_parser("duhamel")
     p.add_argument("problem")
-    p.add_argument("--trials", type=int, default=20)
-    common(p)
+    _add_flags(p, {"trials": 20, "seed": None})
     p.set_defaults(func=cmd_verify_duhamel)
 
     return parser

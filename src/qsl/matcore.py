@@ -13,9 +13,9 @@ Rydberg bundle's drift, controls and swap needs half the memory and real
 BLAS/LAPACK calls), every other input becomes complex128.  Builders that
 produce qubit or permutation operators return complex128.  The validator
 helpers (``require_square``, ``require_hermitian``, ``hermitian_part``, ...)
-are the boundary where array-shaped garbage is rejected; internal code may
-assume validated input.  Each hermiticity check is one pass over the matrix,
-64 rows at a time; ``hermitian_part`` checks and hermitises in that same
+are the boundary where array-shaped garbage is rejected, at fixed tolerances;
+internal code may assume validated input.  Each hermiticity check is one pass
+over the matrix, 64 rows at a time; ``hermitian_part`` checks and hermitises in that same
 pass, and returns its input unchanged when it is already exactly Hermitian.
 """
 
@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-# Default tolerances.  All are relative to max(1, norm) of the operand unless
-# noted otherwise, so tests are scale-free.
+# Tolerances (TAU_H and TAU_U fixed, the others also defaults), relative to
+# max(1, norm) of the operand unless noted otherwise, so tests are scale-free.
 TAU_H = 1e-10          # hermiticity, Frobenius scale
 TAU_U = 1e-10          # unitarity, Frobenius scale per sqrt(dim)
 TAU_RANK = 1e-9        # rank / nullspace decisions, relative to s_max
@@ -171,25 +171,25 @@ def _invalid(defect: float, what: str) -> ValidationError:
     return ValidationError(f"matrix is not {what} (defect {defect:.3e})")
 
 
-def require_hermitian(M, tol: float = TAU_H) -> np.ndarray:
+def require_hermitian(M) -> np.ndarray:
     """M as a square float64 or complex128 array (no copy when it already is
-    one), after checking ||M - M†||_F <= tol·max(1, ||M||_F); the Frobenius
+    one), after checking ||M - M†||_F <= TAU_H·max(1, ||M||_F); the Frobenius
     norm is computed only when the defect is nonzero.  Non-finite entries
     fail the check."""
     A = require_square(M)
     defect = _hermitian_defect(A)
-    if _too_far_from_hermitian(A, defect, tol):
+    if _too_far_from_hermitian(A, defect, TAU_H):
         raise _invalid(defect, "Hermitian")
     return A
 
 
-def require_unitary(M, tol: float = TAU_U) -> np.ndarray:
-    """M as a square array after checking ||M†M - 1||_F <= tol·sqrt(d);
+def require_unitary(M) -> np.ndarray:
+    """M as a square array after checking ||M†M - 1||_F <= TAU_U·sqrt(d);
     non-finite entries make the defect non-finite and fail the check."""
     A = require_square(M)
     d = A.shape[0]
     defect = float(np.linalg.norm(A.conj().T @ A - np.eye(d)))
-    if not defect <= tol * np.sqrt(d):
+    if not defect <= TAU_U * np.sqrt(d):
         raise _invalid(defect, "unitary")
     return A
 
@@ -204,10 +204,10 @@ def _check_tolerance(tol: float, what: str, zero_ok: bool = False) -> None:
                               f"got {tol!r}")
 
 
-def check_entry_cap(entries: int, cap: int = DIMENSION_CAP) -> None:
-    if entries > cap:
+def check_entry_cap(entries: int) -> None:
+    if entries > DIMENSION_CAP:
         raise DimensionCapError(
-            f"dense intermediate needs {entries} entries, cap is {cap}; "
+            f"dense intermediate needs {entries} entries, cap is {DIMENSION_CAP}; "
             "the dense method does not support problems this large"
         )
 

@@ -21,8 +21,8 @@ the symmetry's base space; no caller sets ||ΔH||_inf, nor σ_min, which
 ``Symmetry`` measures from S.
 
 One acceptance rule, ``_commuting_limit``, decides whether a drift keeps S:
-||[S_h, H]||_F <= tol·max(1, ||S||_F ||H||_F).  A restored drift must pass
-it; a drift that passes it unchanged gets an all-zero ΔH from
+||[S_h, H]||_F <= TAU_RANK·max(1, ||S||_F ||H||_F).  A restored drift must
+pass it; a drift that passes it unchanged gets an all-zero ΔH from
 ``restore_symmetry`` and 0.0 from the analytic cap, so every bound refuses
 it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0 with one text) rather
 than divide rounding noise by rounding noise.
@@ -41,7 +41,6 @@ from .matcore import (
     GAP_RTOL,
     TAU_RANK,
     ValidationError,
-    _check_tolerance,
     _drop_kernel,
     _lift,
     check_entry_cap,
@@ -142,13 +141,12 @@ def _restore_quadratic(S: Symmetry, H_d: np.ndarray) -> np.ndarray:
     return hermitize(devectorize(y))
 
 
-def _commuting_limit(S: Symmetry, H: np.ndarray, tol: float) -> float:
+def _commuting_limit(S: Symmetry, H: np.ndarray) -> float:
     """The one rule: a drift H keeps S when ||[S_h, H]||_F is at most this."""
-    _check_tolerance(tol, "restoration", zero_ok=True)
-    return tol * max(1.0, S.frobenius * frobenius_norm(H))
+    return TAU_RANK * max(1.0, S.frobenius * frobenius_norm(H))
 
 
-def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
+def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
     """Minimal-Frobenius-norm Hermitian ΔH with the symmetry restored.
 
     Linear kind: [S, H_d + ΔH] = 0, solved in the eigenbasis of S.  Quadratic
@@ -156,16 +154,15 @@ def restore_symmetry(S: Symmetry, H_d, tol: float = TAU_RANK) -> Perturbation:
     solution over complex vec(ΔH), which is Hermitian.  Drift directions
     already compatible with S are left untouched, so ΔH is generally much
     smaller than -H_d.  A drift commutes when ||[S_h, H]||_F is at most
-    tol·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is all
-    zeros, op_norm 0.0, and no bound follows.  Raises ConditioningError when
-    the restored drift H_d + ΔH fails the test, ValidationError for a
-    negative or non-finite tol.
+    TAU_RANK·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is
+    all zeros, op_norm 0.0, and no bound follows.  Raises ConditioningError
+    when the restored drift H_d + ΔH fails the test.
     """
     H = require_square(H_d)
     Hh = hermitian_part(H)  # require_hermitian's check; the solvers take H
     if H.shape[0] != S.base_dimension:
         raise ValidationError(f"drift dimension does not match {S.kind} symmetry")
-    limit = _commuting_limit(S, H, tol)
+    limit = _commuting_limit(S, H)
     breaking = _commutator_norm(S, Hh)
     if breaking <= limit:  # H_d keeps S: the minimal ΔH is zero
         return Perturbation(np.zeros_like(H), S, residual=breaking)
@@ -184,12 +181,12 @@ def perturbation_norm_bound(S: Symmetry, H_d) -> float:
 
     Linear kind only; always at least the operator norm of the perturbation
     returned by restore_symmetry.  0.0 for a drift that keeps S by
-    restoration's test at its default tolerance, TAU_RANK: no bound follows.
+    restoration's test: no bound follows.
     """
     if S.kind != "linear":
         raise ValidationError("analytic perturbation bound applies to linear "
                               "symmetries only")
     H, _ = require_same_dimension(hermitian_part(H_d), S.hermitian)
     breaking = _commutator_norm(S, H)
-    keeps = breaking <= _commuting_limit(S, H, TAU_RANK)
+    keeps = breaking <= _commuting_limit(S, H)
     return 0.0 if keeps else breaking / S.sigma_min

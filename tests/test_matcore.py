@@ -92,6 +92,14 @@ class TestBasicOps:
         with pytest.raises(ValidationError):
             require_unitary(2 * np.eye(3, dtype=complex))
 
+    @pytest.mark.parametrize("check,arg,keyword", [
+        (require_hermitian, np.eye(2), "tol"),
+        (require_unitary, np.eye(2), "tol"), (check_entry_cap, 4, "cap")])
+    def test_thresholds_are_constants(self, check, arg, keyword):
+        """TAU_H, TAU_U and DIMENSION_CAP are fixed; no caller passes them."""
+        with pytest.raises(TypeError):
+            check(arg, **{keyword: 1.0})
+
 
 class TestExponential:
     def test_z_rotation(self):
@@ -288,9 +296,9 @@ class TestSpectralClustering:
             min_eigenvalue_gap(np.array([2.0, 2.0, 2.0]), 1e-8)
 
     def test_entry_cap(self):
-        check_entry_cap(10)
+        check_entry_cap(qsl.matcore.DIMENSION_CAP)
         with pytest.raises(DimensionCapError):
-            check_entry_cap(2**21)
+            check_entry_cap(qsl.matcore.DIMENSION_CAP + 1)
 
 
 def _count_eigvalsh(monkeypatch):

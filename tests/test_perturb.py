@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qsl.matcore
+import qsl.perturb
 from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import (
     ConditioningError,
@@ -348,13 +349,17 @@ class TestOneExit:
                              _oracle_restore_quadratic)
 
     @pytest.mark.parametrize("kind,d", [("linear", 4), ("quadratic", 2)])
-    def test_zero_tolerance_raises(self, rng, kind, d):
+    def test_unrestored_drift_raises(self, rng, monkeypatch, kind, d):
+        """A solve whose ΔH leaves H_d + ΔH breaking S is refused, with the
+        residual and the limit it failed."""
         dim = d if kind == "linear" else d * d
         S = Symmetry(kind, random_hermitian(rng, dim))
+        monkeypatch.setattr(qsl.perturb, f"_restore_{kind}",
+                            lambda S, H: -0.5 * H)
         with pytest.raises(ConditioningError) as err:
-            restore_symmetry(S, random_hermitian(rng, d), tol=0.0)
-        assert err.value.diagnostics["limit"] == 0.0
-        assert err.value.diagnostics["residual"] > 0.0
+            restore_symmetry(S, random_hermitian(rng, d))
+        diagnostics = err.value.diagnostics
+        assert diagnostics["residual"] > diagnostics["limit"] > 0.0
 
     def test_dimension_mismatch_rejected(self, rng):
         for S in (Symmetry("linear", random_hermitian(rng, 3)),
@@ -391,12 +396,14 @@ class TestDriftKeepsSymmetry:
             assert not pert.matrix.any() and pert.op_norm == 0.0
 
     def test_decided_at_the_limit(self):
-        """||[Z, X]||_F = 2√2 against tol·max(1, ||Z||_F ||X||_F) = 2 tol."""
+        """||[Z, εX]||_F = 2√2·ε against TAU_RANK·max(1, ||Z||_F ||εX||_F)
+        = 1e-9: the drift keeps Z up to ε = 3.54e-10."""
         S = Symmetry("linear", Z)
-        assert restore_symmetry(S, X, tol=1.5).op_norm == 0.0
-        assert np.array_equal(restore_symmetry(S, X, tol=1.4).matrix, -X)
+        assert restore_symmetry(S, 3.5e-10 * X).op_norm == 0.0
+        eps = 3.6e-10
+        assert np.array_equal(restore_symmetry(S, eps * X).matrix, -eps * X)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
-    def test_unusable_tolerance_rejected(self, tol):
-        with pytest.raises(ValidationError, match="restoration tolerance"):
-            restore_symmetry(Symmetry("linear", Z), X, tol=tol)
+    def test_tolerance_is_not_a_parameter(self):
+        """The acceptance cut is TAU_RANK; no caller sets it."""
+        with pytest.raises(TypeError):
+            restore_symmetry(Symmetry("linear", Z), X, tol=TAU_RANK)
