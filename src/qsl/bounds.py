@@ -17,6 +17,11 @@ measured from S (linear S) or the restored minimal perturbation (quadratic
 S).  Both routes give 0 for a drift that keeps S by restoration's acceptance
 test, and ||ΔH||_inf <= 0 is the one ΔH test here: it refuses the bound with
 one text, "symmetry already commutes with the drift; no time bound follows".
+A supplied perturbation counts only for its own symmetry (the same object,
+or the same kind and an equal matrix; ValidationError otherwise), and when
+the drift is supplied too, H_d + ΔH must pass restoration's acceptance test,
+read from the recorded residual when there is one (ConditioningError
+otherwise).  A ΔH supplied with no drift is trusted.
 ``single_control_bound`` is T1b on this route, with S = H_c.
 
 The kernel-complement numerator has three implementations with a strict
@@ -48,6 +53,7 @@ import numpy as np
 
 from .lie import Symmetry, symmetry_breaking_norm
 from .matcore import (
+    ConditioningError,
     DEFAULT_FILTER_CUT_REL,
     DimensionError,
     GAP_RTOL,
@@ -59,7 +65,12 @@ from .matcore import (
     operator_norm,
     require_unitary,
 )
-from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
+from .perturb import (
+    Perturbation,
+    _commuting_limit,
+    perturbation_norm_bound,
+    restore_symmetry,
+)
 
 DEFAULT_FILTER_EPS = 1e-2
 DEFAULT_MAX_DEGREE = 20000
@@ -171,6 +182,27 @@ def uniform_speed_limit(perturbation) -> float:
     return 1.0 / (4.0 * dh)
 
 
+def _require_restores(pert: Perturbation, S: Symmetry, drift) -> None:
+    """A supplied ΔH must be built for S itself (the same object, or a
+    symmetry of the same kind and an equal matrix) and, when the drift is
+    known, H_d + ΔH must pass restoration's acceptance test: the recorded
+    residual when there is one, else one formed here.  With no drift the ΔH
+    is trusted, as ``Perturbation.from_matrix`` documents."""
+    T = pert.symmetry
+    if T is not S and not (T.kind == S.kind
+                           and np.array_equal(T.matrix, S.matrix)):
+        raise ValidationError("perturbation was built for another symmetry")
+    if drift is None:
+        return
+    residual = (pert.residual if pert.residual is not None
+                else Perturbation.from_matrix(S, pert.matrix, drift).residual)
+    limit = _commuting_limit(S, drift)
+    if residual > limit:
+        raise ConditioningError(
+            "perturbed drift does not commute with the symmetry",
+            {"residual": residual, "limit": limit})
+
+
 def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
                  inter: dict, warnings: list) -> BoundReport:
     """The report of T >= numerator / (c · k · ||S||_F · ||ΔH||_inf).
@@ -185,6 +217,7 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
         raise ValidationError("symmetry matrix must be nonzero")
     num = numerator()
     if perturbation is not None:
+        _require_restores(perturbation, S, drift)
         dh = perturbation.op_norm
     elif drift is None:
         raise ValidationError("either a perturbation or a drift is required")

@@ -34,6 +34,7 @@ Run as ``qsl ...`` once installed, or as ``python -m qsl ...``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -631,6 +632,7 @@ def _add_flags(p, defaults: dict) -> None:
                    help="suppress the human summary on stderr")
 
 
+@functools.cache  # once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsl",

@@ -19,6 +19,7 @@ from qsl.bounds import (
 )
 from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
+    ConditioningError,
     GAP_RTOL,
     PAULI,
     DimensionError,
@@ -32,7 +33,13 @@ from qsl.matcore import (
     matrix_exponential,
     operator_norm,
 )
-from qsl.models import coupled_qubit_model, global_controls
+from qsl.models import (
+    ControlSystem,
+    PulseSchedule,
+    coupled_qubit_model,
+    global_controls,
+    propagate_piecewise,
+)
 from qsl.perturb import Perturbation, perturbation_norm_bound, restore_symmetry
 from conftest import (evolution_from_identity_peak, kernel_projection_lower_bound,
                       pairwise_kernel_complement, random_hermitian, random_state,
@@ -127,6 +134,67 @@ class TestUnitaryBound:
             pert = Perturbation.from_matrix(sym, pert_m)
             reps.append(unitary_speed_limit(U, sym, pert).bound_time)
         assert reps[0] == pytest.approx(reps[1], rel=1e-12)
+
+
+class TestSuppliedPerturbation:
+    """A supplied ΔH counts only for its own symmetry and, when the bound
+    knows the drift, only if H_d + ΔH keeps that symmetry.  Drift X + 1e-3 Z
+    and control Z reach U at T = 0.3."""
+
+    H_d = X + 1e-3 * Z
+
+    def _target(self):
+        rng = np.random.default_rng(0)
+        system = ControlSystem(self.H_d, [Z])
+        return propagate_piecewise(system, PulseSchedule(
+            0.1, rng.standard_normal((1, 3))))
+
+    def test_restored_for_its_symmetry(self):
+        S = Symmetry("linear", Z)
+        rep = unitary_speed_limit(self._target(), S,
+                                  restore_symmetry(S, self.H_d),
+                                  drift=self.H_d)
+        assert rep.bound_time == pytest.approx(0.29536413, rel=1e-7)
+        assert rep.bound_time <= 0.3
+
+    def test_equal_symmetry_accepted(self):
+        pert = restore_symmetry(Symmetry("linear", Z), self.H_d)
+        rep = unitary_speed_limit(self._target(), Symmetry("linear", Z.copy()),
+                                  pert)
+        assert rep.bound_time <= 0.3
+
+    @pytest.mark.parametrize("drift", [False, True])
+    def test_restored_for_another_symmetry_rejected(self, drift):
+        pert = restore_symmetry(Symmetry("linear", X), self.H_d)
+        with pytest.raises(ValidationError, match="another symmetry"):
+            unitary_speed_limit(self._target(), Symmetry("linear", Z), pert,
+                                drift=self.H_d if drift else None)
+
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_unrestored_drift_rejected(self, recorded):
+        """1e-3 X leaves X + 1e-3 Z breaking Z: refused whether the residual
+        was recorded at construction or is formed by the bound."""
+        S = Symmetry("linear", Z)
+        pert = Perturbation.from_matrix(S, 1e-3 * X,
+                                        drift=self.H_d if recorded else None)
+        with pytest.raises(ConditioningError) as err:
+            unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["residual"] > diagnostics["limit"]
+
+    def test_recorded_residual_reused(self, monkeypatch):
+        """A restored ΔH records its residual; the bound forms no other."""
+        S = Symmetry("linear", Z)
+        pert = restore_symmetry(S, self.H_d)
+        monkeypatch.setattr(Perturbation, "from_matrix", None)
+        unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
+
+    def test_trusted_without_drift(self):
+        """With no drift anywhere a supplied ΔH is taken as given."""
+        S = Symmetry("linear", Z)
+        rep = unitary_speed_limit(self._target(), S,
+                                  Perturbation.from_matrix(S, 1e-3 * X))
+        assert rep.intermediates["delta_h_op_norm"] == pytest.approx(1e-3)
 
 
 class TestKernelComplement:
@@ -280,6 +348,12 @@ class TestChebyshev:
         m = chebyshev_degree_for(1e-6, 1.0, 100.0)
         assert ChebyshevFilter(m, 1.0, 100.0).epsilon <= 1e-6
         assert ChebyshevFilter(m - 1, 1.0, 100.0).epsilon > 1e-6
+
+    def test_degree_for_capped_at_the_constant(self):
+        assert chebyshev_degree_for(1e-12, 1e-6, 1e6) == \
+            bounds.DEFAULT_MAX_DEGREE
+        with pytest.raises(TypeError):
+            chebyshev_degree_for(1e-2, 1.0, 100.0, max_degree=10)
 
     def test_filter_value_at_zero_is_one(self):
         filt = ChebyshevFilter(12, 1.0, 9.0)

@@ -632,6 +632,48 @@ def test_report_matches_golden(name, capsys):
     _assert_report_matches(report, GOLDEN[name]["report"])
 
 
+# Every flag a command accepted and never read, by command: each now exits 2
+# as an unrecognized argument, before anything runs.
+IGNORED_FLAGS = {
+    ("symmetries", ISING_PROBLEM): ["--seed"],
+    ("bound", "unitary", CNOT_PROBLEM): ["--method", "--degree", "--sigma-min",
+                                         "--sigma-max"],
+    ("reproduce", "cnot"): ["--N", "--J", "--C", "--a", "--h", "--mu",
+                            "--n-majorana", "--iterations", "--method",
+                            "--degree", "--seed"],
+    ("reproduce", "swap"): ["--g", "--C", "--a", "--h", "--mu", "--n-majorana",
+                            "--iterations", "--method", "--degree", "--seed"],
+    ("reproduce", "rydberg"): ["--mu", "--n-majorana", "--iterations",
+                               "--seed"],
+    ("reproduce", "syk"): ["--N", "--J", "--g", "--C", "--a", "--h"],
+}
+_FLAG_VALUES = {"--seed": "1", "--method": "exact", "--degree": "3",
+                "--sigma-min": "1", "--sigma-max": "2", "--N": "3", "--J": "1",
+                "--g": "2", "--C": "1", "--a": "1", "--h": "0.5", "--mu": "0",
+                "--n-majorana": "6", "--iterations": "5"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, flags in IGNORED_FLAGS.items()
+    for flag in flags], ids=lambda v: v if isinstance(v, str) else " ".join(
+        Path(a).name for a in v))
+def test_flag_the_command_does_not_read_exits_2(capsys, command, flag):
+    """A command takes only the flags it reads."""
+    code, report, err = _run(capsys, [*command, flag, _FLAG_VALUES[flag],
+                                      "--json-only"])
+    assert code == 2
+    assert report is None
+    assert "unrecognized arguments" in err and flag in err
+
+
+def test_reproduce_cnot_coupling_flag_matches_golden(capsys):
+    code, report, _ = _run(capsys, ["reproduce", "cnot", "--g", "1.0",
+                                    "--json-only"])
+    assert code == 0
+    report.pop("elapsed_seconds")
+    _assert_report_matches(report, GOLDEN["reproduce-cnot"]["report"])
+
+
 def _python_m(*args):
     import qsl
     env = dict(os.environ)
