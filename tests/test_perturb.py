@@ -403,7 +403,10 @@ class TestDriftKeepsSymmetry:
         eps = 3.6e-10
         assert np.array_equal(restore_symmetry(S, eps * X).matrix, -eps * X)
 
-    def test_tolerance_is_not_a_parameter(self):
-        """The acceptance cut is TAU_RANK; no caller sets it."""
-        with pytest.raises(TypeError):
-            restore_symmetry(Symmetry("linear", Z), X, tol=TAU_RANK)
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf")])
+    def test_unusable_tolerance_rejected(self, tol):
+        """The acceptance cut is TAU_RANK; no caller sets it, so any
+        tolerance passed, even TAU_RANK itself, is refused."""
+        for value in (tol, TAU_RANK):
+            with pytest.raises(TypeError):
+                restore_symmetry(Symmetry("linear", Z), X, tol=value)
