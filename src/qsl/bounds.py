@@ -29,7 +29,7 @@ ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
 Chebyshev spectral filter whose value is certified by an explicit residual.
 The exact projection is the one restoration applies to the drift,
-``matcore._drop_kernel``, with one cluster rule: the sorted eigenvalues of
+``matcore._kernel_mask``, with one cluster rule: the sorted eigenvalues of
 ad_H start a new cluster at each adjacent gap above the cut (default
 GAP_RTOL·||H_s||_inf), and the kernel joins the eigenvectors of one cluster.
 
@@ -42,16 +42,24 @@ chebyshev is the same eigendecomposition plus about five products, whatever
 the filter degree, and never a d² x d² superoperator.  For quadratic S each
 product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
 d x d contractions.
+
+``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
+its candidates with ``_StackScorer``: the problem is prepared once per
+request and each stack of candidates takes one stacked restoration
+(``perturb._restore_rows``), one stacked ``eigvalsh`` for ||ΔH||_inf and one
+stacked numerator, through the same helpers as the public functions, so that
+each candidate's value equals theirs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lie import Symmetry, symmetry_breaking_norm
+from .lie import Symmetry, _breaking_norm, symmetry_breaking_norm
 from .matcore import (
     ConditioningError,
     DEFAULT_FILTER_CUT_REL,
@@ -59,15 +67,25 @@ from .matcore import (
     GAP_RTOL,
     QslError,
     ValidationError,
+    _adjoint,
     _check_tolerance,
-    _drop_kernel,
+    _frobenius,
+    _hermitised,
+    _kernel_mask,
+    _max_abs_eigenvalue,
+    _near_cut,
+    frobenius_norm,
     hermitian_part,
+    kron,
     operator_norm,
+    require_square,
     require_unitary,
 )
 from .perturb import (
     Perturbation,
     _commuting_limit,
+    _quadratic_setup,
+    _restore_rows,
     perturbation_norm_bound,
     restore_symmetry,
 )
@@ -186,17 +204,18 @@ def _require_restores(pert: Perturbation, S: Symmetry, drift) -> None:
     """A supplied ΔH must be built for S itself (the same object, or a
     symmetry of the same kind and an equal matrix) and, when the drift is
     known, H_d + ΔH must pass restoration's acceptance test: the recorded
-    residual when there is one, else one formed here.  With no drift the ΔH
-    is trusted, as ``Perturbation.from_matrix`` documents."""
+    residual when it was measured for this drift (the same array, or an
+    equal one), else one formed here.  With no drift the ΔH is trusted, as
+    ``Perturbation.from_matrix`` documents."""
     T = pert.symmetry
     if T is not S and not (T.kind == S.kind
                            and np.array_equal(T.matrix, S.matrix)):
         raise ValidationError("perturbation was built for another symmetry")
     if drift is None:
         return
-    residual = (pert.residual if pert.residual is not None
+    residual = (pert.residual if pert._measured_for(drift)
                 else Perturbation.from_matrix(S, pert.matrix, drift).residual)
-    limit = _commuting_limit(S, drift)
+    limit = float(_commuting_limit(S.frobenius, frobenius_norm(drift)))
     if residual > limit:
         raise ConditioningError(
             "perturbed drift does not commute with the symmetry",
@@ -233,14 +252,22 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
         warnings.append("perturbation norm taken from the analytic "
                         "||[S, H_d]||_F / sigma_min bound")
     gate = method == "not_applicable"
-    c = 2.0 if gate else math.sqrt(2.0)
-    k = 2.0 if S.kind == "quadratic" else 1.0
     inter.update({"symmetry_frobenius": sfrob, "delta_h_op_norm": dh,
                   "breaking_norm" if gate else "kernel_complement_norm": num})
-    theorem = ("T1" if gate else "T2") + ("a" if k == 2.0 else "b")
-    return BoundReport(num / (c * k * sfrob * dh), theorem, method, inter,
-                       symmetry=S, perturbation=perturbation,
+    theorem = ("T1" if gate else "T2") + ("a" if S.kind == "quadratic"
+                                          else "b")
+    return BoundReport(_time_bound(num, sfrob, dh, gate, S.kind), theorem,
+                       method, inter, symmetry=S, perturbation=perturbation,
                        warnings=warnings)
+
+
+def _time_bound(num, sfrob, dh, gate: bool, kind: str):
+    """numerator / (c · k · ||S||_F · ||ΔH||_inf): c = 2 for a gate (T1),
+    √2 for a Hamiltonian (T2); k = 2 for a quadratic S, 1 for a linear one.
+    Elementwise on arrays."""
+    c = 2.0 if gate else math.sqrt(2.0)
+    k = 2.0 if kind == "quadratic" else 1.0
+    return num / (c * k * sfrob * dh)
 
 
 def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None,
@@ -270,20 +297,23 @@ def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None
 
 
 class _AdKernel:
-    """ad_L on Hermitian arguments, prepared once per numerator evaluation.
+    """ad_L on Hermitian arguments, prepared once per numerator evaluation,
+    or once per request for the symmetry search's ``_StackScorer``.
 
     L is H (linear S) or the lift H⊗1 + 1⊗H (quadratic S), where H is the
     hermitised H_s, checked and formed in one pass (H_s itself when it is
-    exactly Hermitian); ``S`` holds the symmetry's ``hermitian`` part S_h.
+    exactly Hermitian); ``S`` holds the symmetry's ``hermitian`` part S_h,
+    or, after ``hold``, a stack of them sharing S's kind and dimension.
     Each is stored in float64 when its imaginary part is exactly zero
     (Rydberg, hopping, Pauli texts without Y), so the products and the
-    eigendecomposition of H run in real arithmetic.
+    eigendecomposition of H run in real arithmetic.  That decomposition,
+    ``eigen``, is made once per kernel.
 
     For Hermitian Y, [L, Y] = P - P† with P = L Y; for anti-Hermitian C,
     [L, C] = Q + Q† with Q = L C.  One application of ad_L therefore costs
     one product with L and one of (ad_L)² costs two; the lift is applied as
     two d x d contractions and never materialized.  Both outputs are exactly
-    (anti-)Hermitian in floating point.
+    (anti-)Hermitian in floating point.  Every product also takes a stack.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -291,9 +321,31 @@ class _AdKernel:
         if self.H.shape[0] != S.base_dimension:
             raise DimensionError("Hamiltonian dimension does not match symmetry")
         self.kind = S.kind
-        dtype = np.result_type(self.H, S.hermitian)
+        self._kernels = {}
+        self.hold(S.hermitian)
+
+    def hold(self, Sh: np.ndarray) -> "_AdKernel":
+        """Take S_h, or a stack of them, as ``S``."""
+        dtype = np.result_type(self.H, Sh)
         self._L = self.H.astype(dtype, copy=False)
-        self.S = S.hermitian.astype(dtype, copy=False)
+        self.S = Sh.astype(dtype, copy=False)
+        return self
+
+    @functools.cached_property
+    def eigen(self):
+        """(w, V, lam): H = V diag(w) V† and lam the spectrum of L (w, or the
+        pairwise sums w_a + w_b in the column order of V⊗V for the lift)."""
+        w, V = np.linalg.eigh(self.H)
+        return w, V, (w if self.kind == "linear"
+                      else np.add.outer(w, w).reshape(-1))
+
+    def kernel(self, tol: float):
+        """(mask, near): ``matcore._kernel_mask`` of the spectrum of L at the
+        cut tol, and ``matcore._near_cut``, made once per cut."""
+        if tol not in self._kernels:
+            mask, ws, ranked = _kernel_mask(self.eigen[2], tol)
+            self._kernels[tol] = mask, _near_cut(ws, ranked, tol)
+        return self._kernels[tol]
 
     def lift(self, Y: np.ndarray) -> np.ndarray:
         """L Y."""
@@ -301,23 +353,25 @@ class _AdKernel:
         if self.kind == "linear":
             return L @ Y
         d = L.shape[0]
-        Y3 = Y.reshape(d, d, -1)  # Y[(a, b), x] -> Y3[a, b, x]
-        first = (L @ Y.reshape(d, -1)).reshape(Y3.shape)  # (H⊗1) Y
+        lead = Y.shape[:-2]
+        Y3 = Y.reshape(lead + (d, d, -1))  # Y[(a, b), x] -> Y3[a, b, x]
+        first = (L @ Y.reshape(lead + (d, -1))).reshape(Y3.shape)  # (H⊗1) Y
         return (first + L @ Y3).reshape(Y.shape)  # + (1⊗H) Y
 
     def ad(self, Y: np.ndarray) -> np.ndarray:
         """[L, Y] for Hermitian Y."""
         P = self.lift(Y)
-        return P - P.conj().T
+        return P - _adjoint(P)
 
     def ad_anti(self, C: np.ndarray) -> np.ndarray:
         """[L, C] for anti-Hermitian C."""
         Q = self.lift(C)
-        return Q + Q.conj().T
+        return Q + _adjoint(Q)
 
 
 def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
-    """T M T† with T = A (linear) or T = A⊗A (quadratic).
+    """T M T† with T = A (linear) or T = A⊗A (quadratic), for a matrix M or
+    each matrix of a stack.
 
     A⊗A is never formed: like ``_AdKernel.lift`` it is applied as d x d
     contractions, one per tensor factor on each side.
@@ -325,22 +379,23 @@ def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
     if kind == "linear":
         return A @ M @ A.conj().T
     d = A.shape[0]
-    M = (A @ M.reshape(d, -1)).reshape(d, d, -1)  # A on the first row factor
-    M = (A @ M).reshape(-1, d, d)  # A on the second; columns split as (a, b)
+    lead = M.shape[:-2]
+    # A on the first row factor
+    M = (A @ M.reshape(lead + (d, -1))).reshape(lead + (d, d, -1))
+    # A on the second; columns split as (a, b)
+    M = (A @ M).reshape(lead + (-1, d, d))
     # right product with (A⊗A)† = A†⊗A†: conj(A) on a, A† on b
-    return (A.conj() @ M @ A.conj().T).reshape(d * d, d * d)
+    return (A.conj() @ M @ A.conj().T).reshape(lead + (d * d, d * d))
 
 
 def _eigenframe(kernel: _AdKernel):
-    """S_h in the eigenbasis of L, from one eigendecomposition of H.
+    """S_h in the eigenbasis of L, from the kernel's eigendecomposition of H.
 
-    Returns (w, V, lam, frame): H = V diag(w) V†, lam the spectrum of L (w,
-    or the pairwise sums w_a + w_b in the column order of V⊗V for the lift)
-    and frame = W† S_h W with W = V or V⊗V.  ad_L acts on the frame as the
+    Returns (w, V, lam, frame) with (w, V, lam) = ``kernel.eigen`` and
+    frame = W† S_h W with W = V or V⊗V.  ad_L acts on the frame as the
     entrywise product with the signed gaps lam_i - lam_j.
     """
-    w, V = np.linalg.eigh(kernel.H)
-    lam = w if kernel.kind == "linear" else np.add.outer(w, w).reshape(-1)
+    w, V, lam = kernel.eigen
     return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind)
 
 
@@ -364,20 +419,22 @@ def _certified_numerator(kernel: _AdKernel, X: np.ndarray) -> float:
 
 
 def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
-    """Kernel-complement norm from one eigendecomposition of H.
+    """Kernel-complement norm from the kernel's eigendecomposition of H.
 
     Returns (norm, near) of ``matcore._drop_kernel`` on the eigenframe,
     with the spectrum of L and the cut tol_degeneracy, by default
-    GAP_RTOL·||H||_inf.  A negative or non-finite cut is rejected: it would
-    drop no kernel entry, or every one.
+    GAP_RTOL·||H||_inf; for a stack of S_h, one norm per matrix.  A negative
+    or non-finite cut is rejected: it would drop no kernel entry, or every
+    one.
     """
     if tol_degeneracy is not None:
         _check_tolerance(tol_degeneracy, "degeneracy", zero_ok=True)
-    w, _, lam, frame = _eigenframe(kernel)
+    w, _, _, frame = _eigenframe(kernel)
     tol = (GAP_RTOL * float(np.max(np.abs(w))) if tol_degeneracy is None
            else tol_degeneracy)
-    near = _drop_kernel(lam, frame, tol)
-    return float(np.linalg.norm(frame)), near
+    mask, near = kernel.kernel(tol)
+    frame[..., mask] = 0.0
+    return _frobenius(frame), near
 
 
 def kernel_complement_norm_exact(H_s, S: Symmetry,
@@ -396,7 +453,17 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
     and S with a single eigendecomposition of H_s, in real arithmetic when
     both are real.
     """
-    return _exact_projection(_AdKernel(H_s, S), tol_degeneracy)[0]
+    return float(_exact_projection(_AdKernel(H_s, S), tol_degeneracy)[0])
+
+
+def _commutator_projection(kernel: _AdKernel):
+    """||[L, S_h]||_F / ||L||_inf-bound: the commutator numerator of
+    ``kernel_complement_norm_commutator``, one per matrix of a stack."""
+    hnorm = operator_norm(kernel.H)
+    if hnorm <= 0:
+        raise ValidationError("Hamiltonian must be nonzero")
+    lift = 2.0 if kernel.kind == "linear" else 4.0
+    return _frobenius(kernel.ad(kernel.S)) / (lift * hnorm)
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -407,12 +474,7 @@ def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
     Never exceeds the exact projection, needs no diagonalization beyond
     ||H_s||_inf; the commutator of the hermitised inputs is one product.
     """
-    kernel = _AdKernel(H_s, S)
-    hnorm = operator_norm(kernel.H)
-    if hnorm <= 0:
-        raise ValidationError("Hamiltonian must be nonzero")
-    lift = 2.0 if S.kind == "linear" else 4.0
-    return float(np.linalg.norm(kernel.ad(kernel.S))) / (lift * hnorm)
+    return float(_commutator_projection(_AdKernel(H_s, S)))
 
 
 def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
@@ -518,6 +580,109 @@ def single_control_bound(H_d, H_c, U) -> float:
     return unitary_speed_limit(U, Symmetry("linear", H_c), drift=H_d).bound_time
 
 
+# Refinement trials scored per stack by a ``_StackScorer``: trials after
+# the first gain in a stack are wasted, and a larger stack wastes more than
+# it saves in per-stack overhead (problem-mix, seed 1: see CHANGES.md).
+_REFINE_CHUNK = 6
+# Entries of the products that assemble one stack of candidates (rows x
+# basis size x dimension²), about 1 MB of complex128, so a long random
+# phase or a large basis never holds more.
+_STACK_ENTRIES = 2**16
+
+
+def _real_groups(A: np.ndarray):
+    """(rows, A[rows]) for the rows of the stack A whose imaginary part is
+    exactly zero, as contiguous float64 (``hermitian_part`` hands such a
+    matrix on that way), then for the other rows."""
+    if not np.iscomplexobj(A):
+        yield np.arange(len(A)), A
+        return
+    real = ~A.imag.any(axis=(-2, -1))
+    for rows, part in ((np.flatnonzero(real), np.real),
+                       (np.flatnonzero(~real), np.asarray)):
+        if rows.size:
+            yield rows, np.ascontiguousarray(part(A[rows]))
+
+
+class _StackScorer:
+    """The symmetry search's objective for one request, prepared once.
+
+    Called with a stack of unit-Frobenius candidate matrices of ``like``'s
+    kind and dimension, it returns for each the bound that
+    ``restore_symmetry`` and then ``unitary_speed_limit`` (a target U) or
+    ``hamiltonian_speed_limit`` (an exact or commutator numerator) give it,
+    and -inf where that path raises.  It holds the drift with its Hermitian
+    part and norm, the quadratic unit lifts, and U (U⊗U for quadratic S) or
+    the ad_{H_s} kernel with its one eigendecomposition.  A stack takes one
+    ``perturb._restore_rows``, one stacked ``eigvalsh`` for ||ΔH||_inf and
+    one stacked numerator, each row in the dtype the public path gives it,
+    so that every value equals the public one.
+    """
+
+    def __init__(self, like: Symmetry, drift, *, target_unitary=None,
+                 target_hamiltonian=None, method: str = "exact",
+                 tol_degeneracy: float | None = None):
+        self.kind = like.kind
+        self.gate = target_unitary is not None
+        self._numerator = None
+        try:  # a QslError here is raised by the public path on every row
+            H = require_square(drift)
+            if H.shape[0] != like.base_dimension:
+                raise DimensionError("drift dimension does not match symmetry")
+            self._drift = H, hermitian_part(H), frobenius_norm(H)
+            self._setup = (_quadratic_setup(H) if self.kind == "quadratic"
+                           else None)
+            if self.gate:
+                U = require_unitary(target_unitary)
+                if U.shape[0] != like.base_dimension:
+                    raise DimensionError("target dimension does not match "
+                                         "symmetry")
+                W = kron(U, U) if self.kind == "quadratic" else U
+                self._numerator = lambda M, Sh: _breaking_norm(W, M)
+            elif method == "exact":
+                kernel = _AdKernel(target_hamiltonian, like)
+                self._numerator = lambda M, Sh: _exact_projection(
+                    kernel.hold(Sh), tol_degeneracy)[0]
+            elif method == "commutator":
+                kernel = _AdKernel(target_hamiltonian, like)
+                self._numerator = lambda M, Sh: _commutator_projection(
+                    kernel.hold(Sh))
+            else:
+                raise ValueError(f"no stacked numerator for {method!r}")
+        except QslError:
+            pass
+
+    def __call__(self, M: np.ndarray) -> np.ndarray:
+        values = np.full(len(M), -np.inf)
+        if self._numerator is None:
+            return values
+        exact = (M == _adjoint(M)).all(axis=(-2, -1))
+        Sh = M if exact.all() else np.where(exact[:, None, None], M,
+                                            _hermitised(M))
+        try:
+            for rows, Sh_rows in _real_groups(Sh):
+                values[rows] = self._score(M[rows], Sh_rows)
+        except QslError:  # raised for one row, raised for every row
+            values[:] = -np.inf
+        return values
+
+    def _score(self, M: np.ndarray, Sh: np.ndarray) -> np.ndarray:
+        sfrob = _frobenius(M)
+        broken, dH, residual, limit = _restore_rows(
+            self.kind, M, Sh, sfrob, *self._drift, self._setup)
+        values = np.full(len(M), -np.inf)
+        restored = residual[broken] <= limit[broken]
+        rows = broken[restored]
+        if rows.size:
+            dh = np.empty(rows.size)
+            for part, dH_part in _real_groups(dH[restored]):
+                dh[part] = _max_abs_eigenvalue(dH_part)
+            num = self._numerator(M[rows], Sh[rows])
+            values[rows] = np.where(dh > 0, _time_bound(
+                num, sfrob[rows], dh, self.gate, self.kind), -np.inf)
+        return values
+
+
 def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
                       seed: int = 0) -> Symmetry:
     """Search real combinations of the basis (plus an identity shift) for the
@@ -530,6 +695,19 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
     directions, then rounds of coordinate refinement around the best point.
     Deterministic given the seed; on ties the earliest candidate wins.
     Candidates on which the objective raises a QslError score -inf.
+
+    Candidates are scored in stacks of coefficient rows: the basis rows, the
+    random rows (drawn at once, the same stream as one draw per row), and
+    the refinement trials, each taken from the best point so far in the
+    order (k, +step), (k, -step), k = 0..n.  Only a stack's first trial
+    that improves is taken, and the trials after it are formed again from
+    the new best point, so the candidates and their order are those of
+    scoring one at a time, and the same values choose the same symmetry.
+    Each candidate's matrix is summed as a lone candidate's would be, bit
+    for bit.  A plain callable is scored one row at a time and is called
+    exactly once per candidate.  The CLI passes a private ``_StackScorer``
+    instead, which takes refinement trials ``_REFINE_CHUNK`` at a time (a
+    few trials after the first gain are scored in vain).
     """
     if not basis:
         raise ValidationError("symmetry basis must be nonempty")
@@ -539,59 +717,84 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
     dim = basis[0].dimension
     if any(b.dimension != dim for b in basis):
         raise DimensionError("all basis elements must share one dimension")
-    mats = [b.matrix for b in basis]
+    mats = np.array([b.matrix for b in basis])
     eye = np.eye(dim)
     n = len(mats)
+    stacked = isinstance(objective, _StackScorer)
+    cap = max(1, _STACK_ENTRIES // (n * dim**2))
 
     best_value, best_coeffs, best = -np.inf, None, None
 
-    def consider(coeffs) -> bool:
-        """Assemble and score a candidate; keep it if it beats the best so far.
+    def scores(rows: np.ndarray):
+        """The unit-Frobenius candidates of the coefficient rows and their
+        values: -inf for a degenerate candidate, a non-finite value or a
+        QslError from the objective."""
+        # a lone candidate was sum(c_k B_k) + c_n 1, summed from 0 in the
+        # order of k: the same sums in the same order give it bit for bit
+        M = np.add.reduce(rows[:, :n, None, None] * mats, axis=1,
+                          initial=0.0)
+        M += rows[:, n, None, None] * eye
+        nrm = _frobenius(M)
+        live = np.flatnonzero(nrm > 1e-12)
+        M[live] /= nrm[live, None, None]
+        values = np.full(len(rows), -np.inf)
+        if stacked:
+            values[live] = objective(M[live])
+        else:
+            for i in live:
+                sym = Symmetry(kind, M[i], note="optimized")
+                try:
+                    values[i] = float(objective(sym))
+                except QslError:
+                    pass
+        values[~np.isfinite(values)] = -np.inf
+        return values, M
 
-        A degenerate candidate, a non-finite value or a QslError from the
-        objective never wins, and a tie keeps the earlier candidate.
-        """
+    def consider(rows: np.ndarray, first: bool = False) -> int:
+        """Score the rows in stacks of at most ``cap`` and keep the best of
+        them, or with ``first`` the first, that beats the best so far (ties
+        keep the earlier candidate); its index, or -1."""
         nonlocal best_value, best_coeffs, best
-        M = sum(c * B for c, B in zip(coeffs[:n], mats)) + coeffs[n] * eye
-        nrm = np.linalg.norm(M)
-        if nrm <= 1e-12:
-            return False
-        sym = Symmetry(kind, M / nrm, note="optimized")
-        try:
-            v = float(objective(sym))
-        except QslError:
-            return False
-        if not (np.isfinite(v) and v > best_value):
-            return False
-        best_value, best_coeffs, best = v, np.array(coeffs, dtype=float), sym
-        return True
+        for start in range(0, len(rows), cap):
+            values, M = scores(rows[start:start + cap])
+            wins = np.flatnonzero(values > best_value)
+            if wins.size:
+                i = wins[0] if first else int(np.argmax(values))
+                best_value = values[i]
+                best_coeffs = rows[start + i].copy()
+                best = M[i].copy()
+                if first:
+                    return start + i
+        return -1
 
-    for k in range(n):
-        e = np.zeros(n + 1)
-        e[k] = 1.0
-        consider(e)
-
+    consider(np.eye(n, n + 1))
     rng = np.random.default_rng(seed)
-    for _ in range(max(0, int(iterations))):
-        consider(rng.standard_normal(n + 1))
+    iterations = max(0, int(iterations))
+    for start in range(0, iterations, cap):
+        consider(rng.standard_normal((min(cap, iterations - start), n + 1)))
 
     if best_coeffs is None:
         best_coeffs = np.zeros(n + 1)
         best_coeffs[0] = 1.0
 
+    trials = [(k, sign) for k in range(n + 1) for sign in (1.0, -1.0)]
+    chunk = min(_REFINE_CHUNK, cap) if stacked else 1
     step = 0.5
     for _ in range(4):
         improved = True
         while improved:
             improved = False
-            for k in range(n + 1):
-                for delta in (step, -step):
-                    trial = best_coeffs.copy()
-                    trial[k] += delta
-                    improved |= consider(trial)
+            t = 0
+            while t < len(trials):
+                batch = trials[t:t + chunk]
+                rows = np.repeat(best_coeffs[None], len(batch), axis=0)
+                for r, (k, sign) in enumerate(batch):
+                    rows[r, k] += sign * step
+                hit = consider(rows, first=True)
+                improved |= hit >= 0
+                t += len(batch) if hit < 0 else hit + 1
         step *= 0.25
 
     if best is None:  # no candidate scored
-        best = Symmetry(kind, mats[0] / np.linalg.norm(mats[0]),
-                        note="optimized")
-    return best
+        best = basis[0].matrix / np.linalg.norm(basis[0].matrix)
+    return Symmetry(kind, best, note="optimized")

@@ -11,8 +11,12 @@ model parameter the model rejects, input too large for the dense method).
 ``bound`` and every ``reproduce`` model run one pipeline, discover → choose
 → restore → bound: a symmetry basis of the controls, the combination that
 ``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
-the speed limit.  The cnot, swap and rydberg models bring their own
-symmetry and ΔH.  Each command takes only the flags it reads.  Option keys,
+the speed limit.  The search rates each candidate by the last two steps;
+with a unitary target or the exact or commutator numerator it does so
+through ``bounds._StackScorer``, prepared once per request and fed a stack
+of candidates at a time, which gives each the value the public functions
+give it.  The cnot, swap and rydberg models bring their own symmetry and
+ΔH.  Each command takes only the flags it reads.  Option keys,
 one schema for the problem files of every command (a flag of the same name
 overrides the file; ``reproduce syk`` passes ``--iterations`` as
 ``optimize_symmetry``):
@@ -46,6 +50,7 @@ import numpy as np
 
 from .bounds import (
     _DRIFT_KEEPS_SYMMETRY,
+    _StackScorer,
     _default_filter_interval,
     hamiltonian_speed_limit,
     optimize_symmetry,
@@ -214,11 +219,9 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
 
 
 def _checked(check, M: np.ndarray, what: str) -> np.ndarray:
-    """check(M); a matrix it rejects is bad input.  An infinite entry makes
-    the check's defect NaN, which it reports, so numpy's warning is not."""
+    """check(M); a matrix it rejects is bad input."""
     try:
-        with np.errstate(invalid="ignore"):
-            return check(M)
+        return check(M)
     except (QslError, ValueError) as exc:
         raise ProblemFormatError(f"{what}: {exc}") from None
 
@@ -421,15 +424,18 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
                     symmetry=None, perturbation=None):
     """Bound for the one target that is not None: discover → choose →
     restore → bound.  A given ``symmetry`` skips discovery and choice, a given
-    ``perturbation`` restoration.  Returns the report and the basis, if any.
+    ``perturbation`` restoration.  The choice scores candidates with a
+    ``_StackScorer`` built here, or, for the chebyshev numerator, with the
+    public restore and bound one candidate at a time.  Returns the report
+    and the basis, if any.
     """
     unitary = target_unitary is not None
     kind = opts.get("kind") or ("quadratic" if unitary else "linear")
+    method = opts.get("method") or "exact"  # read for a Hamiltonian only
     if unitary:
         def bound(sym, pert, drift=None):
             return unitary_speed_limit(target_unitary, sym, pert, drift=drift)
     else:
-        method = opts.get("method") or "exact"
         lo, hi = opts.get("sigma_min"), opts.get("sigma_max")
         if method == "chebyshev" and (lo is None) != (hi is None):
             # fill the open end with the default the library would derive,
@@ -456,9 +462,17 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
         # refuse once, before the search scores each candidate by refusing it
         if all(_drift_keeps(s, H_d) for s in basis):
             raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
-        symmetry = optimize_symmetry(
-            basis, lambda s: bound(s, restore_symmetry(s, H_d)).bound_time,
-            iterations=opts["optimize_symmetry"], seed=opts["seed"])
+        if unitary or method != "chebyshev":
+            objective = _StackScorer(
+                basis[0], H_d, target_unitary=target_unitary,
+                target_hamiltonian=target_hamiltonian, method=method,
+                tol_degeneracy=opts.get("tol"))
+        else:
+            def objective(s):
+                return bound(s, restore_symmetry(s, H_d)).bound_time
+        symmetry = optimize_symmetry(basis, objective,
+                                     iterations=opts["optimize_symmetry"],
+                                     seed=opts["seed"])
     if perturbation is None:
         perturbation = restore_symmetry(symmetry, H_d)
     # only the reported bound gets the drift: with a linear symmetry the
@@ -567,7 +581,7 @@ def cmd_verify_duhamel(args) -> dict:
             f"--trials must be an integer >= 1, got {args.trials}")
     spec = load_problem(args.problem)
     system = ControlSystem(spec.drift, spec.controls, label="duhamel-check")
-    rng = np.random.default_rng(_merge_options({"seed": 0}, args)["seed"])
+    rng = np.random.default_rng(_merge_options(spec.options, args)["seed"])
     d = system.dimension
     violations = 0
     worst = -math.inf

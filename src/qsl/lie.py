@@ -24,6 +24,7 @@ from .matcore import (
     TAU_RANK,
     ValidationError,
     _check_tolerance,
+    _frobenius,
     _spectral_gap,
     adjoint_superoperator,
     as_operator,
@@ -289,6 +290,11 @@ def quadratic_symmetry_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     return _commutant(lifts, "quadratic", "quadratic commutant", tol)
 
 
+def _breaking_norm(W: np.ndarray, M: np.ndarray):
+    """||[W, M]||_F for a matrix M or each matrix of a stack."""
+    return _frobenius(W @ M - M @ W)
+
+
 def symmetry_breaking_norm(S: Symmetry, target) -> float:
     """||[U, S]||_F for linear S, ||[U⊗U, S]||_F for quadratic S."""
     U = require_unitary(target)
@@ -297,7 +303,7 @@ def symmetry_breaking_norm(S: Symmetry, target) -> float:
                              "symmetry")
     if S.kind == "quadratic":
         U = kron(U, U)
-    return frobenius_norm(commutator(U, S.matrix))
+    return float(_breaking_norm(U, S.matrix))
 
 
 def span_residual(X, symmetries) -> float:

@@ -13,10 +13,15 @@ Rydberg bundle's drift, controls and swap needs half the memory and real
 BLAS/LAPACK calls), every other input becomes complex128.  Builders that
 produce qubit or permutation operators return complex128.  The validator
 helpers (``require_square``, ``require_hermitian``, ``hermitian_part``, ...)
-are the boundary where array-shaped garbage is rejected, at fixed tolerances;
+are the boundary where array-shaped garbage is rejected, at fixed tolerances,
+and a NaN or infinite entry with a ValidationError and no numpy warning;
 internal code may assume validated input.  Each hermiticity check is one pass
 over the matrix, 64 rows at a time; ``hermitian_part`` checks and hermitises in that same
 pass, and returns its input unchanged when it is already exactly Hermitian.
+The private kernels the symmetry search shares with the public functions
+(``_frobenius``, ``_hermitised``, ``_cluster_labels``, ``_kernel_mask``,
+``_max_abs_eigenvalue``) also take stacks of matrices, and each matrix of a
+stack gets the value it gets alone.
 """
 
 from __future__ import annotations
@@ -128,22 +133,24 @@ def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
     promises; otherwise H is None.  H is A itself while every block is
     exactly Hermitian, since then 0.5·(a + a) = a; a copy is started at the
     first block that is not, and its rows are 0.5·(A + A†) as ``hermitize``
-    computes them.
+    computes them.  A non-finite entry makes the defect non-finite, which
+    the callers report, so numpy's warning about it is silenced here.
     """
     total = 0.0
     H = None
-    for i in range(0, A.shape[0], 64):
-        rows, cols = A[i:i + 64], A[:, i:i + 64].conj().T
-        D = rows - cols
-        s = np.vdot(D, D).real
-        total += s
-        if hermitise and (s or H is not None):
-            if H is None:
-                H = np.empty(A.shape, dtype=A.dtype)
-                H[:i] = A[:i]
-            block = H[i:i + 64]
-            np.add(rows, cols, out=block)
-            block *= 0.5
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(0, A.shape[0], 64):
+            rows, cols = A[i:i + 64], A[:, i:i + 64].conj().T
+            D = rows - cols
+            s = np.vdot(D, D).real
+            total += s
+            if hermitise and (s or H is not None):
+                if H is None:
+                    H = np.empty(A.shape, dtype=A.dtype)
+                    H[:i] = A[:i]
+                block = H[i:i + 64]
+                np.add(rows, cols, out=block)
+                block *= 0.5
     if hermitise:
         H = A if H is None else H
         if H.dtype == complex and not H.imag.any():
@@ -185,10 +192,12 @@ def require_hermitian(M) -> np.ndarray:
 
 def require_unitary(M) -> np.ndarray:
     """M as a square array after checking ||M†M - 1||_F <= TAU_U·sqrt(d);
-    non-finite entries make the defect non-finite and fail the check."""
+    non-finite entries make the defect non-finite and fail the check, with
+    no numpy warning."""
     A = require_square(M)
     d = A.shape[0]
-    defect = float(np.linalg.norm(A.conj().T @ A - np.eye(d)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = float(np.linalg.norm(A.conj().T @ A - np.eye(d)))
     if not defect <= TAU_U * np.sqrt(d):
         raise _invalid(defect, "unitary")
     return A
@@ -212,10 +221,19 @@ def check_entry_cap(entries: int) -> None:
         )
 
 
+def _adjoint(A: np.ndarray) -> np.ndarray:
+    """A† of a matrix, or of each matrix of a stack."""
+    return A.conj().swapaxes(-1, -2)
+
+
+def _hermitised(A: np.ndarray) -> np.ndarray:
+    """(A + A†)/2 of a matrix or of each matrix of a stack, unchecked."""
+    return 0.5 * (A + _adjoint(A))
+
+
 def hermitize(M) -> np.ndarray:
     """(M + M†)/2.  Idempotent on Hermitian input."""
-    A = require_square(M)
-    return 0.5 * (A + A.conj().T)
+    return _hermitised(require_square(M))
 
 
 def hermitian_part(M) -> np.ndarray:
@@ -245,6 +263,25 @@ def frobenius_norm(M) -> float:
     return float(np.linalg.norm(as_operator(M)))
 
 
+def _frobenius(X: np.ndarray):
+    """||X||_F of a matrix, or of each matrix of a stack, with no temporary
+    the size of X.  Each value is the dot product ``np.linalg.norm`` takes
+    (real and imaginary parts apart), so a matrix gives the same float
+    alone as in any stack."""
+    f = X.reshape(X.shape[:-2] + (-1,))
+    parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
+    return np.sqrt(sum((p[..., None, :] @ p[..., :, None])[..., 0, 0]
+                       for p in parts))
+
+
+def _max_abs_eigenvalue(H: np.ndarray):
+    """max |eigenvalue| of an exactly Hermitian matrix, or of each matrix of
+    a stack, from ``eigvalsh``."""
+    if H.shape[-1] == 0:
+        return np.zeros(H.shape[:-2])
+    return np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1)
+
+
 def operator_norm(M) -> float:
     """Largest singular value; max |eigenvalue| on the Hermitian path, in
     real arithmetic when the hermitised input is exactly real.  A diagonal
@@ -259,8 +296,7 @@ def operator_norm(M) -> float:
             return float(np.max(np.abs(diag.real)))
         H, defect = _hermitian_pass(A, hermitise=True)
         if not _too_far_from_hermitian(A, defect, TAU_H):
-            w = np.linalg.eigvalsh(H)
-            return float(np.max(np.abs(w))) if w.size else 0.0
+            return float(_max_abs_eigenvalue(H))
     return float(np.linalg.norm(A, ord=2))
 
 
@@ -401,43 +437,51 @@ def permutation_operator(perm, local_dims) -> np.ndarray:
     return P
 
 
-def _cluster_labels(w: np.ndarray, tol: float) -> np.ndarray:
-    """Cluster index of each value of the ascending array w: a new cluster
-    starts at every adjacent gap above tol."""
-    return np.concatenate(([0], np.cumsum(np.diff(w) > tol)))
+def _cluster_labels(w: np.ndarray, tol) -> np.ndarray:
+    """Cluster index of each value of the ascending array w, or of each row
+    of a stack of them with one tol per row: a new cluster starts at every
+    adjacent gap above tol."""
+    split = w[..., 1:] - w[..., :-1] > np.asarray(tol)[..., None]
+    labels = np.zeros(w.shape, dtype=np.intp)
+    np.cumsum(split, axis=-1, out=labels[..., 1:])
+    return labels
 
 
-def _drop_kernel(w: np.ndarray, X: np.ndarray, tol: float) -> bool:
-    """(1 - P_ker ad_A) X in the eigenframe of A, in place, for eigenvalues
-    w of A in any order; returns whether the cut tol sits near the spectrum.
-
-    The kernel joins the eigenvalues of one ``_cluster_labels`` cluster of
-    the sorted w (a new cluster at each adjacent gap above tol): those
-    entries of X become +0.0.  Every pair within tol of each other lies in
-    one cluster, so the kernel is never smaller than the pairwise cut
+def _kernel_mask(w: np.ndarray, tol):
+    """The kernel of ad_A in the eigenframe of A, for eigenvalues w of A in
+    any order: True at (i, j) when w_i and w_j lie in one
+    ``_cluster_labels`` cluster of the sorted w (a new cluster at each
+    adjacent gap above tol).  Setting those entries of X to +0.0 gives
+    (1 - P_ker ad_A) X.  Every pair within tol of each other lies in one
+    cluster, so the kernel is never smaller than the pairwise cut
     |w_i - w_j| <= tol gives, and equal to it while no cluster is wider than
-    tol.  Near: an adjacent gap between clusters in (tol, 10·tol], or a
-    cluster wider than tol, which covers every pair with a gap in
-    (tol, 10·tol].  Ascending w (an ``eigh`` spectrum) needs no sort, and
-    its clusters are square blocks of X.
-    """
-    # ndarray methods and slices, not np.diff/np.fill_diagonal: restoration
-    # and the numerator call this thousands of times on small matrices
-    order = None if (w[:-1] <= w[1:]).all() else np.argsort(w, kind="stable")
-    ws = w if order is None else w[order]
-    gaps = ws[1:] - ws[:-1]
-    split = gaps > tol
-    X.flat[::X.shape[0] + 1] = 0.0
-    near = bool((gaps[split] <= 10 * tol).any())
-    if not split.all():
-        edges = np.flatnonzero(np.concatenate(([True], split, [True]))).tolist()
-        for s, e in zip(edges, edges[1:]):
-            if e - s > 1:
-                block = (slice(s, e),) * 2 if order is None else np.ix_(
-                    order[s:e], order[s:e])
-                X[block] = 0.0
-                near = near or bool(ws[e - 1] - ws[s] > tol)
-    return near
+    tol.  Also for a stack of spectra, with one tol per row.  Returns
+    (mask, sorted w, its labels); ascending w (an ``eigh`` spectrum) needs
+    no sort."""
+    order = None if (w[..., :-1] <= w[..., 1:]).all() else np.argsort(
+        w, axis=-1, kind="stable")
+    ws = w if order is None else np.take_along_axis(w, order, -1)
+    ranked = _cluster_labels(ws, tol)
+    labels = ranked
+    if order is not None:  # back to the order of w
+        labels = np.empty_like(ranked)
+        np.put_along_axis(labels, order, ranked, -1)
+    return labels[..., :, None] == labels[..., None, :], ws, ranked
+
+
+def _near_cut(ws: np.ndarray, ranked: np.ndarray, tol) -> bool:
+    """Whether the cut tol sits near the sorted spectrum ws with cluster
+    labels ``ranked``: an adjacent gap between clusters in (tol, 10·tol],
+    or a cluster wider than tol, which covers every pair with a gap in
+    (tol, 10·tol]."""
+    tol = np.asarray(tol)[..., None]
+    new = np.diff(ranked, axis=-1, prepend=-1) > 0
+    gaps = ws[..., 1:] - ws[..., :-1]
+    # each value less the first of its cluster: the cluster's width so far
+    first = np.maximum.accumulate(np.where(new, np.arange(ws.shape[-1]), 0),
+                                  axis=-1)
+    return bool((new[..., 1:] & (gaps <= 10 * tol)).any()
+                or (ws - np.take_along_axis(ws, first, -1) > tol).any())
 
 
 def min_eigenvalue_gap(values, cluster_tol: float) -> float:

@@ -189,6 +189,25 @@ class TestSuppliedPerturbation:
         monkeypatch.setattr(Perturbation, "from_matrix", None)
         unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
 
+    def test_residual_recorded_for_another_drift_not_trusted(self):
+        """S = Z: -1e-3 X restores the drift 1e-3 X (residual 0.0) but not
+        X + Y, whose U at T = 0.3 it bounded by 411.65; the residual is
+        formed again for X + Y and refused, while the ΔH restored for X + Y
+        gives 0.291.  An equal copy of the recorded drift reuses it."""
+        S = Symmetry("linear", Z)
+        pert = Perturbation.from_matrix(S, -1e-3 * X, drift=1e-3 * X)
+        assert pert.residual == 0.0
+        U = matrix_exponential(X + Y, 0.3)
+        with pytest.raises(ConditioningError) as err:
+            unitary_speed_limit(U, S, pert, drift=X + Y)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["residual"] > diagnostics["limit"]
+        rep = unitary_speed_limit(U, S, restore_symmetry(S, X + Y),
+                                  drift=X + Y)
+        assert rep.bound_time == pytest.approx(0.29108065, rel=1e-7)
+        for drift in (1e-3 * X, (1e-3 * X).tolist()):
+            assert unitary_speed_limit(U, S, pert, drift=drift).bound_time > 0
+
     def test_trusted_without_drift(self):
         """With no drift anywhere a supplied ΔH is taken as given."""
         S = Symmetry("linear", Z)

@@ -336,6 +336,25 @@ class TestRunCommand:
         assert code == 0
         assert report["violations"] == 0
 
+    def test_verify_duhamel_reads_the_file_seed(self, capsys, tmp_path):
+        """The file's ``seed`` draws the trials as ``--seed`` does, and the
+        flag overrides the file."""
+        problem = json.loads(Path(CNOT_PROBLEM).read_text())
+        problem["options"] = {**problem.get("options", {}), "seed": 5}
+        path = tmp_path / "cnot-seed5.json"
+        path.write_text(json.dumps(problem))
+
+        def worst(*argv):
+            code, report, _ = _run(capsys, ["verify", "duhamel", *argv,
+                                            "--trials", "3", "--json-only"])
+            assert code == 0
+            return report["max_lhs_minus_rhs"]
+        from_file = worst(str(path))
+        assert from_file == worst(CNOT_PROBLEM, "--seed", "5")
+        assert from_file == pytest.approx(-0.0033001, abs=1e-7)
+        assert worst(str(path), "--seed", "0") == worst(CNOT_PROBLEM)
+        assert worst(CNOT_PROBLEM) == pytest.approx(-0.0030530, abs=1e-7)
+
     def test_reports_reproducible(self, capsys):
         _, a, _ = _run(capsys, ["reproduce", "syk", "--seed", "4",
                                 "--iterations", "10", "--json-only"])

@@ -11,9 +11,10 @@ from qsl.matcore import (
     PAULI,
     ValidationError,
     _cluster_labels,
-    _drop_kernel,
     _hermitian_defect,
+    _kernel_mask,
     _lift,
+    _near_cut,
     adjoint_superoperator,
     as_operator,
     check_entry_cap,
@@ -259,26 +260,32 @@ class TestSpectralClustering:
            tol=st.sampled_from([0.0, 0.25, 0.5]), seed=st.integers(0, 2**16))
     @settings(max_examples=100, deadline=None)
     def test_drop_kernel_any_order(self, w, tol, seed):
-        """Entries joining one cluster of the sorted values become +0.0, the
-        rest stay, whatever the order of w."""
+        """The kernel mask joins the entries of one cluster of the sorted
+        values, whatever the order of w, and zeroing it leaves +0.0 there
+        and the rest unchanged; a stack of spectra gives each its own."""
         w = np.array(w)
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((w.size, w.size))
         got = X.copy()
-        _drop_kernel(w, got, tol)
+        mask = _kernel_mask(w, tol)[0]
+        got[mask] = 0.0
         order = np.argsort(w, kind="stable")
         labels = np.empty(w.size, dtype=int)
         labels[order] = loop_labels(w[order], tol)
         same = labels[:, None] == labels[None, :]
+        assert np.array_equal(mask, same)
         assert np.array_equal(got, np.where(same, 0.0, X))
         assert not np.signbit(got[same]).any()
+        stack = np.array([w, w[::-1], np.sort(w)])
+        tols = np.array([tol, tol, 2 * tol])
+        assert np.array_equal(_kernel_mask(stack, tols)[0], np.array(
+            [_kernel_mask(v, t)[0] for v, t in zip(stack, tols)]))
 
     def test_drop_kernel_near_flag(self):
         """Near: an adjacent gap between clusters in (tol, 10·tol], or a
         cluster wider than tol."""
         def near(w):
-            w = np.array(w)
-            return _drop_kernel(w, np.ones((w.size, w.size)), 1.0)
+            return _near_cut(*_kernel_mask(np.array(w), 1.0)[1:], 1.0)
         assert not near([0.0, 1.0, 12.0])      # gaps: in a cluster, far
         assert near([0.0, 1.0, 11.0])          # a gap of exactly 10·tol
         assert near([0.0, 0.6, 1.2, 50.0])     # a chain 1.2 wide
@@ -485,6 +492,7 @@ class TestNonFiniteEntries:
     """NaN or ±inf anywhere makes the defect non-finite, which every
     hermiticity and unitarity check rejects, naming the entries."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @given(d=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
            real=st.booleans(), bad=st.sampled_from([np.nan, np.inf, -np.inf]),
            imag=st.booleans(), mirror=st.booleans(), diagonal=st.booleans())
@@ -506,9 +514,9 @@ class TestNonFiniteEntries:
             if mirror:  # keep the Hermitian pattern: A[j, i] = conj(A[i, j])
                 A[j, i] = np.conj(value)
             for check in checks:
-                # numpy warns of inf - inf; the check reports it
-                with np.errstate(invalid="ignore"), pytest.raises(
-                        ValidationError, match="non-finite"):
+                # inf - inf is NaN: the check reports it, with no numpy
+                # warning (any RuntimeWarning fails the test)
+                with pytest.raises(ValidationError, match="non-finite"):
                     check(A)
 
 

@@ -127,6 +127,31 @@ def test_quadratic_bound_never_exceeds_a_reaching_time(seed, keeps,
     _assert_unitary_bounds_sound(U, S, drift, T)
 
 
+@given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
+       other=st.sampled_from(["random", "near", "scaled", "keeps", "same"]))
+@settings(max_examples=60, deadline=None)
+def test_delta_h_restored_for_another_drift(d, seed, other):
+    """A ΔH restored for a drift D1 but given to the bound with the drift
+    D2 that reaches U: the bound raises or stays at most T.  D1 is a random
+    drift, D2 plus a small change, a multiple of D2, a drift that keeps S,
+    or D2 itself (then the recorded residual is the right one)."""
+    rng = np.random.default_rng(seed)
+    W = random_unitary(rng, d)
+    sizes = [1, d - 1]
+    S = Symmetry("linear", (W * np.repeat([1.0, -1.0], sizes)) @ W.conj().T)
+    controls = [_block_diagonal(rng, W, sizes)]
+    D2 = random_hermitian(rng, d)
+    D1 = {"random": random_hermitian(rng, d),
+          "near": D2 + 1e-3 * random_hermitian(rng, d),
+          "scaled": rng.uniform(0.1, 3.0) * D2,
+          "keeps": _block_diagonal(rng, W, sizes),
+          "same": D2}[other]
+    U, T = _reached(rng, D2, controls, zero_pulses=False)
+    pert = restore_symmetry(S, D1)
+    _assert_sound(lambda: unitary_speed_limit(U, S, pert,
+                                              drift=D2).bound_time, T)
+
+
 def _axis(rng) -> np.ndarray:
     """n·σ for a random unit vector n."""
     n = rng.standard_normal(3)
