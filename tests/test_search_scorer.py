@@ -219,8 +219,8 @@ def test_cli_search_on_random_problems(seed, kind, target, iterations):
                         {"kind": kind, "method": None if U is not None
                          else target, "optimize_symmetry": iterations,
                          "seed": seed % 1000})
-    except QslError:
-        pass  # a drift that keeps every symmetry, refused before the search
+    except ValidationError as exc:  # a drift that keeps every symmetry
+        assert "no time bound follows" in str(exc)
 
 
 def test_plain_objective_sees_the_reference_candidates():
