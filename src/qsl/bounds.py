@@ -41,7 +41,10 @@ near-degeneracy check); commutator is one product H S_h plus ||H_s||_inf;
 chebyshev is the same eigendecomposition plus about five products, whatever
 the filter degree, and never a d² x d² superoperator.  For quadratic S each
 product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
-d x d contractions.
+d x d contractions.  A target that the reversal of the qubit order R leaves
+exactly unchanged (H = R H R, an open chain such as the Rydberg H_s) is
+decomposed, and its norm read, sector by sector: two half-size
+eigendecompositions in place of one, about a quarter of the work.
 
 ``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
 its candidates with ``_StackScorer``: the problem is prepared once per
@@ -69,6 +72,7 @@ from .matcore import (
     ValidationError,
     _adjoint,
     _check_tolerance,
+    _diagonal_norm,
     _frobenius,
     _hermitised,
     _kernel_mask,
@@ -296,6 +300,64 @@ def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None
     return rep
 
 
+@functools.lru_cache(maxsize=32)
+def _reflection(d: int):
+    """The index arrays of the chain reflection R for d = 2^n, n >= 2, made
+    once per dimension and read-only: (p, r, f, q, rq).
+
+    rev[i] is i with its n bits reversed (R reverses the qubit order); p are
+    the indices below their reversal, r = rev[p], f the fixed points, and
+    the columns q = (p, r, f) and rq = rev[q] = (r, p, f).
+    """
+    idx = np.arange(d)
+    # index i in n binary axes; reversing the axes reverses its bits
+    rev = idx.reshape((2,) * (d.bit_length() - 1)).T.ravel()
+    p = np.flatnonzero(idx < rev)
+    r, f = rev[p], np.flatnonzero(idx == rev)
+    out = p, r, f, np.concatenate((p, r, f)), np.concatenate((r, p, f))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _sectors(H: np.ndarray):
+    """Hermitian blocks whose spectra together are that of the exactly
+    Hermitian H, each built only when it is reached, with the rows of H's
+    eigenvectors it fills: (block, place).
+
+    H itself, place None, unless d = 2^n (n >= 2) and H = R H R exactly,
+    R the reversal of the qubit order (an open chain with reflection-
+    invariant couplings).  Then the R-even and R-odd sectors, on the bases
+    (e_p + e_r)/√2, e_f and (e_p - e_r)/√2: with A = H[p, p] and
+    B = H[p, r], A + B bordered by √2·H[p, f] and H[f, f], place (p, r, f,
+    +1), and A - B, place (p, r, [], -1).  Each is about half of d, so the
+    two decompositions take about a quarter of the work of one.  The test
+    compares rows r with rows p reversed, in O(d²) and with no d x d copy;
+    H's hermiticity covers the rows f.  The formulas hold for complex H too.
+    """
+    d = H.shape[0]
+    split = _reflection(d) if d >= 4 and d & (d - 1) == 0 else None
+    if split is not None:
+        p, r, f, q, rq = split
+        Hq = H.take(p, 0).take(q, 1)  # rows p; columns p, r, f
+        if not np.array_equal(H.take(r, 0).take(rq, 1), Hq):
+            split = None
+    if split is None:
+        yield H, None
+        return
+    k = p.size
+    even = np.empty((k + f.size,) * 2, dtype=H.dtype)
+    np.add(Hq[:, :k], Hq[:, k:2 * k], out=even[:k, :k])
+    np.multiply(Hq[:, 2 * k:], math.sqrt(2.0), out=even[:k, k:])
+    even[k:, :k] = _adjoint(even[:k, k:])
+    even[k:, k:] = H.take(f, 0).take(f, 1)
+    yield even, (p, r, f, 1.0)
+    del even
+    odd = np.subtract(Hq[:, :k], Hq[:, k:2 * k])
+    del Hq
+    yield odd, (p, r, f[:0], -1.0)
+
+
 class _AdKernel:
     """ad_L on Hermitian arguments, prepared once per numerator evaluation,
     or once per request for the symmetry search's ``_StackScorer``.
@@ -307,7 +369,10 @@ class _AdKernel:
     Each is stored in float64 when its imaginary part is exactly zero
     (Rydberg, hopping, Pauli texts without Y), so the products and the
     eigendecomposition of H run in real arithmetic.  That decomposition,
-    ``eigen``, is made once per kernel.
+    ``eigen``, is made once per kernel, one ``eigh`` per block of
+    ``_sectors``: H itself, or the R-even and R-odd sectors of an H that
+    the reversal R of the qubit order leaves exactly unchanged.  ``norm``
+    reads ||H||_inf from the same blocks, with no second hermiticity pass.
 
     For Hermitian Y, [L, Y] = P - P† with P = L Y; for anti-Hermitian C,
     [L, C] = Q + Q† with Q = L C.  One application of ad_L therefore costs
@@ -334,15 +399,41 @@ class _AdKernel:
     @functools.cached_property
     def eigen(self):
         """(w, V, lam): H = V diag(w) V† and lam the spectrum of L (w, or the
-        pairwise sums w_a + w_b in the column order of V⊗V for the lift)."""
-        w, V = np.linalg.eigh(self.H)
+        pairwise sums w_a + w_b in the column order of V⊗V for the lift).
+
+        One ``eigh`` per block of ``_sectors``: V is that of H itself, or
+        the sectors' eigenvectors placed in their rows, w then ascending
+        within each sector but not overall."""
+        ws, V = [], None
+        for block, place in _sectors(self.H):
+            w, U = np.linalg.eigh(block)
+            if place is None:  # the block is H itself
+                V = U
+            else:  # U's rows: the pairs (e_p ± e_r)/√2, then e_f
+                if V is None:
+                    V = np.zeros(self.H.shape, U.dtype)
+                p, r, f, sign = place
+                start = sum(map(len, ws))
+                cols = slice(start, start + w.size)
+                pairs = U[:p.size]
+                pairs *= math.sqrt(0.5)
+                V[p, cols] = pairs
+                V[r, cols] = pairs if sign > 0 else -pairs
+                V[f, cols] = U[p.size:]
+            ws.append(w)
+        w = ws[0] if len(ws) == 1 else np.concatenate(ws)
         return w, V, (w if self.kind == "linear"
                       else np.add.outer(w, w).reshape(-1))
 
     @functools.cached_property
     def norm(self) -> float:
-        """||H||_inf."""
-        return operator_norm(self.H)
+        """||H||_inf: ``operator_norm``'s max |diagonal| for a diagonal H,
+        else the largest max |eigenvalue| of the blocks of ``_sectors``."""
+        norm = _diagonal_norm(self.H)
+        if norm is None:
+            norm = max(float(_max_abs_eigenvalue(block))
+                       for block, _ in _sectors(self.H))
+        return norm
 
     def kernel(self, tol: float):
         """(mask, near): ``matcore._kernel_mask`` of the spectrum of L at the

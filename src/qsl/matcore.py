@@ -282,6 +282,17 @@ def _max_abs_eigenvalue(H: np.ndarray):
     return np.max(np.abs(np.linalg.eigvalsh(H)), axis=-1)
 
 
+def _diagonal_norm(A: np.ndarray) -> float | None:
+    """max |diagonal| of a square A that is diagonal with an exactly real
+    diagonal, its own spectrum, so its operator norm with no decomposition;
+    None for any other A."""
+    diag = A.diagonal()
+    if (diag.size and not diag.imag.any()
+            and np.count_nonzero(A) == np.count_nonzero(diag)):
+        return float(np.max(np.abs(diag.real)))
+    return None
+
+
 def operator_norm(M) -> float:
     """Largest singular value; max |eigenvalue| on the Hermitian path, in
     real arithmetic when the hermitised input is exactly real.  A diagonal
@@ -290,10 +301,9 @@ def operator_norm(M) -> float:
     when it is exactly Hermitian, no copy."""
     A = as_operator(M)
     if A.shape[0] == A.shape[1]:
-        diag = A.diagonal()
-        if (diag.size and not diag.imag.any()
-                and np.count_nonzero(A) == np.count_nonzero(diag)):
-            return float(np.max(np.abs(diag.real)))
+        norm = _diagonal_norm(A)
+        if norm is not None:
+            return norm
         H, defect = _hermitian_pass(A, hermitise=True)
         if not _too_far_from_hermitian(A, defect, TAU_H):
             return float(_max_abs_eigenvalue(H))

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,6 +241,19 @@ def _occupation_diagonal(N: int) -> np.ndarray:
     return np.array([(idx >> (N - 1 - i)) & 1 for i in range(N)])
 
 
+# The traced peak of a dense Rydberg build or exact solve, in d x d float64
+# matrices: 9.1 (build) and 9.0 (exact) at N = 9.
+_DENSE_PEAK_MATRICES = 9
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
                         J: float = 1.0, g: float = 0.5,
                         h: float = 0.5) -> ModelBundle:
@@ -250,6 +264,10 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     the first two atoms is a symmetry of everything but the drift).  Averaging
     the couplings of atoms 1 and 2 to each other atom restores the swap; the
     resulting ΔH is diagonal with ||ΔH||_inf = C/(2 a^6) (1 - 1/(N-1)^6).
+
+    Raises DimensionCapError above 14 atoms, or before anything is allocated
+    when about nine dense d x d float64 matrices (the traced peak of a build
+    or an exact solve) would not fit in physical memory.
     """
     if N < 3:
         raise ValidationError("array needs at least 3 atoms")
@@ -259,6 +277,11 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     if C <= 0 or a <= 0:
         raise ValidationError("interaction strength and spacing must be positive")
     d = 2**N
+    need, have = _DENSE_PEAK_MATRICES * 8 * d * d, _physical_memory()
+    if have is not None and need > have:
+        raise DimensionCapError(
+            f"the dense model at {N} atoms needs about {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory")
     bits = _occupation_diagonal(N)
     pair_diag = np.zeros(d)
     for i in range(N):

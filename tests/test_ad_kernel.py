@@ -14,11 +14,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qsl import matcore
 from qsl.bounds import (
     ChebyshevFilter,
     _AdKernel,
     _certified_numerator,
     _eigenframe,
+    _exact_projection,
+    _sectors,
     _similarity,
     chebyshev_degree_for,
     chebyshev_filter_bound,
@@ -27,10 +30,10 @@ from qsl.bounds import (
     kernel_complement_norm_exact,
 )
 from qsl.lie import Symmetry
-from qsl.matcore import TAU_H, commutator, hermitize, iota
+from qsl.matcore import TAU_H, commutator, hermitize, iota, operator_norm
 from qsl.models import rydberg_chain_model
 from qsl.perturb import Perturbation
-from conftest import random_hermitian
+from conftest import pairwise_kernel_complement, random_hermitian
 
 
 def iota_commutator(H, Y):
@@ -404,3 +407,172 @@ class TestMisSetInterval:
             p = filt.evaluate(np.array([0.0, 5e-4, 1.0, 100.0]))
         assert p[0] == pytest.approx(1.0) and abs(p[1]) <= filt.epsilon
         assert np.all(np.isinf(p[2:]))
+
+
+def bit_reversal(n):
+    """i with its n bits reversed: the chain reflection of the qubit order."""
+    return np.array([int(format(i, f"0{n}b")[::-1], 2) for i in range(2**n)])
+
+
+def reflection_symmetric(rng, n, real):
+    """(M + R M R)/2 for a random Hermitian M: entry (i, j) and entry
+    (rev i, rev j) are the same sum, so H = R H R and H = H† hold exactly."""
+    rev = bit_reversal(n)
+    M = draw_hermitian(rng, 2**n, real)
+    return 0.5 * (M + M[np.ix_(rev, rev)])
+
+
+def sum_x(n):
+    """sum_i X_i, exactly degenerate across the two sectors."""
+    d = 2**n
+    idx = np.arange(d)
+    H = np.zeros((d, d))
+    for q in range(n):
+        H[idx ^ (1 << q), idx] = 1.0
+    return H
+
+
+def dense_chebyshev(H, S, degree, lo, hi):
+    """Oracle: the filtered residual p(g²) ∘ S' in the frame of a dense
+    ``eigh`` of H (entries where |p| > 1 or g = 0 unfiltered), as
+    sqrt(||S_h||² - ||residual||²)."""
+    w, V = np.linalg.eigh(H)
+    if S.kind == "quadratic":
+        lam, W = np.add.outer(w, w).reshape(-1), np.kron(V, V)
+    else:
+        lam, W = w, V
+    frame = W.conj().T @ S.hermitian @ W
+    g = np.subtract.outer(lam, lam)
+    p = ChebyshevFilter(degree, lo, hi).evaluate(g * g)
+    keep = (np.abs(p) <= 1.0) & (g != 0)
+    residual = np.where(keep, p * frame, frame)
+    return math.sqrt(max(0.0, np.linalg.norm(S.hermitian)**2
+                         - np.linalg.norm(residual)**2))
+
+
+SECTOR_PROBLEM = dict(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+                      real=st.booleans())
+
+
+class TestReflectionSectors:
+    """A target with H = R H R, R the reversal of the qubit order, is
+    decomposed in its R-even and R-odd sectors; every numerator must equal
+    the one a dense ``eigh`` of H gives."""
+
+    @staticmethod
+    def check_numerators(H, S, tol=None):
+        kernel = _AdKernel(H, S)
+        assert len(list(_sectors(kernel.H))) == 2
+        scale = 1e-12 * np.linalg.norm(S.hermitian)
+        want, want_near, lam, cut = pairwise_kernel_complement(H, S, tol)
+        got, near = _exact_projection(kernel, tol)
+        assert abs(got - want) <= scale and near == want_near
+        hnorm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
+        if S.kind == "linear":
+            want = np.linalg.norm(commutator(H, S.hermitian)) / (2 * hnorm)
+        else:
+            want = np.linalg.norm(iota_commutator(H, S.hermitian)) / (4 * hnorm)
+        assert abs(kernel_complement_norm_commutator(H, S) - want) <= scale
+        g2 = np.subtract.outer(lam, lam).reshape(-1) ** 2
+        g2 = g2[g2 > (1e-6 * g2.max())]
+        lo, hi = float(g2.min()), float(g2.max())
+        degree = chebyshev_degree_for(1e-2, lo, hi)
+        got, _ = chebyshev_filter_bound(H, S, degree, lo, hi)
+        assert abs(got - dense_chebyshev(H, S, degree, lo, hi)) <= scale
+
+    @given(**SECTOR_PROBLEM)
+    @settings(max_examples=40, deadline=None)
+    def test_linear_numerators_match_dense_eigh(self, n, seed, real):
+        rng = np.random.default_rng(seed)
+        H = reflection_symmetric(rng, n, real)
+        self.check_numerators(H, Symmetry("linear",
+                                          draw_hermitian(rng, 2**n, real)))
+
+    @given(seed=st.integers(0, 2**32 - 1), real=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_quadratic_numerators_match_dense_eigh(self, seed, real):
+        rng = np.random.default_rng(seed)
+        H = reflection_symmetric(rng, 2, real)
+        self.check_numerators(H, Symmetry("quadratic",
+                                          draw_hermitian(rng, 16, real)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_cross_sector_degeneracies(self, rng, n, real):
+        """sum X_i has n + 1 levels, each shared by both sectors."""
+        S = Symmetry("linear", draw_hermitian(rng, 2**n, real))
+        self.check_numerators(sum_x(n), S)
+        if n == 2:
+            self.check_numerators(sum_x(n), Symmetry(
+                "quadratic", draw_hermitian(rng, 16, real)))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_cut_near_a_gap(self, rng, n):
+        """A cut a third of the smallest level gap: the near flag is raised
+        and both paths still drop the same kernel."""
+        H = sum_x(n) + 0.01 * reflection_symmetric(rng, n, real=True)
+        S = Symmetry("linear", draw_hermitian(rng, 2**n, False))
+        gap = float(np.min(np.diff(np.linalg.eigvalsh(H))))
+        assert pairwise_kernel_complement(H, S, gap / 3)[1]
+        self.check_numerators(H, S, gap / 3)
+
+    @given(**SECTOR_PROBLEM)
+    @settings(max_examples=40, deadline=None)
+    def test_eigen_decomposes_h(self, n, seed, real):
+        """Block sizes k + |f| and k: for odd n the fixed points make the
+        even sector larger than the odd one by more than one."""
+        H = reflection_symmetric(np.random.default_rng(seed), n, real)
+        kernel = _AdKernel(H, Symmetry("linear", np.eye(2**n)))
+        sizes = [len(block) for block, _ in _sectors(kernel.H)]
+        fixed = 2 ** ((n + 1) // 2)
+        assert sizes == [(2**n + fixed) // 2, (2**n - fixed) // 2]
+        w, V, lam = kernel.eigen
+        assert lam is w and V.dtype == H.dtype
+        hnorm = np.linalg.norm(H, 2)
+        assert np.linalg.norm(H @ V - V * w) <= 1e-13 * hnorm
+        assert np.linalg.norm(V.conj().T @ V - np.eye(2**n)) <= 1e-13
+        assert np.max(np.abs(np.sort(w) - np.linalg.eigvalsh(H))) \
+            <= 1e-13 * hnorm
+        assert kernel.norm == pytest.approx(hnorm, rel=1e-13)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_one_ulp_off_takes_one_block(self, monkeypatch, rng, n, real):
+        H = reflection_symmetric(rng, n, real)
+        S = Symmetry("linear", draw_hermitian(rng, 2**n, real))
+        d = 2**n
+        eigh, shapes = np.linalg.eigh, []
+
+        def counted(A, *args, **kwargs):
+            shapes.append(A.shape)
+            return eigh(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        kernel_complement_norm_exact(H, S)
+        assert len(shapes) == 2 and sum(s[0] for s in shapes) == d
+        i = int(np.flatnonzero(np.arange(d) < bit_reversal(n))[0])
+        H[i, i] = np.nextafter(H[i, i].real, np.inf)
+        shapes.clear()
+        kernel_complement_norm_exact(H, S)
+        assert shapes == [(d, d)]
+
+
+class TestNormWithoutSecondPass:
+    """``_AdKernel.norm`` reads the held H: no second hermiticity pass,
+    and the value of ``operator_norm`` bit for bit off the sector path."""
+
+    @pytest.mark.parametrize("H", [
+        np.diag([1.0, -3.0, 2.0, 0.0]), np.diag([0.5, -0.25, 1.0, 2.0 + 0j]),
+        np.diag([2.0, -1.0, 0.0]),
+        hermitize(np.random.default_rng(3).standard_normal((6, 6))),
+        random_hermitian(np.random.default_rng(4), 5)], ids=[
+            "real-diagonal", "complex-diagonal", "diagonal-d3", "real",
+            "complex"])
+    def test_equals_operator_norm(self, monkeypatch, H):
+        kernel = _AdKernel(H, Symmetry("linear", np.eye(len(H))))
+        passes = []
+        real_pass = matcore._hermitian_pass
+        monkeypatch.setattr(matcore, "_hermitian_pass", lambda *a, **k: (
+            passes.append(1), real_pass(*a, **k))[1])
+        norm = kernel.norm
+        assert passes == []
+        assert norm == operator_norm(H)

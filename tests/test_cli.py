@@ -546,6 +546,12 @@ class TestBadInputExits2:
         assert code == 2 and report is None
         assert err == "error: dense construction is limited to 14 atoms\n"
 
+    def test_rydberg_chain_too_large_for_memory(self, capsys, monkeypatch):
+        monkeypatch.setattr(qsl.models, "_physical_memory", lambda: 2**10)
+        code, report, err = _run(capsys, ["reproduce", "rydberg", "--N", "5"])
+        assert code == 2 and report is None
+        assert err.startswith("error: the dense model at 5 atoms needs about")
+
     def test_null_option_means_unset(self, tmp_path):
         path = tmp_path / "p.json"
         source = json.loads(Path(ISING_PROBLEM).read_text())

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qsl import models
 from qsl.lie import symmetry_breaking_norm
 from qsl.matcore import (
     DimensionCapError,
@@ -208,6 +209,39 @@ class TestRydbergChain:
             rydberg_chain_model(2)
         with pytest.raises(DimensionCapError):
             rydberg_chain_model(15)
+
+    def test_refused_when_the_dense_bundle_cannot_fit(self, monkeypatch):
+        """About nine d x d float64 matrices must fit in physical memory;
+        the memory query is patched, so nothing large is allocated."""
+        need = 9 * 8 * 4**6  # N = 6
+        for have, fits in ((need - 1, False), (need, True), (None, True)):
+            monkeypatch.setattr(models, "_physical_memory", lambda: have)
+            if fits:
+                assert rydberg_chain_model(6).target_hamiltonian.shape \
+                    == (64, 64)
+            else:
+                with pytest.raises(DimensionCapError,
+                                   match="physical memory"):
+                    rydberg_chain_model(6)
+
+    @pytest.mark.parametrize("N,fits", [(13, True), (14, False)])
+    def test_decided_before_any_allocation(self, monkeypatch, N, fits):
+        """On 8 GiB N = 14 (about 18 GiB) is refused and N = 13 (about
+        4.5 GiB) goes on to the build, which is stopped at its first
+        allocation."""
+        class Built(Exception):
+            pass
+
+        def stop(N):
+            raise Built
+        monkeypatch.setattr(models, "_physical_memory", lambda: 8 * 2**30)
+        monkeypatch.setattr(models, "_occupation_diagonal", stop)
+        with pytest.raises(Built if fits else DimensionCapError):
+            rydberg_chain_model(N)
+
+    def test_physical_memory_is_known_here(self):
+        have = models._physical_memory()
+        assert have is None or have > 0
 
 
 class TestMajoranas:
