@@ -37,14 +37,17 @@ All three work on the hermitised inputs H = (H_s + H_s†)/2 and
 S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
 arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
 single eigendecomposition of H_s (it also yields ||H_s||_inf and the
-near-degeneracy check); commutator is one product H S_h plus ||H_s||_inf;
-chebyshev is the same eigendecomposition plus about five products, whatever
-the filter degree, and never a d² x d² superoperator.  For quadratic S each
-product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
-d x d contractions.  A target that the reversal of the qubit order R leaves
-exactly unchanged (H = R H R, an open chain such as the Rydberg H_s) is
-decomposed, and its norm read, sector by sector: two half-size
-eigendecompositions in place of one, about a quarter of the work.
+near-degeneracy check); commutator is one product P = H S_h plus
+||H_s||_inf, and ||[H, S_h]||_F = ||P - P†||_F is summed over P's 64 x 64
+tile pairs with no second d x d array; chebyshev is the same
+eigendecomposition plus about five products, whatever the filter degree, and
+never a d² x d² superoperator; its default interval reads ||H_s||_inf from
+the same kernel.  For quadratic S each product with the lift H⊗1 + 1⊗H, or
+with the eigenbasis V⊗V, is a pair of d x d contractions.  A target that
+the reversal of the qubit order R leaves exactly unchanged (H = R H R, an
+open chain such as the Rydberg H_s) is decomposed, and its norm read, sector
+by sector: two half-size eigendecompositions in place of one, about a
+quarter of the work.
 
 ``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
 its candidates with ``_StackScorer``: the problem is prepared once per
@@ -71,6 +74,7 @@ from .matcore import (
     QslError,
     ValidationError,
     _adjoint,
+    _antihermitian_norm,
     _check_tolerance,
     _diagonal_norm,
     _frobenius,
@@ -81,7 +85,6 @@ from .matcore import (
     frobenius_norm,
     hermitian_part,
     kron,
-    operator_norm,
     require_square,
     require_unitary,
 )
@@ -358,6 +361,18 @@ def _sectors(H: np.ndarray):
     yield odd, (p, r, f[:0], -1.0)
 
 
+def _sector_norm(H: np.ndarray) -> float:
+    """||H||_inf of an exactly Hermitian H: ``operator_norm``'s max
+    |diagonal| for a diagonal H, else the largest max |eigenvalue| of the
+    blocks of ``_sectors``.  The one norm of ``_AdKernel.norm`` and of the
+    default Chebyshev interval."""
+    norm = _diagonal_norm(H)
+    if norm is None:
+        norm = max(float(_max_abs_eigenvalue(block))
+                   for block, _ in _sectors(H))
+    return norm
+
+
 class _AdKernel:
     """ad_L on Hermitian arguments, prepared once per numerator evaluation,
     or once per request for the symmetry search's ``_StackScorer``.
@@ -427,13 +442,8 @@ class _AdKernel:
 
     @functools.cached_property
     def norm(self) -> float:
-        """||H||_inf: ``operator_norm``'s max |diagonal| for a diagonal H,
-        else the largest max |eigenvalue| of the blocks of ``_sectors``."""
-        norm = _diagonal_norm(self.H)
-        if norm is None:
-            norm = max(float(_max_abs_eigenvalue(block))
-                       for block, _ in _sectors(self.H))
-        return norm
+        """||H||_inf, from ``_sector_norm``."""
+        return _sector_norm(self.H)
 
     def kernel(self, tol: float):
         """(mask, near): ``matcore._kernel_mask`` of the spectrum of L at the
@@ -556,12 +566,13 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
 def _commutator_projection(kernel: _AdKernel):
     """||[L, S_h]||_F / (2 ||H||_inf), or / (4 ||H||_inf) for the lift: the
     numerator of ``kernel_complement_norm_commutator``, one per matrix of a
-    stack."""
+    stack.  [L, S_h] = P - P† with P = L S_h is never formed: its norm is
+    ``matcore._antihermitian_norm`` of P."""
     hnorm = kernel.norm
     if hnorm <= 0:
         raise ValidationError("Hamiltonian must be nonzero")
     lift = 2.0 if kernel.kind == "linear" else 4.0
-    return _frobenius(kernel.ad(kernel.S)) / (lift * hnorm)
+    return _antihermitian_norm(kernel.lift(kernel.S)) / (lift * hnorm)
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -603,7 +614,13 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
     residual's product with L, independent of the degree; p is evaluated in
     closed form on the squared gaps.
     """
-    kernel = _AdKernel(H_s, S)
+    return _chebyshev_projection(_AdKernel(H_s, S), degree, sigma_min_est,
+                                 sigma_max_est)
+
+
+def _chebyshev_projection(kernel: _AdKernel, degree: int, sigma_min_est: float,
+                          sigma_max_est: float) -> tuple[float, float]:
+    """``chebyshev_filter_bound`` on a prepared kernel."""
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
     _, V, lam, frame = _eigenframe(kernel)
     g = np.subtract.outer(lam, lam)
@@ -614,11 +631,19 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
     return _certified_numerator(kernel, X), filt.epsilon
 
 
-def _default_filter_interval(H: np.ndarray, kind: str) -> tuple[float, float]:
+def _filter_interval(hnorm: float, kind: str) -> tuple[float, float]:
+    """The default Chebyshev interval for ||H_s||_inf = hnorm."""
     lift = 2.0 if kind == "linear" else 4.0
-    span = lift * operator_norm(H)  # every eigenvalue gap of ad is below this
+    span = lift * hnorm  # every eigenvalue gap of ad is below this
     sigma_max = span**2
     return (DEFAULT_FILTER_CUT_REL * span) ** 2, sigma_max
+
+
+def _default_filter_interval(H: np.ndarray, kind: str) -> tuple[float, float]:
+    """The default Chebyshev interval of the target H, checked and
+    hermitised, from the norm its numerator kernel reads: the CLI completes
+    a one-sided interval with it, equal to the library's default."""
+    return _filter_interval(_sector_norm(hermitian_part(H)), kind)
 
 
 def hamiltonian_speed_limit(H_s, S: Symmetry,
@@ -642,8 +667,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     warnings: list[str] = []
     inter: dict[str, float] = {}
 
-    # H_s is validated and hermitised once, by the numerator's _AdKernel; only
-    # a defaulted Chebyshev interval reads ||H_s||_inf from H_s as well
+    # H_s is validated and hermitised once, by the numerator's _AdKernel; a
+    # defaulted Chebyshev interval reads ||H_s||_inf from that kernel too
     def numerator() -> float:
         if method == "exact":
             num, near = _exact_projection(_AdKernel(H_s, S), tol_degeneracy)
@@ -654,14 +679,15 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
             return num
         if method == "commutator":
             return kernel_complement_norm_commutator(H_s, S)
+        kernel = _AdKernel(H_s, S)
         lo, hi = sigma_min_est, sigma_max_est
         if lo is None or hi is None:
-            d_lo, d_hi = _default_filter_interval(H_s, S.kind)
+            d_lo, d_hi = _filter_interval(kernel.norm, S.kind)
             lo = d_lo if lo is None else lo
             hi = d_hi if hi is None else hi
         m = (chebyshev_degree_for(DEFAULT_FILTER_EPS, lo, hi) if degree is None
              else degree)
-        num, eps = chebyshev_filter_bound(H_s, S, m, lo, hi)
+        num, eps = _chebyshev_projection(kernel, m, lo, hi)
         inter.update({"epsilon": eps, "degree": float(m),
                       "sigma_min_est": lo, "sigma_max_est": hi})
         return num

@@ -16,12 +16,16 @@ helpers (``require_square``, ``require_hermitian``, ``hermitian_part``, ...)
 are the boundary where array-shaped garbage is rejected, at fixed tolerances,
 and a NaN or infinite entry with a ValidationError and no numpy warning;
 internal code may assume validated input.  Each hermiticity check is one pass
-over the matrix, 64 rows at a time; ``hermitian_part`` checks and hermitises in that same
+over the matrix that compares each 64 x 64 tile A_IJ with its mirror A_JI, so
+both are read in cache; ``hermitian_part`` checks and hermitises in that same
 pass, and returns its input unchanged when it is already exactly Hermitian.
-The private kernels the symmetry search shares with the public functions
-(``_frobenius``, ``_hermitised``, ``_cluster_labels``, ``_kernel_mask``,
-``_max_abs_eigenvalue``) also take stacks of matrices, and each matrix of a
-stack gets the value it gets alone.
+The commutator norms ||[S, H]||_F = ||P - P†||_F are read from the same tile
+pairs (``_antihermitian_norm``), with no d x d temporary.  A matrix of one
+tile (d <= 64) takes the whole-matrix operations instead.  The private
+kernels the symmetry search shares with the public functions
+(``_frobenius``, ``_antihermitian_norm``, ``_hermitised``,
+``_cluster_labels``, ``_kernel_mask``, ``_max_abs_eigenvalue``) also take
+stacks of matrices, and each matrix of a stack gets the value it gets alone.
 """
 
 from __future__ import annotations
@@ -125,32 +129,68 @@ def require_same_dimension(A, B) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
+# Side of the square tiles an A - A† pass walks in pairs (A_IJ, A_JI): a
+# tile and its mirror are both read in cache, where a row block read against
+# a transposed column slab strides across the whole matrix.
+_TILE = 64
+
+
+def _tile_pairs(A: np.ndarray):
+    """(I, J, s) for each pair of tiles A_IJ, A_JI with J >= I of a square
+    A, tile row by tile row: the slices I and J, and s = w·||D||²_F with
+    D = A_IJ - (A_JI)† and w = 2 for J > I, since A_JI - (A_IJ)† = -D†; the
+    values s sum to ||A - A†||²_F.  Every temporary is one tile."""
+    d = A.shape[0]
+    for i in range(0, d, _TILE):
+        I = slice(i, i + _TILE)
+        for j in range(i, d, _TILE):
+            J = slice(j, j + _TILE)
+            D = A[I, J] - A[J, I].conj().T
+            s = np.vdot(D, D).real
+            del D
+            yield I, J, (s if i == j else 2.0 * s)
+
+
 def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
-    """(H, ||A - A†||_F) for a square A, from one pass over A a block of 64
-    rows at a time, so that no d x d conjugate transpose is ever formed.
+    """(H, ||A - A†||_F) for a square A, from one pass over A that forms no
+    d x d conjugate transpose: A against A† whole when d <= 64, else the
+    ``_tile_pairs`` of A.
 
     With ``hermitise``, H = (A + A†)/2 in the dtype ``hermitian_part``
-    promises; otherwise H is None.  H is A itself while every block is
+    promises; otherwise H is None.  H is A itself while every tile pair is
     exactly Hermitian, since then 0.5·(a + a) = a; a copy is started at the
-    first block that is not, and its rows are 0.5·(A + A†) as ``hermitize``
-    computes them.  A non-finite entry makes the defect non-finite, which
-    the callers report, so numpy's warning about it is silenced here.
+    first pair that is not, holding A's values in the pairs before it, and
+    from there on H_IJ = 0.5·(A_IJ + A_JI†) and H_JI = H_IJ†: the values
+    ``hermitize`` computes, as addition commutes and conjugation is exact.
+    A non-finite entry makes the defect non-finite, which the callers
+    report, so numpy's warning about it is silenced here.
     """
-    total = 0.0
     H = None
     with np.errstate(invalid="ignore", over="ignore"):
-        for i in range(0, A.shape[0], 64):
-            rows, cols = A[i:i + 64], A[:, i:i + 64].conj().T
-            D = rows - cols
-            s = np.vdot(D, D).real
-            total += s
-            if hermitise and (s or H is not None):
-                if H is None:
+        if A.shape[0] <= _TILE:  # one tile
+            Ah = A.conj().T
+            D = A - Ah
+            total = np.vdot(D, D).real
+            if hermitise and total:
+                H = np.empty(A.shape, dtype=A.dtype)
+                np.add(A, Ah, out=H)
+                H *= 0.5
+        else:
+            total = 0.0
+            for I, J, s in _tile_pairs(A):
+                total += s
+                if not hermitise or not (s or H is not None):
+                    continue
+                if H is None:  # the pairs before this one: A's values
+                    i, j = I.start, J.start
                     H = np.empty(A.shape, dtype=A.dtype)
-                    H[:i] = A[:i]
-                block = H[i:i + 64]
-                np.add(rows, cols, out=block)
-                block *= 0.5
+                    H[:i], H[i:, :i] = A[:i], A[i:, :i]
+                    H[I, i:j], H[i:j, I] = A[I, i:j], A[i:j, I]
+                h = H[I, J]
+                np.add(A[I, J], A[J, I].conj().T, out=h)
+                h *= 0.5
+                if J.start != I.start:
+                    np.conjugate(h.T, out=H[J, I])
     if hermitise:
         H = A if H is None else H
         if H.dtype == complex and not H.imag.any():
@@ -159,8 +199,22 @@ def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
 
 
 def _hermitian_defect(A: np.ndarray) -> float:
-    """||A - A†||_F of a square A, one pass a block of 64 rows at a time."""
+    """||A - A†||_F of a square A, from ``_hermitian_pass``."""
     return _hermitian_pass(A)[1]
+
+
+def _antihermitian_norm(P: np.ndarray):
+    """||P - P†||_F of a matrix, or of each matrix of a stack, with no
+    temporary the size of P: ``_frobenius(P - P†)`` for d <= 64, else the
+    sum over the ``_tile_pairs`` of each matrix.  A matrix gets the same
+    value alone as in any stack."""
+    d = P.shape[-1]
+    if d <= _TILE:
+        return _frobenius(P - _adjoint(P))
+    if P.ndim > 2:
+        return np.array([_antihermitian_norm(M) for M in P.reshape(-1, d, d)]
+                        ).reshape(P.shape[:-2])
+    return np.sqrt(sum(s for _, _, s in _tile_pairs(P)))
 
 
 def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:

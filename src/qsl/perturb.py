@@ -14,10 +14,12 @@ eigenvalues start a new cluster at each adjacent gap above
 GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
 the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
 P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
-S, one product in place of two.  ``_restore_rows`` restores a stack of
-symmetries for one drift, linear ones in one stacked eigendecomposition, and
-applies the acceptance rule to each; ``restore_symmetry`` passes it a stack
-of one and is the one place where a restored ΔH is wrapped.  A
+S, one product in place of two, and P - P† never formed: its norm is summed
+over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
+``_restore_rows`` restores a stack of symmetries for one drift, linear ones
+in one stacked eigendecomposition, and applies the acceptance rule to each;
+``restore_symmetry`` passes it a stack of one and is the one place where a
+restored ΔH is wrapped.  A
 ``Perturbation`` measures its own norms from its matrix, which must be
 Hermitian and act on the symmetry's base space; no caller sets ||ΔH||_inf,
 nor σ_min, which ``Symmetry`` measures from S.  A recorded residual keeps
@@ -45,16 +47,16 @@ from .matcore import (
     TAU_RANK,
     ValidationError,
     _adjoint,
-    _frobenius,
+    _antihermitian_norm,
+    _diagonal_norm,
     _hermitised,
     _kernel_mask,
     _lift,
+    _max_abs_eigenvalue,
     check_entry_cap,
     devectorize,
     frobenius_norm,
     hermitian_part,
-    operator_norm,
-    require_hermitian,
     require_same_dimension,
     require_square,
     row_vectorize,
@@ -64,12 +66,11 @@ from .matcore import (
 def _commutator_norm(Sh: np.ndarray, H: np.ndarray, kind: str):
     """||[S_h, H]||_F for an exactly Hermitian H (lifted for quadratic S) as
     ||P - P†||_F with P = S_h H: one product, in real arithmetic when both
-    operands are exactly real.  Either may be a stack, one value per
-    matrix."""
+    operands are exactly real, and ``_antihermitian_norm``'s tile pairs of
+    P.  Either may be a stack, one value per matrix."""
     if kind == "quadratic":
         H = _lift(H)
-    P = Sh @ H
-    return _frobenius(P - _adjoint(P))
+    return _antihermitian_norm(Sh @ H)
 
 
 @dataclass
@@ -77,8 +78,10 @@ class Perturbation:
     """A drift modification ΔH restoring a symmetry, with its norms.
 
     ``op_norm`` (||ΔH||_inf) and ``frob_norm`` are measured from ``matrix``
-    at construction, after the hermiticity check, and cannot be set; ΔH must
-    act on the symmetry's base space (d for a quadratic S on d² dimensions).
+    at construction and cannot be set: ||ΔH||_inf is ``operator_norm``'s
+    value, read from the Hermitian part formed by the one hermiticity pass
+    that also checks ΔH.  ΔH must act on the symmetry's base space (d for a
+    quadratic S on d² dimensions).
     ``residual`` is ||[S_h, H_d + ΔH]||_F when the drift is known; the drift
     it was measured for is kept with it, and a bound given any other drift
     forms the residual again.
@@ -93,11 +96,13 @@ class Perturbation:
                                       compare=False)
 
     def __post_init__(self):
-        self.matrix = require_hermitian(self.matrix)
+        self.matrix = require_square(self.matrix)
+        H = hermitian_part(self.matrix)  # require_hermitian's check
         if self.matrix.shape[0] != self.symmetry.base_dimension:
             raise DimensionError("perturbation dimension does not match "
                                  f"{self.symmetry.kind} symmetry")
-        self.op_norm = operator_norm(self.matrix)
+        norm = _diagonal_norm(self.matrix)  # operator_norm's value
+        self.op_norm = float(_max_abs_eigenvalue(H)) if norm is None else norm
         self.frob_norm = frobenius_norm(self.matrix)
 
     @classmethod

@@ -15,7 +15,9 @@ import pytest
 
 import qsl.matcore
 from qsl.bounds import (
+    _default_filter_interval,
     chebyshev_degree_for,
+    chebyshev_filter_bound,
     hamiltonian_speed_limit,
     uniform_speed_limit,
 )
@@ -103,6 +105,35 @@ def _count_passes(monkeypatch):
         return fn(A, *args, **kwargs)
     monkeypatch.setattr(qsl.matcore, "_hermitian_pass", counted)
     return seen
+
+
+def test_defaulted_chebyshev_interval_reads_the_kernel_norm(monkeypatch):
+    """A chebyshev bound with a defaulted interval reads ||H_s||_inf from
+    its numerator's kernel: at N = 8 (d = 256) one pass over H_s, one
+    eigvalsh and one eigh per reflection sector (136 and 120), and no
+    full-size decomposition.  Its interval is the one the CLI completes a
+    one-sided interval with, and its value that of the public filter."""
+    b = rydberg_chain_model(8)
+    seen = _count_passes(monkeypatch)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(A, *args, _name=name, _fn=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, A.shape))
+            return _fn(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    rep = hamiltonian_speed_limit(b.target_hamiltonian, b.symmetry,
+                                  b.perturbation, method="chebyshev")
+    assert len(seen) == 1 and seen[0] is b.target_hamiltonian
+    assert calls == [("eigvalsh", (136, 136)), ("eigvalsh", (120, 120)),
+                     ("eigh", (136, 136)), ("eigh", (120, 120))]
+    monkeypatch.undo()
+    inter = rep.intermediates
+    lo, hi = _default_filter_interval(b.target_hamiltonian, "linear")
+    assert (inter["sigma_min_est"], inter["sigma_max_est"]) == (lo, hi)
+    num, _ = chebyshev_filter_bound(b.target_hamiltonian, b.symmetry,
+                                    int(inter["degree"]), lo, hi)
+    assert inter["kernel_complement_norm"] == num
 
 
 def test_one_solve_makes_at_most_ten_hermiticity_passes(monkeypatch):

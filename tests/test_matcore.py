@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +12,10 @@ from qsl.matcore import (
     NoSpectralGapError,
     PAULI,
     ValidationError,
+    _adjoint,
+    _antihermitian_norm,
     _cluster_labels,
+    _frobenius,
     _hermitian_defect,
     _kernel_mask,
     _lift,
@@ -486,6 +491,103 @@ class TestFusedHermitianPass:
                             lambda M: given_to_eigvalsh.append(M) or eig_fn(M))
         assert operator_norm(A) == float(np.max(np.abs(eig_fn(A))))
         assert passes == [1] and given_to_eigvalsh[0] is A
+
+
+# dimensions on either side of the 64 x 64 tile edges
+TILE_EDGES = [1, 63, 64, 65, 127, 128, 129, 191, 192, 193]
+
+
+def _random_square(rng, shape, real):
+    return rng.standard_normal(shape) if real else _rand_complex(rng, shape)
+
+
+class TestTilePairs:
+    """The hermiticity pass and ||A - A†||_F walk the 64 x 64 tile pairs
+    (A_IJ, A_JI) of A, and a matrix of one tile takes the whole-matrix
+    operations."""
+
+    @given(d=st.sampled_from(TILE_EDGES), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans(), n=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_norm(self, d, seed, real, n):
+        rng = np.random.default_rng(seed)
+        P = _random_square(rng, (n, d, d), real)
+        got = _antihermitian_norm(P)
+        assert got.shape == (n,)
+        want = np.linalg.norm(P - _adjoint(P), axis=(-2, -1))
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        # each matrix alone as in the stack, bit for bit
+        assert [_antihermitian_norm(M) for M in P] == list(got)
+        if d <= 64:
+            assert np.array_equal(got, _frobenius(P - _adjoint(P)))
+
+    @given(d=st.sampled_from(TILE_EDGES), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_defect(self, d, seed, real):
+        rng = np.random.default_rng(seed)
+        A = _random_square(rng, (d, d), real)
+        near = A + A.conj().T + 1e-9 * A  # a defect far below ||A||_F
+        for M in (A, near):
+            assert _hermitian_defect(M) == pytest.approx(
+                np.linalg.norm(M - M.conj().T), rel=1e-13, abs=0)
+
+    @given(d=st.sampled_from(TILE_EDGES), seed=st.integers(0, 2**32 - 1),
+           real=st.booleans(), k=st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_hermitian_part_from_any_first_pair(self, d, seed, real, k):
+        """Exactly Hermitian but for k entries: the copy starts at the
+        first tile pair that is not exactly Hermitian and holds A's values
+        in the pairs before it; every value is hermitize's."""
+        rng = np.random.default_rng(seed)
+        A = _random_square(rng, (d, d), real)
+        A = A + A.conj().T
+        for i, j in rng.integers(d, size=(k, 2)):
+            A[i, j] += 1e-13 if real else 1e-13 + 1e-13j
+        got = hermitian_part(A)
+        want = hermitize(A)
+        if not want.imag.any():
+            want = want.real
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (got is A) == np.array_equal(A, A.conj().T)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @given(d=st.sampled_from([65, 128, 129, 193]),
+           seed=st.integers(0, 2**32 - 1), real=st.booleans(),
+           bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+    @settings(max_examples=30, deadline=None)
+    def test_non_finite_entry_below_the_diagonal(self, d, seed, real, bad):
+        """One bad entry in a tile below the diagonal tiles, its mirror
+        finite: rejected, with no numpy warning."""
+        rng = np.random.default_rng(seed)
+        A = _random_square(rng, (d, d), real)
+        A = A + A.conj().T
+        i = int(rng.integers(64, d))
+        j = int(rng.integers(0, i // 64 * 64))  # a tile column left of i's
+        A[i, j] = bad
+        for check in (require_hermitian, hermitian_part):
+            with pytest.raises(ValidationError, match="non-finite"):
+                check(A)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_memory_is_a_few_tiles(self, rng, real):
+        """At d = 1024 a pass, and the norm, hold a few tiles beyond the
+        result: no row block against a column slab, no d x d difference."""
+        d = 1024
+        A = _random_square(rng, (d, d), real)
+        H = A + A.conj().T
+        near = H + 1e-13 * A  # inside the tolerance, not exactly Hermitian
+        tile, whole = 64 * 64 * A.itemsize, d * d * A.itemsize
+        for f, M, result in ((require_hermitian, H, 0), (hermitian_part, H, 0),
+                             (hermitian_part, near, whole),
+                             (_antihermitian_norm, A, 0)):
+            tracemalloc.start()
+            try:
+                f(M)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= result + 5 * tile, (f.__name__, peak / tile)
 
 
 class TestNonFiniteEntries:

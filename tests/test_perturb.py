@@ -254,6 +254,32 @@ class TestPerturbationRecord:
         assert pert.op_norm <= cap + 1e-12
 
 
+class TestOnePassPerPerturbation:
+    """A Perturbation checks ΔH and reads ||ΔH||_inf from one hermiticity
+    pass, and the norm is ``operator_norm``'s bit for bit."""
+
+    @pytest.mark.parametrize("d", [6, 130])
+    @pytest.mark.parametrize("case", ["real", "complex", "diagonal", "inexact"])
+    def test_one_pass(self, rng, monkeypatch, d, case):
+        dH = random_hermitian(rng, d)
+        if case == "real":
+            dH = dH.real
+        elif case == "diagonal":
+            dH = np.diag(dH.diagonal().real)
+        elif case == "inexact":  # Hermitian within the tolerance only
+            dH = dH + 1e-13 * rng.standard_normal((d, d))
+        sym = Symmetry("linear", random_hermitian(rng, d))
+        passes = []
+        fn = qsl.matcore._hermitian_pass
+        monkeypatch.setattr(qsl.matcore, "_hermitian_pass",
+                            lambda *a, **k: passes.append(1) or fn(*a, **k))
+        pert = Perturbation(dH, sym)
+        assert passes == [1]
+        monkeypatch.undo()
+        assert pert.matrix is dH
+        assert pert.op_norm == operator_norm(dH)
+
+
 class TestResidualFromOneProduct:
     """Perturbation.from_matrix forms ||[S, H]||_F as ||P - P†||_F with
     P = S H (or S iota(H)); the two-product commutator is the oracle."""
