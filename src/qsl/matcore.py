@@ -21,9 +21,10 @@ both are read in cache; ``hermitian_part`` checks and hermitises in that same
 pass, and returns its input unchanged when it is already exactly Hermitian.
 The commutator norms ||[S, H]||_F = ||P - P†||_F are read from the same tile
 pairs (``_antihermitian_norm``), with no d x d temporary.  A matrix of one
-tile (d <= 64) takes the whole-matrix operations instead.  The private
+tile (d <= 64) is its own single pair, so it meets the whole-matrix
+operations A - A† and (A + A†)/2 and their values.  The private
 kernels the symmetry search shares with the public functions
-(``_frobenius``, ``_antihermitian_norm``, ``_hermitised``,
+(``_square_sum``, ``_frobenius``, ``_antihermitian_norm``, ``_hermitised``,
 ``_cluster_labels``, ``_kernel_mask``, ``_max_abs_eigenvalue``) also take
 stacks of matrices, and each matrix of a stack gets the value it gets alone.
 """
@@ -136,25 +137,24 @@ _TILE = 64
 
 
 def _tile_pairs(A: np.ndarray):
-    """(I, J, s) for each pair of tiles A_IJ, A_JI with J >= I of a square
-    A, tile row by tile row: the slices I and J, and s = w·||D||²_F with
-    D = A_IJ - (A_JI)† and w = 2 for J > I, since A_JI - (A_IJ)† = -D†; the
-    values s sum to ||A - A†||²_F.  Every temporary is one tile."""
-    d = A.shape[0]
+    """(I, J, w, D) for each pair of tiles A_IJ, A_JI with J >= I of a
+    square A, or of each matrix of a stack, tile row by tile row: the slices
+    I and J, D = A_IJ - (A_JI)†, and w = 2 for J > I, since
+    A_JI - (A_IJ)† = -D†, else 1; the w·||D||²_F sum to ||A - A†||²_F.
+    Every temporary is one tile, so a matrix of one tile (d <= 64) meets
+    the whole-matrix operations A - A†."""
+    d = A.shape[-1]
     for i in range(0, d, _TILE):
         I = slice(i, i + _TILE)
         for j in range(i, d, _TILE):
             J = slice(j, j + _TILE)
-            D = A[I, J] - A[J, I].conj().T
-            s = np.vdot(D, D).real
-            del D
-            yield I, J, (s if i == j else 2.0 * s)
+            yield (I, J, 1 if i == j else 2,
+                   A[..., I, J] - _adjoint(A[..., J, I]))
 
 
 def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
-    """(H, ||A - A†||_F) for a square A, from one pass over A that forms no
-    d x d conjugate transpose: A against A† whole when d <= 64, else the
-    ``_tile_pairs`` of A.
+    """(H, ||A - A†||_F) for a square A, from one pass over the
+    ``_tile_pairs`` of A, which forms no d x d conjugate transpose.
 
     With ``hermitise``, H = (A + A†)/2 in the dtype ``hermitian_part``
     promises; otherwise H is None.  H is A itself while every tile pair is
@@ -165,32 +165,25 @@ def _hermitian_pass(A: np.ndarray, hermitise: bool = False):
     A non-finite entry makes the defect non-finite, which the callers
     report, so numpy's warning about it is silenced here.
     """
+    total = 0.0
     H = None
     with np.errstate(invalid="ignore", over="ignore"):
-        if A.shape[0] <= _TILE:  # one tile
-            Ah = A.conj().T
-            D = A - Ah
-            total = np.vdot(D, D).real
-            if hermitise and total:
+        for I, J, w, D in _tile_pairs(A):
+            s = np.vdot(D, D).real
+            del D  # before the next tile is formed
+            total += w * s
+            if not hermitise or not (s or H is not None):
+                continue
+            if H is None:  # the pairs before this one: A's values
+                i, j = I.start, J.start
                 H = np.empty(A.shape, dtype=A.dtype)
-                np.add(A, Ah, out=H)
-                H *= 0.5
-        else:
-            total = 0.0
-            for I, J, s in _tile_pairs(A):
-                total += s
-                if not hermitise or not (s or H is not None):
-                    continue
-                if H is None:  # the pairs before this one: A's values
-                    i, j = I.start, J.start
-                    H = np.empty(A.shape, dtype=A.dtype)
-                    H[:i], H[i:, :i] = A[:i], A[i:, :i]
-                    H[I, i:j], H[i:j, I] = A[I, i:j], A[i:j, I]
-                h = H[I, J]
-                np.add(A[I, J], A[J, I].conj().T, out=h)
-                h *= 0.5
-                if J.start != I.start:
-                    np.conjugate(h.T, out=H[J, I])
+                H[:i], H[i:, :i] = A[:i], A[i:, :i]
+                H[I, i:j], H[i:j, I] = A[I, i:j], A[i:j, I]
+            h = H[I, J]
+            np.add(A[I, J], A[J, I].conj().T, out=h)
+            h *= 0.5
+            if J.start != I.start:
+                np.conjugate(h.T, out=H[J, I])
     if hermitise:
         H = A if H is None else H
         if H.dtype == complex and not H.imag.any():
@@ -204,17 +197,15 @@ def _hermitian_defect(A: np.ndarray) -> float:
 
 
 def _antihermitian_norm(P: np.ndarray):
-    """||P - P†||_F of a matrix, or of each matrix of a stack, with no
-    temporary the size of P: ``_frobenius(P - P†)`` for d <= 64, else the
-    sum over the ``_tile_pairs`` of each matrix.  A matrix gets the same
-    value alone as in any stack."""
-    d = P.shape[-1]
-    if d <= _TILE:
-        return _frobenius(P - _adjoint(P))
-    if P.ndim > 2:
-        return np.array([_antihermitian_norm(M) for M in P.reshape(-1, d, d)]
-                        ).reshape(P.shape[:-2])
-    return np.sqrt(sum(s for _, _, s in _tile_pairs(P)))
+    """||P - P†||_F of a matrix, or of each matrix of a stack, summed over
+    the ``_tile_pairs`` of P with ``_frobenius``'s dot products: no
+    temporary the size of P, the value of ``_frobenius(P - P†)`` for
+    d <= 64, and a matrix gets the same value alone as in any stack."""
+    total = 0.0
+    for _, _, w, D in _tile_pairs(P):
+        total = total + w * _square_sum(D)
+        del D  # before the next tile is formed
+    return np.sqrt(total)
 
 
 def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:
@@ -317,15 +308,20 @@ def frobenius_norm(M) -> float:
     return float(np.linalg.norm(as_operator(M)))
 
 
-def _frobenius(X: np.ndarray):
-    """||X||_F of a matrix, or of each matrix of a stack, with no temporary
+def _square_sum(X: np.ndarray):
+    """||X||²_F of a matrix, or of each matrix of a stack, with no temporary
     the size of X.  Each value is the dot product ``np.linalg.norm`` takes
     (real and imaginary parts apart), so a matrix gives the same float
     alone as in any stack."""
     f = X.reshape(X.shape[:-2] + (-1,))
     parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
-    return np.sqrt(sum((p[..., None, :] @ p[..., :, None])[..., 0, 0]
-                       for p in parts))
+    return sum((p[..., None, :] @ p[..., :, None])[..., 0, 0] for p in parts)
+
+
+def _frobenius(X: np.ndarray):
+    """||X||_F of a matrix, or of each matrix of a stack, from
+    ``_square_sum``."""
+    return np.sqrt(_square_sum(X))
 
 
 def _max_abs_eigenvalue(H: np.ndarray):

@@ -57,6 +57,7 @@ from .matcore import (
     devectorize,
     frobenius_norm,
     hermitian_part,
+    require_hermitian,
     require_same_dimension,
     require_square,
     row_vectorize,
@@ -79,8 +80,9 @@ class Perturbation:
 
     ``op_norm`` (||ΔH||_inf) and ``frob_norm`` are measured from ``matrix``
     at construction and cannot be set: ||ΔH||_inf is ``operator_norm``'s
-    value, read from the Hermitian part formed by the one hermiticity pass
-    that also checks ΔH.  ΔH must act on the symmetry's base space (d for a
+    value, read from the diagonal of a diagonal ΔH, else from the Hermitian
+    part formed by the one hermiticity pass that also checks ΔH; no other
+    ΔH is copied.  ΔH must act on the symmetry's base space (d for a
     quadratic S on d² dimensions).
     ``residual`` is ||[S_h, H_d + ΔH]||_F when the drift is known; the drift
     it was measured for is kept with it, and a bound given any other drift
@@ -97,11 +99,13 @@ class Perturbation:
 
     def __post_init__(self):
         self.matrix = require_square(self.matrix)
-        H = hermitian_part(self.matrix)  # require_hermitian's check
+        norm = _diagonal_norm(self.matrix)  # operator_norm's value, or None
+        # one hermiticity pass; only a non-diagonal ΔH needs its result
+        check = hermitian_part if norm is None else require_hermitian
+        H = check(self.matrix)
         if self.matrix.shape[0] != self.symmetry.base_dimension:
             raise DimensionError("perturbation dimension does not match "
                                  f"{self.symmetry.kind} symmetry")
-        norm = _diagonal_norm(self.matrix)  # operator_norm's value
         self.op_norm = float(_max_abs_eigenvalue(H)) if norm is None else norm
         self.frob_norm = frobenius_norm(self.matrix)
 

@@ -503,8 +503,8 @@ def _random_square(rng, shape, real):
 
 class TestTilePairs:
     """The hermiticity pass and ||A - A†||_F walk the 64 x 64 tile pairs
-    (A_IJ, A_JI) of A, and a matrix of one tile takes the whole-matrix
-    operations."""
+    (A_IJ, A_JI) of A; a matrix of one tile (d <= 64) is a single pair,
+    which meets the whole-matrix operations and their values."""
 
     @given(d=st.sampled_from(TILE_EDGES), seed=st.integers(0, 2**32 - 1),
            real=st.booleans(), n=st.integers(1, 3))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -259,13 +261,14 @@ class TestOnePassPerPerturbation:
     pass, and the norm is ``operator_norm``'s bit for bit."""
 
     @pytest.mark.parametrize("d", [6, 130])
-    @pytest.mark.parametrize("case", ["real", "complex", "diagonal", "inexact"])
+    @pytest.mark.parametrize("case", ["real", "complex", "diagonal",
+                                      "complex diagonal", "inexact"])
     def test_one_pass(self, rng, monkeypatch, d, case):
         dH = random_hermitian(rng, d)
         if case == "real":
             dH = dH.real
-        elif case == "diagonal":
-            dH = np.diag(dH.diagonal().real)
+        elif case.endswith("diagonal"):  # e.g. a Pauli-text ΔH such as Z0
+            dH = np.diag(dH.diagonal().real).astype(dH.dtype, copy=False)
         elif case == "inexact":  # Hermitian within the tolerance only
             dH = dH + 1e-13 * rng.standard_normal((d, d))
         sym = Symmetry("linear", random_hermitian(rng, d))
@@ -278,6 +281,23 @@ class TestOnePassPerPerturbation:
         monkeypatch.undo()
         assert pert.matrix is dH
         assert pert.op_norm == operator_norm(dH)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_diagonal_is_not_copied(self, dtype):
+        """A diagonal ΔH is checked, not hermitised: no d x d array is
+        allocated, even for a complex ΔH with a zero imaginary part, whose
+        Hermitian part would be a float64 copy."""
+        d = 512
+        dH = np.diag(np.linspace(-1.0, 1.0, d)).astype(dtype)
+        sym = Symmetry("linear", np.diag(np.arange(d, dtype=float)))
+        tracemalloc.start()
+        try:
+            pert = Perturbation(dH, sym)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pert.matrix is dH and pert.op_norm == 1.0
+        assert peak < d * d * 8 // 4, peak
 
 
 class TestResidualFromOneProduct:
