@@ -267,8 +267,10 @@ class TestOnePassPerPerturbation:
         dH = random_hermitian(rng, d)
         if case == "real":
             dH = dH.real
-        elif case.endswith("diagonal"):  # e.g. a Pauli-text ΔH such as Z0
-            dH = np.diag(dH.diagonal().real).astype(dH.dtype, copy=False)
+        elif case == "diagonal":
+            dH = np.diag(dH.diagonal().real)
+        elif case == "complex diagonal":  # e.g. a Pauli-text ΔH such as Z0
+            dH = np.diag(dH.diagonal().real).astype(complex)
         elif case == "inexact":  # Hermitian within the tolerance only
             dH = dH + 1e-13 * rng.standard_normal((d, d))
         sym = Symmetry("linear", random_hermitian(rng, d))
