@@ -27,8 +27,10 @@ otherwise).  A ΔH supplied with no drift is trusted.
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
-Chebyshev spectral filter whose value is certified by an explicit residual.
-The exact projection is the one restoration applies to the drift,
+Chebyshev spectral filter, which weighs each entry of the exact projection's
+eigenframe by 1 - p(g²)² in [0, 1].  Both exact and chebyshev values rest on
+that computed eigenframe, with no rounding enclosure yet.  The exact
+projection is the one restoration applies to the drift,
 ``matcore._kernel_mask``, with one cluster rule: the sorted eigenvalues of
 ad_H start a new cluster at each adjacent gap above the cut (default
 GAP_RTOL·||H_s||_inf), and the kernel joins the eigenvectors of one cluster.
@@ -39,22 +41,22 @@ arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
 single eigendecomposition of H_s (it also yields ||H_s||_inf and the
 near-degeneracy check); commutator is one product P = H S_h plus
 ||H_s||_inf, and ||[H, S_h]||_F = ||P - P†||_F is summed over P's 64 x 64
-tile pairs with no second d x d array; chebyshev is the same
-eigendecomposition plus about five products, whatever the filter degree, and
-never a d² x d² superoperator; its default interval reads ||H_s||_inf from
-the same kernel.  For quadratic S each product with the lift H⊗1 + 1⊗H, or
-with the eigenbasis V⊗V, is a pair of d x d contractions.  A target that
+tile pairs with no second d x d array; chebyshev costs what exact costs,
+whatever the filter degree, plus p on the squared gaps; its default
+interval reads ||H_s||_inf from the same kernel.  For quadratic S each
+product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
+d x d contractions.  A target that
 the reversal of the qubit order R leaves exactly unchanged (H = R H R, an
 open chain such as the Rydberg H_s) is decomposed, and its norm read, sector
 by sector: two half-size eigendecompositions in place of one, about a
 quarter of the work.
 
 ``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
-its candidates with ``_StackScorer``: the problem is prepared once per
-request and each stack of candidates takes one stacked restoration
-(``perturb._restore_rows``), one stacked ``eigvalsh`` for ||ΔH||_inf and one
-stacked numerator, through the same helpers as the public functions, so that
-each candidate's value equals theirs.
+its candidates with ``_StackScorer``, for every target and numerator: the
+problem is prepared once per request and each stack of candidates takes one
+stacked restoration (``perturb._restore_rows``), one stacked ``eigvalsh``
+for ||ΔH||_inf and one stacked numerator, through the same helpers as the
+public functions, so that each candidate's value equals theirs.
 """
 
 from __future__ import annotations
@@ -389,11 +391,9 @@ class _AdKernel:
     the reversal R of the qubit order leaves exactly unchanged.  ``norm``
     reads ||H||_inf from the same blocks, with no second hermiticity pass.
 
-    For Hermitian Y, [L, Y] = P - P† with P = L Y; for anti-Hermitian C,
-    [L, C] = Q + Q† with Q = L C.  One application of ad_L therefore costs
-    one product with L and one of (ad_L)² costs two; the lift is applied as
-    two d x d contractions and never materialized.  Both outputs are exactly
-    (anti-)Hermitian in floating point.  Every product also takes a stack.
+    ``lift`` is the one product with L: for Hermitian Y, [L, Y] = P - P†
+    with P = L Y, so ad_L on Y costs one product.  The lift is applied as
+    two d x d contractions and never materialized, and takes a stack.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -464,16 +464,6 @@ class _AdKernel:
         first = (L @ Y.reshape(lead + (d, -1))).reshape(Y3.shape)  # (H⊗1) Y
         return (first + L @ Y3).reshape(Y.shape)  # + (1⊗H) Y
 
-    def ad(self, Y: np.ndarray) -> np.ndarray:
-        """[L, Y] for Hermitian Y."""
-        P = self.lift(Y)
-        return P - _adjoint(P)
-
-    def ad_anti(self, C: np.ndarray) -> np.ndarray:
-        """[L, C] for anti-Hermitian C."""
-        Q = self.lift(C)
-        return Q + _adjoint(Q)
-
 
 def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
     """T M T† with T = A (linear) or T = A⊗A (quadratic), for a matrix M or
@@ -503,25 +493,6 @@ def _eigenframe(kernel: _AdKernel):
     """
     w, V, lam = kernel.eigen
     return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind)
-
-
-def _certified_numerator(kernel: _AdKernel, X: np.ndarray) -> float:
-    """sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²)) for any X.
-
-    ad_L is self-adjoint under the Hilbert-Schmidt inner product, so
-    P_ker(S_h - ad_L X) = P_ker S_h and the residual is at least as large as
-    the kernel component of S_h: the value is a lower bound on
-    ||(1 - P_ker) S_h||_F however X was computed, because the residual is
-    formed explicitly here.  Only the anti-Hermitian part of X is used; its
-    Hermitian part would add an anti-Hermitian term, orthogonal to the
-    Hermitian rest of the residual, and so only enlarge it.
-    """
-    C = X - X.conj().T
-    C *= 0.5
-    R = kernel.S - kernel.ad_anti(C)
-    s2 = float(np.linalg.norm(kernel.S))**2
-    r2 = float(np.linalg.norm(R))**2
-    return float(np.sqrt(max(0.0, s2 - r2)))
 
 
 def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
@@ -593,42 +564,45 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
 
     The filter p (p(0) = 1, at most ε in size on [σ_min_est, σ_max_est]) is
     applied to A = (ad_{H_s})² acting on the hermitised symmetry S_h.  The
-    estimates should bracket the nonzero spectrum of A.  p(A) S_h is written
-    as a residual S_h - ad_L X: in the eigenframe of L, where ad_L multiplies
-    entry (i, j) by the gap g = lam_i - lam_j, X' = ((1 - p(g²))/g) ∘ S'.
-    Entries with g = 0, or where |p(g²)| > 1 or overflows (an interval that
-    misses part of the spectrum), keep X' = 0 and so stay unfiltered.
+    estimates should bracket the nonzero spectrum of A.  In the eigenframe
+    of L, where ad_L multiplies entry (i, j) by the gap g = lam_i - lam_j,
+    p(A) S_h is the entrywise product p(g²) ∘ S', and the value is
+    sqrt(Σ (1 - p(g²)²) |S'_ij|²) over the filtered entries: the exact
+    numerator's sum with a weight in [0, 1] on each entry.  Entries with
+    g = 0, or where |p(g²)| > 1 or overflows (an interval that misses part
+    of the spectrum), stay unfiltered and weigh 0.  Term by term the value
+    is thus at most the norm of the frame off the kernel: a lower bound on
+    ||(1 - P_ker) S_h||_F for any degree and estimates, which converges to
+    it at rate ε² once the nonzero spectrum lies in [σ_min_est, σ_max_est].
+    It bounds ||(1 - P_ker) S||_F as well: ad_H commutes with Y ↦ Y†, so
+    P_ker keeps the Hermitian and anti-Hermitian parts apart, and
+    ||(1-P)S||² = ||(1-P)S_h||² + ||(1-P)S_a||² >= ||(1-P)S_h||² with
+    S_a = S - S_h.  Like the exact numerator's, the value rests on the
+    computed eigenframe; no rounding enclosure covers either yet.
 
-    Returns (value, ε) with value = sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²))
-    and the residual formed explicitly in the original basis.  ad_L is
-    self-adjoint, so that residual can never be smaller than the kernel
-    component of S_h, whatever rounding went into X: the value is a valid
-    lower bound on ||(1 - P_ker) S_h||_F for any degree and estimates, and
-    once the nonzero spectrum lies in [σ_min_est, σ_max_est] it converges to
-    the exact norm at rate ε².  It bounds ||(1 - P_ker) S||_F as well: ad_H
-    commutes with Y ↦ Y†, so P_ker keeps the Hermitian and anti-Hermitian
-    parts apart, and ||(1-P)S||² = ||(1-P)S_h||² + ||(1-P)S_a||² >=
-    ||(1-P)S_h||² with S_a = S - S_h.
-
-    Cost: one eigendecomposition of H_s, two similarity transforms and the
-    residual's product with L, independent of the degree; p is evaluated in
-    closed form on the squared gaps.
+    Returns (value, ε).  Cost: that of the exact numerator, one
+    eigendecomposition of H_s and one similarity transform of S_h,
+    independent of the degree; p is evaluated in closed form on the
+    squared gaps.
     """
-    return _chebyshev_projection(_AdKernel(H_s, S), degree, sigma_min_est,
-                                 sigma_max_est)
-
-
-def _chebyshev_projection(kernel: _AdKernel, degree: int, sigma_min_est: float,
-                          sigma_max_est: float) -> tuple[float, float]:
-    """``chebyshev_filter_bound`` on a prepared kernel."""
+    kernel = _AdKernel(H_s, S)
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
-    _, V, lam, frame = _eigenframe(kernel)
+    return float(_chebyshev_projection(kernel, filt)), filt.epsilon
+
+
+def _chebyshev_projection(kernel: _AdKernel, filt: ChebyshevFilter):
+    """The value of ``chebyshev_filter_bound`` on a prepared kernel, one per
+    matrix of a stack: the eigenframe with entry (i, j) scaled by
+    sqrt(1 - p(g²)²) where it is filtered and zeroed elsewhere, then its
+    Frobenius norm."""
+    _, _, lam, frame = _eigenframe(kernel)
     g = np.subtract.outer(lam, lam)
     p = filt.evaluate(g * g)
-    frame *= np.divide(1.0 - p, g, out=np.zeros_like(g),
-                       where=(np.abs(p) <= 1.0) & (g != 0))
-    X = _similarity(V, frame, kernel.kind)
-    return _certified_numerator(kernel, X), filt.epsilon
+    # an unfiltered entry takes p = 1, weight 0, so a p that is ±inf or
+    # large is never squared
+    p[~((np.abs(p) <= 1.0) & (g != 0))] = 1.0
+    frame *= np.sqrt(1.0 - p * p)
+    return _frobenius(frame)
 
 
 def _filter_interval(hnorm: float, kind: str) -> tuple[float, float]:
@@ -644,6 +618,23 @@ def _default_filter_interval(H: np.ndarray, kind: str) -> tuple[float, float]:
     hermitised, from the norm its numerator kernel reads: the CLI completes
     a one-sided interval with it, equal to the library's default."""
     return _filter_interval(_sector_norm(hermitian_part(H)), kind)
+
+
+def _chebyshev_filter(kernel: _AdKernel, degree: int | None,
+                      sigma_min_est: float | None,
+                      sigma_max_est: float | None) -> ChebyshevFilter:
+    """The filter of a chebyshev numerator on the kernel, as
+    ``hamiltonian_speed_limit`` and the ``_StackScorer`` take it: an interval
+    end not given is the default for ``kernel.norm``, and a degree not given
+    is the one that reaches DEFAULT_FILTER_EPS on the interval."""
+    lo, hi = sigma_min_est, sigma_max_est
+    if lo is None or hi is None:
+        d_lo, d_hi = _filter_interval(kernel.norm, kernel.kind)
+        lo = d_lo if lo is None else lo
+        hi = d_hi if hi is None else hi
+    m = (chebyshev_degree_for(DEFAULT_FILTER_EPS, lo, hi) if degree is None
+         else degree)
+    return ChebyshevFilter(m, lo, hi)
 
 
 def hamiltonian_speed_limit(H_s, S: Symmetry,
@@ -680,17 +671,11 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
         if method == "commutator":
             return kernel_complement_norm_commutator(H_s, S)
         kernel = _AdKernel(H_s, S)
-        lo, hi = sigma_min_est, sigma_max_est
-        if lo is None or hi is None:
-            d_lo, d_hi = _filter_interval(kernel.norm, S.kind)
-            lo = d_lo if lo is None else lo
-            hi = d_hi if hi is None else hi
-        m = (chebyshev_degree_for(DEFAULT_FILTER_EPS, lo, hi) if degree is None
-             else degree)
-        num, eps = _chebyshev_projection(kernel, m, lo, hi)
-        inter.update({"epsilon": eps, "degree": float(m),
-                      "sigma_min_est": lo, "sigma_max_est": hi})
-        return num
+        filt = _chebyshev_filter(kernel, degree, sigma_min_est, sigma_max_est)
+        inter.update({"epsilon": filt.epsilon, "degree": float(filt.degree),
+                      "sigma_min_est": filt.sigma_min,
+                      "sigma_max_est": filt.sigma_max})
+        return float(_chebyshev_projection(kernel, filt))
 
     return _speed_limit(numerator, S, perturbation, drift, method, inter,
                         warnings)
@@ -736,17 +721,22 @@ class _StackScorer:
     Called with a stack of unit-Frobenius candidate matrices of ``like``'s
     kind and dimension, it returns for each the bound that
     ``restore_symmetry`` and then ``unitary_speed_limit`` (a target U) or
-    ``hamiltonian_speed_limit`` (an exact or commutator numerator) give it,
-    and -inf where that path raises.  It holds the drift with its Hermitian
-    part and norm, the quadratic unit lifts, and U (U⊗U for quadratic S) or
-    the ad_{H_s} kernel with its one eigendecomposition.  A stack takes one
-    ``perturb._restore_rows``, one stacked ``eigvalsh`` for ||ΔH||_inf and
-    one stacked numerator, each row in the dtype the public path gives it,
-    so that every value equals the public one.
+    ``hamiltonian_speed_limit`` (any numerator, with the keywords given
+    here) give it, and -inf where that path raises.  It holds the drift
+    with its Hermitian part and norm, the quadratic unit lifts, and U (U⊗U
+    for quadratic S) or the ad_{H_s} kernel with its one
+    eigendecomposition, and for chebyshev the filter, resolved once by
+    ``_chebyshev_filter``.  A stack takes one ``perturb._restore_rows``, one
+    stacked ``eigvalsh`` for ||ΔH||_inf and one stacked numerator, each row
+    in the dtype the public path gives it, so that every value equals the
+    public one.
     """
 
     def __init__(self, like: Symmetry, drift, *, target_unitary=None,
                  target_hamiltonian=None, method: str = "exact",
+                 degree: int | None = None,
+                 sigma_min_est: float | None = None,
+                 sigma_max_est: float | None = None,
                  tol_degeneracy: float | None = None):
         self.kind = like.kind
         self.gate = target_unitary is not None
@@ -773,6 +763,12 @@ class _StackScorer:
                 kernel = _AdKernel(target_hamiltonian, like)
                 self._numerator = lambda M, Sh: _commutator_projection(
                     kernel.hold(Sh))
+            elif method == "chebyshev":
+                kernel = _AdKernel(target_hamiltonian, like)
+                filt = _chebyshev_filter(kernel, degree, sigma_min_est,
+                                         sigma_max_est)
+                self._numerator = lambda M, Sh: _chebyshev_projection(
+                    kernel.hold(Sh), filt)
             else:
                 raise ValueError(f"no stacked numerator for {method!r}")
         except QslError:

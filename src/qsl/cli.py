@@ -11,20 +11,20 @@ model parameter the model rejects, input too large for the dense method).
 ``bound`` and every ``reproduce`` model run one pipeline, discover → choose
 → restore → bound: a symmetry basis of the controls, the combination that
 ``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
-the speed limit.  The search rates each candidate by the last two steps;
-with a unitary target or the exact or commutator numerator it does so
-through ``bounds._StackScorer``, prepared once per request and fed a stack
-of candidates at a time, which gives each the value the public functions
-give it.  The cnot, swap and rydberg models bring their own symmetry and
-ΔH.  Each command takes only the flags it reads.  Option keys,
+the speed limit.  The search rates each candidate by the last two steps
+through ``bounds._StackScorer``, for every target and numerator, prepared
+once per request and fed a stack of candidates at a time, which gives each
+the value the public functions give it.  The cnot, swap and rydberg models
+bring their own symmetry and ΔH.  Each command takes only the flags it
+reads.  Option keys,
 one schema for the problem files of every command (a flag of the same name
 overrides the file; ``reproduce syk`` passes ``--iterations`` as
 ``optimize_symmetry``):
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
 linear); ``method`` exact, commutator or chebyshev (default exact at every
-dimension: exact and chebyshev both cost one eigendecomposition of H_s, and
-exact is the tighter of the two; chebyshev's cost does not depend on its
-degree); ``degree`` the Chebyshev degree, >= 1; ``sigma_min`` <=
+dimension: chebyshev is exact's eigenframe with a weight of at most 1 on
+each entry, so it costs what exact costs, whatever its degree, and is never
+the tighter); ``degree`` the Chebyshev degree, >= 1; ``sigma_min`` <=
 ``sigma_max`` the filter interval (an end not given is derived from
 ||H_s||); ``tol`` both the relative nullspace cut of
 symmetry discovery and the absolute eigenvalue-cluster cut of the exact
@@ -425,17 +425,14 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
     """Bound for the one target that is not None: discover → choose →
     restore → bound.  A given ``symmetry`` skips discovery and choice, a given
     ``perturbation`` restoration.  The choice scores candidates with a
-    ``_StackScorer`` built here, or, for the chebyshev numerator, with the
-    public restore and bound one candidate at a time.  Returns the report
-    and the basis, if any.
+    ``_StackScorer`` built here from the keywords of the bound.  Returns the
+    report and the basis, if any.
     """
     unitary = target_unitary is not None
     kind = opts.get("kind") or ("quadratic" if unitary else "linear")
-    method = opts.get("method") or "exact"  # read for a Hamiltonian only
-    if unitary:
-        def bound(sym, pert, drift=None):
-            return unitary_speed_limit(target_unitary, sym, pert, drift=drift)
-    else:
+    kwargs = {}  # hamiltonian_speed_limit's numerator keywords
+    if not unitary:
+        method = opts.get("method") or "exact"
         lo, hi = opts.get("sigma_min"), opts.get("sigma_max")
         if method == "chebyshev" and (lo is None) != (hi is None):
             # fill the open end with the default the library would derive,
@@ -451,10 +448,6 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
                   "sigma_max_est": opts.get("sigma_max"),
                   "tol_degeneracy": opts.get("tol")}
 
-        def bound(sym, pert, drift=None):
-            return hamiltonian_speed_limit(target_hamiltonian, sym, pert,
-                                           drift=drift, **kwargs)
-
     basis = None
     if symmetry is None:
         basis = _symmetry_basis(controls, kind, opts.get("tol"))
@@ -462,22 +455,21 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
         # refuse once, before the search scores each candidate by refusing it
         if all(_drift_keeps(s, H_d) for s in basis):
             raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
-        if unitary or method != "chebyshev":
-            objective = _StackScorer(
-                basis[0], H_d, target_unitary=target_unitary,
-                target_hamiltonian=target_hamiltonian, method=method,
-                tol_degeneracy=opts.get("tol"))
-        else:
-            def objective(s):
-                return bound(s, restore_symmetry(s, H_d)).bound_time
+        objective = _StackScorer(basis[0], H_d, target_unitary=target_unitary,
+                                 target_hamiltonian=target_hamiltonian,
+                                 **kwargs)
         symmetry = optimize_symmetry(basis, objective,
                                      iterations=opts["optimize_symmetry"],
                                      seed=opts["seed"])
     if perturbation is None:
         perturbation = restore_symmetry(symmetry, H_d)
-    # only the reported bound gets the drift: with a linear symmetry the
-    # unitary limit then adds its analytic variant to the intermediates
-    return bound(symmetry, perturbation, drift=H_d), basis
+    # the bound gets the drift: with a linear symmetry the unitary limit
+    # then adds its analytic variant to the intermediates
+    if unitary:
+        return unitary_speed_limit(target_unitary, symmetry, perturbation,
+                                   drift=H_d), basis
+    return hamiltonian_speed_limit(target_hamiltonian, symmetry, perturbation,
+                                   drift=H_d, **kwargs), basis
 
 
 def cmd_bound(args) -> dict:

@@ -1,12 +1,14 @@
 """The prepared ad_H kernel behind every Hamiltonian numerator.
 
-The kernel applies ad_L (L = H or H⊗1 + 1⊗H) with one product per
-application by exploiting hermiticity.  These tests hold it against the plain
-commutator formulas it replaced, which survive here only as oracles, and hold
-the eigenframe Chebyshev numerator against the three-term recurrence it
-replaced.
+The kernel applies L (L = H or H⊗1 + 1⊗H) with one product, and ad_L on a
+Hermitian argument with one product by exploiting hermiticity.  These tests
+hold it against the plain commutator formulas it replaced, which survive
+here only as oracles, and hold the eigenframe Chebyshev numerator, the
+exact numerator's frame with a weight on each entry, against the
+three-term recurrence and the explicit residual it replaced.
 """
 
+import functools
 import math
 import warnings
 
@@ -18,7 +20,6 @@ from qsl import matcore
 from qsl.bounds import (
     ChebyshevFilter,
     _AdKernel,
-    _certified_numerator,
     _eigenframe,
     _exact_projection,
     _sectors,
@@ -53,9 +54,40 @@ def draw_hermitian(rng, d, real):
     return random_hermitian(rng, d)
 
 
+def ad(kernel, Y):
+    """[L, Y] for Hermitian Y: P - P† with P = L Y."""
+    P = kernel.lift(Y)
+    return P - P.conj().T
+
+
+def ad_anti(kernel, C):
+    """[L, C] for anti-Hermitian C: Q + Q† with Q = L C."""
+    Q = kernel.lift(C)
+    return Q + Q.conj().T
+
+
 def ad2(kernel, Y):
     """[L, [L, Y]] for Hermitian Y: the recurrence oracle's operator."""
-    return kernel.ad_anti(kernel.ad(Y))
+    return ad_anti(kernel, ad(kernel, Y))
+
+
+def certified_numerator(kernel, X):
+    """sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²)) for any X, the residual
+    formed explicitly: the former Chebyshev value.
+
+    ad_L is self-adjoint under the Hilbert-Schmidt inner product, so
+    P_ker(S_h - ad_L X) = P_ker S_h and the residual is at least as large as
+    the kernel component of S_h: the value is a lower bound on
+    ||(1 - P_ker) S_h||_F however X was computed.  Only the anti-Hermitian
+    part of X is used; its Hermitian part would add an anti-Hermitian term,
+    orthogonal to the Hermitian rest of the residual, and so only enlarge it.
+    """
+    C = X - X.conj().T
+    C *= 0.5
+    R = kernel.S - ad_anti(kernel, C)
+    s2 = float(np.linalg.norm(kernel.S))**2
+    r2 = float(np.linalg.norm(R))**2
+    return float(np.sqrt(max(0.0, s2 - r2)))
 
 
 def rel_err(got, want):
@@ -116,7 +148,7 @@ class TestDifferential:
         k = _AdKernel(H, Symmetry("linear", Y))
         assert k.S.dtype == (np.float64 if real else np.complex128)
         once = commutator(H, Y)
-        assert rel_err(k.ad(k.S), once) <= 1e-12
+        assert rel_err(ad(k, k.S), once) <= 1e-12
         assert rel_err(ad2(k, k.S), commutator(H, once)) <= 1e-12
 
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
@@ -128,7 +160,7 @@ class TestDifferential:
         Y = draw_hermitian(rng, d * d, real)
         k = _AdKernel(H, Symmetry("quadratic", Y))
         once = iota_commutator(H, Y)
-        assert rel_err(k.ad(k.S), once) <= 1e-12
+        assert rel_err(ad(k, k.S), once) <= 1e-12
         assert rel_err(ad2(k, k.S), iota_commutator(H, once)) <= 1e-12
         # the einsum oracle itself against the materialized lift
         assert rel_err(once, commutator(iota(H), Y)) <= 1e-12
@@ -265,12 +297,128 @@ def optimal_x(H, S):
     return _similarity(V, frame, k.kind)
 
 
+def explicit_residual_chebyshev(H, S, degree, lo, hi):
+    """The former library Chebyshev value: in the eigenframe of L,
+    X' = ((1 - p(g²))/g) ∘ S' on the filtered entries (g != 0, |p| <= 1) and
+    0 elsewhere, taken back to X = W X' W† and scored by
+    ``certified_numerator`` with the residual S_h - ad_L X formed
+    explicitly."""
+    k = _AdKernel(H, S)
+    _, V, lam, frame = _eigenframe(k)
+    g = np.subtract.outer(lam, lam)
+    p = ChebyshevFilter(degree, lo, hi).evaluate(g * g)
+    frame *= np.divide(1.0 - p, g, out=np.zeros_like(g),
+                       where=(np.abs(p) <= 1.0) & (g != 0))
+    return certified_numerator(k, _similarity(V, frame, k.kind))
+
+
+class Counted(np.ndarray):
+    """Counts every matmul on arrays derived from the eigenbasis."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            Counted.matmuls += 1
+
+        def plain(a):
+            return a.view(np.ndarray) if isinstance(a, Counted) else a
+        inputs = tuple(plain(a) for a in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        return out.view(Counted) if isinstance(out, np.ndarray) else out
+
+
+def count_cost(monkeypatch):
+    """From here on, record each ``eigh`` and ``eigvalsh`` call with its
+    shape in the returned list, and hand out the eigenbasis V of
+    ``_AdKernel.eigen`` as a ``Counted`` view, so every product with V or
+    with what was formed from it adds to ``Counted.matmuls``.  V is viewed
+    after it is assembled, so the sectors' V is counted too."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(A, *args, _fn=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls.append((_name, A.shape))
+            return _fn(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    eigen = _AdKernel.eigen.func
+
+    def counted_eigen(self):
+        w, V, lam = eigen(self)
+        return w, V.view(Counted), lam
+    prop = functools.cached_property(counted_eigen)
+    prop.__set_name__(_AdKernel, "eigen")
+    monkeypatch.setattr(_AdKernel, "eigen", prop)
+    Counted.matmuls = 0
+    return calls
+
+
 PROBLEM = dict(kind=st.sampled_from(["linear", "quadratic"]),
                seed=st.integers(0, 2**32 - 1), real=st.booleans())
 
 
 class TestEigenframeChebyshev:
-    """One eigendecomposition and one explicit residual per solve."""
+    """The exact numerator's eigenframe with the weight 1 - p(g²)² on each
+    filtered entry: the cost of the exact numerator, whatever the degree."""
+
+    @given(**PROBLEM, data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_explicit_residual(self, kind, seed, real, data):
+        """The weighted frame against the former explicit residual with the
+        former X, on intervals that bracket the squared gaps, lie inside
+        them (large gaps above the interval can make |p| > 1 and stay
+        unfiltered) or reach far below them."""
+        d = data.draw(st.integers(2, 8) if kind == "linear"
+                      else st.integers(2, 4), label="d")
+        degree = data.draw(st.integers(1, 10597), label="degree")
+        lo_scale = data.draw(st.floats(1e-3, 3.0), label="lo_scale")
+        hi_scale = data.draw(st.floats(0.05, 20.0), label="hi_scale")
+        H, S = draw_problem(np.random.default_rng(seed), kind, d, real)
+        lam = lift_spectrum(H, kind)
+        gaps = np.abs(np.subtract.outer(lam, lam))
+        nz = gaps[gaps > 1e-9 * gaps.max()] ** 2
+        hi = hi_scale * float(nz.max())
+        lo = min(lo_scale * float(nz.min()), hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, eps = chebyshev_filter_bound(H, S, degree, lo, hi)
+        assert eps == ChebyshevFilter(degree, lo, hi).epsilon
+        want = explicit_residual_chebyshev(H, S, degree, lo, hi)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert got <= kernel_complement_norm_exact(H, S)
+
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("sectors", [False, True])
+    def test_costs_what_exact_costs(self, monkeypatch, rng, sectors, kind,
+                                    real):
+        """A chebyshev solve makes the ``eigh`` calls and the products with
+        the eigenbasis of an exact solve on the same input: one block
+        (d = 6, or 3 for quadratic S), or the two reflection sectors of
+        H = R H R (d = 8, or 4)."""
+        if sectors:
+            H = reflection_symmetric(rng, 3 if kind == "linear" else 2, real)
+        else:
+            H = draw_hermitian(rng, 6 if kind == "linear" else 3, real)
+        d = len(H)
+        n = d if kind == "linear" else d * d
+        S = Symmetry(kind, draw_hermitian(rng, n, real))
+        pert = Perturbation.from_matrix(S, draw_hermitian(rng, d, real))
+        calls = count_cost(monkeypatch)
+        costs = []
+        for kwargs in ({"method": "exact"},
+                       {"method": "chebyshev", "degree": 10597,
+                        "sigma_min_est": 0.1, "sigma_max_est": 50.0}):
+            calls.clear()
+            Counted.matmuls = 0
+            assert hamiltonian_speed_limit(H, S, pert, **kwargs).bound_time > 0
+            costs.append((list(calls), Counted.matmuls))
+        assert costs[0] == costs[1]
+        eighs, matmuls = costs[0]
+        assert len(eighs) == (2 if sectors else 1) and matmuls > 0
+        assert all(name == "eigh" for name, _ in eighs)
 
     @given(**PROBLEM, data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -319,39 +467,15 @@ class TestEigenframeChebyshev:
         # rounding in the explicit residual only; no slack for wrong X
         slack = 1e-12 * np.linalg.norm(k.S)
         for X in (wild, scale * best, best + noise * wild, 1j * k.S, best):
-            assert _certified_numerator(k, X) <= exact + slack
-        assert _certified_numerator(k, best) == pytest.approx(exact, rel=1e-9)
+            assert certified_numerator(k, X) <= exact + slack
+        assert certified_numerator(k, best) == pytest.approx(exact, rel=1e-9)
         # a Hermitian X leaves the residual at S_h: the value is 0
-        assert _certified_numerator(k, k.S) == 0.0
+        assert certified_numerator(k, k.S) == 0.0
 
     @pytest.mark.parametrize("kind,d", [("linear", 6), ("quadratic", 3)])
     def test_cost_does_not_grow_with_degree(self, monkeypatch, kind, d):
-        class Counted(np.ndarray):
-            """Counts every matmul on arrays derived from the eigenbasis."""
-
-            matmuls = 0
-
-            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-                if ufunc is np.matmul:
-                    Counted.matmuls += 1
-
-                def plain(a):
-                    return a.view(np.ndarray) if isinstance(a, Counted) else a
-                inputs = tuple(plain(a) for a in inputs)
-                if "out" in kwargs:
-                    kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
-                out = getattr(ufunc, method)(*inputs, **kwargs)
-                return out.view(Counted) if isinstance(out, np.ndarray) else out
-
-        eigh = np.linalg.eigh
-        eighs = []
-
-        def counted_eigh(A, *args, **kwargs):
-            eighs.append(A.shape)
-            w, V = eigh(A, *args, **kwargs)
-            return w, V.view(Counted)
-        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         H, S = draw_problem(np.random.default_rng(7), kind, d, real=False)
+        eighs = count_cost(monkeypatch)
         costs = []
         for degree in (10, 10_000):
             eighs.clear()
