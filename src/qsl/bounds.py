@@ -39,11 +39,13 @@ All three work on the hermitised inputs H = (H_s + H_s†)/2 and
 S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
 arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
 single eigendecomposition of H_s (it also yields ||H_s||_inf and the
-near-degeneracy check); commutator is one product P = H S_h plus
-||H_s||_inf, and ||[H, S_h]||_F = ||P - P†||_F is summed over P's 64 x 64
-tile pairs with no second d x d array; chebyshev costs what exact costs,
-whatever the filter degree, plus p on the squared gaps; its default
-interval reads ||H_s||_inf from the same kernel.  For quadratic S each
+near-degeneracy check) and the frame (V† S_h) V; commutator is one product
+P = H S_h plus ||H_s||_inf, and ||[H, S_h]||_F = ||P - P†||_F is summed
+over P's 64 x 64 tile pairs with no second d x d array; chebyshev costs
+what exact costs, whatever the filter degree, plus p on one triangle of
+the squared gaps; its default interval reads ||H_s||_inf from the same
+kernel.  For a linear S_h that is a permutation matrix (the Rydberg swap)
+V† S_h and H S_h are gathers, with the products' values.  For quadratic S each
 product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
 d x d contractions.  A target that
 the reversal of the qubit order R leaves exactly unchanged (H = R H R, an
@@ -75,6 +77,7 @@ from .matcore import (
     GAP_RTOL,
     QslError,
     ValidationError,
+    _TILE,
     _adjoint,
     _antihermitian_norm,
     _check_tolerance,
@@ -84,6 +87,7 @@ from .matcore import (
     _kernel_mask,
     _max_abs_eigenvalue,
     _near_cut,
+    _times_symmetry,
     frobenius_norm,
     hermitian_part,
     kron,
@@ -393,7 +397,11 @@ class _AdKernel:
 
     ``lift`` is the one product with L: for Hermitian Y, [L, Y] = P - P†
     with P = L Y, so ad_L on Y costs one product.  The lift is applied as
-    two d x d contractions and never materialized, and takes a stack.
+    two d x d contractions and never materialized, and takes a stack.  A
+    single linear S_h that is a permutation matrix (the Rydberg swap) is
+    held with its index map σ, and every product with it is a gather
+    (``matcore._times_symmetry``): L S_h in ``lift`` and V† S_h in
+    ``_eigenframe``.  ``hold`` takes a stack of candidates with no σ.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -402,13 +410,16 @@ class _AdKernel:
             raise DimensionError("Hamiltonian dimension does not match symmetry")
         self.kind = S.kind
         self._kernels = {}
-        self.hold(S.hermitian)
+        self.hold(S.hermitian, S._permutation)
 
-    def hold(self, Sh: np.ndarray) -> "_AdKernel":
-        """Take S_h, or a stack of them, as ``S``."""
+    def hold(self, Sh: np.ndarray, perm=None) -> "_AdKernel":
+        """Take S_h, or a stack of them, as ``S``, with ``perm`` its σ when
+        a single S_h is a permutation matrix (``Symmetry._permutation``).
+        The search's stacks of candidates are held with no σ."""
         dtype = np.result_type(self.H, Sh)
         self._L = self.H.astype(dtype, copy=False)
         self.S = Sh.astype(dtype, copy=False)
+        self._perm = perm
         return self
 
     @functools.cached_property
@@ -453,11 +464,14 @@ class _AdKernel:
             self._kernels[tol] = mask, _near_cut(ws, ranked, tol)
         return self._kernels[tol]
 
-    def lift(self, Y: np.ndarray) -> np.ndarray:
-        """L Y."""
+    def lift(self, Y: np.ndarray | None = None) -> np.ndarray:
+        """L Y, by default L S_h: for an S_h held with its σ the column
+        gather L[:, σ], with the product's values."""
         L = self._L
+        perm = self._perm if Y is None else None
+        Y = self.S if Y is None else Y
         if self.kind == "linear":
-            return L @ Y
+            return _times_symmetry(Y, L, perm, right=True)
         d = L.shape[0]
         lead = Y.shape[:-2]
         Y3 = Y.reshape(lead + (d, d, -1))  # Y[(a, b), x] -> Y3[a, b, x]
@@ -465,15 +479,18 @@ class _AdKernel:
         return (first + L @ Y3).reshape(Y.shape)  # + (1⊗H) Y
 
 
-def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
+def _similarity(A: np.ndarray, M: np.ndarray, kind: str,
+                perm=None) -> np.ndarray:
     """T M T† with T = A (linear) or T = A⊗A (quadratic), for a matrix M or
-    each matrix of a stack.
+    each matrix of a stack, formed as (T M) T†.
 
     A⊗A is never formed: like ``_AdKernel.lift`` it is applied as d x d
-    contractions, one per tensor factor on each side.
+    contractions, one per tensor factor on each side.  ``perm`` is the σ of
+    a linear M that is a permutation matrix: A M is then the column gather
+    A[:, σ], with the product's values, and one d³ product remains.
     """
     if kind == "linear":
-        return A @ M @ A.conj().T
+        return _times_symmetry(M, A, perm, right=True) @ A.conj().T
     d = A.shape[0]
     lead = M.shape[:-2]
     # A on the first row factor
@@ -488,11 +505,14 @@ def _eigenframe(kernel: _AdKernel):
     """S_h in the eigenbasis of L, from the kernel's eigendecomposition of H.
 
     Returns (w, V, lam, frame) with (w, V, lam) = ``kernel.eigen`` and
-    frame = W† S_h W with W = V or V⊗V.  ad_L acts on the frame as the
-    entrywise product with the signed gaps lam_i - lam_j.
+    frame = (W† S_h) W with W = V or V⊗V.  ad_L acts on the frame as the
+    entrywise product with the signed gaps lam_i - lam_j.  For an S_h held
+    with its σ (a permutation matrix, the Rydberg swap) W† S_h is a gather,
+    and the one d³ product is that with W.
     """
     w, V, lam = kernel.eigen
-    return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind)
+    return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind,
+                                  kernel._perm)
 
 
 def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
@@ -537,13 +557,14 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
 def _commutator_projection(kernel: _AdKernel):
     """||[L, S_h]||_F / (2 ||H||_inf), or / (4 ||H||_inf) for the lift: the
     numerator of ``kernel_complement_norm_commutator``, one per matrix of a
-    stack.  [L, S_h] = P - P† with P = L S_h is never formed: its norm is
+    stack.  [L, S_h] = P - P† with P = L S_h (``_AdKernel.lift``, a gather
+    for a permutation S_h) is never formed: its norm is
     ``matcore._antihermitian_norm`` of P."""
     hnorm = kernel.norm
     if hnorm <= 0:
         raise ValidationError("Hamiltonian must be nonzero")
     lift = 2.0 if kernel.kind == "linear" else 4.0
-    return _antihermitian_norm(kernel.lift(kernel.S)) / (lift * hnorm)
+    return _antihermitian_norm(kernel.lift()) / (lift * hnorm)
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -594,14 +615,25 @@ def _chebyshev_projection(kernel: _AdKernel, filt: ChebyshevFilter):
     """The value of ``chebyshev_filter_bound`` on a prepared kernel, one per
     matrix of a stack: the eigenframe with entry (i, j) scaled by
     sqrt(1 - p(g²)²) where it is filtered and zeroed elsewhere, then its
-    Frobenius norm."""
+    Frobenius norm.
+
+    The weight is evaluated on the upper triangle j >= i only, in row blocks
+    of ``_TILE`` rows, and mirrored: g_ji = -g_ij exactly, so g², p and the
+    weight of (j, i) are those of (i, j), at half the evaluations and with
+    every temporary one block."""
     _, _, lam, frame = _eigenframe(kernel)
-    g = np.subtract.outer(lam, lam)
-    p = filt.evaluate(g * g)
-    # an unfiltered entry takes p = 1, weight 0, so a p that is ±inf or
-    # large is never squared
-    p[~((np.abs(p) <= 1.0) & (g != 0))] = 1.0
-    frame *= np.sqrt(1.0 - p * p)
+    n = lam.size
+    weight = np.empty((n, n))
+    for i in range(0, n, _TILE):
+        g = np.subtract.outer(lam[i:i + _TILE], lam[i:])
+        p = filt.evaluate(g * g)
+        # an unfiltered entry takes p = 1, weight 0, so a p that is ±inf or
+        # large is never squared
+        p[~((np.abs(p) <= 1.0) & (g != 0))] = 1.0
+        block = np.sqrt(1.0 - p * p)
+        weight[i:, i:i + _TILE] = block.T
+        weight[i:i + _TILE, i:] = block
+    frame *= weight
     return _frobenius(frame)
 
 

@@ -13,6 +13,7 @@ its left basis is never built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ from .matcore import (
     ValidationError,
     _check_tolerance,
     _frobenius,
+    _permutation_of,
     _spectral_gap,
     adjoint_superoperator,
     as_operator,
@@ -74,6 +76,10 @@ class Symmetry:
     checked and formed once, in the one hermiticity pass of construction:
     ``matrix`` itself when it is exactly Hermitian (float64 when exactly
     real).  ``sigma_min`` decomposes ``hermitian`` with no second check.
+    ``_permutation`` is σ with S_h[i, σ(i)] = 1 when a linear S_h is a
+    float64 permutation matrix (the Rydberg swap), else None, found from
+    ``hermitian`` on first use and cached: every product with such an S_h
+    is a gather (``matcore._times_symmetry``).
     """
 
     kind: str
@@ -112,6 +118,11 @@ class Symmetry:
         if self._sigma_min is None:
             self._sigma_min = _spectral_gap(self.hermitian)
         return self._sigma_min
+
+    @functools.cached_property
+    def _permutation(self) -> np.ndarray | None:
+        return (_permutation_of(self.hermitian) if self.kind == "linear"
+                else None)
 
     def scaled(self, factor: float) -> "Symmetry":
         return Symmetry(self.kind, factor * self.matrix, note=self.note)

@@ -22,7 +22,9 @@ pass, and returns its input unchanged when it is already exactly Hermitian.
 The commutator norms ||[S, H]||_F = ||P - P†||_F are read from the same tile
 pairs (``_antihermitian_norm``), with no d x d temporary.  A matrix of one
 tile (d <= 64) is its own single pair, so it meets the whole-matrix
-operations A - A† and (A + A†)/2 and their values.  The private
+operations A - A† and (A + A†)/2 and their values.  A float64
+permutation matrix is recognised (``_permutation_of``) and applied as an
+index gather (``_times_symmetry``), with a matmul's values.  The private
 kernels the symmetry search shares with the public functions
 (``_square_sum``, ``_frobenius``, ``_antihermitian_norm``, ``_hermitised``,
 ``_cluster_labels``, ``_kernel_mask``, ``_max_abs_eigenvalue``) also take
@@ -495,6 +497,38 @@ def permutation_operator(perm, local_dims) -> np.ndarray:
     P = np.zeros((cols.size, cols.size), dtype=complex)
     P[rows, cols] = 1.0
     return P
+
+
+def _permutation_of(A: np.ndarray) -> np.ndarray | None:
+    """σ with A[i, σ(i)] = 1 when the float64 matrix A is a permutation
+    matrix (one nonzero per row, every one exactly 1.0, the columns a
+    bijection), else None.  Any A with other than d nonzeros, a dense A
+    among them, is refused by one count before anything the size of its
+    nonzeros is allocated."""
+    if A.dtype != np.float64 or A.ndim != 2 or A.shape[0] != A.shape[1]:
+        return None
+    d = A.shape[0]
+    if np.count_nonzero(A) != d:
+        return None
+    rows, sigma = np.nonzero(A)
+    if (not np.array_equal(rows, np.arange(d))
+            or not (A[rows, sigma] == 1.0).all()
+            or np.count_nonzero(np.bincount(sigma, minlength=d)) != d):
+        return None
+    sigma.flags.writeable = False  # cached by ``Symmetry`` for every caller
+    return sigma
+
+
+def _times_symmetry(Sh: np.ndarray, X: np.ndarray, perm, right: bool = False):
+    """S_h X, or X S_h with ``right``, for a matrix or a stack of either.
+
+    ``perm`` is None or the σ of ``_permutation_of(S_h)`` for a Hermitian
+    S_h, an involution (σ⁻¹ = σ): then S_h X = X[σ] and X S_h = X[..., σ],
+    gathers with the matmul's values, since 1.0·x plus exact zeros is x for
+    finite x.  A gather is C-contiguous, as the matmul's result is."""
+    if perm is None:
+        return X @ Sh if right else Sh @ X
+    return X.take(perm, axis=-1 if right else -2)
 
 
 def _cluster_labels(w: np.ndarray, tol) -> np.ndarray:

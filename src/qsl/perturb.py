@@ -14,8 +14,9 @@ eigenvalues start a new cluster at each adjacent gap above
 GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
 the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
 P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
-S, one product in place of two, and P - P† never formed: its norm is summed
-over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
+S, one product in place of two (a row gather of H when S_h is a permutation
+matrix, ``Symmetry._permutation``), and P - P† never formed: its norm is
+summed over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
 ``_restore_rows`` restores a stack of symmetries for one drift, linear ones
 in one stacked eigendecomposition, and applies the acceptance rule to each;
 ``restore_symmetry`` passes it a stack of one and is the one place where a
@@ -53,6 +54,7 @@ from .matcore import (
     _kernel_mask,
     _lift,
     _max_abs_eigenvalue,
+    _times_symmetry,
     check_entry_cap,
     devectorize,
     frobenius_norm,
@@ -64,14 +66,16 @@ from .matcore import (
 )
 
 
-def _commutator_norm(Sh: np.ndarray, H: np.ndarray, kind: str):
+def _commutator_norm(Sh: np.ndarray, H: np.ndarray, kind: str, perm=None):
     """||[S_h, H]||_F for an exactly Hermitian H (lifted for quadratic S) as
     ||P - P†||_F with P = S_h H: one product, in real arithmetic when both
     operands are exactly real, and ``_antihermitian_norm``'s tile pairs of
-    P.  Either may be a stack, one value per matrix."""
+    P.  Either may be a stack, one value per matrix.  ``perm`` is a single
+    S_h's ``Symmetry._permutation``: when it is set, P is the row gather
+    H[σ], with the product's values and no d³ work."""
     if kind == "quadratic":
         H = _lift(H)
-    return _antihermitian_norm(Sh @ H)
+    return _antihermitian_norm(_times_symmetry(Sh, H, perm))
 
 
 @dataclass
@@ -116,12 +120,15 @@ class Perturbation:
 
         The drift is checked as part of H_d + ΔH, in the one hermiticity pass
         that also hermitises that sum; the caller has usually checked H_d
-        itself already."""
+        itself already.  For a symmetry whose S_h is a permutation matrix
+        (the Rydberg swap) the residual's product S_h·(H_d + ΔH) is a row
+        gather, ``_commutator_norm``'s, with the product's value."""
         pert = cls(matrix, symmetry)
         if drift is not None:
             H_d, dH = require_same_dimension(drift, pert.matrix)
             residual = _commutator_norm(symmetry.hermitian,
-                                        hermitian_part(H_d + dH), symmetry.kind)
+                                        hermitian_part(H_d + dH), symmetry.kind,
+                                        symmetry._permutation)
             pert._measured(float(residual), H_d)
         return pert
 
@@ -264,6 +271,7 @@ def perturbation_norm_bound(S: Symmetry, H_d) -> float:
         raise ValidationError("analytic perturbation bound applies to linear "
                               "symmetries only")
     H, _ = require_same_dimension(hermitian_part(H_d), S.hermitian)
-    breaking = float(_commutator_norm(S.hermitian, H, S.kind))
+    breaking = float(_commutator_norm(S.hermitian, H, S.kind,
+                                      S._permutation))
     keeps = breaking <= _commuting_limit(S.frobenius, frobenius_norm(H))
     return 0.0 if keeps else breaking / S.sigma_min

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl.lie
 from qsl import matcore
 from qsl.bounds import (
     ChebyshevFilter,
@@ -313,13 +314,16 @@ def explicit_residual_chebyshev(H, S, degree, lo, hi):
 
 
 class Counted(np.ndarray):
-    """Counts every matmul on arrays derived from the eigenbasis."""
+    """Counts every matmul on arrays derived from the eigenbasis, and
+    records the operand shapes of each in ``products``."""
 
     matmuls = 0
+    products = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if ufunc is np.matmul:
             Counted.matmuls += 1
+            Counted.products.append(tuple(np.shape(a) for a in inputs))
 
         def plain(a):
             return a.view(np.ndarray) if isinstance(a, Counted) else a
@@ -352,6 +356,7 @@ def count_cost(monkeypatch):
     prop.__set_name__(_AdKernel, "eigen")
     monkeypatch.setattr(_AdKernel, "eigen", prop)
     Counted.matmuls = 0
+    Counted.products = []
     return calls
 
 
@@ -496,6 +501,56 @@ class TestEigenframeChebyshev:
         M = draw_hermitian(rng, d * d, real)
         assert rel_err(_similarity(V, M, "quadratic"),
                        W @ M @ W.conj().T) <= 1e-13
+
+
+def dense_path(monkeypatch):
+    """Every Symmetry made from here on finds no permutation in S_h, so each
+    product with S_h is a matmul."""
+    monkeypatch.setattr(qsl.lie, "_permutation_of", lambda A: None)
+
+
+class TestPermutationCost:
+    """The Rydberg swap S_h is a permutation matrix, so each product with it
+    is a gather: the exact eigenframe makes one d x d product with the
+    eigenbasis (W† S_h is a gather), and neither the commutator numerator
+    nor the restoration residual multiplies by S_h."""
+
+    @pytest.mark.parametrize("gather", [True, False])
+    @pytest.mark.parametrize("N", [4, 5, 6])
+    def test_eigenframe_is_one_product(self, monkeypatch, N, gather):
+        if not gather:
+            dense_path(monkeypatch)
+        b = rydberg_chain_model(N)
+        d = 2**N
+        count_cost(monkeypatch)
+        for method in ("exact", "chebyshev"):
+            Counted.products = []
+            hamiltonian_speed_limit(b.target_hamiltonian, b.symmetry,
+                                    b.perturbation, method=method)
+            square = Counted.products.count(((d, d), (d, d)))
+            assert square == (1 if gather else 2), Counted.products
+
+    @pytest.mark.parametrize("gather", [True, False])
+    @pytest.mark.parametrize("N", [4, 6])
+    def test_no_product_with_s(self, monkeypatch, N, gather):
+        """S_h handed out as a ``Counted`` view: from_matrix, the commutator
+        numerator and the analytic ||ΔH||_inf cap never multiply by it."""
+        if not gather:
+            dense_path(monkeypatch)
+        b = rydberg_chain_model(N)
+        d = 2**N
+        S = Symmetry("linear", b.symmetry.matrix)
+        S.hermitian = S.hermitian.view(Counted)
+        Counted.matmuls, Counted.products = 0, []
+        pert = Perturbation.from_matrix(S, b.perturbation.matrix,
+                                        drift=b.system.drift)
+        for given, drift in ((pert, None), (None, b.system.drift)):
+            hamiltonian_speed_limit(b.target_hamiltonian, S, given,
+                                    method="commutator", drift=drift)
+        if gather:
+            assert Counted.matmuls == 0
+        else:  # from_matrix, the two numerators and the cap: one each
+            assert Counted.products.count(((d, d), (d, d))) == 4
 
 
 class TestMisSetInterval:
