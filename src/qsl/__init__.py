@@ -25,18 +25,13 @@ from .bounds import (
     unitary_speed_limit,
 )
 from .lie import (
-    OperatorBasis,
     Symmetry,
-    center_dimension,
     commutant_basis,
-    lie_closure,
-    project_onto_span,
     quadratic_symmetry_basis,
     span_residual,
     symmetry_breaking_norm,
 )
 from .matcore import (
-    ClosureTruncatedError,
     ConditioningError,
     DIMENSION_CAP,
     DimensionCapError,
@@ -94,7 +89,6 @@ def __getattr__(name: str):
 __all__ = [
     "BoundReport",
     "ChebyshevFilter",
-    "ClosureTruncatedError",
     "ConditioningError",
     "ControlSystem",
     "DIMENSION_CAP",
@@ -102,7 +96,6 @@ __all__ = [
     "DimensionError",
     "ModelBundle",
     "NoSpectralGapError",
-    "OperatorBasis",
     "PAULI",
     "PauliParseError",
     "Perturbation",
@@ -113,7 +106,6 @@ __all__ = [
     "Symmetry",
     "ValidationError",
     "adjoint_superoperator",
-    "center_dimension",
     "chebyshev_degree_for",
     "chebyshev_filter_bound",
     "commutant_basis",
@@ -130,7 +122,6 @@ __all__ = [
     "kernel_complement_norm_commutator",
     "kernel_complement_norm_exact",
     "kron",
-    "lie_closure",
     "load_problem",
     "local_operator",
     "main",
@@ -141,7 +132,6 @@ __all__ = [
     "parse_pauli_expression",
     "permutation_operator",
     "perturbation_norm_bound",
-    "project_onto_span",
     "propagate_piecewise",
     "quadratic_symmetry_basis",
     "restore_symmetry",

@@ -65,6 +65,7 @@ from .matcore import (
     ValidationError,
     _qubit_product,
     check_entry_cap,
+    frobenius_norm,
     hermitize,
     operator_norm,
     permutation_operator,
@@ -215,7 +216,11 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
     if M.shape[0] != dimension:
         raise ProblemFormatError(f"{what}: dimension {M.shape[0]} does not "
                                  f"match the declared {dimension}")
-    return _checked(require_hermitian, M, what)
+    M = _checked(require_hermitian, M, what)
+    with np.errstate(over="ignore"):  # the overflow is what is checked
+        if not math.isfinite(frobenius_norm(M)):
+            raise ProblemFormatError(f"{what}: its Frobenius norm overflows")
+    return M
 
 
 def _checked(check, M: np.ndarray, what: str) -> np.ndarray:
@@ -694,7 +699,13 @@ def run_command(argv) -> int:
         return 1
     code = int(report.pop("_exit", 0))
     report["elapsed_seconds"] = round(time.perf_counter() - t0, 6)
-    print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True,
+                          default=_json_default, allow_nan=False)
+    except ValueError as exc:  # a number the computation left non-finite
+        print(f"error: the report is not finite JSON: {exc}", file=sys.stderr)
+        return 1
+    print(text)
     if not args.json_only:
         for line in _summarize(report):
             print(line, file=sys.stderr)

@@ -1,14 +1,13 @@
-"""Dynamical Lie algebra closure and symmetry discovery.
+"""Symmetry discovery: the linear and quadratic commutants of the controls.
 
-A bilinear control system H(t) = H_d + sum_j f_j(t) H_j generates the real
-Lie algebra spanned by iterated commutators of {iH_d, iH_j}.  Symmetries live
-in commutants: linear symmetries commute with every control on the base space,
-quadratic symmetries commute with the doubled-space lifts H⊗1 + 1⊗H, so
-quadratic discovery is the linear commutant of the lifted controls.  Both
-kinds come from one solver: the SVD nullspace of the stacked adjoint
-superoperators.  Only the right singular vectors are computed: the stack of
-k controls has k·n² rows for n² unknowns, never fewer rows than columns, so
-its left basis is never built.
+Symmetries live in commutants: linear symmetries commute with every control
+on the base space, quadratic symmetries commute with the doubled-space lifts
+H⊗1 + 1⊗H, so quadratic discovery is the linear commutant of the lifted
+controls.  Both kinds come from one solver: the SVD nullspace of the stacked
+adjoint superoperators.  Only the right singular vectors are computed: the
+stack of k controls has k·n² rows for n² unknowns, never fewer rows than
+columns, so its left basis is never built.  Every discovered element is
+re-checked against every control before it is returned.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 from .matcore import (
     ConditioningError,
-    ClosureTruncatedError,
     DimensionError,
     TAU_RANK,
     ValidationError,
@@ -42,26 +40,6 @@ from .matcore import (
     require_unitary,
     row_vectorize,
 )
-
-
-@dataclass
-class OperatorBasis:
-    """Hilbert-Schmidt orthonormal basis of antihermitian matrices."""
-
-    dimension: int
-    elements: list[np.ndarray]
-    closed: bool = True
-    tol: float = TAU_RANK
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 @dataclass
@@ -139,76 +117,6 @@ def _validated_generators(generators) -> list[np.ndarray]:
         if G.shape[0] != d:
             raise DimensionError("generators must share one dimension")
     return gens
-
-
-def lie_closure(generators, max_dim: int | None = None,
-                tol: float = TAU_RANK) -> OperatorBasis:
-    """Orthonormal basis of the real Lie algebra generated by {iH}.
-
-    Breadth-first over (new element) x (all earlier elements) commutator
-    pairs, Gram-Schmidt against the current basis (twice, for numerical
-    orthogonality), accepting residual directions with norm above ``tol``.
-    Deterministic given the generator order.  Raises ClosureTruncatedError,
-    carrying the partial basis, if ``max_dim`` is hit while new directions
-    keep appearing.
-    """
-    gens = _validated_generators(generators)
-    _check_tolerance(tol, "rank")
-    d = gens[0].shape[0]
-    limit = d * d if max_dim is None else min(int(max_dim), d * d)
-    if limit < 1:
-        raise DimensionError("max_dim must be at least 1")
-
-    basis: list[np.ndarray] = []
-
-    def try_accept(C: np.ndarray) -> None:
-        n0 = np.linalg.norm(C)
-        if n0 <= tol:
-            return
-        C = C / n0
-        for _ in range(2):
-            for b in basis:
-                C = C - np.trace(b.conj().T @ C) * b
-        r = np.linalg.norm(C)
-        if r <= tol:
-            return
-        if len(basis) >= limit:
-            raise ClosureTruncatedError(
-                f"Lie closure exceeded max_dim={limit} before closing",
-                partial_basis=OperatorBasis(d, list(basis), closed=False, tol=tol),
-            )
-        C = C / r
-        basis.append(0.5 * (C - C.conj().T))  # keep exactly antihermitian
-
-    for G in gens:
-        try_accept(1j * G)
-
-    done = 0  # elements [0, done) have been paired with each other already
-    while done < len(basis):
-        hi = len(basis)
-        for i in range(done, hi):
-            for j in range(i):
-                try_accept(commutator(basis[i], basis[j]))
-        done = hi
-
-    return OperatorBasis(d, basis, closed=True, tol=tol)
-
-
-def project_onto_span(X, basis: OperatorBasis) -> tuple[np.ndarray, float]:
-    """Hilbert-Schmidt projection of iX onto the basis span.
-
-    Returns (coefficients, residual norm); membership of H in the algebra
-    means the residual is below tol * max(1, ||X||_F).
-    """
-    A = require_hermitian(X)
-    if A.shape[0] != basis.dimension:
-        raise DimensionError("dimension mismatch with basis")
-    V = 1j * A
-    coeffs = np.array([np.real(np.trace(b.conj().T @ V)) for b in basis.elements])
-    R = V.copy()
-    for c, b in zip(coeffs, basis.elements):
-        R = R - c * b
-    return coeffs, float(np.linalg.norm(R))
 
 
 def _rank(s: np.ndarray, tol: float) -> int:
@@ -329,14 +237,3 @@ def span_residual(X, symmetries) -> float:
     coeffs, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     return float(np.linalg.norm(rhs - cols @ coeffs))
 
-
-def center_dimension(basis: OperatorBasis, tol: float = TAU_RANK) -> int:
-    """Dimension of the center of the algebra spanned by the basis."""
-    _check_tolerance(tol, "rank")
-    n = basis.size
-    if n == 0:
-        return 0
-    cols = [np.concatenate([_real_coordinates(commutator(a, b))
-                            for b in basis.elements])
-            for a in basis.elements]
-    return n - _rank(np.linalg.svd(np.array(cols).T, compute_uv=False), tol)

@@ -77,17 +77,6 @@ class NoSpectralGapError(QslError):
     """All eigenvalues coincide; no nonzero spectral gap exists."""
 
 
-class ClosureTruncatedError(QslError):
-    """Lie closure hit the dimension limit before closing.
-
-    Carries the partial basis found so far in ``partial_basis``.
-    """
-
-    def __init__(self, message: str, partial_basis=None):
-        super().__init__(message)
-        self.partial_basis = partial_basis
-
-
 class ConditioningError(QslError):
     """A linear solve failed its residual check.
 

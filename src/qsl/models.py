@@ -114,11 +114,12 @@ def site_sum(op, n_qubits: int) -> np.ndarray:
     return out
 
 
-def _require_finite(**params) -> None:
-    """Reject NaN and infinite model parameters."""
-    bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+def _require_finite(what: str = "parameters", **values) -> None:
+    """Reject NaN and infinite model parameters, or numbers derived from
+    them (``what`` names which)."""
+    bad = [f"{k}={v}" for k, v in values.items() if not math.isfinite(v)]
     if bad:
-        raise ValidationError(f"parameters must be finite, got {', '.join(bad)}")
+        raise ValidationError(f"{what} must be finite, got {', '.join(bad)}")
 
 
 def global_controls(n_qubits: int) -> list[np.ndarray]:
@@ -138,6 +139,15 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     _require_finite(g=g)
     if g <= 0:
         raise ValidationError("coupling must be positive")
+    refs = {
+        "bound_time": math.sqrt(2) / (4 * g),
+        "literature_time": math.pi / (4 * g),
+        "breaking_norm": 4 * math.sqrt(2),
+        "symmetry_frobenius": 4.0,
+    }
+    _require_finite("derived numbers", **refs)
+    if refs["bound_time"] == 0:  # the literature ratio divides by it
+        raise ValidationError("the bound underflows to 0")
     Z, X = PAULI["Z"], PAULI["X"]
     drift = g * _qubit_product({0: Z, 1: Z}, 2)
     controls = [local_operator(X, 0, 2), local_operator(Z, 0, 2),
@@ -149,12 +159,6 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     S = np.eye(16, dtype=complex) - m13 - m24 + m13_24
     sym = Symmetry("quadratic", S, note="doubled-space transposition combination")
     pert = Perturbation.from_matrix(sym, -drift, drift=drift)
-    refs = {
-        "bound_time": math.sqrt(2) / (4 * g),
-        "literature_time": math.pi / (4 * g),
-        "breaking_norm": 4 * math.sqrt(2),
-        "symmetry_frobenius": 4.0,
-    }
     system = ControlSystem(drift, controls, label="coupled-qubit-pair")
     return ModelBundle(system, sym, pert, target_unitary=cnot, references=refs)
 
@@ -201,8 +205,6 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     alpha = alpha / np.linalg.norm(alpha)
     S = np.outer(alpha, alpha.conj())
     sym = Symmetry("linear", S, note="projection onto the control-blind state")
-    dH = (energies[0] - energies[1]) * np.outer(a2, a2.conj())
-    pert = Perturbation.from_matrix(sym, dH, drift=drift)
     # Two numerators for ||[U, S]||_F: the overlap form 2|<N|alpha>| treats
     # {|1>, |alpha>, |N>} as orthogonal and feeds the closed form; the exact
     # value is smaller by sqrt(1 - |<N|alpha>|^2 / 2).
@@ -215,6 +217,11 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
         "closed_form": hopping_chain_closed_form(N, J),
         "symmetry_frobenius": 1.0,
     }
+    # a finite closed_form, ~ sqrt(N)/J, keeps the gaps that divide the
+    # bounds, ~ J/N², above 0
+    _require_finite("derived numbers", **refs)
+    dH = refs["delta_h_op_norm"] * np.outer(a2, a2.conj())
+    pert = Perturbation.from_matrix(sym, dH, drift=drift)
     system = ControlSystem(drift, [control], label=f"hopping-chain-{N}")
     return ModelBundle(system, sym, pert, target_unitary=target, references=refs)
 
@@ -276,6 +283,23 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     _require_finite(C=C, a=a, J=J, g=g, h=h)
     if C <= 0 or a <= 0:
         raise ValidationError("interaction strength and spacing must be positive")
+    try:  # Python's float ** and / raise where float64 ends
+        # C/(a r)^6, the coupling of two atoms r = 1 .. N-1 sites apart
+        coupling = [C / (a * r)**6 for r in range(1, N)]
+        half_strength = 0.5 * C / a**6
+        hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
+        sigma_max = (2 * hs_norm_bound)**2
+        refs = {
+            "delta_h_closed_form": C / (2 * a**6) * (1 - 1.0 / (N - 1)**6),
+            "trend_limit": math.sqrt(2) * a**6 / C,
+            "hs_norm_bound": hs_norm_bound,
+        }
+    except (OverflowError, ZeroDivisionError):
+        raise ValidationError("derived numbers leave float64") from None
+    # coupling[0] is the largest; a finite trend_limit keeps ||ΔH||_inf's
+    # closed form, which divides the bound, above 0
+    _require_finite("derived numbers", coupling=coupling[0],
+                    sigma_max=sigma_max, **refs)
     d = 2**N
     need, have = _DENSE_PEAK_MATRICES * 8 * d * d, _physical_memory()
     if have is not None and need > have:
@@ -286,7 +310,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     pair_diag = np.zeros(d)
     for i in range(N):
         for j in range(i + 1, N):
-            pair_diag += (C / (a * (j - i))**6) * bits[i] * bits[j]
+            pair_diag += coupling[j - i - 1] * bits[i] * bits[j]
     drift = np.diag(pair_diag)
     # the collective controls of global_controls(N), built in float64
     z = 1.0 - 2.0 * bits
@@ -310,18 +334,11 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     # summing (n_1 - n_2) n_j delta_j symmetrizes the drift.
     dh_diag = np.zeros(d)
     for j in range(2, N):
-        delta = 0.5 * C / a**6 * (1.0 / (j - 1)**6 - 1.0 / j**6)
+        delta = half_strength * (1.0 / (j - 1)**6 - 1.0 / j**6)
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
     pert = Perturbation.from_matrix(sym, np.diag(dh_diag), drift=drift)
 
-    hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
-    sigma_max = (2 * hs_norm_bound)**2
     sigma_min = (DEFAULT_FILTER_CUT_REL**2) * sigma_max
-    refs = {
-        "delta_h_closed_form": C / (2 * a**6) * (1 - 1.0 / (N - 1)**6),
-        "trend_limit": math.sqrt(2) * a**6 / C,
-        "hs_norm_bound": hs_norm_bound,
-    }
     system = ControlSystem(drift, controls, label=f"rydberg-chain-{N}")
     return ModelBundle(system, sym, pert, target_hamiltonian=H_s,
                        references=refs, spectral_estimates=(sigma_min, sigma_max))

@@ -197,8 +197,13 @@ def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
 
 def _commuting_limit(s_frob, h_frob):
     """The one rule: a drift H keeps S when ||[S_h, H]||_F is at most this,
-    given ||S||_F and ||H||_F (or arrays of them)."""
-    return TAU_RANK * np.maximum(1.0, s_frob * h_frob)
+    given ||S||_F and ||H||_F (or arrays of them), whose product must be
+    finite: past float64 every residual would pass."""
+    scale = s_frob * h_frob
+    if not np.all(np.isfinite(scale)):
+        raise ValidationError("||S||_F ||H_d||_F is not finite: whether the "
+                              "drift keeps S cannot be decided")
+    return TAU_RANK * np.maximum(1.0, scale)
 
 
 def _restore_rows(kind: str, Sm: np.ndarray, Sh: np.ndarray, s_frob,

@@ -422,6 +422,13 @@ BAD_ARGV = [
     ["reproduce", "swap", "--J", "nan"],
     ["reproduce", "cnot", "--g", "inf"],
     ["reproduce", "syk", "--mu", "nan"],
+    # finite model parameters whose derived numbers leave float64
+    ["reproduce", "rydberg", "--N", "4", "--a", "1e-60"],
+    ["reproduce", "rydberg", "--N", "4", "--a", "1e60"],
+    ["reproduce", "rydberg", "--N", "4", "--h", "1e300"],
+    ["reproduce", "rydberg", "--N", "4", "--J", "1e308"],
+    ["reproduce", "rydberg", "--N", "4", "--C", "1e-310"],
+    ["reproduce", "swap", "--N", "4", "--J", "1e-320"],
 ]
 
 _NAN, _INF = float("nan"), float("inf")
@@ -443,6 +450,14 @@ BAD_PROBLEMS = {
     "qubit-index-out-of-range": ("hamiltonian", {**_ONE_QUBIT,
                                                  "drift": {"pauli": "Z3"}}),
     "dangling-plus": ("hamiltonian", {**_ONE_QUBIT, "drift": {"pauli": "X0 +"}}),
+    # finite entries whose Frobenius norm overflows: no commutation test
+    # can tell whether such a drift keeps a symmetry
+    "overflowing-drift-norm": ("hamiltonian", {**_ONE_QUBIT, "drift": {
+        "pauli": "1e200 Z0"}}),
+    "overflowing-coupling-norm": ("unitary", {
+        "qubits": 2, "drift": {"pauli": "1e200 Z0 Z1"},
+        "controls": [{"pauli": p} for p in ("X0", "Z0", "X1", "Z1")],
+        "target": {"unitary": {"named": "CNOT"}}}),
 }
 
 
@@ -726,3 +741,26 @@ def test_python_dash_m_runs_commands():
     report = json.loads(done.stdout)
     report.pop("elapsed_seconds")
     _assert_report_matches(report, GOLDEN["reproduce-cnot"]["report"])
+
+
+def test_coupling_that_zeroes_the_bound_ends_in_one_error_line():
+    """At g = 1e308 the bound's denominator 16g overflows, so the bound
+    would read 0 and the literature ratio divide by it; the model refuses
+    the coupling before any of that."""
+    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli",
+                     "reproduce", "cnot", "--g", "1e308", "--json-only")
+    assert done.returncode != 0
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ")
+    assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+def test_non_finite_report_is_a_failed_computation(capsys, monkeypatch):
+    """A report holding inf or NaN is not JSON: exit 1, one error line and
+    nothing on stdout."""
+    for value in (float("inf"), float("nan")):
+        monkeypatch.setitem(qsl.cli._MODELS, "cnot", (
+            lambda args: {"bound_time": value}, {"g": 1.0}))
+        code, report, err = _run(capsys, ["reproduce", "cnot"])
+        assert code == 1 and report is None
+        assert err.startswith("error: ") and err.count("\n") == 1

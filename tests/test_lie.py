@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 from qsl.lie import (
-    OperatorBasis,
     Symmetry,
     _nullspace,
-    center_dimension,
+    _verify_commutation,
     commutant_basis,
-    lie_closure,
-    project_onto_span,
     quadratic_symmetry_basis,
     span_residual,
     symmetry_breaking_norm,
 )
 from qsl.matcore import (
-    ClosureTruncatedError,
+    ConditioningError,
     PAULI,
     TAU_RANK,
     ValidationError,
@@ -31,72 +28,6 @@ from conftest import random_hermitian
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
 CNOT_CONTROLS = [kron(X, I2), kron(Z, I2), kron(I2, X), kron(I2, Z)]
-
-
-class TestLieClosure:
-    def test_single_generator_is_abelian(self):
-        assert len(lie_closure([X])) == 1
-
-    def test_two_paulis_close_to_su2(self):
-        basis = lie_closure([X, Z])
-        assert len(basis) == 3
-        assert basis.closed
-
-    def test_cnot_system_closes_to_su4(self):
-        gens = [kron(Z, Z)] + CNOT_CONTROLS
-        assert len(lie_closure(gens)) == 15
-
-    def test_local_controls_alone_are_two_su2_blocks(self):
-        assert len(lie_closure(CNOT_CONTROLS)) == 6
-
-    def test_elements_are_orthonormal_antihermitian(self):
-        basis = lie_closure([X, Z])
-        for i, a in enumerate(basis.elements):
-            assert np.allclose(a, -a.conj().T)
-            for j, b in enumerate(basis.elements):
-                overlap = np.trace(a.conj().T @ b).real
-                assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
-
-    def test_truncation_carries_partial_basis(self):
-        with pytest.raises(ClosureTruncatedError) as err:
-            lie_closure([X, Z], max_dim=2)
-        partial = err.value.partial_basis
-        assert isinstance(partial, OperatorBasis)
-        assert not partial.closed
-        assert len(partial) == 2
-
-    def test_deterministic(self):
-        a = lie_closure([X, Z]).elements
-        b = lie_closure([X, Z]).elements
-        for u, v in zip(a, b):
-            assert np.array_equal(u, v)
-
-
-class TestProjection:
-    def test_member_has_zero_residual(self):
-        basis = lie_closure([X, Z])
-        _, residual = project_onto_span(0.3 * X + 1.2 * Y, basis)
-        assert residual < 1e-10
-
-    def test_identity_component_is_outside_su2(self):
-        basis = lie_closure([X, Z])
-        _, residual = project_onto_span(np.eye(2) + X, basis)
-        assert residual == pytest.approx(np.sqrt(2), abs=1e-10)
-
-    def test_coupling_is_outside_single_site_algebra(self):
-        # su(2) on the first qubit cannot reach the ZZ coupling
-        basis = lie_closure([kron(X, I2), kron(Z, I2)])
-        _, residual = project_onto_span(kron(Z, Z), basis)
-        assert residual == pytest.approx(2.0, abs=1e-10)
-
-    def test_coefficients_reconstruct(self, rng):
-        basis = lie_closure([X, Z])
-        H = random_hermitian(rng, 2)
-        H = H - np.trace(H) * np.eye(2) / 2
-        coeffs, residual = project_onto_span(H, basis)
-        rebuilt = sum(c * b for c, b in zip(coeffs, basis.elements))
-        assert residual < 1e-10
-        assert np.allclose(rebuilt, 1j * H, atol=1e-10)
 
 
 class TestCommutant:
@@ -139,13 +70,37 @@ class TestCommutant:
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
     @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
-    @pytest.mark.parametrize("find", [commutant_basis, quadratic_symmetry_basis,
-                                      lie_closure])
+    @pytest.mark.parametrize("find", [commutant_basis, quadratic_symmetry_basis])
     def test_unusable_tolerance_rejected(self, find, tol):
-        """Such a cut returns an empty basis (every commutant holds the
-        identity) or a closure that never closes."""
+        """Such a cut returns an empty basis: every commutant holds the
+        identity."""
         with pytest.raises(ValidationError, match="rank tolerance"):
             find([X, Z], tol=tol)
+
+
+class TestCommutationRecheck:
+    """Discovery re-checks [L, M] = 0 for every element M and control L,
+    the guard against a false symmetry."""
+
+    def test_element_off_the_commutant_is_refused(self, rng):
+        basis = [s.matrix for s in commutant_basis(global_controls(3))]
+        off = basis[1] + 1e-3 * random_hermitian(rng, 8)
+        with pytest.raises(ConditioningError) as err:
+            _verify_commutation(basis[:1] + [off], global_controls(3),
+                                TAU_RANK)
+        diag = err.value.diagnostics
+        assert set(diag) == {"defect", "scale"}
+        assert diag["defect"] > 100 * TAU_RANK * diag["scale"]
+
+    def test_discovered_bases_pass(self):
+        ising3 = global_controls(3)
+        for controls in (CNOT_CONTROLS, ising3):
+            _verify_commutation([s.matrix for s in commutant_basis(controls)],
+                                controls, TAU_RANK)
+        lifts = [iota(C) for C in CNOT_CONTROLS]
+        _verify_commutation(
+            [s.matrix for s in quadratic_symmetry_basis(CNOT_CONTROLS)],
+            lifts, TAU_RANK)
 
 
 class TestQuadraticSymmetries:
@@ -309,21 +264,3 @@ class TestDiscoveryDtype:
             for g, w in zip(got, want):
                 assert np.array_equal(g.matrix, w.matrix)
 
-
-class TestCenter:
-    def test_su2_has_no_center(self):
-        assert center_dimension(lie_closure([X, Z])) == 0
-
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
-    def test_unusable_tolerance_rejected(self, tol):
-        """A NaN cut counts all three directions of su(2) as central."""
-        with pytest.raises(ValidationError, match="rank tolerance"):
-            center_dimension(lie_closure([X, Z]), tol=tol)
-
-    def test_abelian_algebra_is_all_center(self):
-        assert center_dimension(lie_closure([Z])) == 1
-
-    def test_u2_center_is_identity_line(self):
-        basis = lie_closure([np.eye(2) + X, Z])
-        assert len(basis) == 4
-        assert center_dimension(basis) == 1

@@ -458,3 +458,17 @@ class TestDriftKeepsSymmetry:
         for value in (tol, TAU_RANK):
             with pytest.raises(TypeError):
                 restore_symmetry(Symmetry("linear", Z), X, tol=value)
+
+    def test_overflowing_drift_norm_decides_nothing(self):
+        """||1e200 Z||_F overflows, so the limit TAU_RANK·||S||_F ||H||_F
+        would be inf and every residual would pass as "keeps"."""
+        S = Symmetry("linear", X)
+        with np.errstate(over="ignore"):
+            for decide in (restore_symmetry, perturbation_norm_bound):
+                with pytest.raises(ValidationError, match="not finite"):
+                    decide(S, 1e200 * Z)
+        for h_frob in (float("inf"), float("nan")):
+            with pytest.raises(ValidationError, match="not finite"):
+                qsl.perturb._commuting_limit(np.array([1.0, 2.0]), h_frob)
+        with pytest.raises(ValidationError, match="not finite"):
+            qsl.perturb._commuting_limit(1e200, 1e200)
