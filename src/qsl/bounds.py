@@ -35,17 +35,18 @@ projection is the one restoration applies to the drift,
 ad_H start a new cluster at each adjacent gap above the cut (default
 GAP_RTOL·||H_s||_inf), and the kernel joins the eigenvectors of one cluster.
 
-All three work on the hermitised inputs H = (H_s + H_s†)/2 and
-S_h = (S + S†)/2 through one prepared ad_H kernel, and run in real
-arithmetic when both have an exactly zero imaginary part.  Costs: exact is a
-single eigendecomposition of H_s (it also yields ||H_s||_inf and the
-near-degeneracy check) and the frame (V† S_h) V; commutator is one product
-P = H S_h plus ||H_s||_inf, and ||[H, S_h]||_F = ||P - P†||_F is summed
-over P's 64 x 64 tile pairs with no second d x d array; chebyshev costs
-what exact costs, whatever the filter degree, plus p on one triangle of
-the squared gaps; its default interval reads ||H_s||_inf from the same
-kernel.  For a linear S_h that is a permutation matrix (the Rydberg swap)
-V† S_h and H S_h are gathers, with the products' values.  For quadratic S each
+All three work on the hermitised H = (H_s + H_s†)/2, through one prepared
+ad_H kernel, and on S, the one Hermitian array of a ``Symmetry``, and run
+in real arithmetic when both have an exactly zero imaginary part.  Costs:
+exact is a single eigendecomposition of H_s (it also yields ||H_s||_inf
+and the near-degeneracy check) and the frame (V† S) V; commutator is one
+product P = H S plus ||H_s||_inf, and ||[H, S]||_F = ||P - P†||_F is
+summed over P's 64 x 64 tile pairs with no second d x d array; chebyshev
+costs what exact costs, whatever the filter degree, plus p on one
+triangle of the squared gaps; its default interval reads ||H_s||_inf from
+the same kernel.  For a linear S that is a permutation matrix (the
+Rydberg swap) V† S and H S are gathers, with the products' values.  For
+quadratic S each
 product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
 d x d contractions.  A target that
 the reversal of the qubit order R leaves exactly unchanged (H = R H R, an
@@ -83,7 +84,6 @@ from .matcore import (
     _check_tolerance,
     _diagonal_norm,
     _frobenius,
-    _hermitised,
     _kernel_mask,
     _max_abs_eigenvalue,
     _near_cut,
@@ -384,24 +384,24 @@ class _AdKernel:
     or once per request for the symmetry search's ``_StackScorer``.
 
     L is H (linear S) or the lift H⊗1 + 1⊗H (quadratic S), where H is the
-    hermitised H_s, checked and formed in one pass (H_s itself when it is
-    exactly Hermitian); ``S`` holds the symmetry's ``hermitian`` part S_h,
-    or, after ``hold``, a stack of them sharing S's kind and dimension.
-    Each is stored in float64 when its imaginary part is exactly zero
+    hermitised H_s, checked and formed in one pass: H_s itself when it is
+    exactly Hermitian, float64 when its imaginary part is exactly zero
     (Rydberg, hopping, Pauli texts without Y), so the products and the
-    eigendecomposition of H run in real arithmetic.  That decomposition,
-    ``eigen``, is made once per kernel, one ``eigh`` per block of
-    ``_sectors``: H itself, or the R-even and R-odd sectors of an H that
-    the reversal R of the qubit order leaves exactly unchanged.  ``norm``
-    reads ||H||_inf from the same blocks, with no second hermiticity pass.
+    eigendecomposition of H run in real arithmetic.  It reads S only for
+    its kind and dimension: each numerator takes S, or a stack of them.
+    The decomposition, ``eigen``, is made once per kernel, one ``eigh`` per
+    block of ``_sectors``: H itself, or the R-even and R-odd sectors of an
+    H that the reversal R of the qubit order leaves exactly unchanged.
+    ``norm`` reads ||H||_inf from the same blocks, with no second
+    hermiticity pass.
 
     ``lift`` is the one product with L: for Hermitian Y, [L, Y] = P - P†
     with P = L Y, so ad_L on Y costs one product.  The lift is applied as
     two d x d contractions and never materialized, and takes a stack.  A
-    single linear S_h that is a permutation matrix (the Rydberg swap) is
-    held with its index map σ, and every product with it is a gather
-    (``matcore._times_symmetry``): L S_h in ``lift`` and V† S_h in
-    ``_eigenframe``.  ``hold`` takes a stack of candidates with no σ.
+    single linear S that is a permutation matrix (the Rydberg swap) comes
+    with its index map σ, and every product with it is a gather
+    (``matcore._times_symmetry``): L S in ``lift`` and V† S in
+    ``_eigenframe``.  A stack of candidates comes with no σ.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -410,17 +410,6 @@ class _AdKernel:
             raise DimensionError("Hamiltonian dimension does not match symmetry")
         self.kind = S.kind
         self._kernels = {}
-        self.hold(S.hermitian, S._permutation)
-
-    def hold(self, Sh: np.ndarray, perm=None) -> "_AdKernel":
-        """Take S_h, or a stack of them, as ``S``, with ``perm`` its σ when
-        a single S_h is a permutation matrix (``Symmetry._permutation``).
-        The search's stacks of candidates are held with no σ."""
-        dtype = np.result_type(self.H, Sh)
-        self._L = self.H.astype(dtype, copy=False)
-        self.S = Sh.astype(dtype, copy=False)
-        self._perm = perm
-        return self
 
     @functools.cached_property
     def eigen(self):
@@ -464,12 +453,10 @@ class _AdKernel:
             self._kernels[tol] = mask, _near_cut(ws, ranked, tol)
         return self._kernels[tol]
 
-    def lift(self, Y: np.ndarray | None = None) -> np.ndarray:
-        """L Y, by default L S_h: for an S_h held with its σ the column
-        gather L[:, σ], with the product's values."""
-        L = self._L
-        perm = self._perm if Y is None else None
-        Y = self.S if Y is None else Y
+    def lift(self, Y: np.ndarray, perm=None) -> np.ndarray:
+        """L Y for a matrix or a stack Y: for a Y given with its σ, the
+        column gather L[:, σ], with the product's values."""
+        L = self.H
         if self.kind == "linear":
             return _times_symmetry(Y, L, perm, right=True)
         d = L.shape[0]
@@ -501,33 +488,32 @@ def _similarity(A: np.ndarray, M: np.ndarray, kind: str,
     return (A.conj() @ M @ A.conj().T).reshape(lead + (d * d, d * d))
 
 
-def _eigenframe(kernel: _AdKernel):
-    """S_h in the eigenbasis of L, from the kernel's eigendecomposition of H.
+def _eigenframe(kernel: _AdKernel, S: np.ndarray, perm=None):
+    """S, or each of a stack, in the eigenbasis of L, from ``kernel.eigen``.
 
     Returns (w, V, lam, frame) with (w, V, lam) = ``kernel.eigen`` and
-    frame = (W† S_h) W with W = V or V⊗V.  ad_L acts on the frame as the
-    entrywise product with the signed gaps lam_i - lam_j.  For an S_h held
-    with its σ (a permutation matrix, the Rydberg swap) W† S_h is a gather,
+    frame = (W† S) W with W = V or V⊗V.  ad_L acts on the frame as the
+    entrywise product with the signed gaps lam_i - lam_j.  For an S given
+    with its σ (a permutation matrix, the Rydberg swap) W† S is a gather,
     and the one d³ product is that with W.
     """
     w, V, lam = kernel.eigen
-    return w, V, lam, _similarity(V.conj().T, kernel.S, kernel.kind,
-                                  kernel._perm)
+    return w, V, lam, _similarity(V.conj().T, S, kernel.kind, perm)
 
 
-def _exact_projection(kernel: _AdKernel, tol_degeneracy: float | None):
-    """Kernel-complement norm from the kernel's eigendecomposition of H.
+def _exact_projection(kernel: _AdKernel, S: np.ndarray,
+                      tol_degeneracy: float | None, perm=None):
+    """Kernel-complement norm of S from the kernel's eigendecomposition.
 
-    Returns (norm, near): the eigenframe with the kernel entries of
+    Returns (norm, near): the eigenframe of S with the kernel entries of
     ``kernel.kernel`` zeroed, for the spectrum of L and the cut
-    tol_degeneracy, by default
-    GAP_RTOL·||H||_inf; for a stack of S_h, one norm per matrix.  A negative
-    or non-finite cut is rejected: it would drop no kernel entry, or every
-    one.
+    tol_degeneracy, by default GAP_RTOL·||H||_inf; for a stack of S, one
+    norm per matrix.  A negative or non-finite cut is rejected: it would
+    drop no kernel entry, or every one.
     """
     if tol_degeneracy is not None:
         _check_tolerance(tol_degeneracy, "degeneracy", zero_ok=True)
-    w, _, _, frame = _eigenframe(kernel)
+    w, _, _, frame = _eigenframe(kernel, S, perm)
     tol = (GAP_RTOL * float(np.max(np.abs(w))) if tol_degeneracy is None
            else tol_degeneracy)
     mask, near = kernel.kernel(tol)
@@ -548,23 +534,24 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
     bound; the two agree unless a chain of gaps within the tolerance spans
     more than it.  Quadratic S pairs with the doubled-space lift, whose
     spectrum is the pairwise eigenvalue sums.  Works on the hermitised H_s
-    and S with a single eigendecomposition of H_s, in real arithmetic when
-    both are real.
+    with a single eigendecomposition of H_s, in real arithmetic when H_s
+    and S are real.
     """
-    return float(_exact_projection(_AdKernel(H_s, S), tol_degeneracy)[0])
+    return float(_exact_projection(_AdKernel(H_s, S), S.matrix,
+                                   tol_degeneracy, S._permutation)[0])
 
 
-def _commutator_projection(kernel: _AdKernel):
-    """||[L, S_h]||_F / (2 ||H||_inf), or / (4 ||H||_inf) for the lift: the
+def _commutator_projection(kernel: _AdKernel, S: np.ndarray, perm=None):
+    """||[L, S]||_F / (2 ||H||_inf), or / (4 ||H||_inf) for the lift: the
     numerator of ``kernel_complement_norm_commutator``, one per matrix of a
-    stack.  [L, S_h] = P - P† with P = L S_h (``_AdKernel.lift``, a gather
-    for a permutation S_h) is never formed: its norm is
+    stack S.  [L, S] = P - P† with P = L S (``_AdKernel.lift``, a gather
+    for a permutation S given with its σ) is never formed: its norm is
     ``matcore._antihermitian_norm`` of P."""
     hnorm = kernel.norm
     if hnorm <= 0:
         raise ValidationError("Hamiltonian must be nonzero")
     lift = 2.0 if kernel.kind == "linear" else 4.0
-    return _antihermitian_norm(kernel.lift()) / (lift * hnorm)
+    return _antihermitian_norm(kernel.lift(S, perm)) / (lift * hnorm)
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -573,9 +560,10 @@ def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
     ||[H_s, S]||_F / (2 ||H_s||_inf) for linear S; the quadratic version uses
     the doubled-space commutator and ||H⊗1 + 1⊗H||_inf <= 2 ||H_s||_inf.
     Never exceeds the exact projection, needs no diagonalization beyond
-    ||H_s||_inf; the commutator of the hermitised inputs is one product.
+    ||H_s||_inf; the commutator with the hermitised H_s is one product.
     """
-    return float(_commutator_projection(_AdKernel(H_s, S)))
+    return float(_commutator_projection(_AdKernel(H_s, S), S.matrix,
+                                        S._permutation))
 
 
 def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
@@ -584,36 +572,35 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
     """Lower bound on the kernel-complement norm from a spectral filter.
 
     The filter p (p(0) = 1, at most ε in size on [σ_min_est, σ_max_est]) is
-    applied to A = (ad_{H_s})² acting on the hermitised symmetry S_h.  The
-    estimates should bracket the nonzero spectrum of A.  In the eigenframe
-    of L, where ad_L multiplies entry (i, j) by the gap g = lam_i - lam_j,
-    p(A) S_h is the entrywise product p(g²) ∘ S', and the value is
+    applied to A = (ad_{H_s})² acting on the symmetry S.  The estimates
+    should bracket the nonzero spectrum of A.  In the eigenframe of L,
+    where ad_L multiplies entry (i, j) by the gap g = lam_i - lam_j,
+    p(A) S is the entrywise product p(g²) ∘ S', and the value is
     sqrt(Σ (1 - p(g²)²) |S'_ij|²) over the filtered entries: the exact
     numerator's sum with a weight in [0, 1] on each entry.  Entries with
     g = 0, or where |p(g²)| > 1 or overflows (an interval that misses part
     of the spectrum), stay unfiltered and weigh 0.  Term by term the value
     is thus at most the norm of the frame off the kernel: a lower bound on
-    ||(1 - P_ker) S_h||_F for any degree and estimates, which converges to
+    ||(1 - P_ker) S||_F for any degree and estimates, which converges to
     it at rate ε² once the nonzero spectrum lies in [σ_min_est, σ_max_est].
-    It bounds ||(1 - P_ker) S||_F as well: ad_H commutes with Y ↦ Y†, so
-    P_ker keeps the Hermitian and anti-Hermitian parts apart, and
-    ||(1-P)S||² = ||(1-P)S_h||² + ||(1-P)S_a||² >= ||(1-P)S_h||² with
-    S_a = S - S_h.  Like the exact numerator's, the value rests on the
-    computed eigenframe; no rounding enclosure covers either yet.
+    Like the exact numerator's, the value rests on the computed
+    eigenframe; no rounding enclosure covers either yet.
 
     Returns (value, ε).  Cost: that of the exact numerator, one
-    eigendecomposition of H_s and one similarity transform of S_h,
+    eigendecomposition of H_s and one similarity transform of S,
     independent of the degree; p is evaluated in closed form on the
     squared gaps.
     """
     kernel = _AdKernel(H_s, S)
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
-    return float(_chebyshev_projection(kernel, filt)), filt.epsilon
+    return float(_chebyshev_projection(kernel, S.matrix, filt,
+                                       S._permutation)), filt.epsilon
 
 
-def _chebyshev_projection(kernel: _AdKernel, filt: ChebyshevFilter):
-    """The value of ``chebyshev_filter_bound`` on a prepared kernel, one per
-    matrix of a stack: the eigenframe with entry (i, j) scaled by
+def _chebyshev_projection(kernel: _AdKernel, S: np.ndarray,
+                          filt: ChebyshevFilter, perm=None):
+    """The value of ``chebyshev_filter_bound`` of S on a prepared kernel,
+    one per matrix of a stack: the eigenframe with entry (i, j) scaled by
     sqrt(1 - p(g²)²) where it is filtered and zeroed elsewhere, then its
     Frobenius norm.
 
@@ -621,7 +608,7 @@ def _chebyshev_projection(kernel: _AdKernel, filt: ChebyshevFilter):
     of ``_TILE`` rows, and mirrored: g_ji = -g_ij exactly, so g², p and the
     weight of (j, i) are those of (i, j), at half the evaluations and with
     every temporary one block."""
-    _, _, lam, frame = _eigenframe(kernel)
+    _, _, lam, frame = _eigenframe(kernel, S, perm)
     n = lam.size
     weight = np.empty((n, n))
     for i in range(0, n, _TILE):
@@ -694,7 +681,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     # defaulted Chebyshev interval reads ||H_s||_inf from that kernel too
     def numerator() -> float:
         if method == "exact":
-            num, near = _exact_projection(_AdKernel(H_s, S), tol_degeneracy)
+            num, near = _exact_projection(_AdKernel(H_s, S), S.matrix,
+                                          tol_degeneracy, S._permutation)
             if near:
                 warnings.append("spectral gaps within 10x of the degeneracy "
                                 "tolerance, or a cluster wider than it; the "
@@ -707,7 +695,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
         inter.update({"epsilon": filt.epsilon, "degree": float(filt.degree),
                       "sigma_min_est": filt.sigma_min,
                       "sigma_max_est": filt.sigma_max})
-        return float(_chebyshev_projection(kernel, filt))
+        return float(_chebyshev_projection(kernel, S.matrix, filt,
+                                           S._permutation))
 
     return _speed_limit(numerator, S, perturbation, drift, method, inter,
                         warnings)
@@ -750,18 +739,19 @@ def _real_groups(A: np.ndarray):
 class _StackScorer:
     """The symmetry search's objective for one request, prepared once.
 
-    Called with a stack of unit-Frobenius candidate matrices of ``like``'s
-    kind and dimension, it returns for each the bound that
-    ``restore_symmetry`` and then ``unitary_speed_limit`` (a target U) or
-    ``hamiltonian_speed_limit`` (any numerator, with the keywords given
-    here) give it, and -inf where that path raises.  It holds the drift
-    with its Hermitian part and norm, the quadratic unit lifts, and U (U⊗U
-    for quadratic S) or the ad_{H_s} kernel with its one
+    Called with a stack of exactly Hermitian, unit-Frobenius candidate
+    matrices of ``like``'s kind and dimension (``optimize_symmetry``'s rows
+    are: real combinations of Hermitian matrices), it returns for each the
+    bound that ``restore_symmetry`` and then ``unitary_speed_limit`` (a
+    target U) or ``hamiltonian_speed_limit`` (any numerator, with the
+    keywords given here) give it, and -inf where that path raises.  It
+    holds the drift with its Hermitian part and norm, the quadratic unit
+    lifts, and U (U⊗U for quadratic S) or the ad_{H_s} kernel with its one
     eigendecomposition, and for chebyshev the filter, resolved once by
     ``_chebyshev_filter``.  A stack takes one ``perturb._restore_rows``, one
     stacked ``eigvalsh`` for ||ΔH||_inf and one stacked numerator, each row
-    in the dtype the public path gives it, so that every value equals the
-    public one.
+    in the dtype a ``Symmetry`` of it has (float64 when exactly real), so
+    that every value equals the public one.
     """
 
     def __init__(self, like: Symmetry, drift, *, target_unitary=None,
@@ -786,52 +776,48 @@ class _StackScorer:
                     raise DimensionError("target dimension does not match "
                                          "symmetry")
                 W = kron(U, U) if self.kind == "quadratic" else U
-                self._numerator = lambda M, Sh: _breaking_norm(W, M)
+                self._numerator = lambda S: _breaking_norm(W, S)
             elif method == "exact":
                 kernel = _AdKernel(target_hamiltonian, like)
-                self._numerator = lambda M, Sh: _exact_projection(
-                    kernel.hold(Sh), tol_degeneracy)[0]
+                self._numerator = lambda S: _exact_projection(
+                    kernel, S, tol_degeneracy)[0]
             elif method == "commutator":
                 kernel = _AdKernel(target_hamiltonian, like)
-                self._numerator = lambda M, Sh: _commutator_projection(
-                    kernel.hold(Sh))
+                self._numerator = lambda S: _commutator_projection(kernel, S)
             elif method == "chebyshev":
                 kernel = _AdKernel(target_hamiltonian, like)
                 filt = _chebyshev_filter(kernel, degree, sigma_min_est,
                                          sigma_max_est)
-                self._numerator = lambda M, Sh: _chebyshev_projection(
-                    kernel.hold(Sh), filt)
+                self._numerator = lambda S: _chebyshev_projection(
+                    kernel, S, filt)
             else:
                 raise ValueError(f"no stacked numerator for {method!r}")
         except QslError:
             pass
 
-    def __call__(self, M: np.ndarray) -> np.ndarray:
-        values = np.full(len(M), -np.inf)
+    def __call__(self, S: np.ndarray) -> np.ndarray:
+        values = np.full(len(S), -np.inf)
         if self._numerator is None:
             return values
-        exact = (M == _adjoint(M)).all(axis=(-2, -1))
-        Sh = M if exact.all() else np.where(exact[:, None, None], M,
-                                            _hermitised(M))
         try:
-            for rows, Sh_rows in _real_groups(Sh):
-                values[rows] = self._score(M[rows], Sh_rows)
+            for rows, S_rows in _real_groups(S):
+                values[rows] = self._score(S_rows)
         except QslError:  # raised for one row, raised for every row
             values[:] = -np.inf
         return values
 
-    def _score(self, M: np.ndarray, Sh: np.ndarray) -> np.ndarray:
-        sfrob = _frobenius(M)
+    def _score(self, S: np.ndarray) -> np.ndarray:
+        sfrob = _frobenius(S)
         broken, dH, residual, limit = _restore_rows(
-            self.kind, M, Sh, sfrob, *self._drift, self._setup)
-        values = np.full(len(M), -np.inf)
+            self.kind, S, sfrob, *self._drift, self._setup)
+        values = np.full(len(S), -np.inf)
         restored = residual[broken] <= limit[broken]
         rows = broken[restored]
         if rows.size:
             dh = np.empty(rows.size)
             for part, dH_part in _real_groups(dH[restored]):
                 dh[part] = _max_abs_eigenvalue(dH_part)
-            num = self._numerator(M[rows], Sh[rows])
+            num = self._numerator(S[rows])
             values[rows] = np.where(dh > 0, _time_bound(
                 num, sfrob[rows], dh, self.gate, self.kind), -np.inf)
         return values

@@ -63,9 +63,11 @@ from .matcore import (
     PAULI,
     QslError,
     ValidationError,
+    _frobenius,
     _qubit_product,
     check_entry_cap,
     frobenius_norm,
+    hermitian_part,
     hermitize,
     operator_norm,
     permutation_operator,
@@ -82,7 +84,7 @@ from .models import (
     rydberg_chain_model,
     syk_model,
 )
-from .perturb import restore_symmetry
+from .perturb import _keeps_symmetry, restore_symmetry
 
 
 class ProblemFormatError(QslError):
@@ -416,15 +418,6 @@ def cmd_symmetries(args) -> dict:
     return report
 
 
-def _drift_keeps(S, H_d) -> bool:
-    """Whether restoration leaves ΔH = 0; a solve that fails was a drift
-    breaking S."""
-    try:
-        return restore_symmetry(S, H_d).op_norm <= 0
-    except QslError:
-        return False
-
-
 def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
                     symmetry=None, perturbation=None):
     """Bound for the one target that is not None: discover → choose →
@@ -458,7 +451,9 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
         basis = _symmetry_basis(controls, kind, opts.get("tol"))
         # a drift that keeps every basis element keeps every combination:
         # refuse once, before the search scores each candidate by refusing it
-        if all(_drift_keeps(s, H_d) for s in basis):
+        S = np.array([s.matrix for s in basis])
+        if _keeps_symmetry(kind, S, _frobenius(S), hermitian_part(H_d),
+                           frobenius_norm(H_d))[0].all():
             raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
         objective = _StackScorer(basis[0], H_d, target_unitary=target_unitary,
                                  target_hamiltonian=target_hamiltonian,

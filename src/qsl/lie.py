@@ -36,7 +36,6 @@ from .matcore import (
     iota,
     kron,
     require_hermitian,
-    require_square,
     require_unitary,
     row_vectorize,
 )
@@ -47,17 +46,17 @@ class Symmetry:
     """Hermitian operator commuting with every control.
 
     kind "linear" acts on the base space; kind "quadratic" acts on the doubled
-    space and commutes with the H⊗1 + 1⊗H lifts instead.  ``sigma_min`` is the
-    smallest gap between distinct eigenvalues (clustered at a tolerance
-    relative to the operator norm), always measured from the matrix, on first
-    use, and cached; no caller can set it.  ``hermitian`` is S_h = (S + S†)/2,
-    checked and formed once, in the one hermiticity pass of construction:
-    ``matrix`` itself when it is exactly Hermitian (float64 when exactly
-    real).  ``sigma_min`` decomposes ``hermitian`` with no second check.
-    ``_permutation`` is σ with S_h[i, σ(i)] = 1 when a linear S_h is a
-    float64 permutation matrix (the Rydberg swap), else None, found from
-    ``hermitian`` on first use and cached: every product with such an S_h
-    is a gather (``matcore._times_symmetry``).
+    space and commutes with the H⊗1 + 1⊗H lifts instead.  ``matrix`` is the
+    one Hermitian array every bound, restoration and residual reads: the
+    input, checked and hermitised in one pass (``hermitian_part``), so it
+    is the input itself when that is exactly Hermitian, and float64 when it
+    is exactly real.  ``sigma_min`` is the smallest gap between distinct
+    eigenvalues (clustered at a tolerance relative to the operator norm),
+    always measured from the matrix, on first use, and cached; no caller
+    can set it.  ``_permutation`` is σ with S[i, σ(i)] = 1 when a linear S
+    is a float64 permutation matrix (the Rydberg swap), else None, found on
+    first use and cached: every product with such an S is a gather
+    (``matcore._times_symmetry``).
     """
 
     kind: str
@@ -65,13 +64,11 @@ class Symmetry:
     note: str = ""
     _sigma_min: float | None = field(init=False, default=None, repr=False,
                                      compare=False)
-    hermitian: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
             raise ValidationError(f"unknown symmetry kind {self.kind!r}")
-        self.matrix = require_square(self.matrix)
-        self.hermitian = hermitian_part(self.matrix)
+        self.matrix = hermitian_part(self.matrix)
 
     @property
     def dimension(self) -> int:
@@ -94,12 +91,12 @@ class Symmetry:
     @property
     def sigma_min(self) -> float:
         if self._sigma_min is None:
-            self._sigma_min = _spectral_gap(self.hermitian)
+            self._sigma_min = _spectral_gap(self.matrix)
         return self._sigma_min
 
     @functools.cached_property
     def _permutation(self) -> np.ndarray | None:
-        return (_permutation_of(self.hermitian) if self.kind == "linear"
+        return (_permutation_of(self.matrix) if self.kind == "linear"
                 else None)
 
     def scaled(self, factor: float) -> "Symmetry":

@@ -508,15 +508,15 @@ def _permutation_of(A: np.ndarray) -> np.ndarray | None:
     return sigma
 
 
-def _times_symmetry(Sh: np.ndarray, X: np.ndarray, perm, right: bool = False):
-    """S_h X, or X S_h with ``right``, for a matrix or a stack of either.
+def _times_symmetry(S: np.ndarray, X: np.ndarray, perm, right: bool = False):
+    """S X, or X S with ``right``, for a matrix or a stack of either.
 
-    ``perm`` is None or the σ of ``_permutation_of(S_h)`` for a Hermitian
-    S_h, an involution (σ⁻¹ = σ): then S_h X = X[σ] and X S_h = X[..., σ],
-    gathers with the matmul's values, since 1.0·x plus exact zeros is x for
-    finite x.  A gather is C-contiguous, as the matmul's result is."""
+    ``perm`` is None or the σ of ``_permutation_of(S)`` for a Hermitian S,
+    an involution (σ⁻¹ = σ): then S X = X[σ] and X S = X[..., σ], gathers
+    with the matmul's values, since 1.0·x plus exact zeros is x for finite
+    x.  A gather is C-contiguous, as the matmul's result is."""
     if perm is None:
-        return X @ Sh if right else Sh @ X
+        return X @ S if right else S @ X
     return X.take(perm, axis=-1 if right else -2)
 
 

@@ -30,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import _filter_interval
 from .lie import Symmetry
 from .matcore import (
-    DEFAULT_FILTER_CUT_REL,
     DimensionCapError,
     PAULI,
     ValidationError,
@@ -190,6 +190,8 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     _require_finite(J=J)
     if J <= 0:
         raise ValidationError("coupling must be positive")
+    # the mode energies 2J cos(pi k/(N+1)) and their differences need 2J
+    _require_finite("derived numbers", bandwidth=2 * J)
     drift = J * (np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1))
     drift = drift.astype(complex)
     control = np.zeros((N, N), dtype=complex)
@@ -283,12 +285,15 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     _require_finite(C=C, a=a, J=J, g=g, h=h)
     if C <= 0 or a <= 0:
         raise ValidationError("interaction strength and spacing must be positive")
+    if J == g == h == 0:
+        raise ValidationError("the target Hamiltonian is zero: J, g and h "
+                              "are all 0")
     try:  # Python's float ** and / raise where float64 ends
         # C/(a r)^6, the coupling of two atoms r = 1 .. N-1 sites apart
         coupling = [C / (a * r)**6 for r in range(1, N)]
         half_strength = 0.5 * C / a**6
         hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
-        sigma_max = (2 * hs_norm_bound)**2
+        spectral_estimates = _filter_interval(hs_norm_bound, "linear")
         refs = {
             "delta_h_closed_form": C / (2 * a**6) * (1 - 1.0 / (N - 1)**6),
             "trend_limit": math.sqrt(2) * a**6 / C,
@@ -299,7 +304,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     # coupling[0] is the largest; a finite trend_limit keeps ||ΔH||_inf's
     # closed form, which divides the bound, above 0
     _require_finite("derived numbers", coupling=coupling[0],
-                    sigma_max=sigma_max, **refs)
+                    sigma_max=spectral_estimates[1], **refs)
     d = 2**N
     need, have = _DENSE_PEAK_MATRICES * 8 * d * d, _physical_memory()
     if have is not None and need > have:
@@ -338,10 +343,9 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
     pert = Perturbation.from_matrix(sym, np.diag(dh_diag), drift=drift)
 
-    sigma_min = (DEFAULT_FILTER_CUT_REL**2) * sigma_max
     system = ControlSystem(drift, controls, label=f"rydberg-chain-{N}")
     return ModelBundle(system, sym, pert, target_hamiltonian=H_s,
-                       references=refs, spectral_estimates=(sigma_min, sigma_max))
+                       references=refs, spectral_estimates=spectral_estimates)
 
 
 def majorana_operators(n_majorana: int) -> list[np.ndarray]:

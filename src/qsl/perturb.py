@@ -7,31 +7,33 @@ eigenbasis of S (kill every matrix element of H_d joining distinct eigenvalue
 clusters); for quadratic S it is the minimal-norm least-squares solve of the
 doubled-space commutation constraint, which is Hermitian.
 
-One cluster rule serves this projection, the exact kernel-complement
+S is the one Hermitian array of a ``Symmetry`` (or a stack of them).  One
+cluster rule serves this projection, the exact kernel-complement
 numerator of ``bounds`` (the same projection, ``matcore._kernel_mask``, in
 the eigenframe of H_s) and every spectral gap σ_min: the ascending
 eigenvalues start a new cluster at each adjacent gap above
 GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
 the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
-P = S_h H for the hermitised S_h and H, H lifted to H⊗1 + 1⊗H for quadratic
-S, one product in place of two (a row gather of H when S_h is a permutation
+P = S H for the hermitised H, H lifted to H⊗1 + 1⊗H for quadratic S, one
+product in place of two (a row gather of H when S is a permutation
 matrix, ``Symmetry._permutation``), and P - P† never formed: its norm is
 summed over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
 ``_restore_rows`` restores a stack of symmetries for one drift, linear ones
 in one stacked eigendecomposition, and applies the acceptance rule to each;
 ``restore_symmetry`` passes it a stack of one and is the one place where a
-restored ΔH is wrapped.  A
-``Perturbation`` measures its own norms from its matrix, which must be
-Hermitian and act on the symmetry's base space; no caller sets ||ΔH||_inf,
-nor σ_min, which ``Symmetry`` measures from S.  A recorded residual keeps
-the drift it was measured for.
+restored ΔH is wrapped.  A ``Perturbation`` measures its own norms from its
+matrix, which must be Hermitian and act on the symmetry's base space; no
+caller sets ||ΔH||_inf, nor σ_min, which ``Symmetry`` measures from S.  A
+recorded residual keeps the drift it was measured for.
 
-One acceptance rule, ``_commuting_limit``, decides whether a drift keeps S:
-||[S_h, H]||_F <= TAU_RANK·max(1, ||S||_F ||H||_F).  A restored drift must
-pass it; a drift that passes it unchanged gets an all-zero ΔH from
-``restore_symmetry`` and 0.0 from the analytic cap, so every bound refuses
-it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0 with one text) rather
-than divide rounding noise by rounding noise.
+One acceptance rule, ``_keeps_symmetry``, decides whether a drift keeps
+S: ||[S, H]||_F <= ``_commuting_limit`` = TAU_RANK·max(1, ||S||_F ||H_d||_F)
+with ||H_d||_F of the drift as given; the CLI applies it to a whole basis
+before its search.  A restored drift must pass it; a drift that passes it
+unchanged gets an all-zero ΔH from ``restore_symmetry`` and 0.0 from the
+analytic cap, so every bound refuses it (``bounds._speed_limit`` rejects
+||ΔH||_inf = 0 with one text) rather than divide rounding noise by
+rounding noise.
 """
 
 from __future__ import annotations
@@ -66,16 +68,16 @@ from .matcore import (
 )
 
 
-def _commutator_norm(Sh: np.ndarray, H: np.ndarray, kind: str, perm=None):
-    """||[S_h, H]||_F for an exactly Hermitian H (lifted for quadratic S) as
-    ||P - P†||_F with P = S_h H: one product, in real arithmetic when both
-    operands are exactly real, and ``_antihermitian_norm``'s tile pairs of
-    P.  Either may be a stack, one value per matrix.  ``perm`` is a single
-    S_h's ``Symmetry._permutation``: when it is set, P is the row gather
-    H[σ], with the product's values and no d³ work."""
+def _commutator_norm(S: np.ndarray, H: np.ndarray, kind: str, perm=None):
+    """||[S, H]||_F for exactly Hermitian S and H (H lifted for quadratic
+    S) as ||P - P†||_F with P = S H: one product, in real arithmetic when
+    both operands are exactly real, and ``_antihermitian_norm``'s tile
+    pairs of P.  Either may be a stack, one value per matrix.  ``perm`` is
+    a single S's ``Symmetry._permutation``: when it is set, P is the row
+    gather H[σ], with the product's values and no d³ work."""
     if kind == "quadratic":
         H = _lift(H)
-    return _antihermitian_norm(_times_symmetry(Sh, H, perm))
+    return _antihermitian_norm(_times_symmetry(S, H, perm))
 
 
 @dataclass
@@ -88,7 +90,7 @@ class Perturbation:
     part formed by the one hermiticity pass that also checks ΔH; no other
     ΔH is copied.  ΔH must act on the symmetry's base space (d for a
     quadratic S on d² dimensions).
-    ``residual`` is ||[S_h, H_d + ΔH]||_F when the drift is known; the drift
+    ``residual`` is ||[S, H_d + ΔH]||_F when the drift is known; the drift
     it was measured for is kept with it, and a bound given any other drift
     forms the residual again.
     """
@@ -120,13 +122,13 @@ class Perturbation:
 
         The drift is checked as part of H_d + ΔH, in the one hermiticity pass
         that also hermitises that sum; the caller has usually checked H_d
-        itself already.  For a symmetry whose S_h is a permutation matrix
-        (the Rydberg swap) the residual's product S_h·(H_d + ΔH) is a row
+        itself already.  For a symmetry whose S is a permutation matrix
+        (the Rydberg swap) the residual's product S·(H_d + ΔH) is a row
         gather, ``_commutator_norm``'s, with the product's value."""
         pert = cls(matrix, symmetry)
         if drift is not None:
             H_d, dH = require_same_dimension(drift, pert.matrix)
-            residual = _commutator_norm(symmetry.hermitian,
+            residual = _commutator_norm(symmetry.matrix,
                                         hermitian_part(H_d + dH), symmetry.kind,
                                         symmetry._permutation)
             pert._measured(float(residual), H_d)
@@ -142,10 +144,10 @@ class Perturbation:
         return self
 
 
-def _restore_linear(Sh: np.ndarray, H_d: np.ndarray) -> np.ndarray:
-    """ΔH for each symmetry of a stack of Hermitian parts S_h (or for one):
-    -H_d in each eigenframe of S_h with the kernel entries dropped."""
-    w, V = np.linalg.eigh(Sh)
+def _restore_linear(S: np.ndarray, H_d: np.ndarray) -> np.ndarray:
+    """ΔH for each symmetry of a stack (or for one): -H_d in each
+    eigenframe of S with the kernel entries dropped."""
+    w, V = np.linalg.eigh(S)
     Vh = _adjoint(V)
     # negated before the kernel is zeroed, so its entries are +0.0
     dH_eig = -(Vh @ H_d @ V)
@@ -196,9 +198,9 @@ def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
 
 
 def _commuting_limit(s_frob, h_frob):
-    """The one rule: a drift H keeps S when ||[S_h, H]||_F is at most this,
-    given ||S||_F and ||H||_F (or arrays of them), whose product must be
-    finite: past float64 every residual would pass."""
+    """``_keeps_symmetry``'s limit on ||[S, H]||_F, given ||S||_F and
+    ||H||_F (or arrays of them), whose product must be finite: past float64
+    every residual would pass."""
     scale = s_frob * h_frob
     if not np.all(np.isfinite(scale)):
         raise ValidationError("||S||_F ||H_d||_F is not finite: whether the "
@@ -206,31 +208,42 @@ def _commuting_limit(s_frob, h_frob):
     return TAU_RANK * np.maximum(1.0, scale)
 
 
-def _restore_rows(kind: str, Sm: np.ndarray, Sh: np.ndarray, s_frob,
-                  H: np.ndarray, Hh: np.ndarray, h_frob: float, setup=None):
+def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
+                    h_frob: float, perm=None):
+    """The one acceptance rule: a drift keeps S when ||[S, H]||_F is at most
+    ``_commuting_limit(s_frob, h_frob)``.  S is a symmetry matrix or a stack
+    of them with Frobenius norms s_frob, ``perm`` a single S's σ; Hh is the
+    hermitised drift and h_frob ||H_d||_F of the drift as given.  Returns
+    (keeps, ||[S, Hh]||_F, limit), one of each per matrix."""
+    limit = _commuting_limit(s_frob, h_frob)
+    breaking = _commutator_norm(S, Hh, kind, perm)
+    return breaking <= limit, breaking, limit
+
+
+def _restore_rows(kind: str, S: np.ndarray, s_frob, H: np.ndarray,
+                  Hh: np.ndarray, h_frob: float, setup=None):
     """Restoration of every symmetry of a stack for one drift H.
 
-    Sm, Sh and s_frob are the stack's matrices, Hermitian parts and
-    Frobenius norms; Hh is the Hermitian part of H and h_frob ||H||_F;
-    ``setup`` is ``_quadratic_setup(H)``, built by each quadratic solve when
-    not given.  Returns (broken, dH, residual, limit): the rows whose
-    drift breaks S by the acceptance rule, their ΔH (linear rows in one
-    stacked solve, quadratic rows one lstsq each), and for every row
-    ||[S_h, H_d + ΔH]||_F, the breaking norm ||[S_h, H_d]||_F where the
-    drift keeps S, and its ``_commuting_limit``.  A broken row whose
-    residual exceeds its limit failed to restore.
+    S and s_frob are the stack's symmetry matrices and their Frobenius
+    norms; Hh is the Hermitian part of H and h_frob ||H||_F; ``setup`` is
+    ``_quadratic_setup(H)``, built by each quadratic solve when not given.
+    Returns (broken, dH, residual, limit): the rows whose drift breaks S by
+    ``_keeps_symmetry``, their ΔH (linear rows in one stacked solve,
+    quadratic rows one lstsq each), and for every row ||[S, H_d + ΔH]||_F,
+    the breaking norm ||[S, H_d]||_F where the drift keeps S, and its
+    ``_commuting_limit``.  A broken row whose residual exceeds its limit
+    failed to restore.
     """
-    limit = _commuting_limit(s_frob, h_frob)
-    residual = _commutator_norm(Sh, Hh, kind)
-    broken = np.flatnonzero(residual > limit)
+    keeps, residual, limit = _keeps_symmetry(kind, S, s_frob, Hh, h_frob)
+    broken = np.flatnonzero(~keeps)
     if not broken.size:
         return broken, None, residual, limit
     if kind == "linear":
-        dH = _restore_linear(Sh[broken], H)
+        dH = _restore_linear(S[broken], H)
     else:
         given = () if setup is None else (setup,)
-        dH = np.array([_restore_quadratic(Sm[i], H, *given) for i in broken])
-    residual[broken] = _commutator_norm(Sh[broken], _hermitised(H + dH), kind)
+        dH = np.array([_restore_quadratic(S[i], H, *given) for i in broken])
+    residual[broken] = _commutator_norm(S[broken], _hermitised(H + dH), kind)
     return broken, dH, residual, limit
 
 
@@ -241,7 +254,7 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
     kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, the minimal-norm least-squares
     solution over complex vec(ΔH), which is Hermitian.  Drift directions
     already compatible with S are left untouched, so ΔH is generally much
-    smaller than -H_d.  A drift commutes when ||[S_h, H]||_F is at most
+    smaller than -H_d.  A drift commutes when ||[S, H]||_F is at most
     TAU_RANK·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is
     all zeros, op_norm 0.0, and no bound follows.  Raises ConditioningError
     when the restored drift H_d + ΔH fails the test.  The residual is
@@ -252,8 +265,8 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
     if H.shape[0] != S.base_dimension:
         raise ValidationError(f"drift dimension does not match {S.kind} symmetry")
     broken, dH, residual, limit = _restore_rows(
-        S.kind, S.matrix[None], S.hermitian[None], np.array([S.frobenius]),
-        H, Hh, frobenius_norm(H))
+        S.kind, S.matrix[None], np.array([S.frobenius]), H, Hh,
+        frobenius_norm(H))
     residual, limit = float(residual[0]), float(limit[0])
     if not broken.size:  # H_d keeps S: the minimal ΔH is zero
         return Perturbation(np.zeros_like(H), S)._measured(residual, H)
@@ -275,8 +288,7 @@ def perturbation_norm_bound(S: Symmetry, H_d) -> float:
     if S.kind != "linear":
         raise ValidationError("analytic perturbation bound applies to linear "
                               "symmetries only")
-    H, _ = require_same_dimension(hermitian_part(H_d), S.hermitian)
-    breaking = float(_commutator_norm(S.hermitian, H, S.kind,
-                                      S._permutation))
-    keeps = breaking <= _commuting_limit(S.frobenius, frobenius_norm(H))
-    return 0.0 if keeps else breaking / S.sigma_min
+    Hh, _ = require_same_dimension(hermitian_part(H_d), S.matrix)
+    keeps, breaking, _ = _keeps_symmetry(S.kind, S.matrix, S.frobenius, Hh,
+                                         frobenius_norm(H_d), S._permutation)
+    return 0.0 if keeps else float(breaking) / S.sigma_min

@@ -93,10 +93,10 @@ def pairwise_kernel_complement(H_s, S, tol=None):
     """Oracle: the exact numerator with the pairwise degeneracy cut.
 
     Returns (norm, near, lam, tol): the Frobenius norm of the eigenframe of
-    the hermitised S without every entry whose eigenvalue pair of ad_L lies
-    within tol of each other (default GAP_RTOL·||H_s||_inf), whether some
-    pairwise gap lies in (tol, 10·tol], the spectrum of L (pairwise sums for
-    quadratic S) and the cut.  H = 0 gives (0, False, lam, 0).  The
+    S without every entry whose eigenvalue pair of ad_L lies within tol of
+    each other (default GAP_RTOL·||H_s||_inf), whether some pairwise gap
+    lies in (tol, 10·tol], the spectrum of L (pairwise sums for quadratic
+    S) and the cut.  H = 0 gives (0, False, lam, 0).  The
     eigendecomposition is the library's own call on the same array, so both
     see the same eigenvalues.
     """
@@ -109,7 +109,7 @@ def pairwise_kernel_complement(H_s, S, tol=None):
     if hnorm == 0.0:
         return 0.0, False, lam, 0.0
     tol = GAP_RTOL * hnorm if tol is None else tol
-    frame = W.conj().T @ S.hermitian @ W
+    frame = W.conj().T @ S.matrix @ W
     gaps = np.abs(np.subtract.outer(lam, lam))
     near = bool(np.any((gaps > tol) & (gaps <= 10 * tol)))
     return float(np.linalg.norm(frame[gaps > tol])), near, lam, tol

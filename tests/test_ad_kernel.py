@@ -72,23 +72,23 @@ def ad2(kernel, Y):
     return ad_anti(kernel, ad(kernel, Y))
 
 
-def certified_numerator(kernel, X):
-    """sqrt(max(0, ||S_h||² - ||S_h - ad_L X||²)) for any X, with ad_L X
-    formed explicitly: the former Chebyshev value.
+def certified_numerator(kernel, S, X):
+    """sqrt(max(0, ||S||² - ||S - ad_L X||²)) for the symmetry matrix S and
+    any X, with ad_L X formed explicitly: the former Chebyshev value.
 
     ad_L is self-adjoint under the Hilbert-Schmidt inner product, so
-    P_ker(S_h - ad_L X) = P_ker S_h and the residual is at least as large as
-    the kernel component of S_h: the value is a lower bound on
-    ||(1 - P_ker) S_h||_F however X was computed.  Only the anti-Hermitian
+    P_ker(S - ad_L X) = P_ker S and the residual is at least as large as
+    the kernel component of S: the value is a lower bound on
+    ||(1 - P_ker) S||_F however X was computed.  Only the anti-Hermitian
     part of X is used; its Hermitian part would add an anti-Hermitian term,
     orthogonal to the Hermitian rest of the residual, and so only enlarge it.
     """
     C = X - X.conj().T
     C *= 0.5
     A = ad_anti(kernel, C)
-    # ||S_h||² - ||S_h - A||² as Re<A, 2 S_h - A>: the difference of the two
-    # squares would cancel the digits of a value small against ||S_h||
-    return float(np.sqrt(max(0.0, np.vdot(A, 2 * kernel.S - A).real)))
+    # ||S||² - ||S - A||² as Re<A, 2 S - A>: the difference of the two
+    # squares would cancel the digits of a value small against ||S||
+    return float(np.sqrt(max(0.0, np.vdot(A, 2 * S - A).real)))
 
 
 def rel_err(got, want):
@@ -146,11 +146,12 @@ class TestDifferential:
         rng = np.random.default_rng(seed)
         H = draw_hermitian(rng, d, real)
         Y = draw_hermitian(rng, d, real)
-        k = _AdKernel(H, Symmetry("linear", Y))
-        assert k.S.dtype == (np.float64 if real else np.complex128)
+        sym = Symmetry("linear", Y)
+        k = _AdKernel(H, sym)
+        assert sym.matrix.dtype == (np.float64 if real else np.complex128)
         once = commutator(H, Y)
-        assert rel_err(ad(k, k.S), once) <= 1e-12
-        assert rel_err(ad2(k, k.S), commutator(H, once)) <= 1e-12
+        assert rel_err(ad(k, sym.matrix), once) <= 1e-12
+        assert rel_err(ad2(k, sym.matrix), commutator(H, once)) <= 1e-12
 
     @given(d=st.integers(2, 4), seed=st.integers(0, 2**32 - 1),
            real=st.booleans())
@@ -159,19 +160,22 @@ class TestDifferential:
         rng = np.random.default_rng(seed)
         H = draw_hermitian(rng, d, real)
         Y = draw_hermitian(rng, d * d, real)
-        k = _AdKernel(H, Symmetry("quadratic", Y))
+        sym = Symmetry("quadratic", Y)
+        k = _AdKernel(H, sym)
         once = iota_commutator(H, Y)
-        assert rel_err(ad(k, k.S), once) <= 1e-12
-        assert rel_err(ad2(k, k.S), iota_commutator(H, once)) <= 1e-12
+        assert rel_err(ad(k, sym.matrix), once) <= 1e-12
+        assert rel_err(ad2(k, sym.matrix), iota_commutator(H, once)) <= 1e-12
         # the einsum oracle itself against the materialized lift
         assert rel_err(once, commutator(iota(H), Y)) <= 1e-12
 
     def test_mixed_real_hamiltonian_complex_symmetry(self, rng):
         H = draw_hermitian(rng, 5, real=True)
         Y = random_hermitian(rng, 5)
-        k = _AdKernel(H.astype(complex), Symmetry("linear", Y))
-        assert k.H.dtype == np.float64 and k.S.dtype == np.complex128
-        assert rel_err(ad2(k, k.S), commutator(H, commutator(H, Y))) <= 1e-12
+        sym = Symmetry("linear", Y)
+        k = _AdKernel(H.astype(complex), sym)
+        assert k.H.dtype == np.float64 and sym.matrix.dtype == np.complex128
+        assert rel_err(ad2(k, sym.matrix),
+                       commutator(H, commutator(H, Y))) <= 1e-12
 
     def test_chebyshev_rydberg_n5(self):
         b = rydberg_chain_model(5)
@@ -211,14 +215,16 @@ class TestToleranceEdge:
         # anti-Hermitian noise of Frobenius norm `noise`
         S = hermitize(H @ H) / np.linalg.norm(H) ** 2 \
             + 1e-4 * random_hermitian(rng, d) + anti_hermitian()
-        return H + anti_hermitian(), Symmetry("linear", S), true_gap_interval(H)
+        return H + anti_hermitian(), S, true_gap_interval(H)
 
     @pytest.mark.parametrize("noise", [1e-12, 0.4 * TAU_H])
     @pytest.mark.parametrize("seed", range(4))
     def test_cheap_numerators_stay_below_exact(self, seed, noise):
         rng = np.random.default_rng(seed)
-        H, S, (lo, hi) = self.noisy_problem(rng, noise)
-        assert np.linalg.norm(S.matrix - S.matrix.conj().T) > 0
+        H, M, (lo, hi) = self.noisy_problem(rng, noise)
+        for A in (H, M):
+            assert np.linalg.norm(A - A.conj().T) > 0
+        S = Symmetry("linear", M)
         exact = kernel_complement_norm_exact(H, S)
         assert exact > 0
         assert kernel_complement_norm_commutator(H, S) <= exact
@@ -229,8 +235,9 @@ class TestToleranceEdge:
 
     @pytest.mark.parametrize("noise", [1e-12, 0.4 * TAU_H])
     def test_numerators_see_only_hermitised_inputs(self, rng, noise):
-        H, S, (lo, hi) = self.noisy_problem(rng, noise)
-        Hh, Sh = hermitize(H), Symmetry("linear", hermitize(S.matrix))
+        H, M, (lo, hi) = self.noisy_problem(rng, noise)
+        S, Sh = Symmetry("linear", M), Symmetry("linear", hermitize(M))
+        Hh = hermitize(H)
         degree = chebyshev_degree_for(1e-2, lo, hi)
         for numerator in (kernel_complement_norm_exact,
                           kernel_complement_norm_commutator,
@@ -268,7 +275,7 @@ def recurrence_numerator(H, S, degree, lo, hi, extended=False):
     more than 1e-9 relative.
     """
     k = _AdKernel(H, S)
-    Y = k.S
+    Y = S.matrix
     if extended:
         Y = Y.astype(np.longdouble if np.isrealobj(Y) else np.clongdouble)
     Z = chebyshev_apply(ChebyshevFilter(degree, lo, hi),
@@ -288,9 +295,9 @@ def draw_problem(rng, kind, d, real):
 
 
 def optimal_x(H, S):
-    """The X whose residual S_h - ad_L X is exactly the kernel part of S_h."""
+    """The X whose residual S - ad_L X is exactly the kernel part of S."""
     k = _AdKernel(H, S)
-    _, V, lam, frame = _eigenframe(k)
+    _, V, lam, frame = _eigenframe(k, S.matrix)
     g = np.subtract.outer(lam, lam)
     keep = np.abs(g) > 1e-8 * np.max(np.abs(g))
     frame[keep] /= g[keep]
@@ -302,15 +309,15 @@ def explicit_residual_chebyshev(H, S, degree, lo, hi):
     """The former library Chebyshev value: in the eigenframe of L,
     X' = ((1 - p(g²))/g) ∘ S' on the filtered entries (g != 0, |p| <= 1) and
     0 elsewhere, taken back to X = W X' W† and scored by
-    ``certified_numerator`` with the residual S_h - ad_L X formed
+    ``certified_numerator`` with the residual S - ad_L X formed
     explicitly."""
     k = _AdKernel(H, S)
-    _, V, lam, frame = _eigenframe(k)
+    _, V, lam, frame = _eigenframe(k, S.matrix)
     g = np.subtract.outer(lam, lam)
     p = ChebyshevFilter(degree, lo, hi).evaluate(g * g)
     frame *= np.divide(1.0 - p, g, out=np.zeros_like(g),
                        where=(np.abs(p) <= 1.0) & (g != 0))
-    return certified_numerator(k, _similarity(V, frame, k.kind))
+    return certified_numerator(k, S.matrix, _similarity(V, frame, k.kind))
 
 
 class Counted(np.ndarray):
@@ -461,23 +468,24 @@ class TestEigenframeChebyshev:
     @given(**PROBLEM, d=st.integers(2, 4), scale=st.floats(-2.0, 3.0),
            noise=st.floats(0.0, 1.0))
     @settings(max_examples=40, deadline=None)
-    # a numerator 1e-4 of ||S_h||, which a difference of squares loses
+    # a numerator 1e-4 of ||S||, which a difference of squares loses
     @example(kind="linear", seed=68, real=True, d=2, scale=0.0, noise=0.0)
     def test_any_x_stays_below_exact(self, kind, seed, real, d, scale, noise):
         rng = np.random.default_rng(seed)
         H, S = draw_problem(rng, kind, d, real)
-        k = _AdKernel(H, S)
+        k, M = _AdKernel(H, S), S.matrix
         exact = kernel_complement_norm_exact(H, S)
-        n = k.S.shape[0]
+        n = M.shape[0]
         wild = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         best = optimal_x(H, S)
         # rounding in the explicit residual only; no slack for wrong X
-        slack = 1e-12 * np.linalg.norm(k.S)
-        for X in (wild, scale * best, best + noise * wild, 1j * k.S, best):
-            assert certified_numerator(k, X) <= exact + slack
-        assert certified_numerator(k, best) == pytest.approx(exact, rel=1e-9)
-        # a Hermitian X leaves the residual at S_h: the value is 0
-        assert certified_numerator(k, k.S) == 0.0
+        slack = 1e-12 * np.linalg.norm(M)
+        for X in (wild, scale * best, best + noise * wild, 1j * M, best):
+            assert certified_numerator(k, M, X) <= exact + slack
+        assert certified_numerator(k, M, best) == pytest.approx(exact,
+                                                               rel=1e-9)
+        # a Hermitian X leaves the residual at S: the value is 0
+        assert certified_numerator(k, M, M) == 0.0
 
     @pytest.mark.parametrize("kind,d", [("linear", 6), ("quadratic", 3)])
     def test_cost_does_not_grow_with_degree(self, monkeypatch, kind, d):
@@ -496,7 +504,7 @@ class TestEigenframeChebyshev:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_contraction_frame_equals_kron(self, rng, d, real):
         H, S = draw_problem(rng, "quadratic", d, real)
-        _, V, lam, frame = _eigenframe(_AdKernel(H, S))
+        _, V, lam, frame = _eigenframe(_AdKernel(H, S), S.matrix)
         W = np.kron(V, V)
         assert rel_err(frame, W.conj().T @ S.matrix @ W) <= 1e-13
         assert rel_err(W.conj().T @ iota(H) @ W, np.diag(lam)) <= 1e-13
@@ -506,16 +514,16 @@ class TestEigenframeChebyshev:
 
 
 def dense_path(monkeypatch):
-    """Every Symmetry made from here on finds no permutation in S_h, so each
-    product with S_h is a matmul."""
+    """Every Symmetry made from here on finds no permutation in S, so each
+    product with S is a matmul."""
     monkeypatch.setattr(qsl.lie, "_permutation_of", lambda A: None)
 
 
 class TestPermutationCost:
-    """The Rydberg swap S_h is a permutation matrix, so each product with it
+    """The Rydberg swap S is a permutation matrix, so each product with it
     is a gather: the exact eigenframe makes one d x d product with the
-    eigenbasis (W† S_h is a gather), and neither the commutator numerator
-    nor the restoration residual multiplies by S_h."""
+    eigenbasis (W† S is a gather), and neither the commutator numerator
+    nor the restoration residual multiplies by S."""
 
     @pytest.mark.parametrize("gather", [True, False])
     @pytest.mark.parametrize("N", [4, 5, 6])
@@ -535,14 +543,14 @@ class TestPermutationCost:
     @pytest.mark.parametrize("gather", [True, False])
     @pytest.mark.parametrize("N", [4, 6])
     def test_no_product_with_s(self, monkeypatch, N, gather):
-        """S_h handed out as a ``Counted`` view: from_matrix, the commutator
+        """S handed out as a ``Counted`` view: from_matrix, the commutator
         numerator and the analytic ||ΔH||_inf cap never multiply by it."""
         if not gather:
             dense_path(monkeypatch)
         b = rydberg_chain_model(N)
         d = 2**N
         S = Symmetry("linear", b.symmetry.matrix)
-        S.hermitian = S.hermitian.view(Counted)
+        S.matrix = S.matrix.view(Counted)
         Counted.matmuls, Counted.products = 0, []
         pert = Perturbation.from_matrix(S, b.perturbation.matrix,
                                         drift=b.system.drift)
@@ -616,18 +624,18 @@ def sum_x(n):
 def dense_chebyshev(H, S, degree, lo, hi):
     """Oracle: the filtered residual p(g²) ∘ S' in the frame of a dense
     ``eigh`` of H (entries where |p| > 1 or g = 0 unfiltered), as
-    sqrt(||S_h||² - ||residual||²)."""
+    sqrt(||S||² - ||residual||²)."""
     w, V = np.linalg.eigh(H)
     if S.kind == "quadratic":
         lam, W = np.add.outer(w, w).reshape(-1), np.kron(V, V)
     else:
         lam, W = w, V
-    frame = W.conj().T @ S.hermitian @ W
+    frame = W.conj().T @ S.matrix @ W
     g = np.subtract.outer(lam, lam)
     p = ChebyshevFilter(degree, lo, hi).evaluate(g * g)
     keep = (np.abs(p) <= 1.0) & (g != 0)
     residual = np.where(keep, p * frame, frame)
-    return math.sqrt(max(0.0, np.linalg.norm(S.hermitian)**2
+    return math.sqrt(max(0.0, np.linalg.norm(S.matrix)**2
                          - np.linalg.norm(residual)**2))
 
 
@@ -644,15 +652,15 @@ class TestReflectionSectors:
     def check_numerators(H, S, tol=None):
         kernel = _AdKernel(H, S)
         assert len(list(_sectors(kernel.H))) == 2
-        scale = 1e-12 * np.linalg.norm(S.hermitian)
+        scale = 1e-12 * np.linalg.norm(S.matrix)
         want, want_near, lam, cut = pairwise_kernel_complement(H, S, tol)
-        got, near = _exact_projection(kernel, tol)
+        got, near = _exact_projection(kernel, S.matrix, tol)
         assert abs(got - want) <= scale and near == want_near
         hnorm = float(np.max(np.abs(np.linalg.eigvalsh(H))))
         if S.kind == "linear":
-            want = np.linalg.norm(commutator(H, S.hermitian)) / (2 * hnorm)
+            want = np.linalg.norm(commutator(H, S.matrix)) / (2 * hnorm)
         else:
-            want = np.linalg.norm(iota_commutator(H, S.hermitian)) / (4 * hnorm)
+            want = np.linalg.norm(iota_commutator(H, S.matrix)) / (4 * hnorm)
         assert abs(kernel_complement_norm_commutator(H, S) - want) <= scale
         g2 = np.subtract.outer(lam, lam).reshape(-1) ** 2
         g2 = g2[g2 > (1e-6 * g2.max())]

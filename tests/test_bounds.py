@@ -272,7 +272,7 @@ class TestKernelComplement:
 
 
 def _exact_with_flag(H, S, tol=None):
-    return bounds._exact_projection(bounds._AdKernel(H, S), tol)
+    return bounds._exact_projection(bounds._AdKernel(H, S), S.matrix, tol)
 
 
 def _widest_cluster(lam, tol):
@@ -317,7 +317,7 @@ class TestOneClusterRule:
         cut = tol if explicit_tol else None
         got, near = _exact_with_flag(H, S, cut)
         want, want_near, lam, used = pairwise_kernel_complement(H, S, cut)
-        slack = 1e-12 * frobenius_norm(S.hermitian)
+        slack = 1e-12 * frobenius_norm(S.matrix)
         assert got <= want + slack
         if _widest_cluster(lam, used) <= used:
             assert abs(got - want) <= slack
@@ -540,6 +540,37 @@ class TestDriftKeepsSymmetry:
                     lambda: single_control_bound(H_d, S.matrix, U)):
                 with pytest.raises(ValidationError):
                     bound()
+
+
+class TestOneHermitianArray:
+    """A symmetry holds one Hermitian array: every term of the bound reads
+    the operator the restoration residual certifies."""
+
+    @pytest.mark.parametrize("kind", ["linear", "quadratic"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_hermitian_symmetry_is_its_hermitian_part(self, kind, seed):
+        """S within TAU_H of Hermitian, given with the drift: the unitary
+        bound and all three Hamiltonian bounds equal, bit for bit, those of
+        hermitize(S), intermediates and warnings included."""
+        rng = np.random.default_rng(seed)
+        d = 3
+        n = d if kind == "linear" else d * d
+        M = random_hermitian(rng, n)
+        near = M + 1e-13 * (rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        assert not np.array_equal(near, near.conj().T)
+        S, Sh = Symmetry(kind, near), Symmetry(kind, hermitize(near))
+        H_d, H_s = random_hermitian(rng, d), random_hermitian(rng, d)
+        U = random_unitary(rng, d)
+        bounds_of = [lambda T: unitary_speed_limit(U, T, drift=H_d)]
+        bounds_of += [lambda T, m=m: hamiltonian_speed_limit(
+            H_s, T, method=m, drift=H_d)
+            for m in ("exact", "commutator", "chebyshev")]
+        for bound in bounds_of:
+            got, want = bound(S), bound(Sh)
+            assert got.bound_time == want.bound_time
+            assert got.intermediates == want.intermediates
+            assert got.warnings == want.warnings
 
 
 # theorem -> (symmetry kind, gate target?, c, k) in

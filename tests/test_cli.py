@@ -276,7 +276,8 @@ class TestRunCommand:
         (n·σ)⊗(m·σ), target exp(-0.01 i H_d): the drift alone reaches the
         target at t = 0.01, and it keeps every linear symmetry of the
         controls up to rounding, so no bound follows.  The pipeline refuses
-        once, before the search: one restoration per basis element."""
+        once, before the search, by restoration's test on the whole basis:
+        no restoration at all."""
         calls = []
 
         def counted(S, H_d, *args, **kwargs):
@@ -289,7 +290,7 @@ class TestRunCommand:
         assert code == 1 and report is None
         assert err == ("error: symmetry already commutes with the drift; "
                        "no time bound follows\n")
-        assert len(calls) <= 4  # the linear commutant of the two controls
+        assert calls == []
 
     def test_bound_unitary_cnot(self, capsys):
         code, report, _ = _run(capsys, ["bound", "unitary", CNOT_PROBLEM,
@@ -429,6 +430,11 @@ BAD_ARGV = [
     ["reproduce", "rydberg", "--N", "4", "--J", "1e308"],
     ["reproduce", "rydberg", "--N", "4", "--C", "1e-310"],
     ["reproduce", "swap", "--N", "4", "--J", "1e-320"],
+    ["reproduce", "swap", "--N", "4", "--J", "1e308"],
+    # a zero target Hamiltonian, refused alike by every numerator
+    ["reproduce", "rydberg", "--N", "4", "--J", "0", "--g", "0", "--h", "0"],
+    ["reproduce", "rydberg", "--N", "4", "--J", "0", "--g", "0", "--h", "0",
+     "--method", "chebyshev"],
 ]
 
 _NAN, _INF = float("nan"), float("inf")
@@ -743,12 +749,17 @@ def test_python_dash_m_runs_commands():
     _assert_report_matches(report, GOLDEN["reproduce-cnot"]["report"])
 
 
-def test_coupling_that_zeroes_the_bound_ends_in_one_error_line():
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "cnot", "--g", "1e308"],
+    ["reproduce", "swap", "--N", "4", "--J", "1e308"]], ids=" ".join)
+def test_coupling_that_zeroes_the_bound_ends_in_one_error_line(argv):
     """At g = 1e308 the bound's denominator 16g overflows, so the bound
-    would read 0 and the literature ratio divide by it; the model refuses
-    the coupling before any of that."""
-    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli",
-                     "reproduce", "cnot", "--g", "1e308", "--json-only")
+    would read 0 and the literature ratio divide by it; at J = 1e308 the
+    hopping energies 2J cos(pi k/(N+1)) overflow, and their differences
+    would be inf - inf.  The model refuses the coupling before any of that,
+    with no numpy warning."""
+    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli", *argv,
+                     "--json-only")
     assert done.returncode != 0
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")

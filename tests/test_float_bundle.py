@@ -66,8 +66,13 @@ def test_arrays_are_float64_and_equal_the_complex_build(N):
         for got, want in pairs:
             assert got.dtype == np.float64 and want.dtype == np.complex128
             assert np.array_equal(got, want)
-        # S is exactly Hermitian: its hermitian part is the matrix itself
-        assert b.symmetry.hermitian is b.symmetry.matrix
+        # S is exactly Hermitian: a symmetry keeps the float64 array itself,
+        # and holds the complex build's S as the same float64 values
+        S_f = b.symmetry.matrix
+        assert Symmetry("linear", S_f).matrix is S_f
+        from_complex = Symmetry("linear", S).matrix
+        assert from_complex.dtype == np.float64
+        assert np.array_equal(from_complex, S_f)
 
 
 def _reports(H_s, sym, pert, lo, hi):

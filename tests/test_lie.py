@@ -237,14 +237,19 @@ class TestSymmetryDataclass:
 
 
     def test_hermitian_part_formed_once(self, rng):
-        """``hermitian`` is the matrix itself when that is exactly Hermitian,
-        and hermitize's values, checked at construction, when it is not."""
-        exact = Symmetry("linear", random_hermitian(rng, 4))
-        assert exact.hermitian is exact.matrix
-        near = exact.matrix + 1e-13 * rng.standard_normal((4, 4))
+        """``matrix`` is the one Hermitian array, formed at construction:
+        the input itself when that is exactly Hermitian, float64 when it is
+        exactly real, and hermitize's values, checked, when it is neither."""
+        exact = random_hermitian(rng, 4)
+        assert Symmetry("linear", exact).matrix is exact
+        real = Symmetry("linear", (exact + exact.conj()) / 2)
+        assert real.matrix.dtype == np.float64
+        assert np.array_equal(real.matrix, exact.real)
+        near = exact + 1e-13 * rng.standard_normal((4, 4))
         sym = Symmetry("linear", near)
-        assert sym.matrix is near
-        assert np.array_equal(sym.hermitian, 0.5 * (near + near.conj().T))
+        assert sym.matrix is not near
+        assert np.array_equal(sym.matrix, 0.5 * (near + near.conj().T))
+        assert not hasattr(sym, "hermitian")
         with pytest.raises(ValidationError):
             Symmetry("linear", near + 1e-3 * np.triu(np.ones((4, 4))))
 

@@ -1,12 +1,12 @@
 """Permutation symmetries applied as gathers.
 
-A linear symmetry whose Hermitian part S_h is a float64 permutation matrix
-(the Rydberg swap of atoms 1 and 2) has every product with S_h made as an
-index gather: the restoration residual, the first factor of the eigenframe
-and the commutator numerator.  Each value must equal, bit for bit, the value
-of the matmul path, which these tests reach by patching the detector that
-``Symmetry`` reads to find no permutation.  Matrices that are nearly, but not
-exactly, permutations must take the matmul path.
+A linear symmetry S that is a float64 permutation matrix (the Rydberg swap
+of atoms 1 and 2) has every product with S made as an index gather: the
+restoration residual, the first factor of the eigenframe and the commutator
+numerator.  Each value must equal, bit for bit, the value of the matmul
+path, which these tests reach by patching the detector that ``Symmetry``
+reads to find no permutation.  Matrices that are nearly, but not exactly,
+permutations must take the matmul path.
 """
 
 import contextlib
@@ -41,7 +41,7 @@ METHODS = ("exact", "commutator", "chebyshev")
 @contextlib.contextmanager
 def _dense():
     """A context in which ``Symmetry`` finds no permutation: every product
-    with S_h is a matmul."""
+    with S is a matmul."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qsl.lie, "_permutation_of", lambda A: None)
         yield
@@ -248,9 +248,9 @@ def test_near_misses_take_the_matmul_path(rng, case):
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_scorer_drops_the_permutation(N, method):
-    """A scorer prepared with the Rydberg swap (its kernel held with σ)
-    scores stacks of other candidates: ``hold`` drops σ, so each row is
-    its public bound."""
+    """A scorer prepared with the Rydberg swap scores stacks of other
+    candidates: its numerators take them with no σ, so each row is its
+    public bound."""
     rng = np.random.default_rng(N)
     b = rydberg_chain_model(N)
     drift, H_s = b.system.drift, b.target_hamiltonian

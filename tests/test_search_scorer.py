@@ -65,7 +65,9 @@ def _unit(M):
 def _candidates(rng, kind, d, H_d):
     """Unit-Frobenius candidates: random complex and real ones, and ones the
     drift keeps (the identity, a polynomial in H_d for linear S, the lift of
-    H_d and the copy swap for quadratic S)."""
+    H_d and the copy swap for quadratic S).  Each is the matrix of a
+    ``Symmetry``, exactly Hermitian as the scorer takes it: H_d @ H_d is
+    Hermitian only to rounding."""
     D = d if kind == "linear" else d * d
     rows = [random_hermitian(rng, D) for _ in range(3)]
     real = rng.standard_normal((D, D))
@@ -74,7 +76,7 @@ def _candidates(rng, kind, d, H_d):
         rows.append(H_d @ H_d - 0.7 * H_d)
     else:
         rows += [_lift(H_d), permutation_operator([1, 0], [d, d])]
-    rows = [_unit(M) for M in rows]
+    rows = [_unit(Symmetry(kind, M).matrix) for M in rows]
     return np.array([rows[i] for i in rng.permutation(len(rows))])
 
 
@@ -276,6 +278,47 @@ def test_plain_objective_sees_the_reference_candidates():
     assert len(seen["library"]) == len(seen["reference"])
     for a, b in zip(seen["library"], seen["reference"]):
         assert np.array_equal(a, b)
+
+
+class _RecordingScorer(_StackScorer):
+    """A stacked objective that keeps every stack it is given and scores
+    it with seeded random values, so the search visits random, basis and
+    refinement rows alike."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.stacks = []
+
+    def __call__(self, S):
+        self.stacks.append(S.copy())
+        return self.rng.standard_normal(len(S))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 5),
+       n=st.integers(1, 4), dtypes=st.sampled_from(["real", "complex",
+                                                    "mixed"]),
+       iterations=st.integers(0, 12))
+@settings(max_examples=60, deadline=None)
+def test_every_candidate_is_exactly_hermitian(seed, d, n, dtypes,
+                                              iterations):
+    """Real coefficients times exactly Hermitian matrices, summed in one
+    order, plus a real diagonal shift and a real scale: every row of every
+    stack ``optimize_symmetry`` hands the scorer is exactly Hermitian, so
+    the scorer need not hermitise it."""
+    rng = np.random.default_rng(seed)
+    basis = []
+    for k in range(n):
+        real = dtypes == "real" or (dtypes == "mixed" and k % 2 == 0)
+        A = rng.standard_normal((d, d))
+        if not real:
+            A = A + 1j * rng.standard_normal((d, d))
+        basis.append(Symmetry("linear", (A + A.conj().T) / 2))
+    assert all(np.array_equal(b.matrix, b.matrix.conj().T) for b in basis)
+    scorer = _RecordingScorer(seed)
+    optimize_symmetry(basis, scorer, iterations=iterations, seed=seed % 1000)
+    assert scorer.stacks
+    for S in scorer.stacks:
+        assert np.array_equal(S, S.conj().swapaxes(-1, -2))
 
 
 @pytest.mark.parametrize("kind", ["linear", "quadratic"])
