@@ -28,7 +28,6 @@ from .lie import (
     Symmetry,
     commutant_basis,
     quadratic_symmetry_basis,
-    span_residual,
     symmetry_breaking_norm,
 )
 from .matcore import (
@@ -140,7 +139,6 @@ __all__ = [
     "rydberg_chain_model",
     "single_control_bound",
     "site_sum",
-    "span_residual",
     "spectral_gap_min",
     "symmetry_breaking_norm",
     "syk_model",

@@ -24,6 +24,16 @@ read from the recorded residual when there is one (ConditioningError
 otherwise).  A ΔH supplied with no drift is trusted.
 ``single_control_bound`` is T1b on this route, with S = H_c.
 
+What T2 bounds is a reconstruction, consistent with c = √2; the source
+paper's statement is not at hand.  The T2 value is invariant under
+H_s -> λ H_s, so it bounds no fixed simulation time such as unit time.  In
+the eigenframe of H_s, ||[e^{-i H_s t}, S]||_F² is
+Σ 2 (1 - cos g_ij t) |S'_ij|² with no cross terms, whose time average is
+2 ||(1 - P_ker) S||_F² (U⊗U and the lift's gaps for quadratic S).  The
+supremum over t of T1 at U_t = e^{-i H_s t} is therefore at least T2: T2
+is a lower bound on the time to reach the hardest point of the orbit
+{e^{-i H_s t} : t >= 0}, that is, to simulate H_s for every time.
+
 The kernel-complement numerator has three implementations with a strict
 ordering (commutator <= exact, chebyshev <= exact): an exact eigenbasis
 projection, a cheap commutator bound needing only ||H_s||_inf, and a
@@ -55,10 +65,11 @@ by sector: two half-size eigendecompositions in place of one, about a
 quarter of the work.
 
 ``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
-its candidates with ``_StackScorer``, for every target and numerator: the
-problem is prepared once per request and each stack of candidates takes one
-stacked restoration (``perturb._restore_rows``), one stacked ``eigvalsh``
-for ||ΔH||_inf and one stacked numerator, through the same helpers as the
+its candidates with ``_StackScorer``, for every target and for the exact
+and commutator numerators, the CLI's two methods: the problem is prepared
+once per request and each stack of candidates takes one stacked
+restoration (``perturb._restore_rows``), one stacked ``eigvalsh`` for
+||ΔH||_inf and one stacked numerator, through the same helpers as the
 public functions, so that each candidate's value equals theirs.
 """
 
@@ -632,20 +643,13 @@ def _filter_interval(hnorm: float, kind: str) -> tuple[float, float]:
     return (DEFAULT_FILTER_CUT_REL * span) ** 2, sigma_max
 
 
-def _default_filter_interval(H: np.ndarray, kind: str) -> tuple[float, float]:
-    """The default Chebyshev interval of the target H, checked and
-    hermitised, from the norm its numerator kernel reads: the CLI completes
-    a one-sided interval with it, equal to the library's default."""
-    return _filter_interval(_sector_norm(hermitian_part(H)), kind)
-
-
 def _chebyshev_filter(kernel: _AdKernel, degree: int | None,
                       sigma_min_est: float | None,
                       sigma_max_est: float | None) -> ChebyshevFilter:
-    """The filter of a chebyshev numerator on the kernel, as
-    ``hamiltonian_speed_limit`` and the ``_StackScorer`` take it: an interval
-    end not given is the default for ``kernel.norm``, and a degree not given
-    is the one that reaches DEFAULT_FILTER_EPS on the interval."""
+    """The filter of ``hamiltonian_speed_limit``'s chebyshev numerator on
+    the kernel: an interval end not given is the default for
+    ``kernel.norm``, and a degree not given is the one that reaches
+    DEFAULT_FILTER_EPS on the interval."""
     lo, hi = sigma_min_est, sigma_max_est
     if lo is None or hi is None:
         d_lo, d_hi = _filter_interval(kernel.norm, kernel.kind)
@@ -663,7 +667,10 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
                             sigma_min_est: float | None = None,
                             sigma_max_est: float | None = None,
                             tol_degeneracy: float | None = None) -> BoundReport:
-    """Speed limit for simulating the Hamiltonian H_s.
+    """Speed limit for simulating the Hamiltonian H_s: a lower bound on the
+    time to reach the hardest point of the orbit {e^{-i H_s t} : t >= 0}
+    (a reconstructed reading, see the module docstring), not on the time
+    to simulate H_s for unit time; the value is invariant under H_s -> λ H_s.
 
     T >= numerator / (2√2 ||S||_F ||ΔH||_inf) for quadratic S (T2a), or
     numerator / (√2 ||S||_F ||ΔH||_inf) for linear S (T2b), with the numerator
@@ -743,22 +750,19 @@ class _StackScorer:
     matrices of ``like``'s kind and dimension (``optimize_symmetry``'s rows
     are: real combinations of Hermitian matrices), it returns for each the
     bound that ``restore_symmetry`` and then ``unitary_speed_limit`` (a
-    target U) or ``hamiltonian_speed_limit`` (any numerator, with the
-    keywords given here) give it, and -inf where that path raises.  It
-    holds the drift with its Hermitian part and norm, the quadratic unit
-    lifts, and U (U⊗U for quadratic S) or the ad_{H_s} kernel with its one
-    eigendecomposition, and for chebyshev the filter, resolved once by
-    ``_chebyshev_filter``.  A stack takes one ``perturb._restore_rows``, one
-    stacked ``eigvalsh`` for ||ΔH||_inf and one stacked numerator, each row
+    target U) or ``hamiltonian_speed_limit`` (the exact or commutator
+    numerator, with the keywords given here) give it, and -inf where that
+    path raises.  It holds the drift with its Hermitian part and norm, the
+    quadratic unit lifts, and U (U⊗U for quadratic S) or the ad_{H_s}
+    kernel with its one eigendecomposition.  A stack takes one
+    ``perturb._restore_rows``, one stacked ``eigvalsh`` for ||ΔH||_inf and
+    one stacked numerator, each row
     in the dtype a ``Symmetry`` of it has (float64 when exactly real), so
     that every value equals the public one.
     """
 
     def __init__(self, like: Symmetry, drift, *, target_unitary=None,
                  target_hamiltonian=None, method: str = "exact",
-                 degree: int | None = None,
-                 sigma_min_est: float | None = None,
-                 sigma_max_est: float | None = None,
                  tol_degeneracy: float | None = None):
         self.kind = like.kind
         self.gate = target_unitary is not None
@@ -784,12 +788,6 @@ class _StackScorer:
             elif method == "commutator":
                 kernel = _AdKernel(target_hamiltonian, like)
                 self._numerator = lambda S: _commutator_projection(kernel, S)
-            elif method == "chebyshev":
-                kernel = _AdKernel(target_hamiltonian, like)
-                filt = _chebyshev_filter(kernel, degree, sigma_min_est,
-                                         sigma_max_est)
-                self._numerator = lambda S: _chebyshev_projection(
-                    kernel, S, filt)
             else:
                 raise ValueError(f"no stacked numerator for {method!r}")
         except QslError:

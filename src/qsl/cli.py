@@ -12,7 +12,7 @@ model parameter the model rejects, input too large for the dense method).
 → restore → bound: a symmetry basis of the controls, the combination that
 ``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
 the speed limit.  The search rates each candidate by the last two steps
-through ``bounds._StackScorer``, for every target and numerator, prepared
+through ``bounds._StackScorer``, for every target and method, prepared
 once per request and fed a stack of candidates at a time, which gives each
 the value the public functions give it.  The cnot, swap and rydberg models
 bring their own symmetry and ΔH.  Each command takes only the flags it
@@ -21,14 +21,12 @@ one schema for the problem files of every command (a flag of the same name
 overrides the file; ``reproduce syk`` passes ``--iterations`` as
 ``optimize_symmetry``):
 ``kind`` linear or quadratic (default quadratic for a unitary target, else
-linear); ``method`` exact, commutator or chebyshev (default exact at every
-dimension: chebyshev is exact's eigenframe with a weight of at most 1 on
-each entry, so it costs what exact costs, whatever its degree, and is never
-the tighter); ``degree`` the Chebyshev degree, >= 1; ``sigma_min`` <=
-``sigma_max`` the filter interval (an end not given is derived from
-||H_s||); ``tol`` both the relative nullspace cut of
-symmetry discovery and the absolute eigenvalue-cluster cut of the exact
-numerator;
+linear); ``method`` exact or commutator (default exact: the library's
+chebyshev numerator is exact's eigenframe with a weight of at most 1 on
+each entry, so it costs what exact costs and is never the tighter, and the
+command line does not offer it); ``tol`` in (0, 1), both the relative
+nullspace cut of symmetry discovery and the absolute eigenvalue-cluster cut
+of the exact numerator;
 ``seed``, ``optimize_symmetry`` seed and random directions of the symmetry
 search, >= 0.
 
@@ -51,7 +49,6 @@ import numpy as np
 from .bounds import (
     _DRIFT_KEEPS_SYMMETRY,
     _StackScorer,
-    _default_filter_interval,
     hamiltonian_speed_limit,
     optimize_symmetry,
     uniform_speed_limit,
@@ -233,7 +230,7 @@ def _checked(check, M: np.ndarray, what: str) -> np.ndarray:
         raise ProblemFormatError(f"{what}: {exc}") from None
 
 
-_METHODS = ("exact", "commutator", "chebyshev")
+_METHODS = ("exact", "commutator")
 _KINDS = ("linear", "quadratic")
 
 
@@ -241,40 +238,32 @@ def _int_at_least(low: int):
     return f"an integer >= {low}", lambda v: type(v) is int and v >= low
 
 
-_POSITIVE = ("a positive finite number", lambda v: type(v) in (int, float)
-             and math.isfinite(v) and v > 0)
-
 # option key -> (what a valid value is, test).  The same rules check problem
 # file options and command-line flags; None always means "not set".
 _OPTION_RULES = {
     "kind": ("'linear' or 'quadratic'", lambda v: v in _KINDS),
-    "method": ("'exact', 'commutator' or 'chebyshev'", lambda v: v in _METHODS),
-    "degree": _int_at_least(1), "seed": _int_at_least(0),
-    "optimize_symmetry": _int_at_least(0),
-    "sigma_min": _POSITIVE, "sigma_max": _POSITIVE, "tol": _POSITIVE,
+    "method": ("'exact' or 'commutator'", lambda v: v in _METHODS),
+    "seed": _int_at_least(0), "optimize_symmetry": _int_at_least(0),
+    # no singular value exceeds a relative rank cut of 1 or more
+    "tol": ("a number in (0, 1)",
+            lambda v: type(v) in (int, float) and 0 < v < 1),
 }
 
 # flag -> its type or choices, for every flag of every command; a command
 # adds only the flags it reads (``_add_flags``)
-_FLAGS = {"kind": _KINDS, "method": _METHODS, "degree": int, "seed": int,
-          "optimize_symmetry": int, "sigma_min": float, "sigma_max": float,
-          "tol": float, "trials": int, "N": int, "n_majorana": int,
-          "iterations": int, **dict.fromkeys(("J", "g", "C", "a", "h", "mu"),
-                                             float)}
+_FLAGS = {"kind": _KINDS, "method": _METHODS, "seed": int,
+          "optimize_symmetry": int, "tol": float, "trials": int, "N": int,
+          "n_majorana": int, "iterations": int,
+          **dict.fromkeys(("J", "g", "C", "a", "h", "mu"), float)}
 
 
 def _checked_options(options: dict) -> dict:
-    """The options unchanged, once every value that is set obeys its rule
-    and a filter interval given at both ends is not inverted."""
+    """The options unchanged, once every value that is set obeys its rule."""
     for key, value in options.items():
         what, valid = _OPTION_RULES[key]
         if value is not None and not valid(value):
             raise ProblemFormatError(f"option {key!r} must be {what}, "
                                      f"got {value!r}")
-    lo, hi = options.get("sigma_min"), options.get("sigma_max")
-    if lo is not None and hi is not None and lo > hi:
-        raise ProblemFormatError(f"option 'sigma_min' ({lo!r}) must not "
-                                 f"exceed 'sigma_max' ({hi!r})")
     return options
 
 
@@ -358,8 +347,7 @@ def load_problem(path: str) -> ProblemSpec:
     if extra:
         raise ProblemFormatError(f"unknown option keys: {sorted(extra)}")
     options = _checked_options({
-        "method": "exact", "degree": 64, "seed": 0,
-        "optimize_symmetry": 0,
+        "method": "exact", "seed": 0, "optimize_symmetry": 0,
         **{k: v for k, v in options.items() if v is not None}})
 
     source = {
@@ -428,23 +416,9 @@ def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
     """
     unitary = target_unitary is not None
     kind = opts.get("kind") or ("quadratic" if unitary else "linear")
-    kwargs = {}  # hamiltonian_speed_limit's numerator keywords
-    if not unitary:
-        method = opts.get("method") or "exact"
-        lo, hi = opts.get("sigma_min"), opts.get("sigma_max")
-        if method == "chebyshev" and (lo is None) != (hi is None):
-            # fill the open end with the default the library would derive,
-            # so that an inverted interval is caught here as bad input
-            d_lo, d_hi = _default_filter_interval(
-                target_hamiltonian, kind if symmetry is None else symmetry.kind)
-            opts = _checked_options({**opts,
-                                     "sigma_min": d_lo if lo is None else lo,
-                                     "sigma_max": d_hi if hi is None else hi})
-        kwargs = {"method": method,
-                  "degree": opts.get("degree"),
-                  "sigma_min_est": opts.get("sigma_min"),
-                  "sigma_max_est": opts.get("sigma_max"),
-                  "tol_degeneracy": opts.get("tol")}
+    # hamiltonian_speed_limit's numerator keywords
+    kwargs = {} if unitary else {"method": opts.get("method") or "exact",
+                                 "tol_degeneracy": opts.get("tol")}
 
     basis = None
     if symmetry is None:
@@ -533,8 +507,7 @@ def _reproduce_rydberg(args) -> dict:
     opts = _merge_options({}, args)
     params = {k: getattr(args, k) for k in ("N", "C", "a", "J", "h", "g")}
     bundle = _build(rydberg_chain_model, **params)
-    lo, hi = bundle.spectral_estimates
-    rep = _model_bound(bundle, {**opts, "sigma_min": lo, "sigma_max": hi})
+    rep = _model_bound(bundle, opts)
     refs = bundle.references
     return {"parameters": params, **_bound_report_dict(rep),
             "delta_h_closed_form": refs["delta_h_closed_form"],
@@ -551,15 +524,14 @@ def _reproduce_syk(args) -> dict:
             "commutant_dimension": len(basis), **_bound_report_dict(rep)}
 
 
-_NUMERATOR = dict.fromkeys(("method", "degree"))
 # model name -> (report function, the flags it reads with their defaults)
 _MODELS = {
     "cnot": (_reproduce_cnot, {"g": 1.0}),
     "swap": (_reproduce_swap, {"N": 3, "J": 1.0}),
     "rydberg": (_reproduce_rydberg, {"N": 5, "C": 1.0, "a": 1.0, "J": 1.0,
-                                     "g": 0.5, "h": 0.5, **_NUMERATOR}),
+                                     "g": 0.5, "h": 0.5, "method": None}),
     "syk": (_reproduce_syk, {"n_majorana": 6, "mu": 0.0, "iterations": 60,
-                             "seed": 0, **_NUMERATOR}),
+                             "seed": 0, "method": None}),
 }
 
 
@@ -653,8 +625,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search = dict.fromkeys(("kind", "optimize_symmetry", "tol", "seed"))
     pb = sub.add_parser("bound", help="evaluate a speed limit")
     bsub = pb.add_subparsers(dest="target_kind", required=True)
-    for name, flags in (("unitary", search), ("hamiltonian", {
-            **search, **_NUMERATOR, "sigma_min": None, "sigma_max": None})):
+    for name, flags in (("unitary", search),
+                        ("hamiltonian", {**search, "method": None})):
         p = bsub.add_parser(name)
         p.add_argument("problem")
         _add_flags(p, flags)

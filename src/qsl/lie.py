@@ -27,7 +27,6 @@ from .matcore import (
     _permutation_of,
     _spectral_gap,
     adjoint_superoperator,
-    as_operator,
     commutator,
     devectorize,
     frobenius_norm,
@@ -182,9 +181,13 @@ def _commutant(ops: list[np.ndarray], kind: str, note: str,
     """Orthonormal Hermitian basis of {S : [S, L] = 0 for every L in ops}.
 
     Solved as the SVD nullspace of the stacked adjoint superoperators, then
-    hermitized, re-orthonormalized, and re-verified.
+    hermitized, re-orthonormalized, and re-verified.  A tol of 1 or more
+    is refused: no singular value exceeds tol · s_max, so it would decide
+    every rank question one way.
     """
     _check_tolerance(tol, "rank")
+    if tol >= 1:
+        raise ValidationError(f"rank tolerance must be below 1, got {tol!r}")
     K = np.vstack([adjoint_superoperator(L) for L in ops])
     basis = _hermitian_basis_from_nullspace(_nullspace(K, tol), tol)
     _verify_commutation(basis, ops, tol)
@@ -220,17 +223,4 @@ def symmetry_breaking_norm(S: Symmetry, target) -> float:
     if S.kind == "quadratic":
         U = kron(U, U)
     return float(_breaking_norm(U, S.matrix))
-
-
-def span_residual(X, symmetries) -> float:
-    """Distance from X to the real span of the given symmetry matrices."""
-    A = require_hermitian(X)
-    mats = [s.matrix if isinstance(s, Symmetry) else as_operator(s)
-            for s in symmetries]
-    if not mats:
-        return frobenius_norm(A)
-    cols = np.array([_real_coordinates(M) for M in mats]).T
-    rhs = _real_coordinates(A)
-    coeffs, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
-    return float(np.linalg.norm(rhs - cols @ coeffs))
 

@@ -292,7 +292,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         # C/(a r)^6, the coupling of two atoms r = 1 .. N-1 sites apart
         coupling = [C / (a * r)**6 for r in range(1, N)]
         half_strength = 0.5 * C / a**6
-        hs_norm_bound = J * (N - 1) + (abs(g) + abs(h)) * N
+        hs_norm_bound = abs(J) * (N - 1) + (abs(g) + abs(h)) * N
         spectral_estimates = _filter_interval(hs_norm_bound, "linear")
         refs = {
             "delta_h_closed_form": C / (2 * a**6) * (1 - 1.0 / (N - 1)**6),
@@ -369,7 +369,7 @@ def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:
     Q = sum_{ij} C_ij chi_i chi_j; the independent entries of the
     antisymmetric tensors J and C are standard normal.  Deterministic per
     seed; J is always drawn before C so the quartic couplings do not depend
-    on mu.
+    on mu.  A mu that takes an entry of H out of float64 is refused.
     """
     if n_majorana % 2 != 0 or n_majorana < 4:
         raise ValidationError("need an even number of Majorana modes, at least 4")
@@ -385,12 +385,17 @@ def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:
     H = np.zeros((d, d), dtype=complex)
     for Jv, (i, j, k, l) in zip(couplings, quads):
         H += Jv * (chi[i] @ chi[j] @ chi[k] @ chi[l])
-    if mu != 0.0:
-        Q = np.zeros((d, d), dtype=complex)
-        for Cv, (i, j) in zip(charges, pairs):
-            Q += 2.0 * Cv * (chi[i] @ chi[j])
-        H += (mu / 4.0) * (Q @ Q)
-    return 0.5 * (H + H.conj().T)
+    # a mu so large that H leaves float64 is refused below, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mu != 0.0:
+            Q = np.zeros((d, d), dtype=complex)
+            for Cv, (i, j) in zip(charges, pairs):
+                Q += 2.0 * Cv * (chi[i] @ chi[j])
+            H += (mu / 4.0) * (Q @ Q)
+        H = 0.5 * (H + H.conj().T)
+    if not np.isfinite(H).all():
+        raise ValidationError("derived numbers leave float64")
+    return H
 
 
 def propagate_piecewise(system: ControlSystem, pulses: PulseSchedule) -> np.ndarray:

@@ -113,3 +113,19 @@ def pairwise_kernel_complement(H_s, S, tol=None):
     gaps = np.abs(np.subtract.outer(lam, lam))
     near = bool(np.any((gaps > tol) & (gaps <= 10 * tol)))
     return float(np.linalg.norm(frame[gaps > tol])), near, lam, tol
+
+
+def span_residual(X, symmetries) -> float:
+    """Oracle: distance from the Hermitian X to the real span of the
+    symmetries' matrices, a least-squares fit on real coordinates (real
+    parts, then imaginary parts)."""
+    def coordinates(M):
+        v = np.asarray(M).reshape(-1)
+        return np.concatenate([v.real, v.imag])
+
+    rhs = coordinates(require_hermitian(X))
+    if not symmetries:
+        return float(np.linalg.norm(rhs))
+    cols = np.array([coordinates(s.matrix) for s in symmetries]).T
+    coeffs, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
+    return float(np.linalg.norm(rhs - cols @ coeffs))

@@ -24,7 +24,7 @@ from qsl.bounds import (
     optimize_symmetry,
 )
 from qsl.cli import run_command
-from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis, span_residual
+from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
     adjoint_superoperator,
     commutator,
@@ -47,7 +47,7 @@ from qsl.models import (
 )
 from qsl.perturb import restore_symmetry
 from conftest import (evolution_from_identity_peak, random_hermitian, random_state,
-                      random_unitary)
+                      random_unitary, span_residual)
 
 
 _CAPTURE_MANAGER = [None]

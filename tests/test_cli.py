@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qsl.cli
-from qsl.bounds import _default_filter_interval, chebyshev_degree_for
+from qsl.bounds import chebyshev_degree_for, hamiltonian_speed_limit
 from qsl.cli import (
     PauliParseError,
     ProblemFormatError,
@@ -124,9 +124,8 @@ class TestLoadProblem:
 
     def test_defaults_filled(self):
         spec = load_problem(CNOT_PROBLEM)
-        assert spec.options["method"] == "exact"
-        assert spec.options["degree"] == 64
-        assert spec.options["seed"] == 0
+        assert spec.options == {"kind": "quadratic", "method": "exact",
+                                "seed": 0, "optimize_symmetry": 0}
 
     def test_round_trip(self, tmp_path):
         spec = load_problem(ISING_PROBLEM)
@@ -372,18 +371,19 @@ BAD_FILE_OPTIONS = [
     ("unitary", {"optimize_symmetry": -1}),
     ("unitary", {"optimize_symmetry": 2.5}),
     ("unitary", {"kind": "cubic"}),
-    ("hamiltonian", {"method": "chebyshev", "degree": [3]}),
-    ("hamiltonian", {"method": "chebyshev", "degree": 0}),
-    ("hamiltonian", {"method": "chebyshev", "degree": True}),
+    # the command line offers no chebyshev numerator, and so no filter keys
+    ("hamiltonian", {"method": "chebyshev"}),
+    ("hamiltonian", {"degree": 64}),
+    ("hamiltonian", {"method": "exact", "degree": 3}),
     ("hamiltonian", {"method": "fast"}),
-    ("hamiltonian", {"method": "chebyshev", "sigma_min": 0}),
-    ("hamiltonian", {"method": "chebyshev", "sigma_max": "big"}),
+    ("hamiltonian", {"sigma_min": 1e-3}),
+    ("hamiltonian", {"sigma_max": 10.0}),
     ("hamiltonian", {"tol": -1e-9}),
     ("hamiltonian", ["not", "an", "object"]),
-    ("hamiltonian", {"method": "chebyshev", "sigma_min": 5, "sigma_max": 1}),
-    # one end given, inverted against the defaulted other end
-    ("hamiltonian", {"method": "chebyshev", "sigma_min": 1e9}),
-    ("hamiltonian", {"method": "chebyshev", "sigma_max": 1e-9}),
+    ("hamiltonian", {"sigma_min": 1, "sigma_max": 5}),
+    # no singular value exceeds a relative rank cut of 1 or more
+    ("hamiltonian", {"tol": 1}),
+    ("hamiltonian", {"tol": 1e9}),
     # only null or a missing key means "no options"
     ("hamiltonian", []),
     ("hamiltonian", 0),
@@ -392,14 +392,14 @@ BAD_FILE_OPTIONS = [
 ]
 
 BAD_ARGV = [
-    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
-     "--degree", "0"],
-    ["bound", "hamiltonian", ISING_PROBLEM, "--sigma-min", "nan"],
-    ["bound", "hamiltonian", ISING_PROBLEM, "--sigma-max", "inf"],
     ["bound", "hamiltonian", ISING_PROBLEM, "--tol", "0"],
+    ["bound", "hamiltonian", ISING_PROBLEM, "--tol", "nan"],
+    # no singular value exceeds a relative rank cut of 1 or more
+    ["bound", "hamiltonian", ISING_PROBLEM, "--tol", "1"],
+    ["bound", "unitary", CNOT_PROBLEM, "--tol", "1"],
+    ["symmetries", CNOT_PROBLEM, "--tol", "1"],
     ["bound", "unitary", CNOT_PROBLEM, "--optimize-symmetry", "-1"],
     ["bound", "unitary", CNOT_PROBLEM, "--seed", "-3"],
-    ["reproduce", "rydberg", "--degree", "0"],
     ["reproduce", "rydberg", "--N", "2"],
     ["reproduce", "rydberg", "--a", "0"],
     ["reproduce", "rydberg", "--C", "0"],
@@ -411,12 +411,6 @@ BAD_ARGV = [
     ["verify", "duhamel", CNOT_PROBLEM, "--seed", "-1"],
     ["verify", "duhamel", CNOT_PROBLEM, "--trials", "0"],
     ["verify", "duhamel", CNOT_PROBLEM, "--trials", "-1"],
-    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
-     "--sigma-min", "5", "--sigma-max", "1"],
-    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
-     "--sigma-min", "1e9"],
-    ["bound", "hamiltonian", ISING_PROBLEM, "--method", "chebyshev",
-     "--sigma-max", "1e-9"],
     # non-finite model parameters
     ["reproduce", "rydberg", "--h", "nan"],
     ["reproduce", "rydberg", "--C", "inf"],
@@ -431,10 +425,12 @@ BAD_ARGV = [
     ["reproduce", "rydberg", "--N", "4", "--C", "1e-310"],
     ["reproduce", "swap", "--N", "4", "--J", "1e-320"],
     ["reproduce", "swap", "--N", "4", "--J", "1e308"],
+    ["reproduce", "syk", "--n-majorana", "6", "--mu", "1e308",
+     "--iterations", "1"],
     # a zero target Hamiltonian, refused alike by every numerator
     ["reproduce", "rydberg", "--N", "4", "--J", "0", "--g", "0", "--h", "0"],
     ["reproduce", "rydberg", "--N", "4", "--J", "0", "--g", "0", "--h", "0",
-     "--method", "chebyshev"],
+     "--method", "commutator"],
 ]
 
 _NAN, _INF = float("nan"), float("inf")
@@ -507,20 +503,16 @@ class TestBadInputExits2:
         path.write_text(json.dumps(problem))
         self._expect_exit_2(capsys, ["bound", target, str(path)])
 
-    @pytest.mark.parametrize("flag,value,open_end,k", [
-        ("--sigma-min", "1e-3", "sigma_max_est", 1),
-        ("--sigma-max", "50", "sigma_min_est", 0)])
-    def test_one_sided_interval_keeps_default_end(self, capsys, flag, value,
-                                                  open_end, k):
-        """A valid one-sided interval runs; the open end is the default
-        bounds.hamiltonian_speed_limit derives."""
-        code, report, _ = _run(capsys, ["bound", "hamiltonian", ISING_PROBLEM,
-                                        "--method", "chebyshev", flag, value,
-                                        "--json-only"])
-        assert code == 0
-        H = load_problem(ISING_PROBLEM).target_hamiltonian
-        default = _default_filter_interval(H, "linear")[k]
-        assert report["intermediates"][open_end] == default
+    @pytest.mark.parametrize("command", [
+        ["bound", "hamiltonian", ISING_PROBLEM], ["reproduce", "rydberg"],
+        ["reproduce", "syk", "--iterations", "1"]], ids=lambda argv: " ".join(
+            Path(a).name for a in argv))
+    def test_chebyshev_method_exits_2(self, capsys, command):
+        """The command line offers the exact and commutator numerators
+        only: chebyshev is a usage error before anything runs."""
+        code, report, err = _run(capsys, [*command, "--method", "chebyshev"])
+        assert code == 2 and report is None
+        assert "invalid choice: 'chebyshev'" in err
 
     def test_problem_too_large_for_discovery(self, capsys, tmp_path):
         """A 6-qubit file: discovery's stacked superoperator exceeds the
@@ -576,11 +568,11 @@ class TestBadInputExits2:
     def test_null_option_means_unset(self, tmp_path):
         path = tmp_path / "p.json"
         source = json.loads(Path(ISING_PROBLEM).read_text())
-        source["options"] = {"method": None, "degree": None}
+        source["options"] = {"method": None, "seed": None}
         path.write_text(json.dumps(source))
         spec = load_problem(str(path))
         assert spec.options["method"] == "exact"
-        assert spec.options["degree"] == 64
+        assert spec.options["seed"] == 0
 
 
 # Reports of successful commands, recorded before the commands were moved
@@ -593,17 +585,17 @@ PROBLEMS = str(resources.files("qsl") / "problems")
 
 class TestExactByDefault:
     """The exact numerator is the default at every dimension: above d = 64
-    the Chebyshev filter costs the same eigendecomposition and more, and
-    gives a looser bound."""
+    the library's Chebyshev filter costs the same eigendecomposition and
+    more, and gives a looser bound."""
 
     def test_reproduce_rydberg_n7(self, capsys):
         code, default, _ = _run(capsys, ["reproduce", "rydberg", "--N", "7",
                                          "--json-only"])
         assert code == 0 and default["projection_method"] == "exact"
-        code, cheb, _ = _run(capsys, ["reproduce", "rydberg", "--N", "7",
-                                      "--method", "chebyshev", "--json-only"])
-        assert code == 0 and cheb["projection_method"] == "chebyshev"
-        assert default["bound_time"] >= cheb["bound_time"]
+        b = rydberg_chain_model(7)
+        cheb = hamiltonian_speed_limit(b.target_hamiltonian, b.symmetry,
+                                       b.perturbation, method="chebyshev")
+        assert default["bound_time"] >= cheb.bound_time > 0
 
     def test_seven_qubit_problem_file(self, tmp_path):
         """A 7-qubit file (d = 128) defaults to exact.  Discovery caps the
@@ -622,34 +614,32 @@ class TestExactByDefault:
         assert spec.options["method"] == "exact"
         swap = Symmetry("linear", permutation_operator(
             [1, 0] + list(range(2, n)), [2] * n))
-        reports = {}
-        for method in (None, "chebyshev"):
-            opts = {**spec.options, "method": method}
-            reports[method] = _bound_pipeline(
-                spec.drift, spec.controls, None, spec.target_hamiltonian,
-                opts, swap)[0]
-        assert reports[None].projection_method == "exact"
-        assert reports["chebyshev"].projection_method == "chebyshev"
-        assert reports[None].bound_time >= reports["chebyshev"].bound_time > 0
+        rep = _bound_pipeline(spec.drift, spec.controls, None,
+                              spec.target_hamiltonian,
+                              {**spec.options, "method": None}, swap)[0]
+        assert rep.projection_method == "exact"
+        cheb = hamiltonian_speed_limit(spec.target_hamiltonian, swap,
+                                       rep.perturbation, method="chebyshev")
+        assert rep.bound_time >= cheb.bound_time > 0
 
 
-def test_rydberg_chebyshev_default_degree(capsys):
-    """Without --degree the library derives the filter degree for the
+def test_rydberg_chebyshev_default_degree():
+    """Without a degree the library derives the filter degree for the
     model's spectral estimates; the report is the one an explicit degree
-    gives, and the value recorded before the CLI stopped computing it."""
-    lo, hi = rydberg_chain_model(5).spectral_estimates
+    gives, and the value the command line reported while it offered the
+    method."""
+    b = rydberg_chain_model(5)
+    lo, hi = b.spectral_estimates
     degree = chebyshev_degree_for(1e-2, lo, hi)
-    argv = ["reproduce", "rydberg", "--N", "5", "--method", "chebyshev",
-            "--json-only"]
-    code, report, _ = _run(capsys, argv)
-    assert code == 0
-    assert report["intermediates"]["degree"] == degree
-    assert report["bound_time"] == pytest.approx(1.1519269942359252, rel=1e-9)
-    code, explicit, _ = _run(capsys, argv + ["--degree", str(degree)])
-    assert code == 0
-    report.pop("elapsed_seconds")
-    explicit.pop("elapsed_seconds")
-    assert report == explicit
+    reports = [hamiltonian_speed_limit(
+        b.target_hamiltonian, b.symmetry, b.perturbation, method="chebyshev",
+        drift=b.system.drift, sigma_min_est=lo, sigma_max_est=hi, **extra)
+        for extra in ({}, {"degree": degree})]
+    assert reports[0].intermediates["degree"] == degree
+    assert reports[0].bound_time == pytest.approx(1.1519269942359252,
+                                                  rel=1e-9)
+    assert reports[0].bound_time == reports[1].bound_time
+    assert reports[0].intermediates == reports[1].intermediates
 
 
 def _assert_report_matches(got, want, where="report"):
@@ -684,14 +674,20 @@ IGNORED_FLAGS = {
     ("symmetries", ISING_PROBLEM): ["--seed"],
     ("bound", "unitary", CNOT_PROBLEM): ["--method", "--degree", "--sigma-min",
                                          "--sigma-max"],
+    # the filter flags of the chebyshev numerator, which the command line
+    # no longer offers
+    ("bound", "hamiltonian", ISING_PROBLEM): ["--degree", "--sigma-min",
+                                              "--sigma-max"],
     ("reproduce", "cnot"): ["--N", "--J", "--C", "--a", "--h", "--mu",
                             "--n-majorana", "--iterations", "--method",
                             "--degree", "--seed"],
     ("reproduce", "swap"): ["--g", "--C", "--a", "--h", "--mu", "--n-majorana",
                             "--iterations", "--method", "--degree", "--seed"],
     ("reproduce", "rydberg"): ["--mu", "--n-majorana", "--iterations",
-                               "--seed"],
-    ("reproduce", "syk"): ["--N", "--J", "--g", "--C", "--a", "--h"],
+                               "--seed", "--degree", "--sigma-min",
+                               "--sigma-max"],
+    ("reproduce", "syk"): ["--N", "--J", "--g", "--C", "--a", "--h",
+                           "--degree", "--sigma-min", "--sigma-max"],
 }
 _FLAG_VALUES = {"--seed": "1", "--method": "exact", "--degree": "3",
                 "--sigma-min": "1", "--sigma-max": "2", "--N": "3", "--J": "1",
@@ -751,13 +747,16 @@ def test_python_dash_m_runs_commands():
 
 @pytest.mark.parametrize("argv", [
     ["reproduce", "cnot", "--g", "1e308"],
-    ["reproduce", "swap", "--N", "4", "--J", "1e308"]], ids=" ".join)
+    ["reproduce", "swap", "--N", "4", "--J", "1e308"],
+    ["reproduce", "syk", "--n-majorana", "6", "--mu", "1e308",
+     "--iterations", "1"]], ids=" ".join)
 def test_coupling_that_zeroes_the_bound_ends_in_one_error_line(argv):
     """At g = 1e308 the bound's denominator 16g overflows, so the bound
     would read 0 and the literature ratio divide by it; at J = 1e308 the
     hopping energies 2J cos(pi k/(N+1)) overflow, and their differences
-    would be inf - inf.  The model refuses the coupling before any of that,
-    with no numpy warning."""
+    would be inf - inf; at mu = 1e308 the SYK term (mu/4) Q² overflows.
+    The model refuses the coupling before any of that, with no numpy
+    warning."""
     done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli", *argv,
                      "--json-only")
     assert done.returncode != 0

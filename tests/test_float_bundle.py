@@ -15,7 +15,8 @@ import pytest
 
 import qsl.matcore
 from qsl.bounds import (
-    _default_filter_interval,
+    _filter_interval,
+    _sector_norm,
     chebyshev_degree_for,
     chebyshev_filter_bound,
     hamiltonian_speed_limit,
@@ -116,8 +117,8 @@ def test_defaulted_chebyshev_interval_reads_the_kernel_norm(monkeypatch):
     """A chebyshev bound with a defaulted interval reads ||H_s||_inf from
     its numerator's kernel: at N = 8 (d = 256) one pass over H_s, one
     eigvalsh and one eigh per reflection sector (136 and 120), and no
-    full-size decomposition.  Its interval is the one the CLI completes a
-    one-sided interval with, and its value that of the public filter."""
+    full-size decomposition.  Its interval is the default for the sector
+    norm of H_s, and its value that of the public filter."""
     b = rydberg_chain_model(8)
     seen = _count_passes(monkeypatch)
     calls = []
@@ -134,7 +135,7 @@ def test_defaulted_chebyshev_interval_reads_the_kernel_norm(monkeypatch):
                      ("eigh", (136, 136)), ("eigh", (120, 120))]
     monkeypatch.undo()
     inter = rep.intermediates
-    lo, hi = _default_filter_interval(b.target_hamiltonian, "linear")
+    lo, hi = _filter_interval(_sector_norm(b.target_hamiltonian), "linear")
     assert (inter["sigma_min_est"], inter["sigma_max_est"]) == (lo, hi)
     num, _ = chebyshev_filter_bound(b.target_hamiltonian, b.symmetry,
                                     int(inter["degree"]), lo, hi)

@@ -7,7 +7,6 @@ from qsl.lie import (
     _verify_commutation,
     commutant_basis,
     quadratic_symmetry_basis,
-    span_residual,
     symmetry_breaking_norm,
 )
 from qsl.matcore import (
@@ -23,7 +22,7 @@ from qsl.matcore import (
     spectral_gap_min,
 )
 from qsl.models import coupled_qubit_model, global_controls
-from conftest import random_hermitian
+from conftest import random_hermitian, span_residual
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -69,11 +68,12 @@ class TestCommutant:
                 overlap = np.trace(a.matrix.conj().T @ b.matrix).real
                 assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-8)
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), 0.0,
+                                     1.0, 5.0])
     @pytest.mark.parametrize("find", [commutant_basis, quadratic_symmetry_basis])
     def test_unusable_tolerance_rejected(self, find, tol):
         """Such a cut returns an empty basis: every commutant holds the
-        identity."""
+        identity.  At tol >= 1 no singular value exceeds tol · s_max."""
         with pytest.raises(ValidationError, match="rank tolerance"):
             find([X, Z], tol=tol)
 

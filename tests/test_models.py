@@ -196,6 +196,23 @@ class TestRydbergChain:
         assert rydberg_chain_model(4).references["trend_limit"] == pytest.approx(
             math.sqrt(2))
 
+    def test_negative_coupling_gives_the_estimates_of_its_size(self):
+        """||H_s|| <= |J|(N-1) + (|g| + |h|)N whatever the sign of J, so a
+        negative J gives the estimates of |J|, and a chebyshev bound taken
+        with them stays at most the exact one."""
+        from qsl.bounds import hamiltonian_speed_limit
+        neg = rydberg_chain_model(3, J=-1.5, g=1.0, h=0.0)
+        pos = rydberg_chain_model(3, J=1.5, g=1.0, h=0.0)
+        assert neg.spectral_estimates == pos.spectral_estimates
+        assert neg.references["hs_norm_bound"] == 1.5 * 2 + 1.0 * 3
+        assert operator_norm(neg.target_hamiltonian) <= 6.0
+        lo, hi = neg.spectral_estimates
+        args = (neg.target_hamiltonian, neg.symmetry, neg.perturbation)
+        cheb = hamiltonian_speed_limit(*args, method="chebyshev",
+                                       sigma_min_est=lo, sigma_max_est=hi)
+        exact = hamiltonian_speed_limit(*args)
+        assert 0 < cheb.bound_time <= exact.bound_time
+
     def test_spectral_estimates_cover_the_gap_spectrum(self):
         bundle = rydberg_chain_model(4)
         w = np.linalg.eigvalsh(bundle.target_hamiltonian)
@@ -299,6 +316,13 @@ class TestSykModel:
 
         best = optimize_symmetry(basis, objective, iterations=20, seed=5)
         assert objective(best) > 0
+
+    @pytest.mark.parametrize("mu", [1e308, -1e308])
+    def test_mu_whose_hamiltonian_leaves_float64_refused(self, mu):
+        """(mu/4) Q² overflows: refused, with no numpy warning."""
+        with np.errstate(all="raise"):
+            with pytest.raises(ValidationError, match="leave float64"):
+                syk_model(6, mu=mu)
 
 
 class TestPropagation:

@@ -245,7 +245,7 @@ def test_near_misses_take_the_matmul_path(rng, case):
         assert exact[3][0] == pytest.approx(got[3][0], rel=1e-12)
 
 
-@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("method", ["exact", "commutator"])
 @pytest.mark.parametrize("N", [4, 5, 6])
 def test_scorer_drops_the_permutation(N, method):
     """A scorer prepared with the Rydberg swap scores stacks of other

@@ -17,7 +17,17 @@ no particular U (the identity is reached at T = 0).
 The same oracle runs through the CLI pipeline, discovery, the symmetry
 search, restoration and the bound, on problem files whose target is a pulse
 sequence's U, and on the analytic T1b route, whose σ_min is measured.
+
+T2 has an oracle of the same kind.  Its value is invariant under
+H_s -> λ H_s, so it bounds no fixed simulation time; read as the time to
+reach the hardest point of the orbit {e^{-i H_s t} : t >= 0} (a
+reconstruction, see ``qsl.bounds``), it is at most the time in which the
+controls reach every point of a periodic orbit.  Drift X, control Z and
+H_s = X + uZ: the constant control u runs the orbit, whose period is
+τ_p = 2π/√(1 + u²).
 """
+
+import math
 
 import contextlib
 import io
@@ -26,9 +36,14 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qsl.bounds import single_control_bound, unitary_speed_limit
+from qsl.bounds import (
+    hamiltonian_speed_limit,
+    single_control_bound,
+    unitary_speed_limit,
+)
 from qsl.cli import matrix_to_json, run_command
 from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import PAULI, QslError
@@ -208,3 +223,70 @@ def test_analytic_bound_divides_by_the_measured_gap(seed, segments):
     rep = unitary_speed_limit(U, Symmetry("linear", Z), drift=X)
     assert rep.intermediates["sigma_min"] == 2.0
     assert rep.bound_time <= pulses.total_time * SLACK
+
+
+def _orbit(u):
+    """(drift X, control Z, H_s = X + uZ, the orbit's period τ_p)."""
+    X, Z = PAULI["X"], PAULI["Z"]
+    return X, Z, X + u * Z, 2 * math.pi / math.sqrt(1 + u * u)
+
+
+@given(u=st.floats(-3, 3), a=st.floats(-2, 2), b=st.floats(-2, 2),
+       degree=st.sampled_from([None, 1, 5, 64]))
+@settings(max_examples=60, deadline=None)
+def test_hamiltonian_bounds_never_exceed_the_orbit_period(u, a, b, degree):
+    """Every T2 bound, for every numerator, with the restored ΔH or the
+    analytic cap from the drift, and for every S = a·1 + b·Z of the
+    controls' commutant, is at most τ_p."""
+    X, Z, H_s, tau = _orbit(u)
+    S = Symmetry("linear", a * np.eye(2) + b * Z)
+    for method, extra in (("exact", {}), ("commutator", {}),
+                          ("chebyshev", {"degree": degree})):
+        _assert_sound(lambda: hamiltonian_speed_limit(
+            H_s, S, restore_symmetry(S, X), method=method,
+            **extra).bound_time, tau)
+        _assert_sound(lambda: hamiltonian_speed_limit(
+            H_s, S, method=method, drift=X, **extra).bound_time, tau)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, -1.7])
+def test_orbit_bound_closed_form(u):
+    """With S = Z, ΔH = -X: exact and commutator both give
+    1/(√2·√(1 + u²)), 0.6772855 against τ_p = 6.018 at u = 0.3, and
+    chebyshev stays below them."""
+    X, Z, H_s, tau = _orbit(u)
+    S = Symmetry("linear", Z)
+    pert = restore_symmetry(S, X)
+    closed = 1 / (math.sqrt(2) * math.sqrt(1 + u * u))
+    for method in ("exact", "commutator"):
+        rep = hamiltonian_speed_limit(H_s, S, pert, method=method)
+        assert rep.bound_time == pytest.approx(closed, rel=1e-12)
+    cheb = hamiltonian_speed_limit(H_s, S, pert, method="chebyshev")
+    assert cheb.bound_time <= closed * SLACK
+    assert closed < tau
+
+
+@pytest.mark.parametrize("method", ["exact", "commutator"])
+@pytest.mark.parametrize("u", [0.0, 0.3, -1.7])
+@pytest.mark.parametrize("search_seed", [0, 3])
+def test_cli_hamiltonian_bound_never_exceeds_the_orbit_period(method, u,
+                                                              search_seed):
+    """``bound hamiltonian`` discovers {1, Z}, searches their span and
+    restores: its bound is at most τ_p, and at most the closed form of
+    S = Z, the best S of the span, which the search comes close to."""
+    X, Z, H_s, tau = _orbit(u)
+    problem = {"qubits": 1, "drift": {"matrix": matrix_to_json(X)},
+               "controls": [{"matrix": matrix_to_json(Z)}],
+               "target": {"hamiltonian": {"matrix": matrix_to_json(H_s)}}}
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp) / "problem.json"
+        path.write_text(json.dumps(problem))
+        code = run_command(["bound", "hamiltonian", str(path), "--method",
+                            method, "--optimize-symmetry", "20", "--seed",
+                            str(search_seed), "--json-only"])
+    assert code == 0
+    bound = json.loads(out.getvalue())["bound_time"]
+    closed = 1 / (math.sqrt(2) * math.sqrt(1 + u * u))
+    assert bound <= tau
+    assert closed * (1 - 1e-4) <= bound <= closed * SLACK

@@ -35,11 +35,7 @@ from conftest import random_hermitian, random_unitary
 from test_bounds import optimize_symmetry_reference
 from test_cli import CNOT_PROBLEM, ISING_PROBLEM
 
-TARGETS = ["unitary", "exact", "commutator", "chebyshev"]
-# chebyshev filters, in units of max |eigenvalue of H_s|²: the defaults, an
-# explicit degree and interval, and an interval open at either end
-FILTERS = [{}, {"degree": 7, "sigma_min_est": 0.05, "sigma_max_est": 30.0},
-           {"sigma_min_est": 0.05}, {"degree": 3, "sigma_max_est": 30.0}]
+TARGETS = ["unitary", "exact", "commutator"]
 
 
 def _public_objective(H_d, U=None, H_s=None, **kwargs):
@@ -83,15 +79,13 @@ def _candidates(rng, kind, d, H_d):
 @given(kind=st.sampled_from(["linear", "quadratic"]),
        target=st.sampled_from(TARGETS), d=st.integers(2, 4),
        seed=st.integers(0, 2**32 - 1), real_drift=st.booleans(),
-       degenerate=st.booleans(), tol=st.sampled_from([None, 1e-6]),
-       filt=st.sampled_from(FILTERS))
+       degenerate=st.booleans(), tol=st.sampled_from([None, 1e-6]))
 @settings(max_examples=160, deadline=None)
 def test_scores_equal_the_public_bound(kind, target, d, seed, real_drift,
-                                       degenerate, tol, filt):
+                                       degenerate, tol):
     """kind x target x method: each row's value is the public bound at rel
     1e-10, and -inf exactly where the public path raises.  A degenerate
-    H_s has repeated eigenvalues, so the exact kernel has blocks; a
-    chebyshev numerator takes one of the filters of ``FILTERS``."""
+    H_s has repeated eigenvalues, so the exact kernel has blocks."""
     if kind == "quadratic":
         d = min(d, 3)
     rng = np.random.default_rng(seed)
@@ -110,10 +104,6 @@ def test_scores_equal_the_public_bound(kind, target, d, seed, real_drift,
     M = _candidates(rng, kind, d, H_d)
     kwargs = {} if target == "unitary" else {"method": target,
                                              "tol_degeneracy": tol}
-    if target == "chebyshev":
-        scale = float(np.max(np.abs(w))) ** 2
-        kwargs.update({k: v if k == "degree" else v * scale
-                       for k, v in filt.items()})
     scorer = _StackScorer(Symmetry(kind, M[0]), H_d, target_unitary=U,
                           target_hamiltonian=H_s, **kwargs)
     got = scorer(M)
@@ -148,29 +138,20 @@ def test_unrestored_rows_score_minus_inf(monkeypatch, kind):
 
 
 def test_scorer_refuses_every_row_where_the_problem_is_refused():
-    """A target of the wrong dimension, a zero H_s (commutator, and
-    chebyshev with its default interval) or a filter interval that is
-    inverted once its open end is filled raises on every row of the public
-    path: every row scores -inf."""
+    """A target of the wrong dimension, a zero H_s (commutator) or a
+    negative degeneracy cut raises on every row of the public path: every
+    row scores -inf."""
     rng = np.random.default_rng(3)
     H_d = random_hermitian(rng, 3)
     M = _candidates(rng, "linear", 3, H_d)
     like = Symmetry("linear", M[0])
-    zero, H_s = np.zeros((3, 3)), random_hermitian(rng, 3)
+    zero = np.zeros((3, 3))
     for scorer in (_StackScorer(like, H_d, target_unitary=np.eye(2)),
                    _StackScorer(like, H_d, target_hamiltonian=zero,
                                 method="commutator"),
                    _StackScorer(like, H_d, target_hamiltonian=np.eye(3),
                                 tol_degeneracy=-1.0)):
         assert np.isneginf(scorer(M)).all()
-    for H, kwargs in ((zero, {}), (H_s, {"sigma_min_est": 1e9}),
-                      (H_s, {"sigma_max_est": 1e-300})):
-        scorer = _StackScorer(like, H_d, target_hamiltonian=H,
-                              method="chebyshev", **kwargs)
-        assert np.isneginf(scorer(M)).all()
-        objective = _public_objective(H_d, H_s=H, method="chebyshev", **kwargs)
-        with pytest.raises(ValidationError):
-            objective(Symmetry("linear", M[0]))
 
 
 def _check_pipeline(H_d, controls, U, H_s, opts):
@@ -178,9 +159,7 @@ def _check_pipeline(H_d, controls, U, H_s, opts):
     the public objective."""
     rep, basis = _bound_pipeline(H_d, controls, U, H_s, opts)
     kwargs = {} if U is not None else {
-        "method": opts.get("method") or "exact", "degree": opts.get("degree"),
-        "sigma_min_est": opts.get("sigma_min"),
-        "sigma_max_est": opts.get("sigma_max"),
+        "method": opts.get("method") or "exact",
         "tol_degeneracy": opts.get("tol")}
     want = optimize_symmetry_reference(
         basis, _public_objective(H_d, U, H_s, **kwargs),
@@ -189,23 +168,11 @@ def _check_pipeline(H_d, controls, U, H_s, opts):
     return rep
 
 
-@pytest.mark.parametrize("method", ["exact", "commutator", "chebyshev"])
+@pytest.mark.parametrize("method", ["exact", "commutator"])
 def test_cli_search_on_ising3(method):
     spec = load_problem(ISING_PROBLEM)
     _check_pipeline(spec.drift, spec.controls, None, spec.target_hamiltonian,
                     {**spec.options, "method": method,
-                     "optimize_symmetry": 12, "seed": 2})
-
-
-@pytest.mark.parametrize("filt", [
-    {"degree": 40, "sigma_min": 0.5, "sigma_max": 40.0}, {"sigma_min": 0.5},
-    {"degree": 5, "sigma_max": 40.0}])
-def test_cli_chebyshev_search_on_ising3(filt):
-    """An explicit degree and interval, and an interval the CLI completes
-    at its open end: the reference optimiser's symmetry, bit for bit."""
-    spec = load_problem(ISING_PROBLEM)
-    _check_pipeline(spec.drift, spec.controls, None, spec.target_hamiltonian,
-                    {**spec.options, "method": "chebyshev", **filt,
                      "optimize_symmetry": 12, "seed": 2})
 
 
