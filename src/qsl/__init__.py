@@ -39,7 +39,6 @@ from .matcore import (
     PAULI,
     QslError,
     ValidationError,
-    adjoint_superoperator,
     commutator,
     devectorize,
     frobenius_norm,
@@ -104,7 +103,6 @@ __all__ = [
     "QslError",
     "Symmetry",
     "ValidationError",
-    "adjoint_superoperator",
     "chebyshev_degree_for",
     "chebyshev_filter_bound",
     "commutant_basis",

@@ -933,6 +933,7 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
                 t += len(batch) if hit < 0 else hit + 1
         step *= 0.25
 
-    if best is None:  # no candidate scored
-        best = basis[0].matrix / np.linalg.norm(basis[0].matrix)
+    if best is None:  # no candidate scored: the first row's candidate,
+        # formed in the stack's dtype as every candidate is
+        best = mats[0] / np.linalg.norm(mats[0])
     return Symmetry(kind, best, note="optimized")

@@ -62,6 +62,7 @@ from .matcore import (
     ValidationError,
     _frobenius,
     _qubit_product,
+    _square_sum,
     check_entry_cap,
     frobenius_norm,
     hermitian_part,
@@ -216,9 +217,11 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
         raise ProblemFormatError(f"{what}: dimension {M.shape[0]} does not "
                                  f"match the declared {dimension}")
     M = _checked(require_hermitian, M, what)
-    with np.errstate(over="ignore"):  # the overflow is what is checked
-        if not math.isfinite(frobenius_norm(M)):
-            raise ProblemFormatError(f"{what}: its Frobenius norm overflows")
+    # the commutation tests sum squares of entries, and past float64 they
+    # cannot tell whether a drift keeps a symmetry
+    if not math.isfinite(float(_square_sum(M))):
+        raise ProblemFormatError(f"{what}: the squares of its entries sum "
+                                 "past float64")
     return M
 
 

@@ -4,8 +4,7 @@ Everything downstream (symmetry discovery, perturbation construction, the
 speed-limit formulas) is built on the handful of primitives in this module:
 Hermitian/unitary validation, norms, eigendecomposition-based exponentials,
 Kronecker products, qubit tensor products built by index arithmetic,
-row-vectorization and the adjoint superoperator, and tensor-factor
-permutation operators.
+row-vectorization, and tensor-factor permutation operators.
 
 Matrices are plain ``numpy.ndarray`` values with float64 or complex128
 entries: a float64 input stays float64 (an exactly real operator such as the
@@ -51,9 +50,10 @@ GAP_RTOL = 1e-8        # eigenvalue clustering, relative to operator norm:
 # tightness; callers with sharper knowledge should pass estimates.
 DEFAULT_FILTER_CUT_REL = 2.5e-4
 
-# Guard for materialized superoperators (adjoint representations, the
-# quadratic restoration map).  Counts dense entries; the dense method does
-# not support larger problems, and no other method exists for them.
+# Guard for dense intermediates (symmetry discovery, counted as the stacked
+# adjoint superoperators, and the quadratic restoration map).  Counts dense
+# entries; the dense method does not support larger problems, and no other
+# method exists for them.
 DIMENSION_CAP = 2**20
 
 
@@ -296,23 +296,40 @@ def commutator(A, B) -> np.ndarray:
 
 
 def frobenius_norm(M) -> float:
-    return float(np.linalg.norm(as_operator(M)))
+    """||M||_F from ``np.linalg.norm``; a sum of squares that leaves
+    float64 is formed again with M scaled by its largest |entry|
+    (``_frobenius``), so every finite value is ``np.linalg.norm``'s."""
+    A = as_operator(M)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(A))
+    return norm if math.isfinite(norm) else float(_frobenius(A))
 
 
 def _square_sum(X: np.ndarray):
     """||X||²_F of a matrix, or of each matrix of a stack, with no temporary
     the size of X.  Each value is the dot product ``np.linalg.norm`` takes
     (real and imaginary parts apart), so a matrix gives the same float
-    alone as in any stack."""
+    alone as in any stack.  A sum past float64 is inf, with no warning."""
     f = X.reshape(X.shape[:-2] + (-1,))
     parts = (f.real, f.imag) if np.iscomplexobj(f) else (f,)
-    return sum((p[..., None, :] @ p[..., :, None])[..., 0, 0] for p in parts)
+    with np.errstate(over="ignore"):
+        return sum((p[..., None, :] @ p[..., :, None])[..., 0, 0]
+                   for p in parts)
 
 
 def _frobenius(X: np.ndarray):
     """||X||_F of a matrix, or of each matrix of a stack, from
-    ``_square_sum``."""
-    return np.sqrt(_square_sum(X))
+    ``_square_sum``.  Only where that sum leaves float64 is it formed again
+    from X scaled by its largest finite |entry|, as LAPACK's nrm2 scales,
+    so every other value stays the plain one bit for bit."""
+    norm = np.sqrt(_square_sum(X))
+    if np.isfinite(norm).all():
+        return norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.max(np.abs(X), axis=(-2, -1), initial=0.0)
+        scale = np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
+        scaled = scale * np.sqrt(_square_sum(X / scale[..., None, None]))
+    return np.where(np.isfinite(norm), norm, scaled)
 
 
 def _max_abs_eigenvalue(H: np.ndarray):
@@ -416,19 +433,6 @@ def devectorize(v) -> np.ndarray:
     if d * d != v.size:
         raise DimensionError(f"vector of length {v.size} is not a square matrix")
     return v.reshape(d, d)
-
-
-def adjoint_superoperator(H) -> np.ndarray:
-    """Matrix of Y ↦ [H, Y] on row-vectorized Y: H⊗1 - 1⊗Hᵀ.
-
-    Hermitian whenever H is, since the Hilbert-Schmidt inner product makes the
-    commutator map self-adjoint.
-    """
-    A = require_hermitian(H)
-    d = A.shape[0]
-    check_entry_cap(d**4)
-    eye = np.eye(d)
-    return np.kron(A, eye) - np.kron(eye, A.T)
 
 
 def _lift(Y: np.ndarray) -> np.ndarray:

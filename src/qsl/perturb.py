@@ -217,6 +217,9 @@ def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
     (keeps, ||[S, Hh]||_F, limit), one of each per matrix."""
     limit = _commuting_limit(s_frob, h_frob)
     breaking = _commutator_norm(S, Hh, kind, perm)
+    if not np.all(np.isfinite(breaking)):
+        raise ValidationError("||[S, H_d]||_F is not finite: whether the "
+                              "drift keeps S cannot be decided")
     return breaking <= limit, breaking, limit
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qsl import hermitize, operator_norm
-from qsl.matcore import GAP_RTOL, hermitian_part, kron, require_hermitian
+from qsl.matcore import (GAP_RTOL, TAU_RANK, hermitian_part, iota, kron,
+                         require_hermitian)
 
 
 @pytest.fixture
@@ -129,3 +130,109 @@ def span_residual(X, symmetries) -> float:
     cols = np.array([coordinates(s.matrix) for s in symmetries]).T
     coeffs, *_ = np.linalg.lstsq(cols, rhs, rcond=None)
     return float(np.linalg.norm(rhs - cols @ coeffs))
+
+
+def adjoint_superoperator(H) -> np.ndarray:
+    """Matrix of Y ↦ [H, Y] on row-vectorized Y: H⊗1 - 1⊗Hᵀ.
+
+    Hermitian whenever H is, since the Hilbert-Schmidt inner product makes
+    the commutator map self-adjoint.
+    """
+    A = require_hermitian(H)
+    eye = np.eye(A.shape[0])
+    return np.kron(A, eye) - np.kron(eye, A.T)
+
+
+def svd_nullspace(K, tol=TAU_RANK) -> list[np.ndarray]:
+    """Oracle: right nullspace vectors of K at a singular-value cut relative
+    to its largest singular value.  For a tall or square K the reduced
+    factorisation returns all of them; only a wide K needs the full one."""
+    if K.size == 0:
+        return []
+    _, s, Vh = np.linalg.svd(K, full_matrices=K.shape[0] < K.shape[1])
+    rank = int(np.sum(s > tol * s[0])) if s[0] > 0 else 0
+    return [Vh[i].conj() for i in range(rank, Vh.shape[0])]
+
+
+def svd_commutant(ops, quadratic=False, tol=TAU_RANK) -> np.ndarray:
+    """Oracle: an orthonormal Hermitian basis (a stack) of the commutant of
+    the controls, or of their lifts H⊗1 + 1⊗H, by the route that shares no
+    step with the library's: the SVD nullspace of the stacked adjoint
+    superoperators (k·n² × n²), split into Hermitian and antihermitian
+    parts and orthonormalised by an SVD of their real coordinates."""
+    ops = [np.asarray(require_hermitian(op), dtype=complex) for op in ops]
+    if quadratic:
+        ops = [iota(op) for op in ops]
+    n = ops[0].shape[0]
+    K = np.vstack([adjoint_superoperator(L) for L in ops])
+    herms = []
+    for v in svd_nullspace(K, tol):
+        M = v.reshape(n, n)
+        herms += [hermitize(M), (M - M.conj().T) / 2j]
+    if not herms:
+        return np.zeros((0, n, n), dtype=complex)
+    rows = np.array([np.concatenate([H.reshape(-1).real, H.reshape(-1).imag])
+                     for H in herms])
+    _, s, Vh = np.linalg.svd(rows, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0]))
+    return np.array([hermitize((r[:n * n] + 1j * r[n * n:]).reshape(n, n))
+                     for r in Vh[:rank]])
+
+
+def hermitian_units(n):
+    """The identity over √n, then the Hermitian matrix units in row-major
+    order of the upper triangle: E_aa, or (E_ab + E_ba)/√2 and then
+    i(E_ba - E_ab)/√2."""
+    yield np.eye(n) / np.sqrt(n)
+    for a in range(n):
+        for b in range(a, n):
+            E = np.zeros((n, n), dtype=complex)
+            if a == b:
+                E[a, a] = 1
+                yield E
+                continue
+            E[a, b] = E[b, a] = 1 / np.sqrt(2)
+            yield E.copy()
+            E[a, b], E[b, a] = -1j / np.sqrt(2), 1j / np.sqrt(2)
+            yield E
+
+
+def canonical_by_projector(basis) -> np.ndarray:
+    """Oracle: the span's canonical basis from its projector
+    Π = Σ vec(G)vec(G)† over an orthonormal basis G: each of
+    ``hermitian_units`` in turn is projected by Π and orthogonalised
+    (twice) against the elements kept, one at a time, and kept when more
+    than 1/(2n) of it remains."""
+    G = np.asarray(basis, dtype=complex)
+    p, n = G.shape[0], G.shape[-1]
+    vecs = G.reshape(p, -1)
+    P = vecs.T @ vecs.conj()
+    kept = []
+    for X in hermitian_units(n):
+        if len(kept) == p:
+            break
+        v = P @ X.reshape(-1)
+        for _ in range(2):
+            for q in kept:
+                v = v - q * np.vdot(q, v)
+        norm = np.linalg.norm(v)
+        if norm > 0.5 / n:
+            kept.append(v / norm)
+    return np.array([hermitize(v.reshape(n, n)) for v in kept])
+
+
+def relative_defects(mats, ops) -> np.ndarray:
+    """‖[L, M]‖_F / (‖L‖_F ‖M‖_F) for every matrix M and operator L; 0
+    for a zero L."""
+    return np.array([[np.linalg.norm(L @ M - M @ L)
+                      / (np.linalg.norm(L) * np.linalg.norm(M) or 1.0)
+                      for L in ops] for M in mats])
+
+
+def projector_distance(A, B) -> float:
+    """Largest entry of Π_A - Π_B for orthonormal bases A and B (stacks) of
+    two spans."""
+    def projector(G):
+        vecs = np.asarray(G, dtype=complex).reshape(len(G), -1)
+        return vecs.T @ vecs.conj()
+    return float(np.max(np.abs(projector(A) - projector(B))))

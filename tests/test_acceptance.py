@@ -26,7 +26,6 @@ from qsl.bounds import (
 from qsl.cli import run_command
 from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
-    adjoint_superoperator,
     commutator,
     frobenius_norm,
     hermitize,
@@ -46,7 +45,7 @@ from qsl.models import (
     syk_model,
 )
 from qsl.perturb import restore_symmetry
-from conftest import (evolution_from_identity_peak, random_hermitian, random_state,
+from conftest import (adjoint_superoperator, evolution_from_identity_peak, random_hermitian, random_state,
                       random_unitary, span_residual)
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -763,6 +764,23 @@ def test_coupling_that_zeroes_the_bound_ends_in_one_error_line(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ")
     assert done.stderr.count("\n") == 1 and "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("g", ["1e200", "1e300"])
+def test_coupling_past_the_squares_gives_a_finite_bound(g):
+    """At g = 1e200 the entries' squares leave float64 but the norms do
+    not: ||H_d||_F is summed again from the drift scaled by its largest
+    entry, so the bound is the closed form sqrt(2)/(4g), with no numpy
+    warning."""
+    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli",
+                     "reproduce", "cnot", "--g", g, "--json-only")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["bound_time"] == pytest.approx(
+        math.sqrt(2) / (4 * float(g)), rel=1e-12)
+    assert report["bound_time"] == pytest.approx(report["closed_form"],
+                                                 rel=1e-12)
 
 
 def test_non_finite_report_is_a_failed_computation(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qsl.matcore import (
     _kernel_mask,
     _lift,
     _near_cut,
-    adjoint_superoperator,
     as_operator,
     check_entry_cap,
     commutator,
@@ -38,8 +38,8 @@ from qsl.matcore import (
     require_unitary,
     row_vectorize,
 )
-from conftest import (clusters_by_loop, loop_labels, random_hermitian,
-                      random_unitary)
+from conftest import (adjoint_superoperator, clusters_by_loop, loop_labels,
+                      random_hermitian, random_unitary)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -77,6 +77,25 @@ class TestBasicOps:
     def test_frobenius_norm(self, rng):
         A = _rand_complex(rng, (7, 3))
         assert frobenius_norm(A) == pytest.approx(np.sqrt(np.trace(A.conj().T @ A).real))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e150, 1e200, 1e300])
+    def test_norms_past_the_squares_are_finite(self, rng, scale):
+        """Entries above about 1e154 have squares past float64: the norm is
+        summed again from the matrix scaled by its largest entry, with no
+        warning; a finite plain sum is kept bit for bit."""
+        A = _rand_complex(rng, (5, 5))
+        want = np.linalg.norm(A)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = frobenius_norm(scale * A)
+            stack = _frobenius(np.array([scale * A, A, scale * A.real]))
+        assert got == pytest.approx(scale * want, rel=1e-14)
+        assert stack[0] == got
+        assert stack[1] == _frobenius(A) == np.linalg.norm(A)
+        assert stack[2] == pytest.approx(scale * np.linalg.norm(A.real),
+                                         rel=1e-14)
+        if scale <= 1e150:
+            assert got == np.linalg.norm(scale * A)
 
     def test_operator_norm_hermitian_is_max_abs_eigenvalue(self):
         assert operator_norm(np.diag([1.0, -3.0, 2.0])) == pytest.approx(3.0)

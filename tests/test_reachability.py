@@ -290,3 +290,50 @@ def test_cli_hamiltonian_bound_never_exceeds_the_orbit_period(method, u,
     closed = 1 / (math.sqrt(2) * math.sqrt(1 + u * u))
     assert bound <= tau
     assert closed * (1 - 1e-4) <= bound <= closed * SLACK
+
+
+def _item1_targets():
+    """Drift Z0 Z1, controls X0 and Z0: three targets U, each reached by a
+    3-segment piecewise-constant pulse with N(0, 2²) amplitudes in a total
+    time T in [0.05, 0.6] (numpy seed 0)."""
+    X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
+    drift = np.kron(Z, Z)
+    controls = [np.kron(X, I2), np.kron(Z, I2)]
+    rng = np.random.default_rng(0)
+    targets = []
+    for _ in range(3):
+        T = float(rng.uniform(0.05, 0.6))
+        pulses = PulseSchedule(T / 3, 2.0 * rng.standard_normal((2, 3)))
+        targets.append((propagate_piecewise(ControlSystem(drift, controls),
+                                            pulses), pulses.total_time))
+    return drift, controls, targets
+
+
+@pytest.mark.parametrize("tol", ["0.5", "0.7", "0.8"])
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_large_rank_tolerance_never_exceeds_a_reaching_time(kind, tol):
+    """A rank cut that lets non-null directions into the nullspace once
+    listed 12 linear "symmetries" at tol 0.8 (4 are true) and bounds up to
+    563 times the pulse time.  Discovery now re-checks every element at a
+    rounding-level defect that no tol widens, and refuses (exit 1) what
+    fails it; a bound that does follow stays at most T."""
+    drift, controls, targets = _item1_targets()
+    for U, T in targets:
+        problem = {"qubits": 2, "drift": {"matrix": matrix_to_json(drift)},
+                   "controls": [{"matrix": matrix_to_json(C)}
+                                for C in controls],
+                   "target": {"unitary": {"matrix": matrix_to_json(U)}}}
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            path = Path(tmp) / "problem.json"
+            path.write_text(json.dumps(problem))
+            code = run_command(["bound", "unitary", str(path), "--kind", kind,
+                                "--optimize-symmetry", "5", "--tol", tol,
+                                "--json-only"])
+        assert code in (0, 1), err.getvalue()
+        if code == 0:
+            bound = json.loads(out.getvalue())["bound_time"]
+            assert bound <= T * SLACK, (bound, T)
+        else:
+            assert err.getvalue().count("\n") == 1
