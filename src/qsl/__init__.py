@@ -14,6 +14,7 @@ from __future__ import annotations
 from .bounds import (
     BoundReport,
     ChebyshevFilter,
+    bound,
     chebyshev_degree_for,
     chebyshev_filter_bound,
     hamiltonian_speed_limit,
@@ -49,11 +50,10 @@ from .matcore import (
     operator_norm,
     permutation_operator,
     row_vectorize,
-    spectral_gap_min,
 )
 from .models import (
-    ControlSystem,
     ModelBundle,
+    Problem,
     PulseSchedule,
     coupled_qubit_model,
     global_controls,
@@ -72,9 +72,8 @@ __version__ = "0.1.0"
 
 # The command-line names resolve on first use, so that ``python -m qsl.cli``
 # does not find ``qsl.cli`` already imported by the package.
-_CLI_NAMES = frozenset({"PauliParseError", "ProblemFormatError", "ProblemSpec",
-                        "load_problem", "main", "parse_pauli_expression",
-                        "run_command"})
+_CLI_NAMES = frozenset({"PauliParseError", "ProblemFormatError", "load_problem",
+                        "main", "parse_pauli_expression", "run_command"})
 
 
 def __getattr__(name: str):
@@ -88,7 +87,6 @@ __all__ = [
     "BoundReport",
     "ChebyshevFilter",
     "ConditioningError",
-    "ControlSystem",
     "DIMENSION_CAP",
     "DimensionCapError",
     "DimensionError",
@@ -97,12 +95,13 @@ __all__ = [
     "PAULI",
     "PauliParseError",
     "Perturbation",
+    "Problem",
     "ProblemFormatError",
-    "ProblemSpec",
     "PulseSchedule",
     "QslError",
     "Symmetry",
     "ValidationError",
+    "bound",
     "chebyshev_degree_for",
     "chebyshev_filter_bound",
     "commutant_basis",
@@ -137,7 +136,6 @@ __all__ = [
     "rydberg_chain_model",
     "single_control_bound",
     "site_sum",
-    "spectral_gap_min",
     "symmetry_breaking_norm",
     "syk_model",
     "uniform_speed_limit",

@@ -64,13 +64,9 @@ open chain such as the Rydberg H_s) is decomposed, and its norm read, sector
 by sector: two half-size eigendecompositions in place of one, about a
 quarter of the work.
 
-``optimize_symmetry`` searches the span of a symmetry basis.  The CLI scores
-its candidates with ``_StackScorer``, for every target and for the exact
-and commutator numerators, the CLI's two methods: the problem is prepared
-once per request and each stack of candidates takes one stacked
-restoration (``perturb._restore_rows``), one stacked ``eigvalsh`` for
-||ΔH||_inf and one stacked numerator, through the same helpers as the
-public functions, so that each candidate's value equals theirs.
+``bound`` runs discover → choose → restore → bound on a ``models.Problem``
+for the command line and the library alike; ``optimize_symmetry`` chooses,
+scoring stacks of candidates with a ``_StackScorer``.
 """
 
 from __future__ import annotations
@@ -81,7 +77,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lie import Symmetry, _breaking_norm, symmetry_breaking_norm
+from .lie import (
+    Symmetry,
+    _breaking_norm,
+    _verify_commutation,
+    commutant_basis,
+    quadratic_symmetry_basis,
+    symmetry_breaking_norm,
+)
 from .matcore import (
     ConditioningError,
     DEFAULT_FILTER_CUT_REL,
@@ -96,6 +99,7 @@ from .matcore import (
     _diagonal_norm,
     _frobenius,
     _kernel_mask,
+    _lift,
     _max_abs_eigenvalue,
     _near_cut,
     _times_symmetry,
@@ -108,6 +112,7 @@ from .matcore import (
 from .perturb import (
     Perturbation,
     _commuting_limit,
+    _keeps_symmetry,
     _quadratic_setup,
     _restore_rows,
     perturbation_norm_bound,
@@ -116,7 +121,7 @@ from .perturb import (
 
 DEFAULT_FILTER_EPS = 1e-2
 DEFAULT_MAX_DEGREE = 20000
-# the one refusal of ||ΔH||_inf = 0, raised by every bound and the CLI
+# the one refusal of ||ΔH||_inf = 0, raised by every bound
 _DRIFT_KEEPS_SYMMETRY = ("symmetry already commutes with the drift; no time "
                          "bound follows")
 
@@ -132,6 +137,7 @@ class BoundReport:
     symmetry: Symmetry | None = None
     perturbation: Perturbation | None = None
     warnings: list[str] = field(default_factory=list)
+    basis_size: int | None = None  # ``bound``'s basis; None if S was given
 
 
 @dataclass(frozen=True)
@@ -843,7 +849,7 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
     scoring one at a time, and the same values choose the same symmetry.
     Each candidate's matrix is summed as a lone candidate's would be, bit
     for bit.  A plain callable is scored one row at a time and is called
-    exactly once per candidate.  The CLI passes a private ``_StackScorer``
+    exactly once per candidate.  ``bound`` passes a private ``_StackScorer``
     instead, which takes refinement trials ``_REFINE_CHUNK`` at a time (a
     few trials after the first gain are scored in vain).
     """
@@ -937,3 +943,72 @@ def optimize_symmetry(basis: list[Symmetry], objective, iterations: int = 200,
         # formed in the stack's dtype as every candidate is
         best = mats[0] / np.linalg.norm(mats[0])
     return Symmetry(kind, best, note="optimized")
+
+
+_KINDS = ("linear", "quadratic")
+_METHODS = ("exact", "commutator")
+
+
+def _symmetry_basis(controls, kind: str, tol) -> list[Symmetry]:
+    """The basis of ``kind``, at the default cut for tol None."""
+    discover = (quadratic_symmetry_basis if kind == "quadratic"
+                else commutant_basis)
+    return discover(controls) if tol is None else discover(controls, tol)
+
+
+def _searched_symmetry(problem, basis, numerator, iterations, seed):
+    """``optimize_symmetry``'s choice, scored by a ``_StackScorer``, and
+    re-checked against the (lifted) controls, as a combination of the basis.
+    A drift that keeps the whole basis is refused once, before the search."""
+    H_d = problem.drift
+    S = np.array([s.matrix for s in basis])
+    if _keeps_symmetry(basis[0].kind, S, _frobenius(S), hermitian_part(H_d),
+                       frobenius_norm(H_d))[0].all():
+        raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
+    chosen = optimize_symmetry(basis, _StackScorer(
+        basis[0], H_d, target_unitary=problem.target_unitary,
+        target_hamiltonian=problem.target_hamiltonian, **numerator),
+        iterations=iterations, seed=seed)
+    L = np.array(problem.controls)
+    _verify_commutation([chosen.matrix],
+                        _lift(L) if chosen.kind == "quadratic" else L)
+    return chosen
+
+
+def bound(problem, *, kind: str | None = None, method: str | None = "exact",
+          tol: float | None = None, optimize_symmetry: int = 0,
+          seed: int = 0) -> BoundReport:
+    """The speed limit of a ``models.Problem``'s one target by the command
+    line's pipeline and defaults: discover → choose → restore → bound.
+
+    Without the problem's S, the basis of ``kind`` (default quadratic for a
+    unitary target, else linear) is searched with ``optimize_symmetry``
+    random directions from ``seed``, and the choice re-checked against the
+    controls; without its ΔH, S is restored.  ``method`` (exact or
+    commutator) is a Hamiltonian target's numerator; ``tol`` discovery's
+    rank cut and the exact numerator's cluster cut.  None keeps a default.
+    """
+    method = method or "exact"
+    if kind not in (None, *_KINDS) or method not in _METHODS:
+        raise ValidationError(f"bound takes kind {_KINDS} and method "
+                              f"{_METHODS}, got {kind!r}, {method!r}")
+    U, H_s = problem.target_unitary, problem.target_hamiltonian
+    if U is None and H_s is None:
+        raise ValidationError("the problem has no target to bound")
+    numerator = {} if U is not None else {"method": method,
+                                          "tol_degeneracy": tol}
+    symmetry, basis = problem.symmetry, None
+    if symmetry is None:
+        basis = _symmetry_basis(problem.controls, kind or (
+            "quadratic" if U is not None else "linear"), tol)
+        symmetry = _searched_symmetry(problem, basis, numerator,
+                                      optimize_symmetry, seed)
+    H_d, perturbation = problem.drift, problem.perturbation
+    if perturbation is None:
+        perturbation = restore_symmetry(symmetry, H_d)
+    # given the drift, a linear S's unitary limit adds its analytic variant
+    rep = (unitary_speed_limit(U, symmetry, perturbation, drift=H_d)
+           if U is not None else hamiltonian_speed_limit(
+               H_s, symmetry, perturbation, drift=H_d, **numerator))
+    rep.basis_size = None if basis is None else len(basis)
+    return rep

@@ -8,27 +8,13 @@ and a short human summary on stderr; exit codes are 0 (success), 1
 malformed Pauli expression, a NaN or infinite number, a bad option value, a
 model parameter the model rejects, input too large for the dense method).
 
-``bound`` and every ``reproduce`` model run one pipeline, discover → choose
-→ restore → bound: a symmetry basis of the controls, the combination that
-``optimize_symmetry`` rates best, the minimal drift change ΔH restoring it,
-the speed limit.  The search rates each candidate by the last two steps
-through ``bounds._StackScorer``, for every target and method, prepared
-once per request and fed a stack of candidates at a time, which gives each
-the value the public functions give it.  The cnot, swap and rydberg models
-bring their own symmetry and ΔH.  Each command takes only the flags it
-reads.  Option keys,
-one schema for the problem files of every command (a flag of the same name
-overrides the file; ``reproduce syk`` passes ``--iterations`` as
-``optimize_symmetry``):
-``kind`` linear or quadratic (default quadratic for a unitary target, else
-linear); ``method`` exact or commutator (default exact: the library's
-chebyshev numerator is exact's eigenframe with a weight of at most 1 on
-each entry, so it costs what exact costs and is never the tighter, and the
-command line does not offer it); ``tol`` in (0, 1), both the relative
-nullspace cut of symmetry discovery and the absolute eigenvalue-cluster cut
-of the exact numerator;
-``seed``, ``optimize_symmetry`` seed and random directions of the symmetry
-search, >= 0.
+``load_problem`` reads a file into a ``models.Problem``, its options and its
+source; ``bound`` and every ``reproduce`` model are one ``bounds.bound`` call
+plus JSON.  Each command takes only the flags it reads.  The option keys are
+``bounds.bound``'s keywords, one schema for every command's problem files (a
+flag of the same name overrides the file; ``reproduce syk`` passes
+``--iterations`` as ``optimize_symmetry``); ``method`` is exact or
+commutator, as chebyshev costs what exact costs and is never the tighter.
 
 Run as ``qsl ...`` once installed, or as ``python -m qsl ...``.
 """
@@ -42,39 +28,34 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import (
-    _DRIFT_KEEPS_SYMMETRY,
-    _StackScorer,
-    hamiltonian_speed_limit,
-    optimize_symmetry,
+    _KINDS,
+    _METHODS,
+    _symmetry_basis,
+    bound,
     uniform_speed_limit,
-    unitary_speed_limit,
 )
-from .lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from .matcore import (
     DimensionCapError,
+    DimensionError,
     PAULI,
     QslError,
     ValidationError,
-    _frobenius,
     _qubit_product,
     _square_sum,
     check_entry_cap,
-    frobenius_norm,
-    hermitian_part,
     hermitize,
     operator_norm,
     permutation_operator,
     require_hermitian,
-    require_unitary,
 )
 from .models import (
-    ControlSystem,
+    Problem,
     PulseSchedule,
+    _part,
     coupled_qubit_model,
     global_controls,
     hopping_chain_model,
@@ -82,7 +63,6 @@ from .models import (
     rydberg_chain_model,
     syk_model,
 )
-from .perturb import _keeps_symmetry, restore_symmetry
 
 
 class ProblemFormatError(QslError):
@@ -172,20 +152,6 @@ def parse_pauli_expression(text: str, n_qubits: int) -> np.ndarray:
     return total
 
 
-@dataclass
-class ProblemSpec:
-    """A fully validated problem file with defaults filled in."""
-
-    dimension: int
-    qubits: int | None
-    drift: np.ndarray
-    controls: list[np.ndarray]
-    target_unitary: np.ndarray | None
-    target_hamiltonian: np.ndarray | None
-    options: dict
-    source: dict
-
-
 def matrix_to_json(M: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in M]
 
@@ -199,10 +165,12 @@ def _matrix_from_json(obj, what: str) -> np.ndarray:
     if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
         raise ProblemFormatError(f"{what}: expected a square nested array of "
                                  "[re, im] pairs")
+    if not np.isfinite(arr).all():
+        raise ProblemFormatError(f"{what}: matrix has non-finite entries")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
+def _hamiltonian_from_spec(obj, qubits, what: str) -> np.ndarray:
     if not isinstance(obj, dict) or len(set(obj) & {"pauli", "matrix"}) != 1:
         raise ProblemFormatError(f"{what}: expected exactly one of "
                                  "{'pauli': ...} or {'matrix': ...}")
@@ -213,28 +181,12 @@ def _hamiltonian_from_spec(obj, qubits, dimension, what: str) -> np.ndarray:
         M = parse_pauli_expression(obj["pauli"], qubits)
     else:
         M = _matrix_from_json(obj["matrix"], what)
-    if M.shape[0] != dimension:
-        raise ProblemFormatError(f"{what}: dimension {M.shape[0]} does not "
-                                 f"match the declared {dimension}")
-    M = _checked(require_hermitian, M, what)
     # the commutation tests sum squares of entries, and past float64 they
     # cannot tell whether a drift keeps a symmetry
     if not math.isfinite(float(_square_sum(M))):
         raise ProblemFormatError(f"{what}: the squares of its entries sum "
                                  "past float64")
     return M
-
-
-def _checked(check, M: np.ndarray, what: str) -> np.ndarray:
-    """check(M); a matrix it rejects is bad input."""
-    try:
-        return check(M)
-    except (QslError, ValueError) as exc:
-        raise ProblemFormatError(f"{what}: {exc}") from None
-
-
-_METHODS = ("exact", "commutator")
-_KINDS = ("linear", "quadratic")
 
 
 def _int_at_least(low: int):
@@ -270,20 +222,17 @@ def _checked_options(options: dict) -> dict:
     return options
 
 
-def _named_unitary(name: str, dimension: int) -> np.ndarray:
+def _named_unitary(name: str) -> np.ndarray:
     if name == "CNOT":
-        if dimension != 4:
-            raise ProblemFormatError("CNOT needs dimension 4")
         return np.eye(4, dtype=complex)[[0, 1, 3, 2]]
     if name == "SWAP":
-        if dimension != 4:
-            raise ProblemFormatError("SWAP (two-qubit gate) needs dimension 4")
         return permutation_operator([1, 0], [2, 2])
     raise ProblemFormatError(f"unknown named unitary {name!r}")
 
 
-def load_problem(path: str) -> ProblemSpec:
-    """Parse and validate a problem file; fills option defaults."""
+def load_problem(path: str) -> tuple[Problem, dict, dict]:
+    """A problem file's ``Problem``, its options (``bounds.bound``'s
+    keywords) with defaults filled in, and the file with those options."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -313,11 +262,14 @@ def load_problem(path: str) -> ProblemSpec:
 
     if "drift" not in data:
         raise ProblemFormatError("missing 'drift'")
-    drift = _hamiltonian_from_spec(data["drift"], qubits, dimension, "drift")
+    drift = _hamiltonian_from_spec(data["drift"], qubits, "drift")
+    if drift.shape[0] != dimension:  # Problem matches each part to the drift
+        raise ProblemFormatError(f"drift: dimension {drift.shape[0]} does not "
+                                 f"match the declared {dimension}")
     controls_spec = data.get("controls")
     if not isinstance(controls_spec, list) or not controls_spec:
         raise ProblemFormatError("'controls' must be a nonempty list")
-    controls = [_hamiltonian_from_spec(c, qubits, dimension, f"controls[{k}]")
+    controls = [_hamiltonian_from_spec(c, qubits, f"controls[{k}]")
                 for k, c in enumerate(controls_spec)]
 
     target = data.get("target")
@@ -330,16 +282,11 @@ def load_problem(path: str) -> ProblemSpec:
         if not isinstance(u, dict) or len(set(u) & {"named", "matrix"}) != 1:
             raise ProblemFormatError("target unitary needs exactly one of "
                                      "'named' or 'matrix'")
-        if "named" in u:
-            target_u = _named_unitary(str(u["named"]), dimension)
-        else:
-            M = _matrix_from_json(u["matrix"], "target unitary")
-            if M.shape[0] != dimension:
-                raise ProblemFormatError("target unitary dimension mismatch")
-            target_u = _checked(require_unitary, M, "target unitary")
+        target_u = (_named_unitary(str(u["named"])) if "named" in u else
+                    _matrix_from_json(u["matrix"], "target unitary"))
     else:
         target_h = _hamiltonian_from_spec(target["hamiltonian"], qubits,
-                                          dimension, "target hamiltonian")
+                                          "target hamiltonian")
 
     options = data.get("options")
     if options is None:
@@ -353,13 +300,15 @@ def load_problem(path: str) -> ProblemSpec:
         "method": "exact", "seed": 0, "optimize_symmetry": 0,
         **{k: v for k, v in options.items() if v is not None}})
 
+    problem = _build(Problem, drift, controls, target_u, target_h)
+    if target_h is not None:  # which Problem leaves to the bound
+        _build(_part, "target hamiltonian", require_hermitian, target_h)
     source = {
         "qubits": qubits, "dimension": dimension, "drift": data["drift"],
         "controls": data["controls"], "target": data["target"],
         "options": options,
     }
-    return ProblemSpec(dimension, qubits, drift, controls, target_u, target_h,
-                       options, source)
+    return problem, options, source
 
 
 def _merge_options(base: dict, args) -> dict:
@@ -384,21 +333,14 @@ def _bound_report_dict(rep) -> dict:
     return out
 
 
-def _symmetry_basis(controls, kind: str, tol) -> list[Symmetry]:
-    kwargs = {} if tol is None else {"tol": tol}
-    if kind == "quadratic":
-        return quadratic_symmetry_basis(controls, **kwargs)
-    return commutant_basis(controls, **kwargs)
-
-
 def cmd_symmetries(args) -> dict:
-    spec = load_problem(args.problem)
-    opts = _merge_options(spec.options, args)
+    problem, options, source = load_problem(args.problem)
+    opts = _merge_options(options, args)
     kinds = [opts["kind"]] if opts.get("kind") else list(_KINDS)
-    report: dict = {"inputs": spec.source, "symmetries": {}}
+    report: dict = {"inputs": source, "symmetries": {}}
     for kind in kinds:
         try:
-            basis = _symmetry_basis(spec.controls, kind, opts.get("tol"))
+            basis = _symmetry_basis(problem.controls, kind, opts.get("tol"))
         except DimensionCapError as exc:
             report["symmetries"][kind] = {"skipped": str(exc)}
             continue
@@ -409,79 +351,31 @@ def cmd_symmetries(args) -> dict:
     return report
 
 
-def _bound_pipeline(H_d, controls, target_unitary, target_hamiltonian, opts,
-                    symmetry=None, perturbation=None):
-    """Bound for the one target that is not None: discover → choose →
-    restore → bound.  A given ``symmetry`` skips discovery and choice, a given
-    ``perturbation`` restoration.  The choice scores candidates with a
-    ``_StackScorer`` built here from the keywords of the bound.  Returns the
-    report and the basis, if any.
-    """
-    unitary = target_unitary is not None
-    kind = opts.get("kind") or ("quadratic" if unitary else "linear")
-    # hamiltonian_speed_limit's numerator keywords
-    kwargs = {} if unitary else {"method": opts.get("method") or "exact",
-                                 "tol_degeneracy": opts.get("tol")}
-
-    basis = None
-    if symmetry is None:
-        basis = _symmetry_basis(controls, kind, opts.get("tol"))
-        # a drift that keeps every basis element keeps every combination:
-        # refuse once, before the search scores each candidate by refusing it
-        S = np.array([s.matrix for s in basis])
-        if _keeps_symmetry(kind, S, _frobenius(S), hermitian_part(H_d),
-                           frobenius_norm(H_d))[0].all():
-            raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
-        objective = _StackScorer(basis[0], H_d, target_unitary=target_unitary,
-                                 target_hamiltonian=target_hamiltonian,
-                                 **kwargs)
-        symmetry = optimize_symmetry(basis, objective,
-                                     iterations=opts["optimize_symmetry"],
-                                     seed=opts["seed"])
-    if perturbation is None:
-        perturbation = restore_symmetry(symmetry, H_d)
-    # the bound gets the drift: with a linear symmetry the unitary limit
-    # then adds its analytic variant to the intermediates
-    if unitary:
-        return unitary_speed_limit(target_unitary, symmetry, perturbation,
-                                   drift=H_d), basis
-    return hamiltonian_speed_limit(target_hamiltonian, symmetry, perturbation,
-                                   drift=H_d, **kwargs), basis
-
-
 def cmd_bound(args) -> dict:
-    spec = load_problem(args.problem)
+    problem, options, source = load_problem(args.problem)
     unitary = args.target_kind == "unitary"
-    if (spec.target_unitary if unitary else spec.target_hamiltonian) is None:
+    if (problem.target_unitary if unitary
+            else problem.target_hamiltonian) is None:
         raise ProblemFormatError(
             f"'bound {args.target_kind}' needs a "
             f"{'unitary' if unitary else 'Hamiltonian'} target")
-    rep, basis = _bound_pipeline(spec.drift, spec.controls, spec.target_unitary,
-                                 spec.target_hamiltonian,
-                                 _merge_options(spec.options, args))
-    return {"inputs": spec.source, "symmetry_kind": rep.symmetry.kind,
-            "symmetry_count": len(basis), **_bound_report_dict(rep),
+    rep = bound(problem, **_merge_options(options, args))
+    return {"inputs": source, "symmetry_kind": rep.symmetry.kind,
+            "symmetry_count": rep.basis_size, **_bound_report_dict(rep),
             "uniform_bound": uniform_speed_limit(rep.perturbation)}
 
 
 def _build(builder, *args, **kwargs):
-    """Call a model builder; a parameter it rejects is bad input."""
+    """Call a model builder or a check; an input it rejects is bad input."""
     try:
         return builder(*args, **kwargs)
-    except ValidationError as exc:
+    except (DimensionError, ValidationError) as exc:
         raise ProblemFormatError(str(exc)) from None
-
-
-def _model_bound(bundle, opts):
-    """Bound for a model bundle with its own symmetry and perturbation."""
-    return _bound_pipeline(bundle.system.drift, bundle.system.controls,
-                           bundle.target_unitary, bundle.target_hamiltonian,
-                           opts, bundle.symmetry, bundle.perturbation)[0]
 
 
 def _reproduce_cnot(args) -> dict:
     bundle = _build(coupled_qubit_model, args.g)
-    rep = _model_bound(bundle, {})
+    rep = bound(bundle)
     refs = bundle.references
     return {"parameters": {"g": args.g}, **_bound_report_dict(rep),
             "closed_form": refs["bound_time"],
@@ -495,22 +389,21 @@ def _reproduce_swap(args) -> dict:
     # The paper's closed form, term by term: the overlap form of the
     # breaking norm over the 3 pi² J/N² bound on the restored gap.  It lies
     # below the exact bound of the same symmetry and perturbation.
-    bound = refs["breaking_norm"] / (2.0 * sym.frobenius
-                                     * refs["gap_over_bound"])
+    closed = refs["breaking_norm"] / (2.0 * sym.frobenius
+                                      * refs["gap_over_bound"])
     return {"parameters": {"N": args.N, "J": args.J},
-            "bound_time": bound, "theorem": "T1b",
+            "bound_time": closed, "theorem": "T1b",
             "closed_form": refs["closed_form"],
-            "bound_time_exact": _model_bound(bundle, {}).bound_time,
+            "bound_time_exact": bound(bundle).bound_time,
             "intermediates": {"symmetry_frobenius": sym.frobenius, **{
                 k: refs[k] for k in ("breaking_norm", "breaking_norm_exact",
                                      "gap_over_bound", "delta_h_op_norm")}}}
 
 
 def _reproduce_rydberg(args) -> dict:
-    opts = _merge_options({}, args)
     params = {k: getattr(args, k) for k in ("N", "C", "a", "J", "h", "g")}
     bundle = _build(rydberg_chain_model, **params)
-    rep = _model_bound(bundle, opts)
+    rep = bound(bundle, **_merge_options({}, args))
     refs = bundle.references
     return {"parameters": params, **_bound_report_dict(rep),
             "delta_h_closed_form": refs["delta_h_closed_form"],
@@ -518,13 +411,13 @@ def _reproduce_rydberg(args) -> dict:
 
 
 def _reproduce_syk(args) -> dict:
-    opts = _merge_options({"optimize_symmetry": args.iterations}, args)
     n = args.n_majorana
     H = _build(syk_model, n, seed=args.seed, mu=args.mu)
-    rep, basis = _bound_pipeline(H, global_controls(n // 2), None, H, opts)
+    rep = bound(Problem(H, global_controls(n // 2), target_hamiltonian=H),
+                **_merge_options({"optimize_symmetry": args.iterations}, args))
     return {"parameters": {"n_majorana": n, "seed": args.seed,
                            "mu": args.mu, "iterations": args.iterations},
-            "commutant_dimension": len(basis), **_bound_report_dict(rep)}
+            "commutant_dimension": rep.basis_size, **_bound_report_dict(rep)}
 
 
 # model name -> (report function, the flags it reads with their defaults)
@@ -546,29 +439,28 @@ def cmd_verify_duhamel(args) -> dict:
     if args.trials < 1:
         raise ProblemFormatError(
             f"--trials must be an integer >= 1, got {args.trials}")
-    spec = load_problem(args.problem)
-    system = ControlSystem(spec.drift, spec.controls, label="duhamel-check")
-    rng = np.random.default_rng(_merge_options(spec.options, args)["seed"])
-    d = system.dimension
+    problem, options, source = load_problem(args.problem)
+    rng = np.random.default_rng(_merge_options(options, args)["seed"])
+    d = problem.dimension
     violations = 0
     worst = -math.inf
     for _ in range(args.trials):
         raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         dH = hermitize(raw)
-        dH *= rng.uniform(0.05, 0.5) * max(1.0, operator_norm(system.drift)) \
+        dH *= rng.uniform(0.05, 0.5) * max(1.0, operator_norm(problem.drift)) \
             / max(operator_norm(dH), 1e-12)
         segments = int(rng.integers(1, 9))
         schedule = PulseSchedule(float(rng.uniform(0.05, 0.5)),
-                                 rng.standard_normal((len(system.controls),
+                                 rng.standard_normal((len(problem.controls),
                                                       segments)))
-        perturbed = ControlSystem(system.drift + dH, system.controls)
-        lhs = operator_norm(propagate_piecewise(system, schedule)
+        perturbed = Problem(problem.drift + dH, problem.controls)
+        lhs = operator_norm(propagate_piecewise(problem, schedule)
                             - propagate_piecewise(perturbed, schedule))
         rhs = schedule.total_time * operator_norm(dH) + 1e-6
         worst = max(worst, lhs - rhs)
         if lhs > rhs:
             violations += 1
-    report = {"inputs": spec.source, "trials": args.trials,
+    report = {"inputs": source, "trials": args.trials,
               "violations": violations, "max_lhs_minus_rhs": worst}
     if violations:
         report["_exit"] = 1

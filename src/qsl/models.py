@@ -1,11 +1,11 @@
-"""Reference physical systems with their analytic quantities.
+"""Control problems (``Problem``) and reference physical systems.
 
 Four builders: a coupled qubit pair targeting CNOT, a particle-hopping chain
 targeting the endpoint swap, a Rydberg atom array simulating an Ising chain,
-and random SYK Hamiltonians from Jordan-Wigner Majorana operators.  Each
-bundle carries the control system, the target, the recommended symmetry, the
-symmetry-restoring perturbation, and closed-form reference numbers so the
-generic pipeline can be cross-checked end to end.
+and random SYK Hamiltonians from Jordan-Wigner Majorana operators.  The
+first three return a ``ModelBundle``: the ``Problem`` with the recommended
+symmetry and its restoring perturbation, plus closed-form reference numbers
+so the generic pipeline can be cross-checked end to end.
 
 Conventions: qubits are tensor factors left to right, |0> is the Z eigenvalue
 +1 state, chain sites 1..N map to the standard basis vectors of C^N.
@@ -17,8 +17,9 @@ of np.kron: a Pauli string on n qubits is a phased permutation written with
 atoms (d = 2^N) is exactly real and stored as float64: drift, controls, H_s,
 the swap S and ΔH.  It is diagonal except for sum X_i and S, so after that
 its cost is one hermiticity pass per operator (drift, both controls, S, ΔH
-and the restored drift H_d + ΔH) plus one real d x d product for the
-restoration residual; ||ΔH||_inf is read off the diagonal.
+and the restored drift H_d + ΔH; H_s is checked by the bound that reads it)
+plus one real d x d product for the restoration residual; ||ΔH||_inf is read
+off the diagonal.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .bounds import _filter_interval
 from .lie import Symmetry
 from .matcore import (
     DimensionCapError,
+    DimensionError,
     PAULI,
     ValidationError,
     _permutation_indices,
@@ -41,39 +43,66 @@ from .matcore import (
     matrix_exponential,
     permutation_operator,
     require_hermitian,
+    require_square,
+    require_unitary,
 )
 from .perturb import Perturbation
 
 
-@dataclass
-class ControlSystem:
-    """Drift plus controls: H(t) = H_d + sum_j f_j(t) H_j."""
+def _part(what: str, check, M, d=None):
+    """check(M), and M d x d if d is given, an error naming the part."""
+    try:
+        A = check(M)
+    except (DimensionError, ValidationError) as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+    if d is not None and A.shape[0] != d:
+        raise DimensionError(f"{what}: dimension {A.shape[0]} does not match "
+                             f"the drift's {d}")
+    return A
+
+
+@dataclass(frozen=True, eq=False)
+class Problem:
+    """H(t) = H_d + sum_j f_j(t) H_j, at most one target (a unitary to
+    implement or a Hamiltonian to simulate) and optionally the symmetry to
+    bound with and its ΔH: what ``bounds.bound`` takes.  Validated once,
+    each error naming its part: the drift and ``controls[k]`` Hermitian (an
+    exactly Hermitian array kept as it is), the target unitary unitary, all
+    of the drift's dimension.  A target Hamiltonian's hermiticity is left to
+    the numerator that reads it, so a model's H_s is checked once."""
 
     drift: np.ndarray
-    controls: list[np.ndarray]
-    label: str = ""
+    controls: tuple[np.ndarray, ...]
+    target_unitary: np.ndarray | None = None
+    target_hamiltonian: np.ndarray | None = None
+    symmetry: Symmetry | None = None
+    perturbation: Perturbation | None = None
 
     def __post_init__(self):
-        self.drift = require_hermitian(self.drift)
-        self.controls = [require_hermitian(H) for H in self.controls]
-        d = self.drift.shape[0]
-        if any(H.shape[0] != d for H in self.controls):
-            raise ValidationError("controls must match the drift dimension")
+        if not (self.target_unitary is None or self.target_hamiltonian is None):
+            raise ValidationError("a problem has at most one target")
+        drift = _part("drift", require_hermitian, self.drift)
+        d = drift.shape[0]
+        checked = {"drift": drift, "controls": tuple(
+            _part(f"controls[{k}]", require_hermitian, H, d)
+            for k, H in enumerate(self.controls))}
+        for name, check in (("target_unitary", require_unitary),
+                            ("target_hamiltonian", require_square)):
+            if getattr(self, name) is not None:
+                checked[name] = _part(name.replace("_", " "), check,
+                                      getattr(self, name), d)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     @property
     def dimension(self) -> int:
         return self.drift.shape[0]
 
 
-@dataclass
-class ModelBundle:
-    """A control system, its target, and the analytic reference quantities."""
+@dataclass(frozen=True, eq=False)
+class ModelBundle(Problem):
+    """A model's ``Problem`` with its reference numbers (and filter interval)."""
 
-    system: ControlSystem
-    symmetry: Symmetry
-    perturbation: Perturbation | None = None
-    target_unitary: np.ndarray | None = None
-    target_hamiltonian: np.ndarray | None = None
     references: dict | None = None
     spectral_estimates: tuple[float, float] | None = None
 
@@ -159,8 +188,8 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     S = np.eye(16, dtype=complex) - m13 - m24 + m13_24
     sym = Symmetry("quadratic", S, note="doubled-space transposition combination")
     pert = Perturbation.from_matrix(sym, -drift, drift=drift)
-    system = ControlSystem(drift, controls, label="coupled-qubit-pair")
-    return ModelBundle(system, sym, pert, target_unitary=cnot, references=refs)
+    return ModelBundle(drift, controls, target_unitary=cnot, symmetry=sym,
+                       perturbation=pert, references=refs)
 
 
 def hopping_chain_modes(N: int, J: float):
@@ -224,8 +253,8 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     _require_finite("derived numbers", **refs)
     dH = refs["delta_h_op_norm"] * np.outer(a2, a2.conj())
     pert = Perturbation.from_matrix(sym, dH, drift=drift)
-    system = ControlSystem(drift, [control], label=f"hopping-chain-{N}")
-    return ModelBundle(system, sym, pert, target_unitary=target, references=refs)
+    return ModelBundle(drift, [control], target_unitary=target, symmetry=sym,
+                       perturbation=pert, references=refs)
 
 
 def hopping_chain_closed_form(N: int, J: float = 1.0) -> float:
@@ -343,9 +372,9 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
     pert = Perturbation.from_matrix(sym, np.diag(dh_diag), drift=drift)
 
-    system = ControlSystem(drift, controls, label=f"rydberg-chain-{N}")
-    return ModelBundle(system, sym, pert, target_hamiltonian=H_s,
-                       references=refs, spectral_estimates=spectral_estimates)
+    return ModelBundle(drift, controls, target_hamiltonian=H_s, symmetry=sym,
+                       perturbation=pert, references=refs,
+                       spectral_estimates=spectral_estimates)
 
 
 def majorana_operators(n_majorana: int) -> list[np.ndarray]:
@@ -398,16 +427,16 @@ def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:
     return H
 
 
-def propagate_piecewise(system: ControlSystem, pulses: PulseSchedule) -> np.ndarray:
+def propagate_piecewise(problem: Problem, pulses: PulseSchedule) -> np.ndarray:
     """Time-ordered product of segment exponentials, later segments on the left."""
-    if pulses.amplitudes.shape[0] != len(system.controls):
+    if pulses.amplitudes.shape[0] != len(problem.controls):
         raise ValidationError("amplitude row count must equal the control count")
     if pulses.segments == 0:
         raise ValidationError("schedule must contain at least one segment")
-    U = np.eye(system.dimension, dtype=complex)
+    U = np.eye(problem.dimension, dtype=complex)
     for k in range(pulses.segments):
-        H = system.drift.copy()
-        for f, Hc in zip(pulses.amplitudes[:, k], system.controls):
+        H = problem.drift.copy()
+        for f, Hc in zip(pulses.amplitudes[:, k], problem.controls):
             H = H + f * Hc
         U = matrix_exponential(H, pulses.dt) @ U
     return U

@@ -28,8 +28,8 @@ recorded residual keeps the drift it was measured for.
 
 One acceptance rule, ``_keeps_symmetry``, decides whether a drift keeps
 S: ||[S, H]||_F <= ``_commuting_limit`` = TAU_RANK·max(1, ||S||_F ||H_d||_F)
-with ||H_d||_F of the drift as given; the CLI applies it to a whole basis
-before its search.  A restored drift must pass it; a drift that passes it
+with ||H_d||_F of the drift as given; ``bounds.bound`` applies it to a whole
+basis before its search.  A restored drift must pass it; a drift that passes it
 unchanged gets an all-zero ΔH from ``restore_symmetry`` and 0.0 from the
 analytic cap, so every bound refuses it (``bounds._speed_limit`` rejects
 ||ΔH||_inf = 0 with one text) rather than divide rounding noise by
@@ -128,10 +128,14 @@ class Perturbation:
         pert = cls(matrix, symmetry)
         if drift is not None:
             H_d, dH = require_same_dimension(drift, pert.matrix)
-            residual = _commutator_norm(symmetry.matrix,
-                                        hermitian_part(H_d + dH), symmetry.kind,
-                                        symmetry._permutation)
-            pert._measured(float(residual), H_d)
+            residual = float(_commutator_norm(
+                symmetry.matrix, hermitian_part(H_d + dH), symmetry.kind,
+                symmetry._permutation))
+            if not np.isfinite(residual):  # as ``_keeps_symmetry`` refuses
+                raise ValidationError("||[S, H_d + ΔH]||_F is not finite: "
+                                      "whether the drift keeps S cannot be "
+                                      "decided")
+            pert._measured(residual, H_d)
         return pert
 
     def _measured_for(self, drift) -> bool:

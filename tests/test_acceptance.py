@@ -33,7 +33,7 @@ from qsl.matcore import (
     operator_norm,
 )
 from qsl.models import (
-    ControlSystem,
+    Problem,
     PulseSchedule,
     coupled_qubit_model,
     global_controls,
@@ -205,11 +205,11 @@ def test_criterion_05_method_ordering():
 
 
 def _duhamel_systems():
-    cq = coupled_qubit_model(1.0).system
-    hop = hopping_chain_model(4).system
+    cq = coupled_qubit_model(1.0)
+    hop = hopping_chain_model(4)
     Z = np.diag([1.0, -1.0]).astype(complex)
     drift = kron(kron(Z, Z), np.eye(2)) + kron(np.eye(2), kron(Z, Z))
-    ising = ControlSystem(drift, list(global_controls(3)))
+    ising = Problem(drift, list(global_controls(3)))
     return [cq, hop, ising]
 
 
@@ -228,7 +228,7 @@ def test_criterion_06_duhamel_property():
         schedule = PulseSchedule(
             float(rng.uniform(0.05, 0.5)),
             rng.standard_normal((len(system.controls), int(rng.integers(1, 9)))))
-        perturbed = ControlSystem(system.drift + dH, system.controls)
+        perturbed = Problem(system.drift + dH, system.controls)
         lhs = operator_norm(propagate_piecewise(system, schedule)
                             - propagate_piecewise(perturbed, schedule))
         rhs = schedule.total_time * operator_norm(dH) + 1e-6
@@ -345,7 +345,7 @@ def test_criterion_09_syk_properties():
 @criterion(10)
 def test_criterion_10_symmetry_discovery():
     bundle = coupled_qubit_model(1.0)
-    controls = bundle.system.controls
+    controls = bundle.controls
     quad = quadratic_symmetry_basis(controls)
     resid = span_residual(bundle.symmetry.matrix, quad)
     linear = commutant_basis(controls)

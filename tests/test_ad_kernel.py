@@ -553,8 +553,8 @@ class TestPermutationCost:
         S.matrix = S.matrix.view(Counted)
         Counted.matmuls, Counted.products = 0, []
         pert = Perturbation.from_matrix(S, b.perturbation.matrix,
-                                        drift=b.system.drift)
-        for given, drift in ((pert, None), (None, b.system.drift)):
+                                        drift=b.drift)
+        for given, drift in ((pert, None), (None, b.drift)):
             hamiltonian_speed_limit(b.target_hamiltonian, S, given,
                                     method="commutator", drift=drift)
         if gather:

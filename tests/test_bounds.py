@@ -34,7 +34,7 @@ from qsl.matcore import (
     operator_norm,
 )
 from qsl.models import (
-    ControlSystem,
+    Problem,
     PulseSchedule,
     coupled_qubit_model,
     global_controls,
@@ -145,7 +145,7 @@ class TestSuppliedPerturbation:
 
     def _target(self):
         rng = np.random.default_rng(0)
-        system = ControlSystem(self.H_d, [Z])
+        system = Problem(self.H_d, [Z])
         return propagate_piecewise(system, PulseSchedule(
             0.1, rng.standard_normal((1, 3))))
 
@@ -592,7 +592,7 @@ def theorem_problem(theorem):
     rng = np.random.default_rng(11)
     if kind == "quadratic":
         bundle = coupled_qubit_model(1.0)
-        S, drift = bundle.symmetry, bundle.system.drift
+        S, drift = bundle.symmetry, bundle.drift
     else:
         S = Symmetry("linear", random_hermitian(rng, 4))
         drift = random_hermitian(rng, 4)
@@ -822,8 +822,8 @@ class TestOptimizeSymmetry:
 
     def test_entangling_gate_search_beats_reference(self):
         bundle = coupled_qubit_model(1.0)
-        basis = quadratic_symmetry_basis(bundle.system.controls)
-        drift = bundle.system.drift
+        basis = quadratic_symmetry_basis(bundle.controls)
+        drift = bundle.drift
         U = bundle.target_unitary
 
         def objective(sym):
@@ -841,7 +841,7 @@ class TestOptimizerMatchesReference:
     def _bases():
         bundle = coupled_qubit_model(1.0)
         return {"linear": commutant_basis(global_controls(3)),
-                "quadratic": quadratic_symmetry_basis(bundle.system.controls)}
+                "quadratic": quadratic_symmetry_basis(bundle.controls)}
 
     @pytest.mark.parametrize("kind", ["linear", "quadratic"])
     def test_speed_limit_objective(self, kind):
@@ -859,7 +859,7 @@ class TestOptimizerMatchesReference:
             def objective(sym):
                 return unitary_speed_limit(
                     bundle.target_unitary, sym,
-                    restore_symmetry(sym, bundle.system.drift)).bound_time
+                    restore_symmetry(sym, bundle.drift)).bound_time
         got = optimize_symmetry(basis, objective, iterations=12, seed=4)
         want = optimize_symmetry_reference(basis, objective, iterations=12,
                                            seed=4)

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl
 import qsl.cli
 from qsl.bounds import chebyshev_degree_for, hamiltonian_speed_limit
 from qsl.cli import (
     PauliParseError,
     ProblemFormatError,
-    _bound_pipeline,
     load_problem,
     matrix_to_json,
     parse_pauli_expression,
@@ -23,7 +23,13 @@ from qsl.cli import (
 )
 from qsl.lie import Symmetry
 from qsl.matcore import PAULI, ValidationError, kron, permutation_operator
-from qsl.models import coupled_qubit_model, rydberg_chain_model
+from qsl.models import (
+    coupled_qubit_model,
+    global_controls,
+    hopping_chain_model,
+    rydberg_chain_model,
+    syk_model,
+)
 from qsl.perturb import restore_symmetry
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
@@ -113,27 +119,27 @@ class TestPauliParser:
 
 class TestLoadProblem:
     def test_bundled_cnot_matches_model(self):
-        spec = load_problem(CNOT_PROBLEM)
+        spec = load_problem(CNOT_PROBLEM)[0]
         bundle = coupled_qubit_model(1.0)
         assert spec.dimension == 4
-        assert np.allclose(spec.drift, bundle.system.drift)
-        assert len(spec.controls) == len(bundle.system.controls)
-        for got, want in zip(spec.controls, bundle.system.controls):
+        assert np.allclose(spec.drift, bundle.drift)
+        assert len(spec.controls) == len(bundle.controls)
+        for got, want in zip(spec.controls, bundle.controls):
             assert np.allclose(got, want)
         assert np.allclose(spec.target_unitary, bundle.target_unitary)
         assert spec.target_hamiltonian is None
 
     def test_defaults_filled(self):
-        spec = load_problem(CNOT_PROBLEM)
-        assert spec.options == {"kind": "quadratic", "method": "exact",
+        _, options, _ = load_problem(CNOT_PROBLEM)
+        assert options == {"kind": "quadratic", "method": "exact",
                                 "seed": 0, "optimize_symmetry": 0}
 
     def test_round_trip(self, tmp_path):
-        spec = load_problem(ISING_PROBLEM)
+        spec, _, source = load_problem(ISING_PROBLEM)
         copy = tmp_path / "copy.json"
-        copy.write_text(json.dumps(spec.source))
-        again = load_problem(str(copy))
-        assert again.source == spec.source
+        copy.write_text(json.dumps(source))
+        again, _, again_source = load_problem(str(copy))
+        assert again_source == source
         assert np.allclose(again.drift, spec.drift)
 
     def test_missing_file_is_io_error(self):
@@ -181,7 +187,7 @@ class TestLoadProblem:
             "controls": [{"matrix": matrix_to_json(X.astype(complex))}],
             "target": {"hamiltonian": {"matrix": matrix_to_json(M)}},
         })
-        spec = load_problem(path)
+        spec = load_problem(path)[0]
         assert np.allclose(spec.drift, M)
 
     def test_non_hermitian_drift_rejected(self, tmp_path):
@@ -210,7 +216,7 @@ class TestLoadProblem:
             "controls": [{"pauli": "X0"}],
             "target": {"unitary": {"named": "SWAP"}},
         })
-        spec = load_problem(path)
+        spec = load_problem(path)[0]
         assert np.array_equal(spec.target_unitary.real, np.eye(4)[[0, 2, 1, 3]])
 
 
@@ -284,7 +290,7 @@ class TestRunCommand:
             calls.append(1)
             return restore_symmetry(S, H_d, *args, **kwargs)
 
-        monkeypatch.setattr(qsl.cli, "restore_symmetry", counted)
+        monkeypatch.setattr(qsl.bounds, "restore_symmetry", counted)
         code, report, err = _run(capsys, ["bound", "unitary",
                                           DRIFT_KEEPS_SYMMETRY, *extra])
         assert code == 1 and report is None
@@ -424,6 +430,9 @@ BAD_ARGV = [
     ["reproduce", "rydberg", "--N", "4", "--h", "1e300"],
     ["reproduce", "rydberg", "--N", "4", "--J", "1e308"],
     ["reproduce", "rydberg", "--N", "4", "--C", "1e-310"],
+    # a coupling whose restored drift's commutation residual sums squares
+    # past float64: the model's own ΔH cannot be accepted or refused
+    ["reproduce", "rydberg", "--N", "4", "--C", "1e300"],
     ["reproduce", "swap", "--N", "4", "--J", "1e-320"],
     ["reproduce", "swap", "--N", "4", "--J", "1e308"],
     ["reproduce", "syk", "--n-majorana", "6", "--mu", "1e308",
@@ -571,9 +580,9 @@ class TestBadInputExits2:
         source = json.loads(Path(ISING_PROBLEM).read_text())
         source["options"] = {"method": None, "seed": None}
         path.write_text(json.dumps(source))
-        spec = load_problem(str(path))
-        assert spec.options["method"] == "exact"
-        assert spec.options["seed"] == 0
+        _, options, _ = load_problem(str(path))
+        assert options["method"] == "exact"
+        assert options["seed"] == 0
 
 
 # Reports of successful commands, recorded before the commands were moved
@@ -611,13 +620,13 @@ class TestExactByDefault:
             "controls": [{"pauli": " + ".join(f"X{i}" for i in range(n))},
                          {"pauli": " + ".join(f"Z{i}" for i in range(n))}],
             "target": {"hamiltonian": {"pauli": chain + " + 0.5 X0 + 0.25 Z1"}}}))
-        spec = load_problem(str(path))
-        assert spec.options["method"] == "exact"
+        spec, options, _ = load_problem(str(path))
+        assert options["method"] == "exact"
         swap = Symmetry("linear", permutation_operator(
             [1, 0] + list(range(2, n)), [2] * n))
-        rep = _bound_pipeline(spec.drift, spec.controls, None,
-                              spec.target_hamiltonian,
-                              {**spec.options, "method": None}, swap)[0]
+        rep = qsl.bound(qsl.Problem(spec.drift, spec.controls,
+                                    target_hamiltonian=spec.target_hamiltonian,
+                                    symmetry=swap), **options)
         assert rep.projection_method == "exact"
         cheb = hamiltonian_speed_limit(spec.target_hamiltonian, swap,
                                        rep.perturbation, method="chebyshev")
@@ -634,7 +643,7 @@ def test_rydberg_chebyshev_default_degree():
     degree = chebyshev_degree_for(1e-2, lo, hi)
     reports = [hamiltonian_speed_limit(
         b.target_hamiltonian, b.symmetry, b.perturbation, method="chebyshev",
-        drift=b.system.drift, sigma_min_est=lo, sigma_max_est=hi, **extra)
+        drift=b.drift, sigma_min_est=lo, sigma_max_est=hi, **extra)
         for extra in ({}, {"degree": degree})]
     assert reports[0].intermediates["degree"] == degree
     assert reports[0].bound_time == pytest.approx(1.1519269942359252,
@@ -667,6 +676,58 @@ def test_report_matches_golden(name, capsys):
     assert code == 0
     report.pop("elapsed_seconds")
     _assert_report_matches(report, GOLDEN[name]["report"])
+
+
+def _library_bound(argv):
+    """``qsl.bound`` for a ``bound`` or ``reproduce`` argv: on the loaded
+    Problem with the file's options and the flags, or on the model's
+    bundle (the SYK Problem for ``syk``) with the command's defaults."""
+    command, name, *rest = argv
+    if command == "bound":
+        path, *rest = rest
+    flags = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        key = flag[2:].replace("-", "_")
+        kind = qsl.cli._FLAGS[key]
+        flags[key] = text if isinstance(kind, tuple) else kind(text)
+    if command == "bound":
+        problem, options, _ = load_problem(path)
+        return qsl.bound(problem, **{**options, **flags})
+    p = {**qsl.cli._MODELS[name][1], **flags}
+    if name == "cnot":
+        return qsl.bound(coupled_qubit_model(p["g"]))
+    if name == "swap":
+        return qsl.bound(hopping_chain_model(p["N"], p["J"]))
+    if name == "rydberg":
+        return qsl.bound(rydberg_chain_model(
+            **{k: p[k] for k in ("N", "C", "a", "J", "g", "h")}),
+            method=p["method"])
+    H = syk_model(p["n_majorana"], seed=p["seed"], mu=p["mu"])
+    return qsl.bound(qsl.Problem(H, global_controls(p["n_majorana"] // 2),
+                                 target_hamiltonian=H),
+                     method=p["method"], optimize_symmetry=p["iterations"],
+                     seed=p["seed"])
+
+
+@pytest.mark.parametrize("name", sorted(
+    n for n in GOLDEN if GOLDEN[n]["argv"][0] in ("bound", "reproduce")))
+def test_library_bound_is_the_command_line_bound(name, capsys):
+    """The command line and the library run one pipeline: ``qsl.bound``
+    gives the report's bound (``swap`` reports it as ``bound_time_exact``
+    next to its closed form), theorem and intermediates, bit for bit."""
+    argv = [a.replace("{problems}", PROBLEMS) for a in GOLDEN[name]["argv"]]
+    code, report, _ = _run(capsys, argv + ["--json-only"])
+    assert code == 0
+    rep = _library_bound(argv)
+    if argv[1] == "swap":
+        assert rep.bound_time == report["bound_time_exact"]
+        return
+    assert rep.bound_time == report["bound_time"]
+    assert rep.theorem == report["theorem"]
+    assert rep.intermediates == report["intermediates"]
+    basis_size = report.get("symmetry_count",
+                            report.get("commutant_dimension"))
+    assert rep.basis_size == basis_size
 
 
 # Every flag a command accepted and never read, by command: each now exits 2

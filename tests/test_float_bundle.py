@@ -24,7 +24,7 @@ from qsl.bounds import (
 )
 from qsl.lie import Symmetry
 from qsl.matcore import permutation_operator
-from qsl.models import ControlSystem, global_controls, rydberg_chain_model
+from qsl.models import Problem, global_controls, rydberg_chain_model
 from qsl.perturb import Perturbation
 
 PARAMS = [dict(C=1.0, a=1.0, J=1.0, g=0.5, h=0.5),
@@ -60,9 +60,9 @@ def test_arrays_are_float64_and_equal_the_complex_build(N):
     for p in PARAMS:
         b = rydberg_chain_model(N, **p)
         drift, controls, H_s, S, dH = complex_rydberg(N, **p)
-        pairs = [(b.system.drift, drift), (b.target_hamiltonian, H_s),
+        pairs = [(b.drift, drift), (b.target_hamiltonian, H_s),
                  (b.symmetry.matrix, S), (b.perturbation.matrix, dH),
-                 *zip(b.system.controls, controls)]
+                 *zip(b.controls, controls)]
         assert len(pairs) == 6
         for got, want in pairs:
             assert got.dtype == np.float64 and want.dtype == np.complex128
@@ -92,7 +92,7 @@ def test_bounds_equal_those_of_complex_copies(N):
     b = rydberg_chain_model(N, **PARAMS[1])
     lo, hi = b.spectral_estimates
     sym = Symmetry("linear", b.symmetry.matrix.astype(complex))
-    drift = b.system.drift.astype(complex)
+    drift = b.drift.astype(complex)
     pert = Perturbation.from_matrix(
         sym, b.perturbation.matrix.astype(complex), drift=drift)
     assert pert.op_norm == b.perturbation.op_norm
@@ -151,7 +151,7 @@ def test_one_solve_makes_at_most_ten_hermiticity_passes(monkeypatch):
     built = len(seen)
     # drift, both controls, S, ΔH and H_d + ΔH, each once
     assert built == 6
-    assert sum(A is b.system.drift for A in seen) == 1
+    assert sum(A is b.drift for A in seen) == 1
     assert sum(A is b.symmetry.matrix for A in seen) == 1
     for method in ("exact", "commutator"):
         hamiltonian_speed_limit(b.target_hamiltonian, b.symmetry,
@@ -195,6 +195,6 @@ def test_memory_budget_at_n9():
 
 def test_control_system_keeps_float64():
     drift = np.diag([1.0, 2.0])
-    system = ControlSystem(drift, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    system = Problem(drift, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     assert system.drift is drift
     assert system.controls[0].dtype == np.float64

@@ -17,7 +17,7 @@ from qsl.matcore import (
     operator_norm,
 )
 from qsl.models import (
-    ControlSystem,
+    Problem,
     PulseSchedule,
     coupled_qubit_model,
     global_controls,
@@ -67,13 +67,13 @@ class TestCoupledQubitModel:
 
     def test_symmetry_commutes_with_control_lifts(self):
         bundle = coupled_qubit_model(1.0)
-        for H in bundle.system.controls:
+        for H in bundle.controls:
             defect = frobenius_norm(commutator(bundle.symmetry.matrix, iota(H)))
             assert defect < 1e-10
 
     def test_perturbation_cancels_drift(self):
         bundle = coupled_qubit_model(0.8)
-        assert np.allclose(bundle.perturbation.matrix, -bundle.system.drift,
+        assert np.allclose(bundle.perturbation.matrix, -bundle.drift,
                            atol=1e-12)
 
     def test_breaking_norm_reference(self):
@@ -89,7 +89,7 @@ class TestHoppingChain:
         bundle = hopping_chain_model(N, J)
         energies, states = hopping_chain_modes(N, J)
         for k in range(N):
-            resid = bundle.system.drift @ states[:, k] - energies[k] * states[:, k]
+            resid = bundle.drift @ states[:, k] - energies[k] * states[:, k]
             assert np.linalg.norm(resid) < 1e-10
 
     def test_symmetry_state_is_control_blind(self):
@@ -102,7 +102,7 @@ class TestHoppingChain:
 
     def test_perturbation_restores_symmetry(self):
         bundle = hopping_chain_model(5, 2.0)
-        restored = bundle.system.drift + bundle.perturbation.matrix
+        restored = bundle.drift + bundle.perturbation.matrix
         defect = frobenius_norm(commutator(bundle.symmetry.matrix, restored))
         assert defect < 1e-10
 
@@ -176,12 +176,12 @@ class TestRydbergChain:
         bundle = rydberg_chain_model(4)
         S = bundle.symmetry.matrix
         assert np.allclose(S @ S, np.eye(16))
-        for H in bundle.system.controls:
+        for H in bundle.controls:
             assert frobenius_norm(commutator(S, H)) < 1e-12
 
     def test_perturbed_drift_commutes_with_swap(self):
         bundle = rydberg_chain_model(5)
-        restored = bundle.system.drift + bundle.perturbation.matrix
+        restored = bundle.drift + bundle.perturbation.matrix
         assert frobenius_norm(commutator(bundle.symmetry.matrix, restored)) < 1e-12
 
     def test_target_hamiltonian_structure(self):
@@ -328,14 +328,14 @@ class TestSykModel:
 class TestPropagation:
     def test_single_segment_matches_exponential(self, rng):
         drift = np.diag([0.3, -0.3]).astype(complex)
-        system = ControlSystem(drift, [X.astype(complex)])
+        system = Problem(drift, [X.astype(complex)])
         schedule = PulseSchedule(0.4, np.array([[0.7]]))
         got = propagate_piecewise(system, schedule)
         want = matrix_exponential(drift + 0.7 * X, 0.4)
         assert np.allclose(got, want, atol=1e-12)
 
     def test_unitary_output(self, rng):
-        system = ControlSystem(kron(Z, Z).astype(complex),
+        system = Problem(kron(Z, Z).astype(complex),
                                [kron(X, I2).astype(complex),
                                 kron(I2, X).astype(complex)])
         schedule = PulseSchedule(0.2, rng.standard_normal((2, 7)))
@@ -343,13 +343,13 @@ class TestPropagation:
         assert np.allclose(U @ U.conj().T, np.eye(4), atol=1e-10)
 
     def test_zero_pulses_leave_drift_evolution(self):
-        system = ControlSystem(Z.astype(complex), [X.astype(complex)])
+        system = Problem(Z.astype(complex), [X.astype(complex)])
         schedule = PulseSchedule(math.pi / 4, np.zeros((1, 4)))
         U = propagate_piecewise(system, schedule)
         assert np.allclose(U, -np.eye(2), atol=1e-12)
 
     def test_segments_compose(self):
-        system = ControlSystem(Z.astype(complex), [X.astype(complex)])
+        system = Problem(Z.astype(complex), [X.astype(complex)])
         amps = np.array([[0.5, -1.0]])
         both = propagate_piecewise(system, PulseSchedule(0.3, amps))
         first = propagate_piecewise(system, PulseSchedule(0.3, amps[:, :1]))
@@ -357,7 +357,7 @@ class TestPropagation:
         assert np.allclose(both, second @ first, atol=1e-12)
 
     def test_amplitude_row_count_checked(self):
-        system = ControlSystem(Z.astype(complex), [X.astype(complex)])
+        system = Problem(Z.astype(complex), [X.astype(complex)])
         with pytest.raises(ValidationError):
             propagate_piecewise(system, PulseSchedule(0.1,
                                                       np.ones((2, 3))))

@@ -158,7 +158,7 @@ def test_rydberg_equals_the_matmul_path(N, params):
                         "sigma_min_est": lo, "sigma_max_est": hi}):
         (sigma, got), (none, want) = _both_paths(
             b.symmetry.matrix, "linear", b.target_hamiltonian,
-            b.system.drift, b.perturbation.matrix, filt)
+            b.drift, b.perturbation.matrix, filt)
         assert sigma is not None and none is None
         assert got == want
 
@@ -253,7 +253,7 @@ def test_scorer_drops_the_permutation(N, method):
     public bound."""
     rng = np.random.default_rng(N)
     b = rydberg_chain_model(N)
-    drift, H_s = b.system.drift, b.target_hamiltonian
+    drift, H_s = b.drift, b.target_hamiltonian
     assert b.symmetry._permutation is not None
     scorer = _StackScorer(b.symmetry, drift, target_hamiltonian=H_s,
                           method=method)

@@ -157,7 +157,7 @@ class TestQuadraticRestore:
     def test_coupled_qubit_pair(self):
         g = 0.7
         bundle = coupled_qubit_model(g)
-        pert = restore_symmetry(bundle.symmetry, bundle.system.drift)
+        pert = restore_symmetry(bundle.symmetry, bundle.drift)
         assert np.allclose(pert.matrix, -g * kron(Z, Z), atol=1e-8)
         assert pert.op_norm == pytest.approx(g, abs=1e-8)
 
@@ -251,8 +251,8 @@ class TestPerturbationRecord:
         from qsl.models import hopping_chain_model
 
         bundle = hopping_chain_model(3, 1.0)
-        pert = restore_symmetry(bundle.symmetry, bundle.system.drift)
-        cap = perturbation_norm_bound(bundle.symmetry, bundle.system.drift)
+        pert = restore_symmetry(bundle.symmetry, bundle.drift)
+        cap = perturbation_norm_bound(bundle.symmetry, bundle.drift)
         assert pert.op_norm <= cap + 1e-12
 
 
@@ -393,7 +393,7 @@ class TestOneExit:
 
     def test_coupled_qubit_bundle(self):
         bundle = coupled_qubit_model(0.7)
-        self._assert_matches(bundle.symmetry, bundle.system.drift,
+        self._assert_matches(bundle.symmetry, bundle.drift,
                              _oracle_restore_quadratic)
 
     @pytest.mark.parametrize("kind,d", [("linear", 4), ("quadratic", 2)])

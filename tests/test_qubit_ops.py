@@ -153,7 +153,7 @@ class TestModels:
 
     def test_coupled_qubit_drift(self):
         g = 0.37
-        drift = coupled_qubit_model(g).system.drift
+        drift = coupled_qubit_model(g).drift
         assert np.array_equal(drift, g * np.kron(Z, Z))
 
     @pytest.mark.parametrize("N", range(3, 9))
@@ -166,9 +166,9 @@ class TestModels:
         for p in params:
             b = rydberg_chain_model(N, **p)
             drift, controls, H_s, S, dH = kron_rydberg(N, **p)
-            assert np.array_equal(b.system.drift, drift)
-            assert len(b.system.controls) == 2
-            for got, want in zip(b.system.controls, controls):
+            assert np.array_equal(b.drift, drift)
+            assert len(b.controls) == 2
+            for got, want in zip(b.controls, controls):
                 assert np.array_equal(got, want)
             assert np.array_equal(b.target_hamiltonian, H_s)
             assert np.array_equal(b.symmetry.matrix, S)

@@ -47,7 +47,7 @@ from qsl.bounds import (
 from qsl.cli import matrix_to_json, run_command
 from qsl.lie import Symmetry, quadratic_symmetry_basis
 from qsl.matcore import PAULI, QslError
-from qsl.models import ControlSystem, PulseSchedule, propagate_piecewise
+from qsl.models import Problem, PulseSchedule, propagate_piecewise
 from qsl.perturb import restore_symmetry
 from conftest import random_hermitian, random_unitary
 
@@ -71,7 +71,7 @@ def _reached(rng, drift, controls, zero_pulses):
     amplitudes = (np.zeros((len(controls), segments)) if zero_pulses
                   else 2.0 * rng.standard_normal((len(controls), segments)))
     pulses = PulseSchedule(float(rng.uniform(0.01, 0.3)), amplitudes)
-    U = propagate_piecewise(ControlSystem(drift, controls), pulses)
+    U = propagate_piecewise(Problem(drift, controls), pulses)
     return U, pulses.total_time
 
 
@@ -219,7 +219,7 @@ def test_analytic_bound_divides_by_the_measured_gap(seed, segments):
     pulses = PulseSchedule(0.3 / segments,
                            2.0 * rng.standard_normal((1, segments)))
     X, Z = PAULI["X"], PAULI["Z"]
-    U = propagate_piecewise(ControlSystem(X, [Z]), pulses)
+    U = propagate_piecewise(Problem(X, [Z]), pulses)
     rep = unitary_speed_limit(U, Symmetry("linear", Z), drift=X)
     assert rep.intermediates["sigma_min"] == 2.0
     assert rep.bound_time <= pulses.total_time * SLACK
@@ -304,7 +304,7 @@ def _item1_targets():
     for _ in range(3):
         T = float(rng.uniform(0.05, 0.6))
         pulses = PulseSchedule(T / 3, 2.0 * rng.standard_normal((2, 3)))
-        targets.append((propagate_piecewise(ControlSystem(drift, controls),
+        targets.append((propagate_piecewise(Problem(drift, controls),
                                             pulses), pulses.total_time))
     return drift, controls, targets
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qsl
+import qsl.lie
 import qsl.perturb
 from qsl import bounds
 from qsl.bounds import (
@@ -20,7 +22,7 @@ from qsl.bounds import (
     optimize_symmetry,
     unitary_speed_limit,
 )
-from qsl.cli import _bound_pipeline, load_problem
+from qsl.cli import load_problem
 from qsl.lie import Symmetry, commutant_basis, quadratic_symmetry_basis
 from qsl.matcore import (
     ConditioningError,
@@ -157,7 +159,10 @@ def test_scorer_refuses_every_row_where_the_problem_is_refused():
 def _check_pipeline(H_d, controls, U, H_s, opts):
     """The symmetry the CLI pipeline chose is the reference optimiser's on
     the public objective."""
-    rep, basis = _bound_pipeline(H_d, controls, U, H_s, opts)
+    rep = qsl.bound(qsl.Problem(H_d, controls, U, H_s), **opts)
+    kind = opts.get("kind") or ("quadratic" if U is not None else "linear")
+    basis = (quadratic_symmetry_basis if kind == "quadratic"
+             else commutant_basis)(controls)
     kwargs = {} if U is not None else {
         "method": opts.get("method") or "exact",
         "tol_degeneracy": opts.get("tol")}
@@ -170,9 +175,9 @@ def _check_pipeline(H_d, controls, U, H_s, opts):
 
 @pytest.mark.parametrize("method", ["exact", "commutator"])
 def test_cli_search_on_ising3(method):
-    spec = load_problem(ISING_PROBLEM)
+    spec, options, _ = load_problem(ISING_PROBLEM)
     _check_pipeline(spec.drift, spec.controls, None, spec.target_hamiltonian,
-                    {**spec.options, "method": method,
+                    {**options, "method": method,
                      "optimize_symmetry": 12, "seed": 2})
 
 
@@ -180,14 +185,51 @@ def test_cli_search_on_ising3(method):
 def test_cli_search_on_cnot(kind):
     """Full local control leaves the identity as the one linear symmetry,
     which the drift keeps: that kind is refused before any search."""
-    spec = load_problem(CNOT_PROBLEM)
-    opts = {**spec.options, "kind": kind, "optimize_symmetry": 12, "seed": 1}
+    spec, options, _ = load_problem(CNOT_PROBLEM)
+    opts = {**options, "kind": kind, "optimize_symmetry": 12, "seed": 1}
     if kind == "linear":
         with pytest.raises(ValidationError, match="no time bound follows"):
-            _bound_pipeline(spec.drift, spec.controls, spec.target_unitary,
-                            None, opts)
+            qsl.bound(spec, **opts)
         return
     _check_pipeline(spec.drift, spec.controls, spec.target_unitary, None, opts)
+
+
+@pytest.mark.parametrize("path", [ISING_PROBLEM, CNOT_PROBLEM],
+                         ids=["ising3", "cnot"])
+def test_searched_symmetry_is_rechecked(monkeypatch, path):
+    """The search returns a combination of the basis, so ``qsl.bound``
+    re-checks it against the (lifted) controls before restoring it: a
+    returned matrix that does not commute with them is refused."""
+    problem, options, _ = load_problem(path)
+    checked = []
+
+    def recording(mats, ops):
+        checked.append((np.array(mats), np.array(ops)))
+        return qsl.lie._verify_commutation(mats, ops)
+    monkeypatch.setattr(bounds, "_verify_commutation", recording)
+    rep = qsl.bound(problem, **{**options, "optimize_symmetry": 3})
+    [(mats, ops)] = checked
+    assert np.array_equal(mats, [rep.symmetry.matrix])
+    lifted = rep.symmetry.kind == "quadratic"
+    assert np.array_equal(ops, _lift(np.array(problem.controls)) if lifted
+                          else problem.controls)
+
+    rng = np.random.default_rng(0)
+    stray = Symmetry(rep.symmetry.kind, random_hermitian(rng, len(mats[0])))
+    monkeypatch.setattr(bounds, "optimize_symmetry", lambda *a, **k: stray)
+    monkeypatch.setattr(bounds, "restore_symmetry", None)  # never reached
+    with pytest.raises(ConditioningError, match="commutation re-check"):
+        qsl.bound(problem, **options)
+
+
+def test_given_symmetry_is_not_rechecked(monkeypatch):
+    """A symmetry the problem gives is the caller's: ``qsl.bound`` neither
+    searches nor re-checks it (at Rydberg N = 10 that would be d³ work)."""
+    monkeypatch.setattr(bounds, "_verify_commutation", None)
+    monkeypatch.setattr(bounds, "optimize_symmetry", None)
+    bundle = qsl.rydberg_chain_model(5)
+    rep = qsl.bound(bundle)
+    assert rep.symmetry is bundle.symmetry and rep.basis_size is None
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -292,7 +334,7 @@ def test_every_candidate_is_exactly_hermitian(seed, d, n, dtypes,
 def test_chunk_size_never_changes_the_choice(monkeypatch, kind):
     """Refinement trials scored in stacks of 1, 2, 5 or 50 rows, or random
     rows in stacks of 3: the same symmetry."""
-    spec = load_problem(ISING_PROBLEM if kind == "linear" else CNOT_PROBLEM)
+    spec = load_problem(ISING_PROBLEM if kind == "linear" else CNOT_PROBLEM)[0]
     controls = spec.controls
     basis = (commutant_basis if kind == "linear"
              else quadratic_symmetry_basis)(controls)
