@@ -106,6 +106,7 @@ from .matcore import (
     frobenius_norm,
     hermitian_part,
     kron,
+    require_hermitian,
     require_square,
     require_unitary,
 )
@@ -987,6 +988,10 @@ def bound(problem, *, kind: str | None = None, method: str | None = "exact",
     controls; without its ΔH, S is restored.  ``method`` (exact or
     commutator) is a Hamiltonian target's numerator; ``tol`` discovery's
     rank cut and the exact numerator's cluster cut.  None keeps a default.
+    A target Hamiltonian that is not Hermitian is refused, with an error
+    naming it, before discovery; with the problem's own S (every model
+    bundle) nothing is searched, and the numerator's check is the one pass
+    over H_s.
     """
     method = method or "exact"
     if kind not in (None, *_KINDS) or method not in _METHODS:
@@ -999,6 +1004,11 @@ def bound(problem, *, kind: str | None = None, method: str | None = "exact",
                                           "tol_degeneracy": tol}
     symmetry, basis = problem.symmetry, None
     if symmetry is None:
+        if H_s is not None:  # the search's scorer would refuse it unnamed
+            try:
+                require_hermitian(H_s)
+            except ValidationError as exc:
+                raise ValidationError(f"target hamiltonian: {exc}") from None
         basis = _symmetry_basis(problem.controls, kind or (
             "quadratic" if U is not None else "linear"), tol)
         symmetry = _searched_symmetry(problem, basis, numerator,

@@ -16,10 +16,12 @@ adjoint superoperators is formed.
 The result is the span's canonical basis, which depends on the span alone,
 not on the LAPACK path or the BLAS thread count: the normalised identity
 first, then the projections of the Hermitian matrix units, orthonormalised
-greedily in a fixed order.  Every element is re-checked against every
-control at a rounding-level defect that no tolerance widens; an element
-that fails (a rank tolerance so large that non-null directions pass its
-cut) is refused with a ConditioningError.
+greedily in a fixed order.  A real span's basis is stored as float64, so
+the restorations and bounds that read it run in real arithmetic.  Every
+element is re-checked against every control at a rounding-level defect
+that no tolerance widens; an element that fails (a rank tolerance so large
+that non-null directions pass its cut) is refused with a
+ConditioningError.
 """
 
 from __future__ import annotations
@@ -282,7 +284,10 @@ def _commutant(bases: np.ndarray, quadratic: bool, tol: float) -> np.ndarray:
     diagonalises every control (one control X).  The cut never falls below
     ``_defect_limit``, since the re-check passes whatever rounding that
     small leaves: a multiple of the identity plus rounding constrains
-    nothing.  A tol of 1 or more is refused.  The dense entry cap is that
+    nothing.  A tol of 1 or more is refused.  The basis is float64 when
+    every element's imaginary part is at most ``_defect_limit`` (a real
+    span, such as the copy swaps of full local control), else complex128;
+    the re-check reads the matrices as stored.  The dense entry cap is that
     of the stacked adjoint superoperators the SVD route built: d⁴ for
     linear and d⁸ for quadratic symmetries of d × d controls.
     """
@@ -310,13 +315,18 @@ def _commutant(bases: np.ndarray, quadratic: bool, tol: float) -> np.ndarray:
     B = np.zeros((len(null), n, n), dtype=complex)
     B[:, rows, cols] = null
     basis = _canonical_basis(V @ B @ V.conj().T)
+    # a real span's canonical elements are real up to rounding
+    if np.all(_frobenius(basis.imag) <= _defect_limit(n)):
+        basis = np.ascontiguousarray(basis.real)
     _verify_commutation(basis, _lift(bases) if quadratic else bases)
     return basis
 
 
 def commutant_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     """Orthonormal Hermitian basis of {S : [S, H_j] = 0 for all j}, the
-    span's canonical one: the normalised identity comes first."""
+    span's canonical one: the normalised identity comes first.  Every
+    matrix is float64 when the span is real (``_commutant``), and an
+    element that is exactly real is float64 in any span (``Symmetry``)."""
     basis = _commutant(_validated_generators(ops), False, tol)
     return [Symmetry("linear", M, note="commutant") for M in basis]
 
@@ -324,7 +334,9 @@ def commutant_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
 def quadratic_symmetry_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     """Orthonormal Hermitian basis of {S on H⊗H : [S, H_j⊗1 + 1⊗H_j] = 0},
     the linear commutant of the lifted controls, in the span's canonical
-    order (the normalised identity first)."""
+    order (the normalised identity first), float64 as ``commutant_basis``
+    is: under full local control, Y controls or not, the span is that of
+    the real copy swaps."""
     basis = _commutant(_validated_generators(ops), True, tol)
     return [Symmetry("quadratic", M, note="quadratic commutant") for M in basis]
 

@@ -40,13 +40,14 @@ from .matcore import (
     ValidationError,
     _permutation_indices,
     _qubit_product,
+    frobenius_norm,
     matrix_exponential,
     permutation_operator,
     require_hermitian,
     require_square,
     require_unitary,
 )
-from .perturb import Perturbation
+from .perturb import Perturbation, _commuting_limit
 
 
 def _part(what: str, check, M, d=None):
@@ -69,7 +70,8 @@ class Problem:
     each error naming its part: the drift and ``controls[k]`` Hermitian (an
     exactly Hermitian array kept as it is), the target unitary unitary, all
     of the drift's dimension.  A target Hamiltonian's hermiticity is left to
-    the numerator that reads it, so a model's H_s is checked once."""
+    ``bounds.bound``, which checks it before a symmetry search, and to the
+    numerator that reads it, so a model's H_s is checked once."""
 
     drift: np.ndarray
     controls: tuple[np.ndarray, ...]
@@ -342,9 +344,13 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
             f"more than the {have / 2**30:.1f} GiB of physical memory")
     bits = _occupation_diagonal(N)
     pair_diag = np.zeros(d)
-    for i in range(N):
-        for j in range(i + 1, N):
-            pair_diag += coupling[j - i - 1] * bits[i] * bits[j]
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        for i in range(N):
+            for j in range(i + 1, N):
+                pair_diag += coupling[j - i - 1] * bits[i] * bits[j]
+    # restoration's acceptance limit needs ||S||_F ||H_d||_F finite: √d for
+    # the swap, and the diagonal drift's norm read from its d entries
+    _commuting_limit(math.sqrt(d), frobenius_norm(pair_diag[None]))
     drift = np.diag(pair_diag)
     # the collective controls of global_controls(N), built in float64
     z = 1.0 - 2.0 * bits

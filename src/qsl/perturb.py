@@ -4,8 +4,11 @@ Given a symmetry S broken by the drift H_d, the minimal-Frobenius-norm
 Hermitian perturbation with [S, H_d + ΔH] = 0 is the Moore-Penrose solution
 ΔH = -ad_S⁺ ad_S(H_d).  For linear S this is an entrywise projection in the
 eigenbasis of S (kill every matrix element of H_d joining distinct eigenvalue
-clusters); for quadratic S it is the minimal-norm least-squares solve of the
-doubled-space commutation constraint, which is Hermitian.
+clusters); for quadratic S it is the projection of vec(H_d) onto the row
+space of the doubled-space commutation constraint K, read from a QR of K
+and an SVD of its R factor, which is lstsq's minimal-norm solution and is
+Hermitian.  Both take a stack of symmetries for one drift and run in real
+arithmetic when S and H_d are real.
 
 S is the one Hermitian array of a ``Symmetry`` (or a stack of them).  One
 cluster rule serves this projection, the exact kernel-complement
@@ -19,7 +22,8 @@ product in place of two (a row gather of H when S is a permutation
 matrix, ``Symmetry._permutation``), and P - P† never formed: its norm is
 summed over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
 ``_restore_rows`` restores a stack of symmetries for one drift, linear ones
-in one stacked eigendecomposition, and applies the acceptance rule to each;
+in one stacked eigendecomposition, quadratic ones in one stacked QR and one
+stacked SVD, and applies the acceptance rule to each;
 ``restore_symmetry`` passes it a stack of one and is the one place where a
 restored ΔH is wrapped.  A ``Perturbation`` measures its own norms from its
 matrix, which must be Hermitian and act on the symmetry's base space; no
@@ -58,13 +62,11 @@ from .matcore import (
     _max_abs_eigenvalue,
     _times_symmetry,
     check_entry_cap,
-    devectorize,
     frobenius_norm,
     hermitian_part,
     require_hermitian,
     require_same_dimension,
     require_square,
-    row_vectorize,
 )
 
 
@@ -167,7 +169,8 @@ def _unit_lifts(d: int) -> np.ndarray:
 
 
 def _quadratic_constraint(S: np.ndarray, d: int, lifts=None) -> np.ndarray:
-    """K with K vec(Y) = vec([S, Y⊗1 + 1⊗Y]) for complex d×d Y.
+    """K with K vec(Y) = vec([S, Y⊗1 + 1⊗Y]) for complex d×d Y, for one S
+    or for each S of a stack.
 
     Column e is the constraint of the e-th unit matrix, whose lift is
     ``lifts[e]`` (by default built here); one batched product gives every
@@ -175,30 +178,43 @@ def _quadratic_constraint(S: np.ndarray, d: int, lifts=None) -> np.ndarray:
     so K equals the column-by-column build bit for bit.
     """
     lifts = _unit_lifts(d) if lifts is None else lifts
-    return (S @ lifts - lifts @ S).reshape(d * d, -1).T
+    S = S[..., None, :, :]
+    C = S @ lifts - lifts @ S
+    return C.reshape(C.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
-def _quadratic_setup(H_d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _quadratic_setup(H_d: np.ndarray) -> np.ndarray:
     """What every quadratic restoration of one drift shares: the unit-matrix
-    lifts and the lift of H_d."""
+    lifts."""
     d = H_d.shape[0]
     # K holds d^4 x d^2 complex entries, the unit-matrix lifts d^6 real ones
     check_entry_cap(2 * d**6)
-    return _unit_lifts(d), _lift(H_d)
+    return _unit_lifts(d)
 
 
 def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
                        setup=None) -> np.ndarray:
-    """ΔH for one quadratic symmetry matrix S, with the drift's
-    ``_quadratic_setup`` (built here when not given)."""
-    lifts, drift_lift = setup or _quadratic_setup(H_d)
-    # K(Y†) = -K(Y)†, so the minimal-norm solution is Hermitian and
-    # hermitising only removes rounding.
-    K = _quadratic_constraint(S, H_d.shape[0], lifts)
-    # b = K vec(H_d), formed as K's columns are: S·lift - lift·S
-    b = row_vectorize(S @ drift_lift - drift_lift @ S)
-    y, *_ = np.linalg.lstsq(K, -b, rcond=TAU_RANK)
-    return _hermitised(devectorize(y))
+    """ΔH for each quadratic symmetry matrix of a stack S (or for one),
+    with the drift's ``_quadratic_setup`` (built here when not given).
+
+    ΔH = -V_r V_r† vec(H_d), minus the drift's projection onto the row
+    space of K: lstsq's minimal-norm solution of K vec(ΔH) = -K vec(H_d),
+    with no right-hand side formed and no division by a singular value.
+    V_r are the right singular vectors of K with singular value above
+    TAU_RANK·s_max (lstsq's rcond rule), read as ``lie._null_vectors``
+    reads them: one stacked QR of K, then one stacked SVD of its square R
+    factors.  K(Y†) = -K(Y)†, so the projection is Hermitian and
+    hermitising only removes rounding.  Every step is real when S and H_d
+    are, and a row of a stack equals that row restored alone.
+    """
+    d = H_d.shape[0]
+    lifts = _quadratic_setup(H_d) if setup is None else setup
+    R = np.linalg.qr(_quadratic_constraint(S, d, lifts), mode="r")
+    _, s, Vh = np.linalg.svd(R)
+    kept = s > TAU_RANK * s[..., :1]
+    coords = np.where(kept, (Vh @ H_d.reshape(-1, 1))[..., 0], 0.0)
+    y = -(_adjoint(Vh) @ coords[..., None])
+    return _hermitised(y.reshape(S.shape[:-2] + (d, d)))
 
 
 def _commuting_limit(s_frob, h_frob):
@@ -233,13 +249,12 @@ def _restore_rows(kind: str, S: np.ndarray, s_frob, H: np.ndarray,
 
     S and s_frob are the stack's symmetry matrices and their Frobenius
     norms; Hh is the Hermitian part of H and h_frob ||H||_F; ``setup`` is
-    ``_quadratic_setup(H)``, built by each quadratic solve when not given.
+    ``_quadratic_setup(H)``, built by the quadratic solve when not given.
     Returns (broken, dH, residual, limit): the rows whose drift breaks S by
-    ``_keeps_symmetry``, their ΔH (linear rows in one stacked solve,
-    quadratic rows one lstsq each), and for every row ||[S, H_d + ΔH]||_F,
-    the breaking norm ||[S, H_d]||_F where the drift keeps S, and its
-    ``_commuting_limit``.  A broken row whose residual exceeds its limit
-    failed to restore.
+    ``_keeps_symmetry``, their ΔH (one stacked solve of either kind), and
+    for every row ||[S, H_d + ΔH]||_F, the breaking norm ||[S, H_d]||_F
+    where the drift keeps S, and its ``_commuting_limit``.  A broken row
+    whose residual exceeds its limit failed to restore.
     """
     keeps, residual, limit = _keeps_symmetry(kind, S, s_frob, Hh, h_frob)
     broken = np.flatnonzero(~keeps)
@@ -249,7 +264,7 @@ def _restore_rows(kind: str, S: np.ndarray, s_frob, H: np.ndarray,
         dH = _restore_linear(S[broken], H)
     else:
         given = () if setup is None else (setup,)
-        dH = np.array([_restore_quadratic(S[i], H, *given) for i in broken])
+        dH = _restore_quadratic(S[broken], H, *given)
     residual[broken] = _commutator_norm(S[broken], _hermitised(H + dH), kind)
     return broken, dH, residual, limit
 
@@ -259,7 +274,9 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
 
     Linear kind: [S, H_d + ΔH] = 0, solved in the eigenbasis of S.  Quadratic
     kind: [S, (H_d+ΔH)⊗1 + 1⊗(H_d+ΔH)] = 0, the minimal-norm least-squares
-    solution over complex vec(ΔH), which is Hermitian.  Drift directions
+    solution over complex vec(ΔH), which is Hermitian: -vec(H_d) projected
+    onto the row space of the constraint, by the stacked solver the
+    symmetry search uses, given a stack of one.  Drift directions
     already compatible with S are left untouched, so ΔH is generally much
     smaller than -H_d.  A drift commutes when ||[S, H]||_F is at most
     TAU_RANK·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is

@@ -433,6 +433,9 @@ BAD_ARGV = [
     # a coupling whose restored drift's commutation residual sums squares
     # past float64: the model's own ΔH cannot be accepted or refused
     ["reproduce", "rydberg", "--N", "4", "--C", "1e300"],
+    # a coupling whose drift norm times ||S||_F = √d leaves float64, so
+    # restoration's acceptance limit cannot be formed
+    ["reproduce", "rydberg", "--N", "4", "--C", "1e307"],
     ["reproduce", "swap", "--N", "4", "--J", "1e-320"],
     ["reproduce", "swap", "--N", "4", "--J", "1e308"],
     ["reproduce", "syk", "--n-majorana", "6", "--mu", "1e308",
@@ -586,11 +589,18 @@ class TestBadInputExits2:
 
 
 # Reports of successful commands, recorded before the commands were moved
-# onto one bound pipeline: each entry's argv run with --json-only, with
-# elapsed_seconds dropped.  "{problems}" stands for the bundled problem folder.
+# onto one bound pipeline (bound-unitary-cnot-y-controls: before quadratic
+# restoration became a stacked projection): each entry's argv run with
+# --json-only, with elapsed_seconds dropped.  "{problems}" stands for the
+# bundled problem folder, "{data}" for the tests' data folder.
 GOLDEN_REPORTS = Path(__file__).parent / "data" / "cli_reports.json"
 GOLDEN = json.loads(GOLDEN_REPORTS.read_text())
 PROBLEMS = str(resources.files("qsl") / "problems")
+
+
+def _golden_argv(name: str) -> list[str]:
+    return [a.replace("{problems}", PROBLEMS).replace(
+        "{data}", str(GOLDEN_REPORTS.parent)) for a in GOLDEN[name]["argv"]]
 
 
 class TestExactByDefault:
@@ -671,7 +681,7 @@ def _assert_report_matches(got, want, where="report"):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_matches_golden(name, capsys):
     """Successful commands reproduce the recorded JSON reports."""
-    argv = [a.replace("{problems}", PROBLEMS) for a in GOLDEN[name]["argv"]]
+    argv = _golden_argv(name)
     code, report, _ = _run(capsys, argv + ["--json-only"])
     assert code == 0
     report.pop("elapsed_seconds")
@@ -715,7 +725,7 @@ def test_library_bound_is_the_command_line_bound(name, capsys):
     """The command line and the library run one pipeline: ``qsl.bound``
     gives the report's bound (``swap`` reports it as ``bound_time_exact``
     next to its closed form), theorem and intermediates, bit for bit."""
-    argv = [a.replace("{problems}", PROBLEMS) for a in GOLDEN[name]["argv"]]
+    argv = _golden_argv(name)
     code, report, _ = _run(capsys, argv + ["--json-only"])
     assert code == 0
     rep = _library_bound(argv)

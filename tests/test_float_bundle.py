@@ -160,6 +160,17 @@ def test_one_solve_makes_at_most_ten_hermiticity_passes(monkeypatch):
     assert all(A.shape == (256, 256) for A in seen)
 
 
+def test_bound_checks_a_bundle_target_once(monkeypatch):
+    """A model bundle gives its S, so ``qsl.bound`` searches nothing and
+    the numerator's pass is the one hermiticity pass over H_s."""
+    b = rydberg_chain_model(6)
+    seen = _count_passes(monkeypatch)
+    for method in ("exact", "commutator"):
+        seen.clear()
+        qsl.bound(b, method=method)
+        assert sum(A is b.target_hamiltonian for A in seen) == 1
+
+
 def test_drift_checked_once_in_from_matrix():
     """from_matrix checks the drift as part of H_d + ΔH, so a drift that is
     not Hermitian is still rejected."""

@@ -43,6 +43,9 @@ from conftest import (
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
 CNOT_CONTROLS = [kron(X, I2), kron(Z, I2), kron(I2, X), kron(I2, Z)]
+# the controls X0, Y0, Y1, Z1: their quadratic span, the copy swaps, is
+# real, though discovery works in complex128
+Y_CONTROLS = [kron(X, I2), kron(Y, I2), kron(I2, Y), kron(I2, Z)]
 
 
 class TestCommutant:
@@ -295,6 +298,56 @@ class TestDiscoveryDtype:
             assert len(got) == len(want) > 1
             for g, w in zip(got, want):
                 assert np.array_equal(g.matrix, w.matrix)
+
+
+class TestRealSpan:
+    """A span whose canonical elements are real up to rounding is stored
+    as float64, re-checked against the controls as stored; any other span
+    stays complex128."""
+
+    def _complex_route(self, controls, quadratic):
+        """The span's canonical basis in complex128, from the SVD route."""
+        return lie._canonical_basis(svd_commutant(controls, quadratic))
+
+    @pytest.mark.parametrize("find,controls", [
+        (quadratic_symmetry_basis, Y_CONTROLS),
+        (commutant_basis, Y_CONTROLS),
+        (commutant_basis, global_controls(2)),
+    ], ids=["y-controls-quadratic", "y-controls-linear", "global2-linear"])
+    def test_real_span_is_float64(self, find, controls):
+        quadratic = find is quadratic_symmetry_basis
+        raw = lie._commutant(lie._validated_generators(controls), quadratic,
+                             TAU_RANK)
+        assert raw.dtype == np.float64 and raw.flags.c_contiguous
+        got = np.array([s.matrix for s in find(controls)])
+        assert got.dtype == np.float64 and np.array_equal(got, raw)
+        want = self._complex_route(controls, quadratic)
+        assert want.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-14
+        ops = [iota(C) for C in controls] if quadratic else controls
+        assert relative_defects(got, ops).max() <= 4e-15
+
+    def test_collective_commutant_is_complex(self):
+        """The Hermitian commutant of Σ X_i and Σ Z_i on four qubits holds
+        P + P† for each qubit permutation P, which is real, and i(P - P†)
+        for the 3- and 4-cycles, which is imaginary: 10 and 4 of its 14
+        elements, so the basis stays complex128."""
+        raw = lie._commutant(lie._validated_generators(global_controls(4)),
+                             False, TAU_RANK)
+        assert raw.dtype == np.complex128 and len(raw) == 14
+        imag = np.linalg.norm(raw.imag, axis=(1, 2))
+        assert np.sum(imag > 0.5) == 4
+        assert np.max(np.abs(raw - self._complex_route(global_controls(4),
+                                                       False))) <= 1e-14
+
+    @pytest.mark.parametrize("find", [commutant_basis,
+                                      quadratic_symmetry_basis])
+    def test_complex_span_stays_complex(self, rng, find):
+        basis = find([random_hermitian(rng, 2)])
+        assert any(s.matrix.dtype == np.complex128 for s in basis)
+        raw = lie._commutant(lie._validated_generators([Y]), False, TAU_RANK)
+        assert raw.dtype == np.complex128
+        assert np.allclose(raw[1], Y / np.sqrt(2), rtol=0, atol=1e-15)
 
 
 XY_CONTROLS = [kron(X, I2), kron(Y, I2), kron(I2, X), kron(I2, Y)]

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qsl.matcore
 import qsl.perturb
@@ -28,7 +29,10 @@ from qsl.matcore import (
 from qsl.models import coupled_qubit_model
 from qsl.perturb import (
     Perturbation,
+    _commuting_limit,
     _quadratic_constraint,
+    _quadratic_setup,
+    _restore_quadratic,
     perturbation_norm_bound,
     restore_symmetry,
 )
@@ -360,15 +364,41 @@ def _rounded_spectrum(rng, d):
     return hermitize((V * w) @ V.conj().T)
 
 
+def _kernel_rows(K: np.ndarray) -> np.ndarray:
+    """Rows N whose conjugates span ker K: the right singular vectors of
+    one dense SVD of K with singular value at most TAU_RANK·s_max."""
+    _, s, Vh = np.linalg.svd(K)
+    rank = int(np.sum(s > TAU_RANK * s[0])) if s.size and s[0] > 0 else 0
+    return Vh[rank:]
+
+
+def _assert_minimal_norm(S: np.ndarray, H: np.ndarray, dH: np.ndarray):
+    """ΔH is orthogonal to ker K, the minimal-norm property: no part of it
+    could be dropped with the constraint still met."""
+    N = _kernel_rows(_quadratic_constraint(S, H.shape[0]))
+    leak = np.linalg.norm(N @ dH.reshape(-1))
+    assert leak <= 1e-12 * max(1.0, frobenius_norm(H))
+
+
 class TestOneExit:
-    """restore_symmetry returns the oracles' ΔH and op_norm bit for bit, and
-    their residual to rounding."""
+    """restore_symmetry returns the oracles' ΔH and op_norm, and their
+    residual to rounding.  The linear oracle runs the solver's one LAPACK
+    call, so that ΔH is equal bit for bit; the quadratic oracle is a
+    per-row lstsq, which the stacked QR and SVD projection meets at
+    ||ΔH - ΔH_oracle||_F <= 1e-12·max(1, ||H_d||_F), with ΔH orthogonal to
+    ker K."""
 
     def _assert_matches(self, S, H, oracle):
         want_dH, want_residual = oracle(S, H)
         pert = restore_symmetry(S, H)
-        assert np.array_equal(pert.matrix, want_dH)
-        assert pert.op_norm == operator_norm(want_dH)
+        if S.kind == "linear":
+            assert np.array_equal(pert.matrix, want_dH)
+            assert pert.op_norm == operator_norm(want_dH)
+        else:
+            close = 1e-12 * max(1.0, frobenius_norm(H))
+            assert frobenius_norm(pert.matrix - want_dH) <= close
+            assert abs(pert.op_norm - operator_norm(want_dH)) <= close
+            _assert_minimal_norm(S.matrix, H, pert.matrix)
         scale = max(1.0, S.frobenius * frobenius_norm(H))
         assert abs(pert.residual - want_residual) <= 1e-14 * scale
 
@@ -414,6 +444,77 @@ class TestOneExit:
                   Symmetry("quadratic", random_hermitian(rng, 9))):
             with pytest.raises(ValidationError):
                 restore_symmetry(S, random_hermitian(rng, 2))
+
+
+def _copy_swap(d: int) -> np.ndarray:
+    """The swap of the two copies, |a, b> -> |b, a>, on d² dimensions."""
+    a, b = np.divmod(np.arange(d * d), d)
+    P = np.zeros((d * d, d * d))
+    P[b * d + a, np.arange(d * d)] = 1.0
+    return P
+
+
+def _quadratic_row(rng, d: int, kind: str, W: np.ndarray) -> np.ndarray:
+    """One exactly Hermitian quadratic S on d² dimensions.  ``merged`` is
+    an integer combination of 1, the copy swap and the pair projections
+    Π_ab + Π_ba in the eigenframe W of a control, whose eigenvalues
+    coincide across clusters."""
+    n = d * d
+    if kind == "identity":  # K = 0: nothing to restore
+        return np.eye(n)
+    if kind == "swap":
+        return _copy_swap(d)
+    if kind == "merged":
+        S = rng.integers(-1, 2) * np.eye(n) + rng.integers(-1, 2) * _copy_swap(d)
+        P = np.einsum("ia,ja->aij", W, W.conj())  # eigenprojections of W
+        for a in range(d):
+            for b in range(a, d):
+                pair = kron(P[a], P[b]) + kron(P[b], P[a])
+                S = S + rng.integers(-1, 2) * pair
+        return hermitize(S)
+    control = random_hermitian(rng, d)
+    if kind == "real":
+        control = control.real
+    basis = quadratic_symmetry_basis([control])
+    return hermitize(sum(rng.standard_normal() * b.matrix for b in basis))
+
+
+@given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(["identity", "swap", "merged", "real",
+                                       "complex"]), min_size=1, max_size=6),
+       real_frame=st.booleans(), real_drift=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_quadratic_restore(d, seed, kinds, real_frame, real_drift):
+    """_restore_quadratic on a stack of real, complex or mixed rows: each
+    row is a per-row lstsq's minimal-norm ΔH, restores S to the residual
+    limit and is orthogonal to ker K, and equals that row restored alone
+    bit for bit."""
+    rng = np.random.default_rng(seed)
+    frame = random_hermitian(rng, d)
+    W = np.linalg.eigh(frame.real if real_frame else frame)[1]
+    S = np.array([_quadratic_row(rng, d, kind, W) for kind in kinds])
+    if not S.imag.any():
+        S = np.ascontiguousarray(S.real)
+    H = random_hermitian(rng, d)
+    H = hermitize(H.real).real if real_drift else H
+    dH = _restore_quadratic(S, H)
+    assert dH.shape == (len(S), d, d)
+    real = S.dtype == H.dtype == np.float64  # then every step is real
+    assert (dH.dtype == np.float64) == real
+    scale = max(1.0, frobenius_norm(H))
+    for i, S_i in enumerate(S):
+        want, _ = _oracle_restore_quadratic(Symmetry("quadratic", S_i), H)
+        assert frobenius_norm(dH[i] - want) <= 1e-12 * scale
+        residual = frobenius_norm(commutator(S_i, _lift(H + dH[i])))
+        assert residual <= _commuting_limit(frobenius_norm(S_i),
+                                            frobenius_norm(H))
+        _assert_minimal_norm(S_i, H, dH[i])
+        if kinds[i] == "identity":
+            assert not dH[i].any()
+        for alone in (_restore_quadratic(S[i:i + 1], H)[0],
+                      _restore_quadratic(S_i, H),
+                      _restore_quadratic(S_i, H, _quadratic_setup(H))):
+            assert np.array_equal(alone, dH[i])
 
 
 class TestDriftKeepsSymmetry:

@@ -232,6 +232,20 @@ def test_given_symmetry_is_not_rechecked(monkeypatch):
     assert rep.symmetry is bundle.symmetry and rep.basis_size is None
 
 
+@pytest.mark.parametrize("iterations", [0, 5])
+def test_non_hermitian_target_is_named_before_discovery(monkeypatch,
+                                                        iterations):
+    """A target Hamiltonian that is not Hermitian is refused once, with an
+    error that names it, before any symmetry is discovered or scored (the
+    scorer would give every candidate -inf and hide why)."""
+    monkeypatch.setattr(bounds, "_symmetry_basis", None)  # never reached
+    problem = qsl.Problem(np.diag([1.0, -1.0]), [np.array([[0, 1], [1, 0]])],
+                          target_hamiltonian=[[0, 1], [0, 0]])
+    with pytest.raises(ValidationError, match="^target hamiltonian: matrix "
+                       "is not Hermitian"):
+        qsl.bound(problem, optimize_symmetry=iterations)
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("seed", range(4))
 def test_cli_search_on_syk(n, seed):
