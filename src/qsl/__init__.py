@@ -36,12 +36,10 @@ from .matcore import (
     DIMENSION_CAP,
     DimensionCapError,
     DimensionError,
-    NoSpectralGapError,
     PAULI,
     QslError,
     ValidationError,
     commutator,
-    devectorize,
     frobenius_norm,
     hermitize,
     iota,
@@ -49,7 +47,6 @@ from .matcore import (
     matrix_exponential,
     operator_norm,
     permutation_operator,
-    row_vectorize,
 )
 from .models import (
     ModelBundle,
@@ -66,7 +63,7 @@ from .models import (
     site_sum,
     syk_model,
 )
-from .perturb import Perturbation, perturbation_norm_bound, restore_symmetry
+from .perturb import Perturbation, restore_symmetry
 
 __version__ = "0.1.0"
 
@@ -91,7 +88,6 @@ __all__ = [
     "DimensionCapError",
     "DimensionError",
     "ModelBundle",
-    "NoSpectralGapError",
     "PAULI",
     "PauliParseError",
     "Perturbation",
@@ -107,7 +103,6 @@ __all__ = [
     "commutant_basis",
     "commutator",
     "coupled_qubit_model",
-    "devectorize",
     "frobenius_norm",
     "global_controls",
     "hamiltonian_speed_limit",
@@ -127,11 +122,9 @@ __all__ = [
     "optimize_symmetry",
     "parse_pauli_expression",
     "permutation_operator",
-    "perturbation_norm_bound",
     "propagate_piecewise",
     "quadratic_symmetry_basis",
     "restore_symmetry",
-    "row_vectorize",
     "run_command",
     "rydberg_chain_model",
     "single_control_bound",

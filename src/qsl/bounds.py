@@ -10,19 +10,18 @@ quadratic S), and c = √2 for simulating a Hamiltonian H_s (theorems T2), whose
 numerator is the part of S outside the commutant of H_s,
 ||(1 - P_ker ad_{H_s}) S||_F.  k = 2 for a quadratic symmetry (suffix a),
 which acts on two copies of the system, and k = 1 for a linear one (suffix b).
-Both denominators are measurements: ||S||_F of S's matrix, and ||ΔH||_inf,
-from its one source, a supplied perturbation (measured from its own matrix),
-or, given only the drift, the analytic cap ||[S, H_d]||_F / σ_min with σ_min
-measured from S (linear S) or the restored minimal perturbation (quadratic
-S).  Both routes give 0 for a drift that keeps S by restoration's acceptance
-test, and ||ΔH||_inf <= 0 is the one ΔH test here: it refuses the bound with
-one text, "symmetry already commutes with the drift; no time bound follows".
+Both denominators are measurements: ||S||_F of S's matrix, and ||ΔH||_inf
+of one perturbation's own matrix: the supplied one or, given only the
+drift, the minimal one ``restore_symmetry`` finds (either kind of S).  A
+drift that keeps S by restoration's acceptance test gets ΔH = 0, and
+||ΔH||_inf <= 0 is the one ΔH test here: it refuses the bound with one
+text, "symmetry already commutes with the drift; no time bound follows".
 A supplied perturbation counts only for its own symmetry (the same object,
 or the same kind and an equal matrix; ValidationError otherwise), and when
 the drift is supplied too, H_d + ΔH must pass restoration's acceptance test,
 read from the recorded residual when there is one (ConditioningError
 otherwise).  A ΔH supplied with no drift is trusted.
-``single_control_bound`` is T1b on this route, with S = H_c.
+``single_control_bound`` is T1b on the restored route, with S = H_c.
 
 What T2 bounds is a reconstruction, consistent with c = √2; the source
 paper's statement is not at hand.  The T2 value is invariant under
@@ -116,7 +115,6 @@ from .perturb import (
     _keeps_symmetry,
     _quadratic_setup,
     _restore_rows,
-    perturbation_norm_bound,
     restore_symmetry,
 )
 
@@ -268,20 +266,13 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
     num = numerator()
     if perturbation is not None:
         _require_restores(perturbation, S, drift)
-        dh = perturbation.op_norm
     elif drift is None:
         raise ValidationError("either a perturbation or a drift is required")
-    elif S.kind == "linear":
-        dh = perturbation_norm_bound(S, drift)
     else:
         perturbation = restore_symmetry(S, drift)
-        dh = perturbation.op_norm
+    dh = perturbation.op_norm
     if dh <= 0:
         raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
-    if perturbation is None:
-        inter["sigma_min"] = S.sigma_min
-        warnings.append("perturbation norm taken from the analytic "
-                        "||[S, H_d]||_F / sigma_min bound")
     gate = method == "not_applicable"
     inter.update({"symmetry_frobenius": sfrob, "delta_h_op_norm": dh,
                   "breaking_norm" if gate else "kernel_complement_norm": num})
@@ -308,23 +299,11 @@ def unitary_speed_limit(U, S: Symmetry, perturbation: Perturbation | None = None
     Quadratic S:  T >= ||[U⊗U, S]||_F / (4 ||S||_F ||ΔH||_inf)  (T1a).
     Linear S:     T >= ||[U, S]||_F / (2 ||S||_F ||ΔH||_inf)    (T1b).
 
-    With a linear S and a drift supplied, the fully analytic variant replacing
-    ||ΔH||_inf by ||[S, H_d]||_F / σ_min is also evaluated and reported; it is
-    the bound when no explicit perturbation is given.
+    When no perturbation is supplied, S is restored for the drift.
     """
     U = require_unitary(U)
-    rep = _speed_limit(lambda: symmetry_breaking_norm(S, U), S, perturbation,
-                       drift, "not_applicable", {}, [])
-    if S.kind == "linear" and drift is not None:
-        inter = rep.intermediates
-        # without a perturbation the bound already used the analytic cap
-        dh_analytic = (inter["delta_h_op_norm"] if rep.perturbation is None
-                       else perturbation_norm_bound(S, drift))
-        if dh_analytic > 0:
-            inter["analytic_bound"] = inter["breaking_norm"] / (
-                2.0 * inter["symmetry_frobenius"] * dh_analytic)
-            inter["sigma_min"] = S.sigma_min
-    return rep
+    return _speed_limit(lambda: symmetry_breaking_norm(S, U), S, perturbation,
+                        drift, "not_applicable", {}, [])
 
 
 @functools.lru_cache(maxsize=32)
@@ -682,9 +661,8 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     T >= numerator / (2√2 ||S||_F ||ΔH||_inf) for quadratic S (T2a), or
     numerator / (√2 ||S||_F ||ΔH||_inf) for linear S (T2b), with the numerator
     produced by the selected kernel-projection method (exact, commutator, or
-    chebyshev).  When no perturbation is supplied the drift is used: linear
-    symmetries fall back to the analytic ||[S, H_d]||_F / σ_min bound on
-    ||ΔH||_inf, quadratic ones get an explicit minimal perturbation.
+    chebyshev).  When no perturbation is supplied, S is restored for the
+    drift.
     """
     if method not in ("exact", "commutator", "chebyshev"):
         raise ValidationError(f"unknown projection method {method!r}")
@@ -717,9 +695,10 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
 
 
 def single_control_bound(H_d, H_c, U) -> float:
-    """Speed limit when a single control is available: T1b's analytic route
-    with S = H_c, for the control is then a symmetry of the reachable set:
-    T >= ||[U, H_c]||_F σ_min(H_c) / (2 ||H_c||_F ||[H_c, H_d]||_F).
+    """Speed limit when a single control is available: T1b with S = H_c,
+    for the control is then a symmetry of the reachable set, and ΔH the
+    minimal perturbation restoring it:
+    T >= ||[U, H_c]||_F / (2 ||H_c||_F ||ΔH||_inf).
     """
     return unitary_speed_limit(U, Symmetry("linear", H_c), drift=H_d).bound_time
 
@@ -779,8 +758,8 @@ class _StackScorer:
             if H.shape[0] != like.base_dimension:
                 raise DimensionError("drift dimension does not match symmetry")
             self._drift = H, hermitian_part(H), frobenius_norm(H)
-            self._setup = (_quadratic_setup(H) if self.kind == "quadratic"
-                           else None)
+            self._setup = (_quadratic_setup(self._drift[1])
+                           if self.kind == "quadratic" else None)
             if self.gate:
                 U = require_unitary(target_unitary)
                 if U.shape[0] != like.base_dimension:
@@ -1016,7 +995,6 @@ def bound(problem, *, kind: str | None = None, method: str | None = "exact",
     H_d, perturbation = problem.drift, problem.perturbation
     if perturbation is None:
         perturbation = restore_symmetry(symmetry, H_d)
-    # given the drift, a linear S's unitary limit adds its analytic variant
     rep = (unitary_speed_limit(U, symmetry, perturbation, drift=H_d)
            if U is not None else hamiltonian_speed_limit(
                H_s, symmetry, perturbation, drift=H_d, **numerator))

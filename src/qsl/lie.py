@@ -27,7 +27,7 @@ ConditioningError.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .matcore import (
     _kernel_mask,
     _lift,
     _permutation_of,
-    _spectral_gap,
     check_entry_cap,
     frobenius_norm,
     hermitian_part,
@@ -72,20 +71,18 @@ class Symmetry:
     one Hermitian array every bound, restoration and residual reads: the
     input, checked and hermitised in one pass (``hermitian_part``), so it
     is the input itself when that is exactly Hermitian, and float64 when it
-    is exactly real.  ``sigma_min`` is the smallest gap between distinct
-    eigenvalues (clustered at a tolerance relative to the operator norm),
-    always measured from the matrix, on first use, and cached; no caller
-    can set it.  ``_permutation`` is σ with S[i, σ(i)] = 1 when a linear S
-    is a float64 permutation matrix (the Rydberg swap), else None, found on
-    first use and cached: every product with such an S is a gather
+    is exactly real.  S carries no spectral data of its own: a bound's
+    ||ΔH||_inf comes from the perturbation restoring S
+    (``perturb.restore_symmetry``), never from S's eigenvalue gaps.
+    ``_permutation`` is σ with S[i, σ(i)] = 1 when a linear S is a float64
+    permutation matrix (the Rydberg swap), else None, found on first use
+    and cached: every product with such an S is a gather
     (``matcore._times_symmetry``).
     """
 
     kind: str
     matrix: np.ndarray
     note: str = ""
-    _sigma_min: float | None = field(init=False, default=None, repr=False,
-                                     compare=False)
 
     def __post_init__(self):
         if self.kind not in ("linear", "quadratic"):
@@ -109,12 +106,6 @@ class Symmetry:
     @property
     def frobenius(self) -> float:
         return frobenius_norm(self.matrix)
-
-    @property
-    def sigma_min(self) -> float:
-        if self._sigma_min is None:
-            self._sigma_min = _spectral_gap(self.matrix)
-        return self._sigma_min
 
     @functools.cached_property
     def _permutation(self) -> np.ndarray | None:

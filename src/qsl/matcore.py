@@ -4,7 +4,7 @@ Everything downstream (symmetry discovery, perturbation construction, the
 speed-limit formulas) is built on the handful of primitives in this module:
 Hermitian/unitary validation, norms, eigendecomposition-based exponentials,
 Kronecker products, qubit tensor products built by index arithmetic,
-row-vectorization, and tensor-factor permutation operators.
+and tensor-factor permutation operators.
 
 Matrices are plain ``numpy.ndarray`` values with float64 or complex128
 entries: a float64 input stays float64 (an exactly real operator such as the
@@ -42,7 +42,7 @@ TAU_H = 1e-10          # hermiticity, Frobenius scale
 TAU_U = 1e-10          # unitarity, Frobenius scale per sqrt(dim)
 TAU_RANK = 1e-9        # rank / nullspace decisions, relative to s_max
 GAP_RTOL = 1e-8        # eigenvalue clustering, relative to operator norm:
-                       # spectral gaps, restoration and the exact numerator
+                       # restoration and the exact numerator
 # Chebyshev filter interval when the caller supplies no spectral estimates:
 # ad_H eigenvalue gaps below this fraction of the spectral span count as
 # degenerate.  S components at smaller gaps are then not counted by the
@@ -71,10 +71,6 @@ class DimensionCapError(QslError):
 
 class ValidationError(QslError):
     """A value violates its numerical contract (hermiticity, unitarity, ...)."""
-
-
-class NoSpectralGapError(QslError):
-    """All eigenvalues coincide; no nonzero spectral gap exists."""
 
 
 class ConditioningError(QslError):
@@ -187,16 +183,25 @@ def _hermitian_defect(A: np.ndarray) -> float:
     return _hermitian_pass(A)[1]
 
 
-def _antihermitian_norm(P: np.ndarray):
-    """||P - P†||_F of a matrix, or of each matrix of a stack, summed over
-    the ``_tile_pairs`` of P with ``_frobenius``'s dot products: no
-    temporary the size of P, the value of ``_frobenius(P - P†)`` for
-    d <= 64, and a matrix gets the same value alone as in any stack."""
+def _pair_square_sum(P: np.ndarray):
+    """||P - P†||²_F, summed over the ``_tile_pairs`` of P with
+    ``_square_sum``'s dot products; a sum past float64 is inf, with no
+    warning."""
     total = 0.0
-    for _, _, w, D in _tile_pairs(P):
-        total = total + w * _square_sum(D)
-        del D  # before the next tile is formed
-    return np.sqrt(total)
+    with np.errstate(over="ignore"):
+        for _, _, w, D in _tile_pairs(P):
+            total = total + w * _square_sum(D)
+            del D  # before the next tile is formed
+    return total
+
+
+def _antihermitian_norm(P: np.ndarray):
+    """||P - P†||_F of a matrix, or of each matrix of a stack, from the
+    tile pairs of P, rescaled by ``_scaled_root`` where the plain sum
+    leaves float64.  A finite plain sum needs no temporary the size of P
+    and, for d <= 64, is the value of ``_frobenius(P - P†)``; a matrix gets
+    the same value alone as in any stack."""
+    return _scaled_root(P, _pair_square_sum)
 
 
 def _too_far_from_hermitian(A: np.ndarray, defect: float, tol: float) -> bool:
@@ -317,19 +322,27 @@ def _square_sum(X: np.ndarray):
                    for p in parts)
 
 
-def _frobenius(X: np.ndarray):
-    """||X||_F of a matrix, or of each matrix of a stack, from
-    ``_square_sum``.  Only where that sum leaves float64 is it formed again
-    from X scaled by its largest finite |entry|, as LAPACK's nrm2 scales,
-    so every other value stays the plain one bit for bit."""
-    norm = np.sqrt(_square_sum(X))
+def _scaled_root(X: np.ndarray, square_sum):
+    """sqrt(square_sum(X)) for a matrix or each matrix of a stack, where
+    square_sum is homogeneous of degree 2.  Only where that sum leaves
+    float64 is it formed again from X scaled by its largest finite |entry|,
+    as LAPACK's nrm2 scales, so every other value stays the plain one bit
+    for bit."""
+    norm = np.sqrt(square_sum(X))
     if np.isfinite(norm).all():
         return norm
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.max(np.abs(X), axis=(-2, -1), initial=0.0)
         scale = np.where(np.isfinite(scale) & (scale > 0), scale, 1.0)
-        scaled = scale * np.sqrt(_square_sum(X / scale[..., None, None]))
+        scaled = scale * np.sqrt(square_sum(X / scale[..., None, None]))
     return np.where(np.isfinite(norm), norm, scaled)
+
+
+def _frobenius(X: np.ndarray):
+    """||X||_F of a matrix, or of each matrix of a stack, from
+    ``_square_sum``, rescaled by ``_scaled_root`` where the plain sum
+    leaves float64."""
+    return _scaled_root(X, _square_sum)
 
 
 def _max_abs_eigenvalue(H: np.ndarray):
@@ -420,19 +433,6 @@ def _qubit_product(factors: dict, n_qubits: int, out=None, weight=None):
     else:
         out[rows, cols] += vals
     return out
-
-
-def row_vectorize(M) -> np.ndarray:
-    """Stack rows into a vector; ||M||_F = ||vec(M)||_2."""
-    return as_operator(M).reshape(-1)
-
-
-def devectorize(v) -> np.ndarray:
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    d = int(round(np.sqrt(v.size)))
-    if d * d != v.size:
-        raise DimensionError(f"vector of length {v.size} is not a square matrix")
-    return v.reshape(d, d)
 
 
 def _lift(Y: np.ndarray) -> np.ndarray:
@@ -570,27 +570,3 @@ def _near_cut(ws: np.ndarray, ranked: np.ndarray, tol) -> bool:
     return bool((new[..., 1:] & (gaps <= 10 * tol)).any()
                 or (ws - np.take_along_axis(ws, first, -1) > tol).any())
 
-
-def min_eigenvalue_gap(values, cluster_tol: float) -> float:
-    """Smallest gap between distinct eigenvalue clusters.
-
-    Raises NoSpectralGapError when everything collapses to one cluster.
-    """
-    w = np.sort(np.asarray(values, dtype=float).reshape(-1))
-    labels = _cluster_labels(w, cluster_tol)
-    if labels[-1] == 0:
-        raise NoSpectralGapError("all eigenvalues coincide within tolerance")
-    return float(np.min(np.diff(np.bincount(labels, w) / np.bincount(labels))))
-
-
-def _spectral_gap(H: np.ndarray) -> float:
-    """``spectral_gap_min`` of an already validated Hermitian H."""
-    w = np.linalg.eigvalsh(H)
-    return min_eigenvalue_gap(w, GAP_RTOL * float(np.max(np.abs(w))))
-
-
-def spectral_gap_min(S) -> float:
-    """Smallest nonzero gap between eigenvalues of S, clustered at GAP_RTOL
-    relative to the operator norm so near-degenerate pairs do not count.
-    Equals 1 for orthogonal projections."""
-    return _spectral_gap(require_hermitian(S))

@@ -11,12 +11,11 @@ Hermitian.  Both take a stack of symmetries for one drift and run in real
 arithmetic when S and H_d are real.
 
 S is the one Hermitian array of a ``Symmetry`` (or a stack of them).  One
-cluster rule serves this projection, the exact kernel-complement
+cluster rule serves this projection and the exact kernel-complement
 numerator of ``bounds`` (the same projection, ``matcore._kernel_mask``, in
-the eigenframe of H_s) and every spectral gap σ_min: the ascending
-eigenvalues start a new cluster at each adjacent gap above
-GAP_RTOL·max|eigenvalue|.  One residual rule serves the restored drift and
-the analytic cap ||[S, H_d]||_F / σ_min: ||[S, H]||_F = ||P - P†||_F with
+the eigenframe of H_s): the ascending eigenvalues start a new cluster at
+each adjacent gap above GAP_RTOL·max|eigenvalue|.  One residual rule
+serves the drift and the restored drift: ||[S, H]||_F = ||P - P†||_F with
 P = S H for the hermitised H, H lifted to H⊗1 + 1⊗H for quadratic S, one
 product in place of two (a row gather of H when S is a permutation
 matrix, ``Symmetry._permutation``), and P - P† never formed: its norm is
@@ -25,19 +24,19 @@ summed over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
 in one stacked eigendecomposition, quadratic ones in one stacked QR and one
 stacked SVD, and applies the acceptance rule to each;
 ``restore_symmetry`` passes it a stack of one and is the one place where a
-restored ΔH is wrapped.  A ``Perturbation`` measures its own norms from its
+restored ΔH is wrapped.  It is the one source of ||ΔH||_inf for a bound
+given only the drift.  A ``Perturbation`` measures its own norms from its
 matrix, which must be Hermitian and act on the symmetry's base space; no
-caller sets ||ΔH||_inf, nor σ_min, which ``Symmetry`` measures from S.  A
-recorded residual keeps the drift it was measured for.
+caller sets ||ΔH||_inf.  A recorded residual keeps the drift it was
+measured for.
 
 One acceptance rule, ``_keeps_symmetry``, decides whether a drift keeps
 S: ||[S, H]||_F <= ``_commuting_limit`` = TAU_RANK·max(1, ||S||_F ||H_d||_F)
 with ||H_d||_F of the drift as given; ``bounds.bound`` applies it to a whole
 basis before its search.  A restored drift must pass it; a drift that passes it
-unchanged gets an all-zero ΔH from ``restore_symmetry`` and 0.0 from the
-analytic cap, so every bound refuses it (``bounds._speed_limit`` rejects
-||ΔH||_inf = 0 with one text) rather than divide rounding noise by
-rounding noise.
+unchanged gets an all-zero ΔH from ``restore_symmetry``, so every bound
+refuses it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0 with one text)
+rather than divide rounding noise by rounding noise.
 """
 
 from __future__ import annotations
@@ -70,15 +69,17 @@ from .matcore import (
 )
 
 
-def _commutator_norm(S: np.ndarray, H: np.ndarray, kind: str, perm=None):
+def _commutator_norm(S: np.ndarray, H: np.ndarray, kind: str, perm=None,
+                     lifted=None):
     """||[S, H]||_F for exactly Hermitian S and H (H lifted for quadratic
-    S) as ||P - P†||_F with P = S H: one product, in real arithmetic when
-    both operands are exactly real, and ``_antihermitian_norm``'s tile
-    pairs of P.  Either may be a stack, one value per matrix.  ``perm`` is
-    a single S's ``Symmetry._permutation``: when it is set, P is the row
-    gather H[σ], with the product's values and no d³ work."""
+    S, or ``lifted``, its lift when already formed) as ||P - P†||_F with
+    P = S H: one product, in real arithmetic when both operands are exactly
+    real, and ``_antihermitian_norm``'s tile pairs of P.  Either may be a
+    stack, one value per matrix.  ``perm`` is a single S's
+    ``Symmetry._permutation``: when it is set, P is the row gather H[σ],
+    with the product's values and no d³ work."""
     if kind == "quadratic":
-        H = _lift(H)
+        H = _lift(H) if lifted is None else lifted
     return _antihermitian_norm(_times_symmetry(S, H, perm))
 
 
@@ -165,6 +166,8 @@ def _restore_linear(S: np.ndarray, H_d: np.ndarray) -> np.ndarray:
 def _unit_lifts(d: int) -> np.ndarray:
     """The lifts E⊗1 + 1⊗E of all d² unit matrices E, one 0/1/2 array of
     shape (d², d², d²)."""
+    # K holds d^4 x d^2 complex entries, the unit-matrix lifts d^6 real ones
+    check_entry_cap(2 * d**6)
     return _lift(np.eye(d * d).reshape(d * d, d, d))
 
 
@@ -183,19 +186,18 @@ def _quadratic_constraint(S: np.ndarray, d: int, lifts=None) -> np.ndarray:
     return C.reshape(C.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
-def _quadratic_setup(H_d: np.ndarray) -> np.ndarray:
+def _quadratic_setup(Hh: np.ndarray):
     """What every quadratic restoration of one drift shares: the unit-matrix
-    lifts."""
-    d = H_d.shape[0]
-    # K holds d^4 x d^2 complex entries, the unit-matrix lifts d^6 real ones
-    check_entry_cap(2 * d**6)
-    return _unit_lifts(d)
+    lifts, and the lift of the hermitised drift Hh that the acceptance rule
+    reads."""
+    return _unit_lifts(Hh.shape[0]), _lift(Hh)
 
 
 def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
                        setup=None) -> np.ndarray:
     """ΔH for each quadratic symmetry matrix of a stack S (or for one),
-    with the drift's ``_quadratic_setup`` (built here when not given).
+    with the unit-matrix lifts of the drift's ``_quadratic_setup`` (built
+    here when not given).
 
     ΔH = -V_r V_r† vec(H_d), minus the drift's projection onto the row
     space of K: lstsq's minimal-norm solution of K vec(ΔH) = -K vec(H_d),
@@ -208,7 +210,7 @@ def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
     are, and a row of a stack equals that row restored alone.
     """
     d = H_d.shape[0]
-    lifts = _quadratic_setup(H_d) if setup is None else setup
+    lifts = _unit_lifts(d) if setup is None else setup[0]
     R = np.linalg.qr(_quadratic_constraint(S, d, lifts), mode="r")
     _, s, Vh = np.linalg.svd(R)
     kept = s > TAU_RANK * s[..., :1]
@@ -229,14 +231,15 @@ def _commuting_limit(s_frob, h_frob):
 
 
 def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
-                    h_frob: float, perm=None):
+                    h_frob: float, perm=None, lifted=None):
     """The one acceptance rule: a drift keeps S when ||[S, H]||_F is at most
     ``_commuting_limit(s_frob, h_frob)``.  S is a symmetry matrix or a stack
     of them with Frobenius norms s_frob, ``perm`` a single S's σ; Hh is the
-    hermitised drift and h_frob ||H_d||_F of the drift as given.  Returns
-    (keeps, ||[S, Hh]||_F, limit), one of each per matrix."""
+    hermitised drift (``lifted`` its lift, when formed) and h_frob ||H_d||_F
+    of the drift as given.  Returns (keeps, ||[S, Hh]||_F, limit), one of
+    each per matrix."""
     limit = _commuting_limit(s_frob, h_frob)
-    breaking = _commutator_norm(S, Hh, kind, perm)
+    breaking = _commutator_norm(S, Hh, kind, perm, lifted)
     if not np.all(np.isfinite(breaking)):
         raise ValidationError("||[S, H_d]||_F is not finite: whether the "
                               "drift keeps S cannot be decided")
@@ -249,14 +252,17 @@ def _restore_rows(kind: str, S: np.ndarray, s_frob, H: np.ndarray,
 
     S and s_frob are the stack's symmetry matrices and their Frobenius
     norms; Hh is the Hermitian part of H and h_frob ||H||_F; ``setup`` is
-    ``_quadratic_setup(H)``, built by the quadratic solve when not given.
+    ``_quadratic_setup(Hh)``, whose lift of Hh the acceptance rule reads,
+    built by the quadratic solve when not given.
     Returns (broken, dH, residual, limit): the rows whose drift breaks S by
     ``_keeps_symmetry``, their ΔH (one stacked solve of either kind), and
     for every row ||[S, H_d + ΔH]||_F, the breaking norm ||[S, H_d]||_F
     where the drift keeps S, and its ``_commuting_limit``.  A broken row
     whose residual exceeds its limit failed to restore.
     """
-    keeps, residual, limit = _keeps_symmetry(kind, S, s_frob, Hh, h_frob)
+    keeps, residual, limit = _keeps_symmetry(
+        kind, S, s_frob, Hh, h_frob,
+        lifted=None if setup is None else setup[1])
     broken = np.flatnonzero(~keeps)
     if not broken.size:
         return broken, None, residual, limit
@@ -301,18 +307,3 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
         )
     return Perturbation(dH[0], S)._measured(residual, H)
 
-
-def perturbation_norm_bound(S: Symmetry, H_d) -> float:
-    """Analytic bound ||ΔH||_inf <= ||[S, H_d]||_F / sigma_min(S).
-
-    Linear kind only; always at least the operator norm of the perturbation
-    returned by restore_symmetry.  0.0 for a drift that keeps S by
-    restoration's test: no bound follows.
-    """
-    if S.kind != "linear":
-        raise ValidationError("analytic perturbation bound applies to linear "
-                              "symmetries only")
-    Hh, _ = require_same_dimension(hermitian_part(H_d), S.matrix)
-    keeps, breaking, _ = _keeps_symmetry(S.kind, S.matrix, S.frobenius, Hh,
-                                         frobenius_norm(H_d), S._permutation)
-    return 0.0 if keeps else float(breaking) / S.sigma_min

@@ -90,6 +90,25 @@ def loop_labels(w, tol) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 
 
+def cluster_gap(S) -> float:
+    """Oracle: σ_min(S), the smallest gap between the means of adjacent
+    ``clusters_by_loop`` clusters of S's ``eigvalsh`` spectrum at
+    GAP_RTOL·max|eigenvalue|; inf when the spectrum is one cluster."""
+    w = np.linalg.eigvalsh(S)
+    means = [np.mean(c) for c in clusters_by_loop(
+        w, GAP_RTOL * float(np.max(np.abs(w))))]
+    return float(np.min(np.diff(means))) if len(means) > 1 else np.inf
+
+
+def analytic_cap(S, H_d) -> float:
+    """Oracle: the analytic cap ||[S, H_d]||_F / σ_min(S) for a linear S,
+    from numpy alone.  The minimal ΔH restoring S drops the entries of H_d
+    that join distinct clusters in S's eigenframe, and those are the entries
+    of [S, H_d] divided by gaps of at least about σ_min, so
+    ||ΔH||_inf <= ||ΔH||_F <= the cap (to the clusters' widths)."""
+    return float(np.linalg.norm(S @ H_d - H_d @ S)) / cluster_gap(S)
+
+
 def pairwise_kernel_complement(H_s, S, tol=None):
     """Oracle: the exact numerator with the pairwise degeneracy cut.
 

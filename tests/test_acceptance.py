@@ -45,8 +45,9 @@ from qsl.models import (
     syk_model,
 )
 from qsl.perturb import restore_symmetry
-from conftest import (adjoint_superoperator, evolution_from_identity_peak, random_hermitian, random_state,
-                      random_unitary, span_residual)
+from conftest import (adjoint_superoperator, analytic_cap,
+                      evolution_from_identity_peak, random_hermitian,
+                      random_state, random_unitary, span_residual)
 
 
 _CAPTURE_MANAGER = [None]
@@ -290,7 +291,7 @@ def test_criterion_08_perturbation_contracts():
         pert = restore_symmetry(S, H)
         resid = frobenius_norm(commutator(S.matrix, H + pert.matrix))
         herm = frobenius_norm(pert.matrix - pert.matrix.conj().T)
-        cap = frobenius_norm(commutator(S.matrix, H)) / S.sigma_min
+        cap = analytic_cap(S.matrix, H)
         worst_resid = max(worst_resid, resid)
         worst_herm = max(worst_herm, herm)
         worst_excess = max(worst_excess, pert.frob_norm - cap)

@@ -543,8 +543,10 @@ class TestPermutationCost:
     @pytest.mark.parametrize("gather", [True, False])
     @pytest.mark.parametrize("N", [4, 6])
     def test_no_product_with_s(self, monkeypatch, N, gather):
-        """S handed out as a ``Counted`` view: from_matrix, the commutator
-        numerator and the analytic ||ΔH||_inf cap never multiply by it."""
+        """S handed out as a ``Counted`` view: from_matrix, the residual
+        formed again for a ΔH given without one, and the commutator
+        numerator never multiply by it.  (A drift-only bound restores S,
+        whose eigenframe is not a gather.)"""
         if not gather:
             dense_path(monkeypatch)
         b = rydberg_chain_model(N)
@@ -554,12 +556,13 @@ class TestPermutationCost:
         Counted.matmuls, Counted.products = 0, []
         pert = Perturbation.from_matrix(S, b.perturbation.matrix,
                                         drift=b.drift)
-        for given, drift in ((pert, None), (None, b.drift)):
+        for given, drift in ((pert, None),
+                             (Perturbation(pert.matrix, S), b.drift)):
             hamiltonian_speed_limit(b.target_hamiltonian, S, given,
                                     method="commutator", drift=drift)
         if gather:
             assert Counted.matmuls == 0
-        else:  # from_matrix, the two numerators and the cap: one each
+        else:  # from_matrix twice and the two numerators: one each
             assert Counted.products.count(((d, d), (d, d))) == 4
 
 

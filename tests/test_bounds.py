@@ -40,10 +40,10 @@ from qsl.models import (
     global_controls,
     propagate_piecewise,
 )
-from qsl.perturb import Perturbation, perturbation_norm_bound, restore_symmetry
-from conftest import (evolution_from_identity_peak, kernel_projection_lower_bound,
-                      pairwise_kernel_complement, random_hermitian, random_state,
-                      random_unitary)
+from qsl.perturb import Perturbation, restore_symmetry
+from conftest import (analytic_cap, evolution_from_identity_peak,
+                      kernel_projection_lower_bound, pairwise_kernel_complement,
+                      random_hermitian, random_state, random_unitary)
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -118,11 +118,17 @@ class TestUnitaryBound:
         U = np.diag(np.exp(1j * np.array([0.2, 1.1])))
         assert unitary_speed_limit(U, S, pert).bound_time == pytest.approx(0.0, abs=1e-12)
 
-    def test_drift_route_reports_analytic_bound(self):
+    def test_drift_route_reports_the_restored_perturbation(self):
+        """Given only the drift, a linear S is restored: ΔH = -X for S = Z,
+        reported with the bound, and no warning."""
         S = Symmetry("linear", Z)
         rep = unitary_speed_limit(matrix_exponential(X, 0.3), S, drift=X)
-        assert "analytic_bound" in rep.intermediates
-        assert rep.warnings  # fell back to the analytic perturbation norm
+        assert np.array_equal(rep.perturbation.matrix,
+                              restore_symmetry(S, X).matrix)
+        assert rep.intermediates["delta_h_op_norm"] == 1.0
+        assert set(rep.intermediates) == {"symmetry_frobenius",
+                                          "delta_h_op_norm", "breaking_norm"}
+        assert rep.warnings == []
 
     def test_symmetry_scaling_leaves_bound_unchanged(self, rng):
         S = random_hermitian(rng, 4)
@@ -489,10 +495,10 @@ class TestHamiltonianBound:
 
 class TestSingleControl:
     def test_reference_value(self):
+        """Control Z, drift X: ΔH = -X restores Z, ||ΔH||_inf = 1."""
         U = matrix_exponential(X, 0.7)
         got = single_control_bound(X, Z, U)
-        want = (frobenius_norm(commutator(U, Z)) * 2.0
-                / (2 * frobenius_norm(Z) * frobenius_norm(commutator(Z, X))))
+        want = frobenius_norm(commutator(U, Z)) / (2 * frobenius_norm(Z))
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_commuting_control_rejected(self):
@@ -500,9 +506,9 @@ class TestSingleControl:
             single_control_bound(Z, Z, matrix_exponential(Z, 0.5))
 
     def test_pauli_target(self):
-        # ||[Z, X]||_F = 2 sqrt(2), gap(X) = 2, ||X||_F = sqrt(2)
+        # ||[Z, X]||_F = 2 sqrt(2), ||X||_F = sqrt(2), ΔH = -Z restores X
         assert single_control_bound(Z, X, Z.astype(complex)) == pytest.approx(
-            1 / math.sqrt(2), rel=1e-12)
+            1.0, rel=1e-12)
 
     def test_target_commuting_with_control_gives_zero(self):
         U = matrix_exponential(X, 1.1)
@@ -513,7 +519,7 @@ class TestSingleControl:
         assert single_control_bound(2 * Z, X, U) == pytest.approx(
             single_control_bound(Z, X, U) / 2, rel=1e-12)
 
-    def test_is_the_analytic_linear_unitary_bound(self, rng):
+    def test_is_the_restored_linear_unitary_bound(self, rng):
         for d in (2, 3, 5):
             H_d, H_c = random_hermitian(rng, d), random_hermitian(rng, d)
             U = random_unitary(rng, d)
@@ -579,8 +585,6 @@ THEOREMS = {"T1a": ("quadratic", True, 2.0, 2.0),
             "T1b": ("linear", True, 2.0, 1.0),
             "T2a": ("quadratic", False, math.sqrt(2.0), 2.0),
             "T2b": ("linear", False, math.sqrt(2.0), 1.0)}
-ANALYTIC_WARNING = ("perturbation norm taken from the analytic "
-                    "||[S, H_d]||_F / sigma_min bound")
 
 
 def theorem_problem(theorem):
@@ -608,8 +612,8 @@ def theorem_problem(theorem):
 
 class TestOneTheoremTail:
     """All four theorems are T >= numerator / (c · k · ||S||_F · ||ΔH||_inf),
-    with ||ΔH||_inf from a supplied perturbation, the analytic cap (linear S
-    given a drift) or the restored perturbation (quadratic S given a drift)."""
+    with ||ΔH||_inf from a supplied perturbation or, given a drift, the
+    restored one, for either kind of S."""
 
     @pytest.mark.parametrize("source", ["supplied", "drift"])
     @pytest.mark.parametrize("theorem", sorted(THEOREMS))
@@ -620,21 +624,16 @@ class TestOneTheoremTail:
             pert = Perturbation.from_matrix(
                 S, random_hermitian(np.random.default_rng(3), 4))
             rep = bound(pert)
-            dh, warnings = pert.op_norm, []
+            dh = pert.op_norm
             assert rep.perturbation is pert
-        elif kind == "linear":  # the analytic cap
-            rep = bound(drift=drift)
-            dh, warnings = perturbation_norm_bound(S, drift), [ANALYTIC_WARNING]
-            assert rep.perturbation is None
-            assert rep.intermediates["sigma_min"] == S.sigma_min
         else:  # the restored minimal perturbation
             rep = bound(drift=drift)
             restored = restore_symmetry(S, drift)
-            dh, warnings = restored.op_norm, []
+            dh = restored.op_norm
             assert np.array_equal(rep.perturbation.matrix, restored.matrix)
         assert rep.theorem == theorem
         assert rep.bound_time == num / (c * k * S.frobenius * dh)
-        assert rep.warnings == warnings
+        assert rep.warnings == []
         assert rep.intermediates["delta_h_op_norm"] == dh
         assert rep.intermediates["symmetry_frobenius"] == S.frobenius
         name = "breaking_norm" if gate else "kernel_complement_norm"
@@ -670,23 +669,114 @@ class TestOneTheoremTail:
                 bound()
 
     @pytest.mark.parametrize("supplied", [False, True])
-    def test_one_analytic_cap_per_linear_unitary_bound(self, monkeypatch,
-                                                       supplied):
+    def test_one_restoration_per_linear_unitary_bound(self, monkeypatch,
+                                                      supplied):
+        """A drift-only bound restores S once; a supplied ΔH, restored for
+        the same drift, is read from its recorded residual and restores
+        nothing.  Both report the same bound, a linear S's three
+        intermediates and no other."""
+        bound, num, S, drift = theorem_problem("T1b")
+        pert = restore_symmetry(S, drift) if supplied else None
         calls = []
 
         def counted(S, H_d):
             calls.append(1)
-            return perturbation_norm_bound(S, H_d)
+            return restore_symmetry(S, H_d)
 
-        monkeypatch.setattr(bounds, "perturbation_norm_bound", counted)
-        bound, num, S, drift = theorem_problem("T1b")
-        pert = restore_symmetry(S, drift) if supplied else None
+        monkeypatch.setattr(bounds, "restore_symmetry", counted)
         rep = bound(pert, drift=drift)
-        assert len(calls) == 1
-        dh = perturbation_norm_bound(S, drift)
-        assert rep.intermediates["analytic_bound"] == num / (
-            2.0 * S.frobenius * dh)
-        assert rep.intermediates["sigma_min"] == S.sigma_min
+        assert len(calls) == (0 if supplied else 1)
+        dh = restore_symmetry(S, drift).op_norm
+        assert rep.intermediates == {"symmetry_frobenius": S.frobenius,
+                                     "delta_h_op_norm": dh,
+                                     "breaking_norm": num}
+        assert rep.bound_time == num / (2.0 * S.frobenius * dh)
+
+
+def _integer_spectrum(rng, d):
+    """A linear S with integer eigenvalues in [-2, 2] in a random unitary
+    frame."""
+    V = random_unitary(rng, d)
+    w = rng.integers(-2, 3, size=d).astype(float)
+    return hermitize((V * w) @ V.conj().T)
+
+
+def _outcome(fn):
+    """fn()'s report as (bound, theorem, intermediates, warnings), or the
+    error it raises as (type, text)."""
+    try:
+        rep = fn()
+    except QslError as err:
+        return type(err).__name__, str(err)
+    return rep.bound_time, rep.theorem, rep.intermediates, rep.warnings
+
+
+class TestOneDeltaHSource:
+    """Given only the drift, every bound takes ||ΔH||_inf from
+    ``restore_symmetry``, for a linear S as for a quadratic one.  The
+    analytic cap ||[S, H_d]||_F / σ_min that linear drift-only bounds once
+    divided by is computed here from numpy alone, as an oracle that the
+    restored ||ΔH||_inf never exceeds."""
+
+    @given(d=st.integers(2, 6), seed=st.integers(0, 2**32 - 1),
+           target=st.sampled_from(["unitary", "exact", "commutator",
+                                   "chebyshev"]))
+    @settings(max_examples=80, deadline=None)
+    def test_drift_only_bound_is_the_restored_bound(self, d, seed, target):
+        rng = np.random.default_rng(seed)
+        S = Symmetry("linear", _integer_spectrum(rng, d))
+        H_d = random_hermitian(rng, d)
+        if target == "unitary":
+            U = random_unitary(rng, d)
+            c, name = 2.0, "breaking_norm"
+
+            def bound(*args, **kwargs):
+                return unitary_speed_limit(U, S, *args, **kwargs)
+        else:
+            H_s = random_hermitian(rng, d)
+            c, name = math.sqrt(2.0), "kernel_complement_norm"
+
+            def bound(*args, **kwargs):
+                return hamiltonian_speed_limit(H_s, S, *args, method=target,
+                                               **kwargs)
+        got = _outcome(lambda: bound(drift=H_d))
+        assert got == _outcome(lambda: bound(restore_symmetry(S, H_d),
+                                             drift=H_d))
+        if isinstance(got[0], str):  # S = 0, or a multiple of 1 H_d keeps
+            assert np.unique(np.round(np.linalg.eigvalsh(S.matrix))).size == 1
+            return
+        inter = got[2]
+        cap = analytic_cap(S.matrix, H_d)
+        assert inter["delta_h_op_norm"] <= cap * (1 + 1e-12)
+        assert got[0] >= (inter[name] / (c * S.frobenius * cap)
+                          * (1 - 1e-12))
+
+    @pytest.mark.parametrize("delta,refused", [(0.9e-8, True),
+                                                (1.1e-8, False)])
+    def test_near_cut_spectrum_is_refused(self, rng, delta, refused):
+        """S = diag(0, δ, 1).  Below the cluster cut GAP_RTOL·max|w| = 1e-8,
+        restoration joins 0 and δ and keeps H_d's entries between them, so
+        the restored drift still breaks S by √2·δ ≈ 1.3e-8, past the limit
+        TAU_RANK·||S||_F ||H_d||_F ≈ 2.4e-9: every drift-only bound now
+        refuses with a ConditioningError, where the analytic cap, over the
+        cluster gap 1 - δ/2, gave a finite bound.  Just above the cut the
+        two eigenvalues are apart and the same inputs are bounded."""
+        S = Symmetry("linear", np.diag([0.0, delta, 1.0]))
+        H_d = np.ones((3, 3)) - np.eye(3)
+        assert np.isfinite(analytic_cap(S.matrix, H_d))
+        U, H_s = random_unitary(rng, 3), random_hermitian(rng, 3)
+        for bound in (lambda: unitary_speed_limit(U, S, drift=H_d),
+                      lambda: hamiltonian_speed_limit(H_s, S, drift=H_d)):
+            if not refused:
+                assert bound().bound_time > 0
+                continue
+            with pytest.raises(ConditioningError, match="restored drift "
+                               "still fails to commute") as err:
+                bound()
+            diagnostics = err.value.diagnostics
+            assert diagnostics["residual"] == pytest.approx(
+                math.sqrt(2) * delta, rel=1e-6)
+            assert diagnostics["residual"] > diagnostics["limit"]
 
 
 def optimize_symmetry_reference(basis, objective, iterations=200, seed=0):

@@ -430,9 +430,6 @@ BAD_ARGV = [
     ["reproduce", "rydberg", "--N", "4", "--h", "1e300"],
     ["reproduce", "rydberg", "--N", "4", "--J", "1e308"],
     ["reproduce", "rydberg", "--N", "4", "--C", "1e-310"],
-    # a coupling whose restored drift's commutation residual sums squares
-    # past float64: the model's own ΔH cannot be accepted or refused
-    ["reproduce", "rydberg", "--N", "4", "--C", "1e300"],
     # a coupling whose drift norm times ||S||_F = √d leaves float64, so
     # restoration's acceptance limit cannot be formed
     ["reproduce", "rydberg", "--N", "4", "--C", "1e307"],
@@ -852,6 +849,23 @@ def test_coupling_past_the_squares_gives_a_finite_bound(g):
         math.sqrt(2) / (4 * float(g)), rel=1e-12)
     assert report["bound_time"] == pytest.approx(report["closed_form"],
                                                  rel=1e-12)
+
+
+def test_rydberg_coupling_past_the_squares_gives_a_finite_bound():
+    """At C = 1e300 the restored drift's commutation residual sums squares
+    past float64: it is summed again over the tile pairs scaled by the
+    largest entry, so the model's own ΔH is accepted and the bound is
+    finite, with no numpy warning."""
+    done = _python_m("-W", "error::RuntimeWarning", "-m", "qsl.cli",
+                     "reproduce", "rydberg", "--N", "4", "--C", "1e300",
+                     "--json-only")
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    report = json.loads(done.stdout)
+    assert report["bound_time"] == pytest.approx(1.153385220601741e-300,
+                                                 rel=1e-9)
+    assert report["intermediates"]["delta_h_op_norm"] == pytest.approx(
+        report["delta_h_closed_form"], rel=1e-12)
 
 
 def test_non_finite_report_is_a_failed_computation(capsys, monkeypatch):

@@ -25,12 +25,12 @@ from qsl.matcore import (
     hermitize,
     iota,
     kron,
-    spectral_gap_min,
 )
 from qsl.models import coupled_qubit_model, global_controls
 from conftest import (
     adjoint_superoperator,
     canonical_by_projector,
+    cluster_gap,
     projector_distance,
     random_hermitian,
     random_unitary,
@@ -238,22 +238,11 @@ class TestSymmetryDataclass:
         with pytest.raises(ValidationError):
             Symmetry("cubic", np.eye(2))
 
-    def test_projector_sigma_min_is_one(self):
-        P = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        assert Symmetry("linear", P).sigma_min == pytest.approx(1.0)
-
-    def test_gap_is_measured_never_set(self):
-        """σ_min divides the analytic bound, so no caller may set it."""
-        M = np.diag([0.0, 5.0])
-        for setting in ({"sigma_min_hint": 2.5}, {"_sigma_min": 2.5}):
-            with pytest.raises(TypeError):
-                Symmetry("linear", M, **setting)
-        sym = Symmetry("linear", M)
-        assert sym.sigma_min == spectral_gap_min(M) == 5.0
-
     def test_scaling_scales_gaps(self):
         sym = Symmetry("linear", np.diag([0.0, 1.0, 3.0]))
-        assert sym.scaled(2.0).sigma_min == pytest.approx(2 * sym.sigma_min)
+        double = sym.scaled(2.0)
+        assert np.array_equal(double.matrix, 2.0 * sym.matrix)
+        assert cluster_gap(double.matrix) == 2 * cluster_gap(sym.matrix) == 2.0
 
     def test_breaking_norm_coupled_qubit(self):
         bundle = coupled_qubit_model(1.0)

@@ -32,6 +32,7 @@ from qsl.models import (
     syk_model,
 )
 from qsl.perturb import restore_symmetry
+from conftest import cluster_gap
 
 X, Y, Z, I2 = PAULI["X"], PAULI["Y"], PAULI["Z"], PAULI["I"]
 
@@ -98,7 +99,7 @@ class TestHoppingChain:
             S = bundle.symmetry.matrix
             # <1|alpha> = 0 means S has no weight on the controlled site
             assert abs(S[0, 0]) < 1e-12
-            assert bundle.symmetry.sigma_min == pytest.approx(1.0)
+            assert cluster_gap(S) == pytest.approx(1.0)
 
     def test_perturbation_restores_symmetry(self):
         bundle = hopping_chain_model(5, 2.0)

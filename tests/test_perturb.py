@@ -11,20 +11,16 @@ from qsl.matcore import (
     ConditioningError,
     DimensionError,
     GAP_RTOL,
-    NoSpectralGapError,
     PAULI,
     TAU_RANK,
     ValidationError,
     _lift,
     commutator,
-    devectorize,
     frobenius_norm,
     hermitize,
     iota,
     kron,
     operator_norm,
-    row_vectorize,
-    spectral_gap_min,
 )
 from qsl.models import coupled_qubit_model
 from qsl.perturb import (
@@ -33,45 +29,32 @@ from qsl.perturb import (
     _quadratic_constraint,
     _quadratic_setup,
     _restore_quadratic,
-    perturbation_norm_bound,
     restore_symmetry,
 )
-from conftest import loop_labels, random_hermitian, random_unitary
+from conftest import (analytic_cap, cluster_gap, loop_labels, random_hermitian,
+                      random_unitary)
 
 X, Z, I2 = PAULI["X"], PAULI["Z"], PAULI["I"]
 
 
 class TestSpectralGap:
+    """The σ_min of the analytic-cap oracle (``conftest.cluster_gap``), on
+    spectra whose smallest gap is known."""
+
     def test_projector(self):
-        assert spectral_gap_min(np.diag([1.0, 0, 0])) == pytest.approx(1.0)
+        assert cluster_gap(np.diag([1.0, 0, 0])) == pytest.approx(1.0)
 
     def test_spread_spectrum(self):
-        assert spectral_gap_min(np.diag([1.0, 2.0, 4.0])) == pytest.approx(1.0)
+        assert cluster_gap(np.diag([1.0, 2.0, 4.0])) == pytest.approx(1.0)
 
     def test_pauli_z(self):
-        assert spectral_gap_min(Z) == pytest.approx(2.0)
+        assert cluster_gap(Z) == pytest.approx(2.0)
 
     def test_smallest_of_several_gaps(self):
-        assert spectral_gap_min(np.diag([0.0, 0.3, 1.0])) == pytest.approx(0.3)
+        assert cluster_gap(np.diag([0.0, 0.3, 1.0])) == pytest.approx(0.3)
 
     def test_multiple_of_identity_has_no_gap(self):
-        with pytest.raises(NoSpectralGapError):
-            spectral_gap_min(3.0 * np.eye(4))
-
-    def test_matches_symmetry_accessor(self, rng):
-        M = random_hermitian(rng, 5)
-        assert spectral_gap_min(M) == pytest.approx(Symmetry("linear", M).sigma_min)
-
-    def test_sigma_min_makes_no_hermiticity_pass(self, rng, monkeypatch):
-        """Construction checks S once; sigma_min decomposes the stored
-        hermitian part without a second pass."""
-        S = Symmetry("linear", random_hermitian(rng, 6))
-        calls = []
-        fn = qsl.matcore._hermitian_pass
-        monkeypatch.setattr(qsl.matcore, "_hermitian_pass",
-                            lambda *a, **k: calls.append(1) or fn(*a, **k))
-        assert S.sigma_min > 0
-        assert calls == []
+        assert cluster_gap(3.0 * np.eye(4)) == np.inf
 
 
 class TestLinearRestore:
@@ -106,7 +89,7 @@ class TestLinearRestore:
             S = Symmetry("linear", random_hermitian(rng, 5))
             H = random_hermitian(rng, 5)
             pert = restore_symmetry(S, H)
-            cap = perturbation_norm_bound(S, H)
+            cap = analytic_cap(S.matrix, H)
             assert pert.frob_norm <= cap + 1e-9
 
     def test_scaling_invariance(self, rng):
@@ -135,7 +118,7 @@ def _hermitian_basis_restore(S: Symmetry, H: np.ndarray) -> np.ndarray:
             basis += [E, F]
 
     def embed(Y):
-        v = row_vectorize(commutator(S.matrix, iota(Y)))
+        v = commutator(S.matrix, iota(Y)).reshape(-1)
         return np.concatenate([v.real, v.imag])
 
     M = np.array([embed(B) for B in basis]).T
@@ -173,18 +156,13 @@ class TestQuadraticRestore:
         assert defect < 1e-8
         assert pert.residual is not None and pert.residual < 1e-8
 
-    def test_quadratic_norm_bound_rejected(self):
-        S = Symmetry("quadratic", np.eye(4))
-        with pytest.raises(ValidationError):
-            perturbation_norm_bound(S, np.eye(2))
-
 
 def _constraint_by_columns(S: np.ndarray, d: int) -> np.ndarray:
     """Oracle: the quadratic restoration constraint built one unit matrix at
     a time, K[:, e] = vec([S, E_e⊗1 + 1⊗E_e])."""
     eye = np.eye(d)
     return np.array([
-        row_vectorize(commutator(S, np.kron(E, eye) + np.kron(eye, E)))
+        commutator(S, np.kron(E, eye) + np.kron(eye, E)).reshape(-1)
         for E in np.eye(d * d).reshape(d * d, d, d)]).T
 
 
@@ -239,24 +217,29 @@ class TestPerturbationRecord:
         assert pert.residual == pytest.approx(0.0, abs=1e-12)
 
     def test_norm_bound_value(self):
-        cap = perturbation_norm_bound(Symmetry("linear", Z), X)
-        # ||[Z, X]||_F = 2 sqrt(2), gap 2
+        """The restored ||ΔH||_inf under the analytic cap: ||[Z, X]||_F =
+        2√2 over the gap 2 is √2, while ΔH = -X has norm 1."""
+        cap = analytic_cap(Z, X)
         assert cap == pytest.approx(np.sqrt(2.0))
-        assert operator_norm(X) <= cap
+        assert restore_symmetry(Symmetry("linear", Z), X).op_norm == 1.0
 
     def test_norm_bound_projector_is_commutator_norm(self, rng):
-        # unit gap, so the cap is exactly ||[S, H_d]||_F
+        """A projector's gap is 1 and [S, H_d] is ±the off-block part of
+        H_d, so the cap is ||[S, H_d]||_F = ||ΔH||_F exactly."""
         S = Symmetry("linear", np.diag([1.0, 1.0, 0.0, 0.0]))
         H = random_hermitian(rng, 4)
-        cap = perturbation_norm_bound(S, H)
+        cap = analytic_cap(S.matrix, H)
         assert cap == pytest.approx(frobenius_norm(commutator(S.matrix, H)))
+        pert = restore_symmetry(S, H)
+        assert pert.frob_norm == pytest.approx(cap, rel=1e-12)
+        assert pert.op_norm <= cap
 
     def test_norm_bound_dominates_restoration(self):
         from qsl.models import hopping_chain_model
 
         bundle = hopping_chain_model(3, 1.0)
         pert = restore_symmetry(bundle.symmetry, bundle.drift)
-        cap = perturbation_norm_bound(bundle.symmetry, bundle.drift)
+        cap = analytic_cap(bundle.symmetry.matrix, bundle.drift)
         assert pert.op_norm <= cap + 1e-12
 
 
@@ -351,8 +334,8 @@ def _oracle_restore_quadratic(S: Symmetry, H_d: np.ndarray):
     d = H_d.shape[0]
     K = _quadratic_constraint(S.matrix, d)
     y, *_ = np.linalg.lstsq(
-        K, -row_vectorize(commutator(S.matrix, _lift(H_d))), rcond=TAU_RANK)
-    dH = hermitize(devectorize(y))
+        K, -commutator(S.matrix, _lift(H_d)).reshape(-1), rcond=TAU_RANK)
+    dH = hermitize(y.reshape(d, d))
     return dH, frobenius_norm(commutator(S.matrix, _lift(H_d + dH)))
 
 
@@ -519,7 +502,7 @@ def test_stacked_quadratic_restore(d, seed, kinds, real_frame, real_drift):
 
 class TestDriftKeepsSymmetry:
     """A drift that passes restoration's acceptance test by itself keeps S:
-    its ΔH is all zeros and the analytic cap is 0.0, so no bound follows."""
+    its ΔH is all zeros, so no bound follows."""
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_linear(self, rng, d):
@@ -531,7 +514,6 @@ class TestDriftKeepsSymmetry:
             pert = restore_symmetry(S, H)
             assert not pert.matrix.any() and pert.matrix.shape == (d, d)
             assert pert.op_norm == 0.0 and pert.frob_norm == 0.0
-            assert perturbation_norm_bound(S, H) == 0.0
 
     def test_quadratic(self, rng):
         controls = [kron(random_hermitian(rng, 2), I2),
@@ -561,13 +543,16 @@ class TestDriftKeepsSymmetry:
                 restore_symmetry(Symmetry("linear", Z), X, tol=value)
 
     def test_overflowing_drift_norm_decides_nothing(self):
-        """||1e200 Z||_F overflows, so the limit TAU_RANK·||S||_F ||H||_F
-        would be inf and every residual would pass as "keeps"."""
-        S = Symmetry("linear", X)
-        with np.errstate(over="ignore"):
-            for decide in (restore_symmetry, perturbation_norm_bound):
-                with pytest.raises(ValidationError, match="not finite"):
-                    decide(S, 1e200 * Z)
+        """A drift whose squared entries overflow is decided on norms summed
+        again from scaled entries: ||[X, 1e200·Z]||_F and the residual are
+        finite, so 1e200·Z is restored to ΔH = -1e200·Z, to rounding.  A
+        product ||S||_F ||H||_F past float64 would make the limit inf, so
+        that every residual would pass as "keeps": the limit refuses it."""
+        pert = restore_symmetry(Symmetry("linear", X), 1e200 * Z)
+        assert np.isfinite(pert.residual) and pert.residual < 1e-9 * 2e200
+        assert np.isfinite(pert.matrix).all()
+        assert np.allclose(pert.matrix, -1e200 * Z, rtol=1e-15, atol=0.0)
+        assert pert.op_norm == pytest.approx(1e200, rel=1e-15)
         for h_frob in (float("inf"), float("nan")):
             with pytest.raises(ValidationError, match="not finite"):
                 qsl.perturb._commuting_limit(np.array([1.0, 2.0]), h_frob)

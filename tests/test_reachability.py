@@ -8,15 +8,15 @@ pulse time, and every valid lower bound on the time to implement U is at
 most T.  A bound may also refuse: a QslError is always sound.
 
 Half the drifts are block-diagonal too, so they keep S in exact arithmetic
-and only rounding breaks it.  The restored ΔH, the analytic cap and the
-breaking norm are then all noise, and a bound formed from them is not a
+and only rounding breaks it.  The restored ΔH and the breaking norm are
+then all noise, and a bound formed from them is not a
 bound; restoration's acceptance test must catch these drifts and every
 bound must refuse them.  ``uniform_speed_limit`` is not checked: it bounds
 no particular U (the identity is reached at T = 0).
 
 The same oracle runs through the CLI pipeline, discovery, the symmetry
 search, restoration and the bound, on problem files whose target is a pulse
-sequence's U, and on the analytic T1b route, whose σ_min is measured.
+sequence's U, and on the drift-only T1b route, which restores S.
 
 T2 has an oracle of the same kind.  Its value is invariant under
 H_s -> λ H_s, so it bounds no fixed simulation time; read as the time to
@@ -211,17 +211,18 @@ def test_cli_pipeline_never_exceeds_a_reaching_time(seed, kind, iterations,
 
 @given(seed=st.integers(0, 2**32 - 1), segments=st.integers(1, 4))
 @settings(max_examples=30, deadline=None)
-def test_analytic_bound_divides_by_the_measured_gap(seed, segments):
-    """Control Z, drift X, U reached at T = 0.3: the analytic T1b divides by
-    σ_min(Z) = 2, measured from Z.  A gap of 50, which a caller could once
-    set, gave T >= 5.2 for such a U."""
+def test_drift_only_bound_divides_by_the_restored_delta_h(seed, segments):
+    """Control Z, drift X, U reached at T = 0.3: the drift-only T1b divides
+    by ||ΔH||_inf = 1 of the restored ΔH = -X, which is below the analytic
+    cap ||[Z, X]||_F / σ_min(Z) = √2, so the bound is higher than the cap's
+    and still at most the pulses' time."""
     rng = np.random.default_rng(seed)
     pulses = PulseSchedule(0.3 / segments,
                            2.0 * rng.standard_normal((1, segments)))
     X, Z = PAULI["X"], PAULI["Z"]
     U = propagate_piecewise(Problem(X, [Z]), pulses)
     rep = unitary_speed_limit(U, Symmetry("linear", Z), drift=X)
-    assert rep.intermediates["sigma_min"] == 2.0
+    assert rep.intermediates["delta_h_op_norm"] == 1.0
     assert rep.bound_time <= pulses.total_time * SLACK
 
 
@@ -235,9 +236,9 @@ def _orbit(u):
        degree=st.sampled_from([None, 1, 5, 64]))
 @settings(max_examples=60, deadline=None)
 def test_hamiltonian_bounds_never_exceed_the_orbit_period(u, a, b, degree):
-    """Every T2 bound, for every numerator, with the restored ΔH or the
-    analytic cap from the drift, and for every S = a·1 + b·Z of the
-    controls' commutant, is at most τ_p."""
+    """Every T2 bound, for every numerator, with the restored ΔH supplied or
+    restored from the drift, and for every S = a·1 + b·Z of the controls'
+    commutant, is at most τ_p."""
     X, Z, H_s, tau = _orbit(u)
     S = Symmetry("linear", a * np.eye(2) + b * Z)
     for method, extra in (("exact", {}), ("commutator", {}),
