@@ -216,16 +216,45 @@ def hermitian_units(n):
             yield E
 
 
-def canonical_by_projector(basis) -> np.ndarray:
+def refined_commutant_projector(ops, tol=TAU_RANK) -> np.ndarray:
+    """Oracle: the projector Π = N N† onto the linear ``svd_commutant``'s
+    span, in extended precision (clongdouble).  The SVD route's null
+    vectors N are refined twice by a least-squares step N -= K⁺ K N, with
+    K N formed in extended precision, each step followed by a
+    Newton-Schulz re-orthonormalisation N <- N (3/2 - N†N/2).  The
+    canonical basis of a span can move a thousandfold more than the span
+    under rounding, so only a span this accurate pins it to 1e-12."""
+    ops = [np.asarray(require_hermitian(op), dtype=complex) for op in ops]
+    K = np.vstack([adjoint_superoperator(L) for L in ops])
+    U, s, Vh = np.linalg.svd(K, full_matrices=False)
+    rank = int(np.sum(s > tol * s[0]))
+    N = Vh[rank:].conj().T.astype(np.clongdouble)
+    K = K.astype(np.clongdouble)
+    pinv = Vh[:rank].conj().T, U[:, :rank].conj().T / s[:rank, None]
+    eye = np.eye(N.shape[1])
+    for _ in range(2):
+        N = N - pinv[0] @ (pinv[1] @ (K @ N))
+        N = N @ (1.5 * eye - 0.5 * (N.conj().T @ N))
+    return N @ N.conj().T
+
+
+def canonical_by_projector(basis=None, projector=None) -> np.ndarray:
     """Oracle: the span's canonical basis from its projector
-    Π = Σ vec(G)vec(G)† over an orthonormal basis G: each of
+    Π = Σ vec(G)vec(G)† over an orthonormal basis G, or from a given Π
+    (such as ``refined_commutant_projector``'s, whose precision it keeps
+    until the elements are returned as complex128): each of
     ``hermitian_units`` in turn is projected by Π and orthogonalised
     (twice) against the elements kept, one at a time, and kept when more
     than 1/(2n) of it remains."""
-    G = np.asarray(basis, dtype=complex)
-    p, n = G.shape[0], G.shape[-1]
-    vecs = G.reshape(p, -1)
-    P = vecs.T @ vecs.conj()
+    if projector is None:
+        G = np.asarray(basis, dtype=complex)
+        p, n = G.shape[0], G.shape[-1]
+        vecs = G.reshape(p, -1)
+        P = vecs.T @ vecs.conj()
+    else:
+        P = projector
+        p = int(round(float(np.trace(P).real)))
+        n = int(round(np.sqrt(P.shape[0])))
     kept = []
     for X in hermitian_units(n):
         if len(kept) == p:
@@ -237,7 +266,8 @@ def canonical_by_projector(basis) -> np.ndarray:
         norm = np.linalg.norm(v)
         if norm > 0.5 / n:
             kept.append(v / norm)
-    return np.array([hermitize(v.reshape(n, n)) for v in kept])
+    return np.array([hermitize(v.astype(complex).reshape(n, n))
+                     for v in kept])
 
 
 def relative_defects(mats, ops) -> np.ndarray:
