@@ -19,8 +19,8 @@ text, "symmetry already commutes with the drift; no time bound follows".
 A supplied perturbation counts only for its own symmetry (the same object,
 or the same kind and an equal matrix; ValidationError otherwise), and when
 the drift is supplied too, H_d + ΔH must pass restoration's acceptance test,
-read from the recorded residual when there is one (ConditioningError
-otherwise).  A ΔH supplied with no drift is trusted.
+formed by the bound that pairs them, whatever built the ΔH
+(ConditioningError otherwise).  A ΔH supplied with no drift is trusted.
 ``single_control_bound`` is T1b on the restored route, with S = H_c.
 
 What T2 bounds is a reconstruction, consistent with c = √2; the source
@@ -106,12 +106,12 @@ from .matcore import (
     hermitian_part,
     kron,
     require_hermitian,
+    require_same_dimension,
     require_square,
     require_unitary,
 )
 from .perturb import (
     Perturbation,
-    _commuting_limit,
     _keeps_symmetry,
     _quadratic_setup,
     _restore_rows,
@@ -232,23 +232,23 @@ def uniform_speed_limit(perturbation) -> float:
 def _require_restores(pert: Perturbation, S: Symmetry, drift) -> None:
     """A supplied ΔH must be built for S itself (the same object, or a
     symmetry of the same kind and an equal matrix) and, when the drift is
-    known, H_d + ΔH must pass restoration's acceptance test: the recorded
-    residual when it was measured for this drift (the same array, or an
-    equal one), else one formed here.  With no drift the ΔH is trusted, as
-    ``Perturbation.from_matrix`` documents."""
+    known, H_d + ΔH must pass restoration's acceptance test,
+    ``_keeps_symmetry`` on the sum's one hermiticity pass, which also
+    refuses a non-Hermitian drift.  With no drift the ΔH is trusted."""
     T = pert.symmetry
     if T is not S and not (T.kind == S.kind
                            and np.array_equal(T.matrix, S.matrix)):
         raise ValidationError("perturbation was built for another symmetry")
     if drift is None:
         return
-    residual = (pert.residual if pert._measured_for(drift)
-                else Perturbation.from_matrix(S, pert.matrix, drift).residual)
-    limit = float(_commuting_limit(S.frobenius, frobenius_norm(drift)))
-    if residual > limit:
+    H_d, dH = require_same_dimension(drift, pert.matrix)
+    keeps, residual, limit = _keeps_symmetry(
+        S.kind, S.matrix, S.frobenius, hermitian_part(H_d + dH),
+        frobenius_norm(H_d), S._permutation)
+    if not keeps:
         raise ConditioningError(
             "perturbed drift does not commute with the symmetry",
-            {"residual": residual, "limit": limit})
+            {"residual": float(residual), "limit": float(limit)})
 
 
 def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
@@ -993,8 +993,6 @@ def bound(problem, *, kind: str | None = None, method: str | None = "exact",
         symmetry = _searched_symmetry(problem, basis, numerator,
                                       optimize_symmetry, seed)
     H_d, perturbation = problem.drift, problem.perturbation
-    if perturbation is None:
-        perturbation = restore_symmetry(symmetry, H_d)
     rep = (unitary_speed_limit(U, symmetry, perturbation, drift=H_d)
            if U is not None else hamiltonian_speed_limit(
                H_s, symmetry, perturbation, drift=H_d, **numerator))

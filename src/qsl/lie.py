@@ -112,9 +112,6 @@ class Symmetry:
         return (_permutation_of(self.matrix) if self.kind == "linear"
                 else None)
 
-    def scaled(self, factor: float) -> "Symmetry":
-        return Symmetry(self.kind, factor * self.matrix, note=self.note)
-
 
 def _validated_generators(generators) -> np.ndarray:
     # complex128 whatever the input dtype: a real stack would send the

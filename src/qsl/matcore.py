@@ -383,8 +383,7 @@ def operator_norm(M) -> float:
 
 def matrix_exponential(H, t: float) -> np.ndarray:
     """exp(-iHt) for Hermitian H, via eigendecomposition."""
-    A = require_hermitian(H)
-    w, V = np.linalg.eigh(hermitize(A))
+    w, V = np.linalg.eigh(hermitian_part(H))
     return (V * np.exp(-1j * w * t)) @ V.conj().T
 
 

@@ -16,10 +16,10 @@ of np.kron: a Pauli string on n qubits is a phased permutation written with
 2^n stores, equal bit for bit to the kron chain.  The Rydberg bundle at N
 atoms (d = 2^N) is exactly real and stored as float64: drift, controls, H_s,
 the swap S and ΔH.  It is diagonal except for sum X_i and S, so after that
-its cost is one hermiticity pass per operator (drift, both controls, S, ΔH
-and the restored drift H_d + ΔH; H_s is checked by the bound that reads it)
-plus one real d x d product for the restoration residual; ||ΔH||_inf is read
-off the diagonal.
+its cost is one hermiticity pass per operator (drift, both controls, S and
+ΔH); ||ΔH||_inf is read off the diagonal.  H_s is checked by the bound that
+reads it, and the restored drift H_d + ΔH by the bound that pairs ΔH with
+the drift.
 """
 
 from __future__ import annotations
@@ -118,8 +118,9 @@ class PulseSchedule:
 
     def __post_init__(self):
         self.amplitudes = np.atleast_2d(np.asarray(self.amplitudes, dtype=float))
-        if self.dt <= 0:
-            raise ValidationError("segment duration must be positive")
+        if not 0 < self.dt < math.inf:  # NaN fails too
+            raise ValidationError("segment duration must be finite and "
+                                  f"positive, got {self.dt!r}")
         if not np.all(np.isfinite(self.amplitudes)):
             raise ValidationError("amplitudes must be finite")
 
@@ -153,6 +154,13 @@ def _require_finite(what: str = "parameters", **values) -> None:
         raise ValidationError(f"{what} must be finite, got {', '.join(bad)}")
 
 
+def _require_coupling(**couplings) -> None:
+    """Reject couplings that are not finite and positive."""
+    _require_finite(**couplings)
+    if min(couplings.values()) <= 0:
+        raise ValidationError("coupling must be positive")
+
+
 def global_controls(n_qubits: int) -> list[np.ndarray]:
     """Collective controls [sum X_i, sum Z_i]."""
     return [site_sum(PAULI["X"], n_qubits), site_sum(PAULI["Z"], n_qubits)]
@@ -167,9 +175,7 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     the speed limit is sqrt(2)/(4g).  Full excitation transfer needs pi/(4g),
     a factor pi/sqrt(2) above the bound.
     """
-    _require_finite(g=g)
-    if g <= 0:
-        raise ValidationError("coupling must be positive")
+    _require_coupling(g=g)
     refs = {
         "bound_time": math.sqrt(2) / (4 * g),
         "literature_time": math.pi / (4 * g),
@@ -189,7 +195,7 @@ def coupled_qubit_model(g: float) -> ModelBundle:
     m13_24 = permutation_operator([2, 3, 0, 1], [2] * 4)
     S = np.eye(16, dtype=complex) - m13 - m24 + m13_24
     sym = Symmetry("quadratic", S, note="doubled-space transposition combination")
-    pert = Perturbation.from_matrix(sym, -drift, drift=drift)
+    pert = Perturbation(-drift, sym)
     return ModelBundle(drift, controls, target_unitary=cnot, symmetry=sym,
                        perturbation=pert, references=refs)
 
@@ -218,9 +224,7 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     """
     if N < 3:
         raise ValidationError("chain needs at least 3 sites")
-    _require_finite(J=J)
-    if J <= 0:
-        raise ValidationError("coupling must be positive")
+    _require_coupling(J=J)
     # the mode energies 2J cos(pi k/(N+1)) and their differences need 2J
     _require_finite("derived numbers", bandwidth=2 * J)
     drift = J * (np.diag(np.ones(N - 1), 1) + np.diag(np.ones(N - 1), -1))
@@ -254,7 +258,7 @@ def hopping_chain_model(N: int, J: float = 1.0) -> ModelBundle:
     # bounds, ~ J/N², above 0
     _require_finite("derived numbers", **refs)
     dH = refs["delta_h_op_norm"] * np.outer(a2, a2.conj())
-    pert = Perturbation.from_matrix(sym, dH, drift=drift)
+    pert = Perturbation(dH, sym)
     return ModelBundle(drift, [control], target_unitary=target, symmetry=sym,
                        perturbation=pert, references=refs)
 
@@ -270,6 +274,7 @@ def hopping_chain_closed_form(N: int, J: float = 1.0) -> float:
     """
     if N < 3:
         raise ValidationError("chain needs at least 3 sites")
+    _require_coupling(J=J)
     x = 2 * math.pi / (N + 1)
     return (2 * N**2) / (3 * math.pi**2 * J * math.sqrt(3 + 2 * math.cos(x))) \
         * math.sqrt(2.0 / (N + 1)) * abs(math.sin(math.pi * N * 2 / (N + 1)))
@@ -376,7 +381,7 @@ def rydberg_chain_model(N: int, C: float = 1.0, a: float = 1.0,
     for j in range(2, N):
         delta = half_strength * (1.0 / (j - 1)**6 - 1.0 / j**6)
         dh_diag += delta * (bits[0] - bits[1]) * bits[j]
-    pert = Perturbation.from_matrix(sym, np.diag(dh_diag), drift=drift)
+    pert = Perturbation(np.diag(dh_diag), sym)
 
     return ModelBundle(drift, controls, target_hamiltonian=H_s, symmetry=sym,
                        perturbation=pert, references=refs,
@@ -408,6 +413,9 @@ def syk_model(n_majorana: int, seed: int = 0, mu: float = 0.0) -> np.ndarray:
     """
     if n_majorana % 2 != 0 or n_majorana < 4:
         raise ValidationError("need an even number of Majorana modes, at least 4")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
     _require_finite(mu=mu)
     chi = majorana_operators(n_majorana)
     d = chi[0].shape[0]

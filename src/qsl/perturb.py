@@ -25,15 +25,15 @@ in one stacked eigendecomposition, quadratic ones in one stacked QR and one
 stacked SVD, and applies the acceptance rule to each;
 ``restore_symmetry`` passes it a stack of one and is the one place where a
 restored ΔH is wrapped.  It is the one source of ||ΔH||_inf for a bound
-given only the drift.  A ``Perturbation`` measures its own norms from its
-matrix, which must be Hermitian and act on the symmetry's base space; no
-caller sets ||ΔH||_inf.  A recorded residual keeps the drift it was
-measured for.
+given only the drift.  A ``Perturbation`` is its matrix, its symmetry and
+||ΔH||_inf measured from the matrix, which must be Hermitian and act on the
+symmetry's base space; no caller sets ||ΔH||_inf.
 
 One acceptance rule, ``_keeps_symmetry``, decides whether a drift keeps
 S: ||[S, H]||_F <= ``_commuting_limit`` = TAU_RANK·max(1, ||S||_F ||H_d||_F)
 with ||H_d||_F of the drift as given; ``bounds.bound`` applies it to a whole
-basis before its search.  A restored drift must pass it; a drift that passes it
+basis before its search, and every bound given a ΔH and a drift applies it
+to H_d + ΔH.  A restored drift must pass it; a drift that passes it
 unchanged gets an all-zero ΔH from ``restore_symmetry``, so every bound
 refuses it (``bounds._speed_limit`` rejects ||ΔH||_inf = 0 with one text)
 rather than divide rounding noise by rounding noise.
@@ -64,7 +64,6 @@ from .matcore import (
     frobenius_norm,
     hermitian_part,
     require_hermitian,
-    require_same_dimension,
     require_square,
 )
 
@@ -85,26 +84,20 @@ def _commutator_norm(S: np.ndarray, H: np.ndarray, kind: str, perm=None,
 
 @dataclass
 class Perturbation:
-    """A drift modification ΔH restoring a symmetry, with its norms.
+    """A drift modification ΔH restoring a symmetry, with its operator norm.
 
-    ``op_norm`` (||ΔH||_inf) and ``frob_norm`` are measured from ``matrix``
-    at construction and cannot be set: ||ΔH||_inf is ``operator_norm``'s
-    value, read from the diagonal of a diagonal ΔH, else from the Hermitian
-    part formed by the one hermiticity pass that also checks ΔH; no other
-    ΔH is copied.  ΔH must act on the symmetry's base space (d for a
-    quadratic S on d² dimensions).
-    ``residual`` is ||[S, H_d + ΔH]||_F when the drift is known; the drift
-    it was measured for is kept with it, and a bound given any other drift
-    forms the residual again.
+    ``op_norm`` (||ΔH||_inf) is measured from ``matrix`` at construction and
+    cannot be set: it is ``operator_norm``'s value, read from the diagonal
+    of a diagonal ΔH, else from the Hermitian part formed by the one
+    hermiticity pass that also checks ΔH; no other ΔH is copied.  ΔH must
+    act on the symmetry's base space (d for a quadratic S on d² dimensions).
+    Whether H_d + ΔH keeps S is checked by the bound that pairs ΔH with a
+    drift.
     """
 
     matrix: np.ndarray
     symmetry: Symmetry
-    residual: float | None = None
     op_norm: float = field(init=False)
-    frob_norm: float = field(init=False)
-    _drift: np.ndarray | None = field(init=False, default=None, repr=False,
-                                      compare=False)
 
     def __post_init__(self):
         self.matrix = require_square(self.matrix)
@@ -116,39 +109,6 @@ class Perturbation:
             raise DimensionError("perturbation dimension does not match "
                                  f"{self.symmetry.kind} symmetry")
         self.op_norm = float(_max_abs_eigenvalue(H)) if norm is None else norm
-        self.frob_norm = frobenius_norm(self.matrix)
-
-    @classmethod
-    def from_matrix(cls, symmetry: Symmetry, matrix, drift=None) -> "Perturbation":
-        """Wrap a known-feasible ΔH with, when the drift is supplied, the
-        commutation residual of the restored Hamiltonian.
-
-        The drift is checked as part of H_d + ΔH, in the one hermiticity pass
-        that also hermitises that sum; the caller has usually checked H_d
-        itself already.  For a symmetry whose S is a permutation matrix
-        (the Rydberg swap) the residual's product S·(H_d + ΔH) is a row
-        gather, ``_commutator_norm``'s, with the product's value."""
-        pert = cls(matrix, symmetry)
-        if drift is not None:
-            H_d, dH = require_same_dimension(drift, pert.matrix)
-            residual = float(_commutator_norm(
-                symmetry.matrix, hermitian_part(H_d + dH), symmetry.kind,
-                symmetry._permutation))
-            if not np.isfinite(residual):  # as ``_keeps_symmetry`` refuses
-                raise ValidationError("||[S, H_d + ΔH]||_F is not finite: "
-                                      "whether the drift keeps S cannot be "
-                                      "decided")
-            pert._measured(residual, H_d)
-        return pert
-
-    def _measured_for(self, drift) -> bool:
-        """Whether ``residual`` was measured for this drift."""
-        return self.residual is not None and self._drift is not None and (
-            self._drift is drift or np.array_equal(self._drift, drift))
-
-    def _measured(self, residual: float, drift: np.ndarray) -> "Perturbation":
-        self.residual, self._drift = residual, drift
-        return self
 
 
 def _restore_linear(S: np.ndarray, H_d: np.ndarray) -> np.ndarray:
@@ -241,7 +201,7 @@ def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
     limit = _commuting_limit(s_frob, h_frob)
     breaking = _commutator_norm(S, Hh, kind, perm, lifted)
     if not np.all(np.isfinite(breaking)):
-        raise ValidationError("||[S, H_d]||_F is not finite: whether the "
+        raise ValidationError("||[S, H]||_F is not finite: whether the "
                               "drift keeps S cannot be decided")
     return breaking <= limit, breaking, limit
 
@@ -287,8 +247,7 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
     smaller than -H_d.  A drift commutes when ||[S, H]||_F is at most
     TAU_RANK·max(1, ||S||_F ||H_d||_F).  H_d passing that test keeps S: ΔH is
     all zeros, op_norm 0.0, and no bound follows.  Raises ConditioningError
-    when the restored drift H_d + ΔH fails the test.  The residual is
-    recorded with the drift it was measured for.
+    when the restored drift H_d + ΔH fails the test.
     """
     H = require_square(H_d)
     Hh = hermitian_part(H)  # require_hermitian's check; the solvers take H
@@ -297,13 +256,13 @@ def restore_symmetry(S: Symmetry, H_d) -> Perturbation:
     broken, dH, residual, limit = _restore_rows(
         S.kind, S.matrix[None], np.array([S.frobenius]), H, Hh,
         frobenius_norm(H))
-    residual, limit = float(residual[0]), float(limit[0])
     if not broken.size:  # H_d keeps S: the minimal ΔH is zero
-        return Perturbation(np.zeros_like(H), S)._measured(residual, H)
+        return Perturbation(np.zeros_like(H), S)
+    residual, limit = float(residual[0]), float(limit[0])
     if residual > limit:
         raise ConditioningError(
             "restored drift still fails to commute with the symmetry",
             {"residual": residual, "limit": limit},
         )
-    return Perturbation(dH[0], S)._measured(residual, H)
+    return Perturbation(dH[0], S)
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qsl import hermitize, operator_norm
-from qsl.matcore import (GAP_RTOL, TAU_RANK, hermitian_part, iota, kron,
-                         require_hermitian)
+from qsl.matcore import (GAP_RTOL, TAU_RANK, frobenius_norm, hermitian_part,
+                         iota, kron, require_hermitian)
+from qsl.perturb import _keeps_symmetry
 
 
 @pytest.fixture
@@ -20,6 +21,15 @@ def random_unitary(rng, d):
     raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(raw)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def bound_residual(sym, dH, drift) -> float:
+    """||[S, H_d + ΔH]||_F as a bound given ΔH and the drift forms it: one
+    hermiticity pass over the sum and ``_keeps_symmetry``, gathered by σ
+    when S has one."""
+    return float(_keeps_symmetry(sym.kind, sym.matrix, sym.frobenius,
+                                 hermitian_part(drift + dH),
+                                 frobenius_norm(drift), sym._permutation)[1])
 
 
 def random_state(rng, d):

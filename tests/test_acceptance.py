@@ -294,7 +294,7 @@ def test_criterion_08_perturbation_contracts():
         cap = analytic_cap(S.matrix, H)
         worst_resid = max(worst_resid, resid)
         worst_herm = max(worst_herm, herm)
-        worst_excess = max(worst_excess, pert.frob_norm - cap)
+        worst_excess = max(worst_excess, np.linalg.norm(pert.matrix) - cap)
     ok = worst_resid <= 1e-8 and worst_herm <= 1e-9 and worst_excess <= 1e-9
     return ok, (f"max_residual={worst_resid:.2e} max_herm={worst_herm:.2e} "
                 f"max_norm_excess={worst_excess:.2e}")

@@ -251,7 +251,7 @@ class TestExactPathCost:
     def test_single_eigendecomposition(self, monkeypatch, rng, real):
         H = draw_hermitian(rng, 6, real)
         S = Symmetry("linear", draw_hermitian(rng, 6, real))
-        pert = Perturbation.from_matrix(S, draw_hermitian(rng, 6, real))
+        pert = Perturbation(draw_hermitian(rng, 6, real), S)
         calls = []
         for name in ("eigh", "eigvalsh"):
             fn = getattr(np.linalg, name)
@@ -417,7 +417,7 @@ class TestEigenframeChebyshev:
         d = len(H)
         n = d if kind == "linear" else d * d
         S = Symmetry(kind, draw_hermitian(rng, n, real))
-        pert = Perturbation.from_matrix(S, draw_hermitian(rng, d, real))
+        pert = Perturbation(draw_hermitian(rng, d, real), S)
         calls = count_cost(monkeypatch)
         costs = []
         for kwargs in ({"method": "exact"},
@@ -543,10 +543,10 @@ class TestPermutationCost:
     @pytest.mark.parametrize("gather", [True, False])
     @pytest.mark.parametrize("N", [4, 6])
     def test_no_product_with_s(self, monkeypatch, N, gather):
-        """S handed out as a ``Counted`` view: from_matrix, the residual
-        formed again for a ΔH given without one, and the commutator
-        numerator never multiply by it.  (A drift-only bound restores S,
-        whose eigenframe is not a gather.)"""
+        """S handed out as a ``Counted`` view: the residual a bound given
+        the drift forms for a supplied ΔH, and the commutator numerator,
+        never multiply by it.  (A drift-only bound restores S, whose
+        eigenframe is not a gather.)"""
         if not gather:
             dense_path(monkeypatch)
         b = rydberg_chain_model(N)
@@ -554,16 +554,14 @@ class TestPermutationCost:
         S = Symmetry("linear", b.symmetry.matrix)
         S.matrix = S.matrix.view(Counted)
         Counted.matmuls, Counted.products = 0, []
-        pert = Perturbation.from_matrix(S, b.perturbation.matrix,
-                                        drift=b.drift)
-        for given, drift in ((pert, None),
-                             (Perturbation(pert.matrix, S), b.drift)):
-            hamiltonian_speed_limit(b.target_hamiltonian, S, given,
+        pert = Perturbation(b.perturbation.matrix, S)
+        for drift in (None, b.drift):
+            hamiltonian_speed_limit(b.target_hamiltonian, S, pert,
                                     method="commutator", drift=drift)
         if gather:
             assert Counted.matmuls == 0
-        else:  # from_matrix twice and the two numerators: one each
-            assert Counted.products.count(((d, d), (d, d))) == 4
+        else:  # the residual and the two numerators: one each
+            assert Counted.products.count(((d, d), (d, d))) == 3
 
 
 class TestMisSetInterval:

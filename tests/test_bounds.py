@@ -72,7 +72,7 @@ class TestUniform:
         assert uniform_speed_limit(2.0) == pytest.approx(1 / 8)
 
     def test_accepts_perturbation_record(self):
-        pert = Perturbation.from_matrix(Symmetry("linear", Z), X)
+        pert = Perturbation(X, Symmetry("linear", Z))
         assert uniform_speed_limit(pert) == pytest.approx(0.25)
 
     def test_zero_rejected(self):
@@ -105,7 +105,7 @@ class TestUnitaryBound:
 
     def test_linear_kind_value(self):
         S = Symmetry("linear", Z)
-        pert = Perturbation.from_matrix(S, 0.5 * X)
+        pert = Perturbation(0.5 * X, S)
         U = matrix_exponential(X, 1.0)
         rep = unitary_speed_limit(U, S, pert)
         want = frobenius_norm(commutator(U, Z)) / (2 * frobenius_norm(Z) * 0.5)
@@ -114,7 +114,7 @@ class TestUnitaryBound:
 
     def test_commuting_target_gives_zero(self):
         S = Symmetry("linear", Z)
-        pert = Perturbation.from_matrix(S, X)
+        pert = Perturbation(X, S)
         U = np.diag(np.exp(1j * np.array([0.2, 1.1])))
         assert unitary_speed_limit(U, S, pert).bound_time == pytest.approx(0.0, abs=1e-12)
 
@@ -137,7 +137,7 @@ class TestUnitaryBound:
         reps = []
         for factor in (1.0, 5.0):
             sym = Symmetry("linear", factor * S)
-            pert = Perturbation.from_matrix(sym, pert_m)
+            pert = Perturbation(pert_m, sym)
             reps.append(unitary_speed_limit(U, sym, pert).bound_time)
         assert reps[0] == pytest.approx(reps[1], rel=1e-12)
 
@@ -176,33 +176,23 @@ class TestSuppliedPerturbation:
             unitary_speed_limit(self._target(), Symmetry("linear", Z), pert,
                                 drift=self.H_d if drift else None)
 
-    @pytest.mark.parametrize("recorded", [True, False])
-    def test_unrestored_drift_rejected(self, recorded):
-        """1e-3 X leaves X + 1e-3 Z breaking Z: refused whether the residual
-        was recorded at construction or is formed by the bound."""
+    def test_unrestored_drift_rejected(self):
+        """1e-3 X leaves X + 1e-3 Z breaking Z: the bound forms the
+        residual and refuses."""
         S = Symmetry("linear", Z)
-        pert = Perturbation.from_matrix(S, 1e-3 * X,
-                                        drift=self.H_d if recorded else None)
+        pert = Perturbation(1e-3 * X, S)
         with pytest.raises(ConditioningError) as err:
             unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
         diagnostics = err.value.diagnostics
         assert diagnostics["residual"] > diagnostics["limit"]
 
-    def test_recorded_residual_reused(self, monkeypatch):
-        """A restored ΔH records its residual; the bound forms no other."""
+    def test_delta_h_for_another_drift_rejected(self):
+        """S = Z: -1e-3 X restores the drift 1e-3 X but not X + Y, whose U
+        at T = 0.3 it would bound by 411.65; the bound given X + Y refuses
+        it, while the ΔH restored for X + Y gives 0.291.  The drift 1e-3 X,
+        and its list copy, still bound with it."""
         S = Symmetry("linear", Z)
-        pert = restore_symmetry(S, self.H_d)
-        monkeypatch.setattr(Perturbation, "from_matrix", None)
-        unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
-
-    def test_residual_recorded_for_another_drift_not_trusted(self):
-        """S = Z: -1e-3 X restores the drift 1e-3 X (residual 0.0) but not
-        X + Y, whose U at T = 0.3 it bounded by 411.65; the residual is
-        formed again for X + Y and refused, while the ΔH restored for X + Y
-        gives 0.291.  An equal copy of the recorded drift reuses it."""
-        S = Symmetry("linear", Z)
-        pert = Perturbation.from_matrix(S, -1e-3 * X, drift=1e-3 * X)
-        assert pert.residual == 0.0
+        pert = Perturbation(-1e-3 * X, S)
         U = matrix_exponential(X + Y, 0.3)
         with pytest.raises(ConditioningError) as err:
             unitary_speed_limit(U, S, pert, drift=X + Y)
@@ -214,11 +204,23 @@ class TestSuppliedPerturbation:
         for drift in (1e-3 * X, (1e-3 * X).tolist()):
             assert unitary_speed_limit(U, S, pert, drift=drift).bound_time > 0
 
+    # the product S·(H_d + ΔH) overflows before its norm is refused
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_restored_drift_whose_residual_leaves_float64_refused(self):
+        """S = 1e150 X with drift Z keeps ||S||_F ||H_d||_F finite, but
+        ΔH = 1e200 Z sends ||[S, H_d + ΔH]||_F past float64: refused, as
+        the acceptance rule cannot decide."""
+        S = Symmetry("linear", 1e150 * X)
+        with pytest.raises(ValidationError,
+                           match=r"\|\|\[S, H\]\|\|_F is not finite"):
+            unitary_speed_limit(np.eye(2), S, Perturbation(1e200 * Z, S),
+                                drift=Z)
+
     def test_trusted_without_drift(self):
         """With no drift anywhere a supplied ΔH is taken as given."""
         S = Symmetry("linear", Z)
         rep = unitary_speed_limit(self._target(), S,
-                                  Perturbation.from_matrix(S, 1e-3 * X))
+                                  Perturbation(1e-3 * X, S))
         assert rep.intermediates["delta_h_op_norm"] == pytest.approx(1e-3)
 
 
@@ -253,7 +255,7 @@ class TestKernelComplement:
         with pytest.raises(ValidationError, match="degeneracy tolerance"):
             kernel_complement_norm_exact(H, S, tol)
         with pytest.raises(ValidationError, match="degeneracy tolerance"):
-            hamiltonian_speed_limit(H, S, Perturbation.from_matrix(S, np.ones((3, 3))),
+            hamiltonian_speed_limit(H, S, Perturbation(np.ones((3, 3)), S),
                                     tol_degeneracy=tol)
 
     def test_identity_generator_has_trivial_kernel_complement(self, rng):
@@ -340,7 +342,7 @@ class TestOneClusterRule:
         want, want_near, _, _ = pairwise_kernel_complement(H, S, 1e-3)
         assert got == pytest.approx(math.sqrt(6), rel=1e-14)
         assert want == pytest.approx(math.sqrt(8), rel=1e-14) and want_near
-        pert = Perturbation.from_matrix(S, np.diag([1.0, 0.0, 0.0, 0.0]))
+        pert = Perturbation(np.diag([1.0, 0.0, 0.0, 0.0]), S)
         rep = hamiltonian_speed_limit(H, S, pert, tol_degeneracy=1e-3)
         assert any("degeneracy" in w for w in rep.warnings)
 
@@ -358,7 +360,7 @@ class TestOneClusterRule:
         d = H.shape[0]
         n = d if kind == "linear" else d * d
         S = Symmetry(kind, random_hermitian(np.random.default_rng(5), n))
-        pert = Perturbation.from_matrix(S, np.eye(d)[::-1])
+        pert = Perturbation(np.eye(d)[::-1], S)
         rep = hamiltonian_speed_limit(H, S, pert, tol_degeneracy=tol)
         assert any("degeneracy" in w for w in rep.warnings) is warned
         assert pairwise_kernel_complement(H, S, tol)[1] is warned
@@ -427,7 +429,7 @@ class TestHamiltonianBound:
     def test_linear_value_identity(self, rng):
         H = random_hermitian(rng, 5)
         S = Symmetry("linear", random_hermitian(rng, 5))
-        pert = Perturbation.from_matrix(S, random_hermitian(rng, 5))
+        pert = Perturbation(random_hermitian(rng, 5), S)
         rep = hamiltonian_speed_limit(H, S, pert)
         want = kernel_complement_norm_exact(H, S) / (
             math.sqrt(2) * S.frobenius * pert.op_norm)
@@ -437,7 +439,7 @@ class TestHamiltonianBound:
     def test_quadratic_value_identity(self, rng):
         H = random_hermitian(rng, 3)
         S = Symmetry("quadratic", random_hermitian(rng, 9))
-        pert = Perturbation.from_matrix(S, random_hermitian(rng, 3))
+        pert = Perturbation(random_hermitian(rng, 3), S)
         rep = hamiltonian_speed_limit(H, S, pert)
         want = kernel_complement_norm_exact(H, S) / (
             2 * math.sqrt(2) * S.frobenius * pert.op_norm)
@@ -447,7 +449,7 @@ class TestHamiltonianBound:
     def test_method_ordering(self, rng):
         H = lattice_hermitian(rng, 6)
         S = Symmetry("linear", random_hermitian(rng, 6))
-        pert = Perturbation.from_matrix(S, random_hermitian(rng, 6))
+        pert = Perturbation(random_hermitian(rng, 6), S)
         exact = hamiltonian_speed_limit(H, S, pert, method="exact").bound_time
         comm = hamiltonian_speed_limit(H, S, pert, method="commutator").bound_time
         lo, hi = true_gap_interval(H)
@@ -461,7 +463,7 @@ class TestHamiltonianBound:
     def test_default_chebyshev_interval_is_sound(self, rng):
         H = random_hermitian(rng, 6)
         S = Symmetry("linear", random_hermitian(rng, 6))
-        pert = Perturbation.from_matrix(S, random_hermitian(rng, 6))
+        pert = Perturbation(random_hermitian(rng, 6), S)
         rep = hamiltonian_speed_limit(H, S, pert, method="chebyshev", degree=128)
         exact = hamiltonian_speed_limit(H, S, pert).bound_time
         assert 0.0 <= rep.bound_time <= exact + 1e-9
@@ -470,26 +472,26 @@ class TestHamiltonianBound:
     def test_pauli_reference_value(self):
         # fully off-diagonal S against a Z generator with unit-strength controls
         S = Symmetry("linear", X)
-        pert = Perturbation.from_matrix(S, Z)
+        pert = Perturbation(Z, S)
         rep = hamiltonian_speed_limit(Z, S, pert)
         assert rep.bound_time == pytest.approx(1 / math.sqrt(2), rel=1e-12)
 
     def test_commuting_target_gives_zero(self):
         S = Symmetry("linear", Z)
-        rep = hamiltonian_speed_limit(Z, S, Perturbation.from_matrix(S, X))
+        rep = hamiltonian_speed_limit(Z, S, Perturbation(X, S))
         assert rep.bound_time == 0.0
 
     def test_near_degenerate_warning(self):
         H = np.diag([0.0, 1.0, 1.0 + 3e-8]).astype(complex)
         S = Symmetry("linear", random_hermitian(np.random.default_rng(0), 3))
-        pert = Perturbation.from_matrix(S, np.diag([0.1, 0.0, 0.0]).astype(complex))
+        pert = Perturbation(np.diag([0.1, 0.0, 0.0]).astype(complex), S)
         rep = hamiltonian_speed_limit(H, S, pert)
         assert any("degeneracy" in w for w in rep.warnings)
 
     def test_unknown_method_rejected(self):
         S = Symmetry("linear", Z)
         with pytest.raises(ValidationError):
-            hamiltonian_speed_limit(X, S, Perturbation.from_matrix(S, X),
+            hamiltonian_speed_limit(X, S, Perturbation(X, S),
                                     method="magic")
 
 
@@ -621,8 +623,8 @@ class TestOneTheoremTail:
         kind, gate, c, k = THEOREMS[theorem]
         bound, num, S, drift = theorem_problem(theorem)
         if source == "supplied":
-            pert = Perturbation.from_matrix(
-                S, random_hermitian(np.random.default_rng(3), 4))
+            pert = Perturbation(
+                random_hermitian(np.random.default_rng(3), 4), S)
             rep = bound(pert)
             dh = pert.op_norm
             assert rep.perturbation is pert
@@ -650,7 +652,7 @@ class TestOneTheoremTail:
     def test_error_messages(self, theorem, case, message):
         bound, _, S, _ = theorem_problem(theorem)
         if case == "zero perturbation":
-            args, kwargs = (Perturbation.from_matrix(S, np.zeros((4, 4))),), {}
+            args, kwargs = (Perturbation(np.zeros((4, 4)), S),), {}
         elif case == "neither":
             args, kwargs = (), {}
         else:  # the identity commutes with S and, lifted, with quadratic S
@@ -662,7 +664,7 @@ class TestOneTheoremTail:
     def test_zero_symmetry_checked_before_the_numerator(self):
         """A zero S is reported before a target of the wrong dimension."""
         S = Symmetry("linear", np.zeros((2, 2)))
-        pert = Perturbation.from_matrix(S, X)
+        pert = Perturbation(X, S)
         for bound in (lambda: unitary_speed_limit(np.eye(3), S, pert),
                       lambda: hamiltonian_speed_limit(np.eye(3), S, pert)):
             with pytest.raises(ValidationError, match="must be nonzero"):
@@ -672,9 +674,9 @@ class TestOneTheoremTail:
     def test_one_restoration_per_linear_unitary_bound(self, monkeypatch,
                                                       supplied):
         """A drift-only bound restores S once; a supplied ΔH, restored for
-        the same drift, is read from its recorded residual and restores
-        nothing.  Both report the same bound, a linear S's three
-        intermediates and no other."""
+        the same drift, is checked against it and restores nothing.  Both
+        report the same bound, a linear S's three intermediates and no
+        other."""
         bound, num, S, drift = theorem_problem("T1b")
         pert = restore_symmetry(S, drift) if supplied else None
         calls = []

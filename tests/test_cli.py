@@ -414,6 +414,10 @@ BAD_ARGV = [
     ["reproduce", "swap", "--J", "-1"],
     ["reproduce", "syk", "--n-majorana", "5"],
     ["reproduce", "syk", "--iterations", "-1"],
+    # refused by the model builder, which runs before the search options
+    # are checked
+    ["reproduce", "syk", "--n-majorana", "6", "--seed", "-1",
+     "--iterations", "1"],
     ["reproduce", "cnot", "--g", "-1"],
     ["verify", "duhamel", CNOT_PROBLEM, "--seed", "-1"],
     ["verify", "duhamel", CNOT_PROBLEM, "--trials", "0"],

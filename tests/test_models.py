@@ -127,6 +127,13 @@ class TestHoppingChain:
         assert hopping_chain_closed_form(4, 2.0) == pytest.approx(
             hopping_chain_closed_form(4, 1.0) / 2.0)
 
+    @pytest.mark.parametrize("J", [0.0, -1.0, float("nan"), float("inf")])
+    def test_coupling_not_finite_and_positive_refused(self, J):
+        """The closed form and the model refuse the same J, with one check."""
+        for build in (hopping_chain_closed_form, hopping_chain_model):
+            with pytest.raises(ValidationError):
+                build(4, J)
+
     def test_pipeline_with_gap_over_bound_matches_closed_form(self):
         for N in (3, 4, 7, 11):
             bundle = hopping_chain_model(N)
@@ -318,6 +325,15 @@ class TestSykModel:
         best = optimize_symmetry(basis, objective, iterations=20, seed=5)
         assert objective(best) > 0
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_not_an_integer_at_least_zero_refused(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            syk_model(6, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert np.array_equal(syk_model(6, seed=np.int64(3)),
+                              syk_model(6, seed=3))
+
     @pytest.mark.parametrize("mu", [1e308, -1e308])
     def test_mu_whose_hamiltonian_leaves_float64_refused(self, mu):
         """(mu/4) Q² overflows: refused, with no numpy warning."""
@@ -365,3 +381,9 @@ class TestPropagation:
 
     def test_total_time(self):
         assert PulseSchedule(0.5, np.ones((1, 4))).total_time == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_duration_not_finite_and_positive_refused(self, dt):
+        """NaN fails ``dt <= 0`` as well as ``dt > 0``: refused too."""
+        with pytest.raises(ValidationError, match="finite and positive"):
+            PulseSchedule(dt, np.ones((1, 4)))

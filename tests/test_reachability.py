@@ -149,7 +149,7 @@ def test_delta_h_restored_for_another_drift(d, seed, other):
     """A ΔH restored for a drift D1 but given to the bound with the drift
     D2 that reaches U: the bound raises or stays at most T.  D1 is a random
     drift, D2 plus a small change, a multiple of D2, a drift that keeps S,
-    or D2 itself (then the recorded residual is the right one)."""
+    or D2 itself."""
     rng = np.random.default_rng(seed)
     W = random_unitary(rng, d)
     sizes = [1, d - 1]
