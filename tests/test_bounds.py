@@ -176,13 +176,16 @@ class TestSuppliedPerturbation:
             unitary_speed_limit(self._target(), Symmetry("linear", Z), pert,
                                 drift=self.H_d if drift else None)
 
-    def test_unrestored_drift_rejected(self):
+    @pytest.mark.parametrize("listed", [True, False])
+    def test_unrestored_drift_rejected(self, listed):
         """1e-3 X leaves X + 1e-3 Z breaking Z: the bound forms the
-        residual and refuses."""
+        residual and refuses, whether the drift is an array or a nested
+        list."""
         S = Symmetry("linear", Z)
         pert = Perturbation(1e-3 * X, S)
+        drift = self.H_d.tolist() if listed else self.H_d
         with pytest.raises(ConditioningError) as err:
-            unitary_speed_limit(self._target(), S, pert, drift=self.H_d)
+            unitary_speed_limit(self._target(), S, pert, drift=drift)
         diagnostics = err.value.diagnostics
         assert diagnostics["residual"] > diagnostics["limit"]
 
