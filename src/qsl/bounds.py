@@ -53,11 +53,11 @@ product P = H S plus ||H_s||_inf, and ||[H, S]||_F = ||P - P†||_F is
 summed over P's 64 x 64 tile pairs with no second d x d array; chebyshev
 costs what exact costs, whatever the filter degree, plus p on one
 triangle of the squared gaps; its default interval reads ||H_s||_inf from
-the same kernel.  For a linear S that is a permutation matrix (the
-Rydberg swap) V† S and H S are gathers, with the products' values.  For
-quadratic S each
-product with the lift H⊗1 + 1⊗H, or with the eigenbasis V⊗V, is a pair of
-d x d contractions.  A target that
+the same kernel.  For quadratic S each product with the lift H⊗1 + 1⊗H,
+or with the eigenbasis V⊗V, is a pair of d x d contractions.  A single S
+that is a float64 permutation matrix (the Rydberg swap) is found by each
+product with it, which is then a gather with the product's values: V† S
+and H S.  A target that
 the reversal of the qubit order R leaves exactly unchanged (H = R H R, an
 open chain such as the Rydberg H_s) is decomposed, and its norm read, sector
 by sector: two half-size eigendecompositions in place of one, about a
@@ -93,8 +93,8 @@ from .matcore import (
     ValidationError,
     _TILE,
     _adjoint,
-    _antihermitian_norm,
     _check_tolerance,
+    _commutator_norm,
     _diagonal_norm,
     _frobenius,
     _kernel_mask,
@@ -113,8 +113,8 @@ from .matcore import (
 from .perturb import (
     Perturbation,
     _keeps_symmetry,
-    _quadratic_setup,
     _restore_rows,
+    _unit_lifts,
     restore_symmetry,
 )
 
@@ -244,7 +244,7 @@ def _require_restores(pert: Perturbation, S: Symmetry, drift) -> None:
     H_d, dH = require_same_dimension(drift, pert.matrix)
     keeps, residual, limit = _keeps_symmetry(
         S.kind, S.matrix, S.frobenius, hermitian_part(H_d + dH),
-        frobenius_norm(H_d), S._permutation)
+        frobenius_norm(H_d))
     if not keeps:
         raise ConditioningError(
             "perturbed drift does not commute with the symmetry",
@@ -258,7 +258,8 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
     A gate (``method`` "not_applicable") is T1, with c = 2 and the breaking
     norm as numerator; a simulated Hamiltonian is T2, with c = √2 and the
     kernel-complement norm.  ``numerator`` is called after the ||S||_F check,
-    so the checks keep their order.
+    so the checks keep their order.  A numerator or a time that is not
+    finite is refused.
     """
     sfrob = S.frobenius
     if sfrob <= 0:
@@ -274,13 +275,19 @@ def _speed_limit(numerator, S: Symmetry, perturbation, drift, method: str,
     if dh <= 0:
         raise ValidationError(_DRIFT_KEEPS_SYMMETRY)
     gate = method == "not_applicable"
+    # a denominator that underflows to 0 gives inf here, refused below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bound_time = float(_time_bound(np.float64(num), sfrob, dh, gate,
+                                       S.kind))
+    if not (math.isfinite(num) and math.isfinite(bound_time)):
+        raise ValidationError(f"the bound is not finite (numerator "
+                              f"{float(num)}, time {bound_time})")
     inter.update({"symmetry_frobenius": sfrob, "delta_h_op_norm": dh,
                   "breaking_norm" if gate else "kernel_complement_norm": num})
     theorem = ("T1" if gate else "T2") + ("a" if S.kind == "quadratic"
                                           else "b")
-    return BoundReport(_time_bound(num, sfrob, dh, gate, S.kind), theorem,
-                       method, inter, symmetry=S, perturbation=perturbation,
-                       warnings=warnings)
+    return BoundReport(bound_time, theorem, method, inter, symmetry=S,
+                       perturbation=perturbation, warnings=warnings)
 
 
 def _time_bound(num, sfrob, dh, gate: bool, kind: str):
@@ -390,15 +397,8 @@ class _AdKernel:
     block of ``_sectors``: H itself, or the R-even and R-odd sectors of an
     H that the reversal R of the qubit order leaves exactly unchanged.
     ``norm`` reads ||H||_inf from the same blocks, with no second
-    hermiticity pass.
-
-    ``lift`` is the one product with L: for Hermitian Y, [L, Y] = P - P†
-    with P = L Y, so ad_L on Y costs one product.  The lift is applied as
-    two d x d contractions and never materialized, and takes a stack.  A
-    single linear S that is a permutation matrix (the Rydberg swap) comes
-    with its index map σ, and every product with it is a gather
-    (``matcore._times_symmetry``): L S in ``lift`` and V† S in
-    ``_eigenframe``.  A stack of candidates comes with no σ.
+    hermiticity pass.  Every product with L is ``matcore._commutator_norm``'s
+    P = L S, the lift contracted and never formed.
     """
 
     def __init__(self, H_s, S: Symmetry):
@@ -450,31 +450,19 @@ class _AdKernel:
             self._kernels[tol] = mask, _near_cut(ws, ranked, tol)
         return self._kernels[tol]
 
-    def lift(self, Y: np.ndarray, perm=None) -> np.ndarray:
-        """L Y for a matrix or a stack Y: for a Y given with its σ, the
-        column gather L[:, σ], with the product's values."""
-        L = self.H
-        if self.kind == "linear":
-            return _times_symmetry(Y, L, perm, right=True)
-        d = L.shape[0]
-        lead = Y.shape[:-2]
-        Y3 = Y.reshape(lead + (d, d, -1))  # Y[(a, b), x] -> Y3[a, b, x]
-        first = (L @ Y.reshape(lead + (d, -1))).reshape(Y3.shape)  # (H⊗1) Y
-        return (first + L @ Y3).reshape(Y.shape)  # + (1⊗H) Y
 
-
-def _similarity(A: np.ndarray, M: np.ndarray, kind: str,
-                perm=None) -> np.ndarray:
+def _similarity(A: np.ndarray, M: np.ndarray, kind: str) -> np.ndarray:
     """T M T† with T = A (linear) or T = A⊗A (quadratic), for a matrix M or
     each matrix of a stack, formed as (T M) T†.
 
-    A⊗A is never formed: like ``_AdKernel.lift`` it is applied as d x d
-    contractions, one per tensor factor on each side.  ``perm`` is the σ of
-    a linear M that is a permutation matrix: A M is then the column gather
-    A[:, σ], with the product's values, and one d³ product remains.
+    A⊗A is never formed: like the lift (``matcore._times_lift``) it is
+    applied as d x d contractions, one per tensor factor on each side.  For
+    a linear M that is a permutation matrix A M is the column gather
+    A[:, σ] (``matcore._times_symmetry``), with the product's values, and
+    one d³ product remains.
     """
     if kind == "linear":
-        return _times_symmetry(M, A, perm, right=True) @ A.conj().T
+        return _times_symmetry(M, A, right=True) @ A.conj().T
     d = A.shape[0]
     lead = M.shape[:-2]
     # A on the first row factor
@@ -485,21 +473,21 @@ def _similarity(A: np.ndarray, M: np.ndarray, kind: str,
     return (A.conj() @ M @ A.conj().T).reshape(lead + (d * d, d * d))
 
 
-def _eigenframe(kernel: _AdKernel, S: np.ndarray, perm=None):
+def _eigenframe(kernel: _AdKernel, S: np.ndarray):
     """S, or each of a stack, in the eigenbasis of L, from ``kernel.eigen``.
 
     Returns (w, V, lam, frame) with (w, V, lam) = ``kernel.eigen`` and
     frame = (W† S) W with W = V or V⊗V.  ad_L acts on the frame as the
-    entrywise product with the signed gaps lam_i - lam_j.  For an S given
-    with its σ (a permutation matrix, the Rydberg swap) W† S is a gather,
-    and the one d³ product is that with W.
+    entrywise product with the signed gaps lam_i - lam_j.  For a single
+    linear S that is a permutation matrix (the Rydberg swap) W† S is a
+    gather, and the one d³ product is that with W.
     """
     w, V, lam = kernel.eigen
-    return w, V, lam, _similarity(V.conj().T, S, kernel.kind, perm)
+    return w, V, lam, _similarity(V.conj().T, S, kernel.kind)
 
 
 def _exact_projection(kernel: _AdKernel, S: np.ndarray,
-                      tol_degeneracy: float | None, perm=None):
+                      tol_degeneracy: float | None):
     """Kernel-complement norm of S from the kernel's eigendecomposition.
 
     Returns (norm, near): the eigenframe of S with the kernel entries of
@@ -510,7 +498,7 @@ def _exact_projection(kernel: _AdKernel, S: np.ndarray,
     """
     if tol_degeneracy is not None:
         _check_tolerance(tol_degeneracy, "degeneracy", zero_ok=True)
-    w, _, _, frame = _eigenframe(kernel, S, perm)
+    w, _, _, frame = _eigenframe(kernel, S)
     tol = (GAP_RTOL * float(np.max(np.abs(w))) if tol_degeneracy is None
            else tol_degeneracy)
     mask, near = kernel.kernel(tol)
@@ -535,20 +523,25 @@ def kernel_complement_norm_exact(H_s, S: Symmetry,
     and S are real.
     """
     return float(_exact_projection(_AdKernel(H_s, S), S.matrix,
-                                   tol_degeneracy, S._permutation)[0])
+                                   tol_degeneracy)[0])
 
 
-def _commutator_projection(kernel: _AdKernel, S: np.ndarray, perm=None):
+def _commutator_projection(kernel: _AdKernel, S: np.ndarray):
     """||[L, S]||_F / (2 ||H||_inf), or / (4 ||H||_inf) for the lift: the
     numerator of ``kernel_complement_norm_commutator``, one per matrix of a
-    stack S.  [L, S] = P - P† with P = L S (``_AdKernel.lift``, a gather
-    for a permutation S given with its σ) is never formed: its norm is
-    ``matcore._antihermitian_norm`` of P."""
+    stack S, from ``matcore._commutator_norm``.  The value is homogeneous
+    of degree 0 in H, so where the plain product leaves float64 it is
+    formed again from H/||H||_inf; every other value stays the plain one."""
     hnorm = kernel.norm
     if hnorm <= 0:
         raise ValidationError("Hamiltonian must be nonzero")
-    lift = 2.0 if kernel.kind == "linear" else 4.0
-    return _antihermitian_norm(kernel.lift(S, perm)) / (lift * hnorm)
+    quadratic = kernel.kind == "quadratic"
+    lift = 4.0 if quadratic else 2.0
+    num = _commutator_norm(kernel.H, S, quadratic) / (lift * hnorm)
+    if np.isfinite(num).all():
+        return num
+    scaled = _commutator_norm(kernel.H / hnorm, S, quadratic) / lift
+    return np.where(np.isfinite(num), num, scaled)
 
 
 def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
@@ -559,8 +552,7 @@ def kernel_complement_norm_commutator(H_s, S: Symmetry) -> float:
     Never exceeds the exact projection, needs no diagonalization beyond
     ||H_s||_inf; the commutator with the hermitised H_s is one product.
     """
-    return float(_commutator_projection(_AdKernel(H_s, S), S.matrix,
-                                        S._permutation))
+    return float(_commutator_projection(_AdKernel(H_s, S), S.matrix))
 
 
 def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
@@ -590,12 +582,11 @@ def chebyshev_filter_bound(H_s, S: Symmetry, degree: int,
     """
     kernel = _AdKernel(H_s, S)
     filt = ChebyshevFilter(degree, sigma_min_est, sigma_max_est)
-    return float(_chebyshev_projection(kernel, S.matrix, filt,
-                                       S._permutation)), filt.epsilon
+    return float(_chebyshev_projection(kernel, S.matrix, filt)), filt.epsilon
 
 
 def _chebyshev_projection(kernel: _AdKernel, S: np.ndarray,
-                          filt: ChebyshevFilter, perm=None):
+                          filt: ChebyshevFilter):
     """The value of ``chebyshev_filter_bound`` of S on a prepared kernel,
     one per matrix of a stack: the eigenframe with entry (i, j) scaled by
     sqrt(1 - p(g²)²) where it is filtered and zeroed elsewhere, then its
@@ -605,7 +596,7 @@ def _chebyshev_projection(kernel: _AdKernel, S: np.ndarray,
     of ``_TILE`` rows, and mirrored: g_ji = -g_ij exactly, so g², p and the
     weight of (j, i) are those of (i, j), at half the evaluations and with
     every temporary one block."""
-    _, _, lam, frame = _eigenframe(kernel, S, perm)
+    _, _, lam, frame = _eigenframe(kernel, S)
     n = lam.size
     weight = np.empty((n, n))
     for i in range(0, n, _TILE):
@@ -674,7 +665,7 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
     def numerator() -> float:
         if method == "exact":
             num, near = _exact_projection(_AdKernel(H_s, S), S.matrix,
-                                          tol_degeneracy, S._permutation)
+                                          tol_degeneracy)
             if near:
                 warnings.append("spectral gaps within 10x of the degeneracy "
                                 "tolerance, or a cluster wider than it; the "
@@ -687,8 +678,7 @@ def hamiltonian_speed_limit(H_s, S: Symmetry,
         inter.update({"epsilon": filt.epsilon, "degree": float(filt.degree),
                       "sigma_min_est": filt.sigma_min,
                       "sigma_max_est": filt.sigma_max})
-        return float(_chebyshev_projection(kernel, S.matrix, filt,
-                                           S._permutation))
+        return float(_chebyshev_projection(kernel, S.matrix, filt))
 
     return _speed_limit(numerator, S, perturbation, drift, method, inter,
                         warnings)
@@ -758,7 +748,7 @@ class _StackScorer:
             if H.shape[0] != like.base_dimension:
                 raise DimensionError("drift dimension does not match symmetry")
             self._drift = H, hermitian_part(H), frobenius_norm(H)
-            self._setup = (_quadratic_setup(self._drift[1])
+            self._lifts = (_unit_lifts(H.shape[0])
                            if self.kind == "quadratic" else None)
             if self.gate:
                 U = require_unitary(target_unitary)
@@ -793,7 +783,7 @@ class _StackScorer:
     def _score(self, S: np.ndarray) -> np.ndarray:
         sfrob = _frobenius(S)
         broken, dH, residual, limit = _restore_rows(
-            self.kind, S, sfrob, *self._drift, self._setup)
+            self.kind, S, sfrob, *self._drift, self._lifts)
         values = np.full(len(S), -np.inf)
         restored = residual[broken] <= limit[broken]
         rows = broken[restored]
@@ -938,7 +928,8 @@ def _symmetry_basis(controls, kind: str, tol) -> list[Symmetry]:
 
 def _searched_symmetry(problem, basis, numerator, iterations, seed):
     """``optimize_symmetry``'s choice, scored by a ``_StackScorer``, and
-    re-checked against the (lifted) controls, as a combination of the basis.
+    re-checked against the controls (their lifts), as a combination of the
+    basis.
     A drift that keeps the whole basis is refused once, before the search."""
     H_d = problem.drift
     S = np.array([s.matrix for s in basis])

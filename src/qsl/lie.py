@@ -2,8 +2,8 @@
 
 Symmetries live in commutants: linear symmetries commute with every control
 on the base space, quadratic symmetries commute with the doubled-space lifts
-H⊗1 + 1⊗H, so quadratic discovery is the linear commutant of the lifted
-controls.  Both kinds come from one solver, ``_commutant``.  The common
+H⊗1 + 1⊗H, so quadratic discovery is the linear commutant of the lifts of
+the controls.  Both kinds come from one solver, ``_commutant``.  The common
 commutant lies inside the commutant of one generic real combination R of the
 controls, which is block diagonal in R's eigenbasis (Murota, Kanno, Kojima &
 Kojima 2010, Japan J. Indust. Appl. Math. 27; Zeier & Schulte-Herbrüggen
@@ -26,7 +26,6 @@ ConditioningError.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .matcore import (
     _hermitised,
     _kernel_mask,
     _lift,
-    _permutation_of,
     check_entry_cap,
     frobenius_norm,
     hermitian_part,
@@ -74,10 +72,9 @@ class Symmetry:
     is exactly real.  S carries no spectral data of its own: a bound's
     ||ΔH||_inf comes from the perturbation restoring S
     (``perturb.restore_symmetry``), never from S's eigenvalue gaps.
-    ``_permutation`` is σ with S[i, σ(i)] = 1 when a linear S is a float64
-    permutation matrix (the Rydberg swap), else None, found on first use
-    and cached: every product with such an S is a gather
-    (``matcore._times_symmetry``).
+    Every product with a linear S that is a float64 permutation matrix
+    (the Rydberg swap) is a gather, whose index map the product finds from
+    S itself (``matcore._times_symmetry``).
     """
 
     kind: str
@@ -106,11 +103,6 @@ class Symmetry:
     @property
     def frobenius(self) -> float:
         return frobenius_norm(self.matrix)
-
-    @functools.cached_property
-    def _permutation(self) -> np.ndarray | None:
-        return (_permutation_of(self.matrix) if self.kind == "linear"
-                else None)
 
 
 def _validated_generators(generators) -> np.ndarray:
@@ -240,8 +232,9 @@ def _defect_limit(n: int) -> float:
 
 
 def _verify_commutation(mats, ops) -> None:
-    """Re-check [L, M] = 0 for every basis element M and (lifted) control L
-    at ``_defect_limit``, a rounding-level cut that no tolerance widens."""
+    """Re-check [L, M] = 0 for every basis element M and every control L
+    (or its lift) at ``_defect_limit``, a rounding-level cut that no
+    tolerance widens."""
     ops, mats = np.asarray(ops), np.asarray(mats)
     if not mats.size:
         return
@@ -321,7 +314,7 @@ def commutant_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
 
 def quadratic_symmetry_basis(ops, tol: float = TAU_RANK) -> list[Symmetry]:
     """Orthonormal Hermitian basis of {S on H⊗H : [S, H_j⊗1 + 1⊗H_j] = 0},
-    the linear commutant of the lifted controls, in the span's canonical
+    the linear commutant of the controls' lifts, in the span's canonical
     order (the normalised identity first), float64 as ``commutant_basis``
     is: under full local control, Y controls or not, the span is that of
     the real copy swaps."""

@@ -18,12 +18,15 @@ internal code may assume validated input.  Each hermiticity check is one pass
 over the matrix that compares each 64 x 64 tile A_IJ with its mirror A_JI, so
 both are read in cache; ``hermitian_part`` checks and hermitises in that same
 pass, and returns its input unchanged when it is already exactly Hermitian.
-The commutator norms ||[S, H]||_F = ||P - P†||_F are read from the same tile
+The one commutator norm, ||[L, S]||_F = ||P - P†||_F with P = L S for L = H
+or its lift H⊗1 + 1⊗H (``_commutator_norm``), is read from the same tile
 pairs (``_antihermitian_norm``), with no d x d temporary.  A matrix of one
 tile (d <= 64) is its own single pair, so it meets the whole-matrix
-operations A - A† and (A + A†)/2 and their values.  A float64
-permutation matrix is recognised (``_permutation_of``) and applied as an
-index gather (``_times_symmetry``), with a matmul's values.  The private
+operations A - A† and (A + A†)/2 and their values.  Each product with a
+linear S (``_times_symmetry``) finds whether a single float64 S is a
+permutation matrix (``_permutation_of``) and then gathers, with a matmul's
+values; the lift's product (``_times_lift``) is two d x d contractions,
+the lift never formed.  The private
 kernels the symmetry search shares with the public functions
 (``_square_sum``, ``_frobenius``, ``_antihermitian_norm``, ``_hermitised``,
 ``_cluster_labels``, ``_kernel_mask``, ``_max_abs_eigenvalue``) also take
@@ -447,6 +450,30 @@ def _lift(Y: np.ndarray) -> np.ndarray:
     return L.reshape(Y.shape[:-2] + (d * d, d * d))
 
 
+def _times_lift(H: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """(H⊗1 + 1⊗H) Y for a d×d H and a d²×d² Y, or for stacks of either,
+    as two d x d contractions, (H⊗1) Y and (1⊗H) Y: the lift is never
+    formed."""
+    d = H.shape[-1]
+    lead = Y.shape[:-2]
+    Y3 = Y.reshape(lead + (d, d, -1))  # Y[(a, b), x] -> Y3[a, b, x]
+    first = (H @ Y.reshape(lead + (d, -1))).reshape(Y3.shape)  # (H⊗1) Y
+    return (first + H[..., None, :, :] @ Y3).reshape(Y.shape)  # + (1⊗H) Y
+
+
+def _commutator_norm(H: np.ndarray, S: np.ndarray, quadratic: bool):
+    """||[L, S]||_F for exactly Hermitian H and S, with L = H or, for
+    ``quadratic``, the lift H⊗1 + 1⊗H: ||P - P†||_F with P = L S, one
+    product (``_times_symmetry`` or ``_times_lift``) in real arithmetic
+    when both are exactly real, summed over the tile pairs of P
+    (``_antihermitian_norm``).  S may be a stack, one value per matrix.
+    A product past float64 gives inf, with no numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = (_times_lift(H, S) if quadratic
+             else _times_symmetry(S, H, right=True))
+        return _antihermitian_norm(P)
+
+
 def iota(H) -> np.ndarray:
     """H⊗1 + 1⊗H on the doubled space; spectrum is pairwise eigenvalue sums."""
     A = require_hermitian(H)
@@ -496,31 +523,32 @@ def _permutation_of(A: np.ndarray) -> np.ndarray | None:
     matrix (one nonzero per row, every one exactly 1.0, the columns a
     bijection), else None.  Any A with other than d nonzeros, a dense A
     among them, is refused by one count before anything the size of its
-    nonzeros is allocated."""
+    nonzeros is allocated; then each row's argmax must hold a 1."""
     if A.dtype != np.float64 or A.ndim != 2 or A.shape[0] != A.shape[1]:
         return None
     d = A.shape[0]
     if np.count_nonzero(A) != d:
         return None
-    rows, sigma = np.nonzero(A)
-    if (not np.array_equal(rows, np.arange(d))
-            or not (A[rows, sigma] == 1.0).all()
+    sigma = np.argmax(A, axis=1)
+    if (not (A[np.arange(d), sigma] == 1.0).all()
             or np.count_nonzero(np.bincount(sigma, minlength=d)) != d):
         return None
-    sigma.flags.writeable = False  # cached by ``Symmetry`` for every caller
     return sigma
 
 
-def _times_symmetry(S: np.ndarray, X: np.ndarray, perm, right: bool = False):
-    """S X, or X S with ``right``, for a matrix or a stack of either.
+def _times_symmetry(S: np.ndarray, X: np.ndarray, right: bool = False):
+    """S X, or X S with ``right``, for a Hermitian S and a matrix or a
+    stack X, or a stack S.
 
-    ``perm`` is None or the σ of ``_permutation_of(S)`` for a Hermitian S,
+    A single S that is a float64 permutation matrix (``_permutation_of``,
+    which refuses a stack or a complex S at once) is
     an involution (σ⁻¹ = σ): then S X = X[σ] and X S = X[..., σ], gathers
     with the matmul's values, since 1.0·x plus exact zeros is x for finite
     x.  A gather is C-contiguous, as the matmul's result is."""
-    if perm is None:
+    sigma = _permutation_of(S)
+    if sigma is None:
         return X @ S if right else S @ X
-    return X.take(perm, axis=-1 if right else -2)
+    return X.take(sigma, axis=-1 if right else -2)
 
 
 def _cluster_labels(w: np.ndarray, tol) -> np.ndarray:

@@ -15,11 +15,11 @@ cluster rule serves this projection and the exact kernel-complement
 numerator of ``bounds`` (the same projection, ``matcore._kernel_mask``, in
 the eigenframe of H_s): the ascending eigenvalues start a new cluster at
 each adjacent gap above GAP_RTOL·max|eigenvalue|.  One residual rule
-serves the drift and the restored drift: ||[S, H]||_F = ||P - P†||_F with
-P = S H for the hermitised H, H lifted to H⊗1 + 1⊗H for quadratic S, one
-product in place of two (a row gather of H when S is a permutation
-matrix, ``Symmetry._permutation``), and P - P† never formed: its norm is
-summed over P's 64 x 64 tile pairs (``matcore._antihermitian_norm``).
+serves the drift and the restored drift, and the commutator numerator
+shares it (``matcore._commutator_norm``): ||[L, S]||_F = ||P - P†||_F with
+P = L S for L the hermitised H, or its lift H⊗1 + 1⊗H for quadratic S,
+one product in place of two (a gather when a linear S is a single float64
+permutation matrix), and P - P† never formed.
 ``_restore_rows`` restores a stack of symmetries for one drift, linear ones
 in one stacked eigendecomposition, quadratic ones in one stacked QR and one
 stacked SVD, and applies the acceptance rule to each;
@@ -53,33 +53,18 @@ from .matcore import (
     TAU_RANK,
     ValidationError,
     _adjoint,
-    _antihermitian_norm,
+    _commutator_norm,
     _diagonal_norm,
     _hermitised,
     _kernel_mask,
     _lift,
     _max_abs_eigenvalue,
-    _times_symmetry,
     check_entry_cap,
     frobenius_norm,
     hermitian_part,
     require_hermitian,
     require_square,
 )
-
-
-def _commutator_norm(S: np.ndarray, H: np.ndarray, kind: str, perm=None,
-                     lifted=None):
-    """||[S, H]||_F for exactly Hermitian S and H (H lifted for quadratic
-    S, or ``lifted``, its lift when already formed) as ||P - P†||_F with
-    P = S H: one product, in real arithmetic when both operands are exactly
-    real, and ``_antihermitian_norm``'s tile pairs of P.  Either may be a
-    stack, one value per matrix.  ``perm`` is a single S's
-    ``Symmetry._permutation``: when it is set, P is the row gather H[σ],
-    with the product's values and no d³ work."""
-    if kind == "quadratic":
-        H = _lift(H) if lifted is None else lifted
-    return _antihermitian_norm(_times_symmetry(S, H, perm))
 
 
 @dataclass
@@ -146,18 +131,10 @@ def _quadratic_constraint(S: np.ndarray, d: int, lifts=None) -> np.ndarray:
     return C.reshape(C.shape[:-2] + (-1,)).swapaxes(-1, -2)
 
 
-def _quadratic_setup(Hh: np.ndarray):
-    """What every quadratic restoration of one drift shares: the unit-matrix
-    lifts, and the lift of the hermitised drift Hh that the acceptance rule
-    reads."""
-    return _unit_lifts(Hh.shape[0]), _lift(Hh)
-
-
 def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
-                       setup=None) -> np.ndarray:
+                       lifts=None) -> np.ndarray:
     """ΔH for each quadratic symmetry matrix of a stack S (or for one),
-    with the unit-matrix lifts of the drift's ``_quadratic_setup`` (built
-    here when not given).
+    with the drift dimension's ``_unit_lifts`` (built here when not given).
 
     ΔH = -V_r V_r† vec(H_d), minus the drift's projection onto the row
     space of K: lstsq's minimal-norm solution of K vec(ΔH) = -K vec(H_d),
@@ -170,7 +147,6 @@ def _restore_quadratic(S: np.ndarray, H_d: np.ndarray,
     are, and a row of a stack equals that row restored alone.
     """
     d = H_d.shape[0]
-    lifts = _unit_lifts(d) if setup is None else setup[0]
     R = np.linalg.qr(_quadratic_constraint(S, d, lifts), mode="r")
     _, s, Vh = np.linalg.svd(R)
     kept = s > TAU_RANK * s[..., :1]
@@ -191,15 +167,14 @@ def _commuting_limit(s_frob, h_frob):
 
 
 def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
-                    h_frob: float, perm=None, lifted=None):
+                    h_frob: float):
     """The one acceptance rule: a drift keeps S when ||[S, H]||_F is at most
     ``_commuting_limit(s_frob, h_frob)``.  S is a symmetry matrix or a stack
-    of them with Frobenius norms s_frob, ``perm`` a single S's σ; Hh is the
-    hermitised drift (``lifted`` its lift, when formed) and h_frob ||H_d||_F
-    of the drift as given.  Returns (keeps, ||[S, Hh]||_F, limit), one of
-    each per matrix."""
+    of them with Frobenius norms s_frob; Hh is the hermitised drift and
+    h_frob ||H_d||_F of the drift as given.  Returns (keeps, ||[S, Hh]||_F,
+    limit), one of each per matrix; a residual past float64 is refused."""
     limit = _commuting_limit(s_frob, h_frob)
-    breaking = _commutator_norm(S, Hh, kind, perm, lifted)
+    breaking = _commutator_norm(Hh, S, kind == "quadratic")
     if not np.all(np.isfinite(breaking)):
         raise ValidationError("||[S, H]||_F is not finite: whether the "
                               "drift keeps S cannot be decided")
@@ -207,31 +182,28 @@ def _keeps_symmetry(kind: str, S: np.ndarray, s_frob, Hh: np.ndarray,
 
 
 def _restore_rows(kind: str, S: np.ndarray, s_frob, H: np.ndarray,
-                  Hh: np.ndarray, h_frob: float, setup=None):
+                  Hh: np.ndarray, h_frob: float, lifts=None):
     """Restoration of every symmetry of a stack for one drift H.
 
     S and s_frob are the stack's symmetry matrices and their Frobenius
-    norms; Hh is the Hermitian part of H and h_frob ||H||_F; ``setup`` is
-    ``_quadratic_setup(Hh)``, whose lift of Hh the acceptance rule reads,
-    built by the quadratic solve when not given.
+    norms; Hh is the Hermitian part of H and h_frob ||H||_F; ``lifts`` are
+    the quadratic solve's ``_unit_lifts``, built there when not given.
     Returns (broken, dH, residual, limit): the rows whose drift breaks S by
     ``_keeps_symmetry``, their ΔH (one stacked solve of either kind), and
     for every row ||[S, H_d + ΔH]||_F, the breaking norm ||[S, H_d]||_F
     where the drift keeps S, and its ``_commuting_limit``.  A broken row
     whose residual exceeds its limit failed to restore.
     """
-    keeps, residual, limit = _keeps_symmetry(
-        kind, S, s_frob, Hh, h_frob,
-        lifted=None if setup is None else setup[1])
+    keeps, residual, limit = _keeps_symmetry(kind, S, s_frob, Hh, h_frob)
     broken = np.flatnonzero(~keeps)
     if not broken.size:
         return broken, None, residual, limit
     if kind == "linear":
         dH = _restore_linear(S[broken], H)
     else:
-        given = () if setup is None else (setup,)
-        dH = _restore_quadratic(S[broken], H, *given)
-    residual[broken] = _commutator_norm(S[broken], _hermitised(H + dH), kind)
+        dH = _restore_quadratic(S[broken], H, lifts)
+    residual[broken] = _commutator_norm(_hermitised(H + dH), S[broken],
+                                        kind == "quadratic")
     return broken, dH, residual, limit
 
 

@@ -25,11 +25,11 @@ def random_unitary(rng, d):
 
 def bound_residual(sym, dH, drift) -> float:
     """||[S, H_d + ΔH]||_F as a bound given ΔH and the drift forms it: one
-    hermiticity pass over the sum and ``_keeps_symmetry``, gathered by σ
-    when S has one."""
+    hermiticity pass over the sum and ``_keeps_symmetry``, a gather when S
+    is a float64 permutation matrix."""
     return float(_keeps_symmetry(sym.kind, sym.matrix, sym.frobenius,
                                  hermitian_part(drift + dH),
-                                 frobenius_norm(drift), sym._permutation)[1])
+                                 frobenius_norm(drift))[1])
 
 
 def random_state(rng, d):

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import qsl.lie
 from qsl import matcore
 from qsl.bounds import (
     ChebyshevFilter,
@@ -55,15 +54,23 @@ def draw_hermitian(rng, d, real):
     return random_hermitian(rng, d)
 
 
+def times_l(kernel, Y):
+    """L Y, the product behind every numerator: H Y, or the lift
+    contracted for quadratic S."""
+    if kernel.kind == "quadratic":
+        return matcore._times_lift(kernel.H, Y)
+    return matcore._times_symmetry(Y, kernel.H, right=True)
+
+
 def ad(kernel, Y):
     """[L, Y] for Hermitian Y: P - P† with P = L Y."""
-    P = kernel.lift(Y)
+    P = times_l(kernel, Y)
     return P - P.conj().T
 
 
 def ad_anti(kernel, C):
     """[L, C] for anti-Hermitian C: Q + Q† with Q = L C."""
-    Q = kernel.lift(C)
+    Q = times_l(kernel, C)
     return Q + Q.conj().T
 
 
@@ -514,9 +521,9 @@ class TestEigenframeChebyshev:
 
 
 def dense_path(monkeypatch):
-    """Every Symmetry made from here on finds no permutation in S, so each
-    product with S is a matmul."""
-    monkeypatch.setattr(qsl.lie, "_permutation_of", lambda A: None)
+    """From here on no product finds a permutation in S, so each product
+    with S is a matmul."""
+    monkeypatch.setattr(matcore, "_permutation_of", lambda A: None)
 
 
 class TestPermutationCost:

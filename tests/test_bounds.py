@@ -207,8 +207,8 @@ class TestSuppliedPerturbation:
         for drift in (1e-3 * X, (1e-3 * X).tolist()):
             assert unitary_speed_limit(U, S, pert, drift=drift).bound_time > 0
 
-    # the product S·(H_d + ΔH) overflows before its norm is refused
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    # the product (H_d + ΔH)·S overflows with no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_restored_drift_whose_residual_leaves_float64_refused(self):
         """S = 1e150 X with drift Z keeps ||S||_F ||H_d||_F finite, but
         ΔH = 1e200 Z sends ||[S, H_d + ΔH]||_F past float64: refused, as
@@ -478,6 +478,33 @@ class TestHamiltonianBound:
         pert = Perturbation(Z, S)
         rep = hamiltonian_speed_limit(Z, S, pert)
         assert rep.bound_time == pytest.approx(1 / math.sqrt(2), rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_commutator_numerator_past_float64(self):
+        """H_s = 1e200 Z and S = 1e150 X: the product H_s S leaves float64,
+        but the value is homogeneous of degree 0 in H_s, so the commutator
+        numerator is formed again from H_s/||H_s||_inf, and the bound is
+        exact's, here ||X||_F/(√2 ||X||_F 1e-3) = 707.1."""
+        S = Symmetry("linear", 1e150 * X)
+        pert = Perturbation(1e-3 * Z, S)
+        exact, comm = (hamiltonian_speed_limit(1e200 * Z, S, pert,
+                                               method=method).bound_time
+                       for method in ("exact", "commutator"))
+        assert exact == pytest.approx(1e3 / math.sqrt(2), rel=1e-12)
+        assert comm == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("method", ["exact", "commutator", "gate"])
+    def test_underflowing_denominator_refused(self, method):
+        """||S||_F ||ΔH||_inf = 1.4e-350 is 0 in float64: the time would be
+        infinite (or a ZeroDivisionError), and is refused."""
+        S = Symmetry("linear", 1e-150 * X)
+        pert = Perturbation(1e-200 * Z, S)
+        with pytest.raises(ValidationError, match="not finite"):
+            if method == "gate":
+                unitary_speed_limit(matrix_exponential(X + Z, 0.3), S, pert)
+            else:
+                hamiltonian_speed_limit(Z, S, pert, method=method)
 
     def test_commuting_target_gives_zero(self):
         S = Symmetry("linear", Z)

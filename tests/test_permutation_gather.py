@@ -2,11 +2,14 @@
 
 A linear symmetry S that is a float64 permutation matrix (the Rydberg swap
 of atoms 1 and 2) has every product with S made as an index gather: the
-restoration residual, the first factor of the eigenframe and the commutator
-numerator.  Each value must equal, bit for bit, the value of the matmul
-path, which these tests reach by patching the detector that ``Symmetry``
-reads to find no permutation.  Matrices that are nearly, but not exactly,
-permutations must take the matmul path.
+restoration residual, the first factor of the eigenframe and the
+commutator numerator.  Each value must equal, bit for bit, the value of
+the matmul path, which these tests reach by patching the detector that
+each product runs to find no permutation.  Matrices that are nearly, but
+not exactly, permutations must take the matmul path, and so must every
+stack the symmetry search scores.  A quadratic permutation (the swap of
+the two copies) is not gathered: its products with the lift are the
+lift's contractions, which must equal the formed lift's matmul.
 """
 
 import contextlib
@@ -16,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qsl.lie
+import qsl.matcore
 from qsl.bounds import (
     _StackScorer,
     chebyshev_degree_for,
@@ -25,6 +28,7 @@ from qsl.bounds import (
 from qsl.lie import Symmetry
 from qsl.matcore import (
     QslError,
+    _lift,
     _permutation_of,
     _times_symmetry,
     permutation_operator,
@@ -40,10 +44,19 @@ METHODS = ("exact", "commutator", "chebyshev")
 
 @contextlib.contextmanager
 def _dense():
-    """A context in which ``Symmetry`` finds no permutation: every product
+    """A context in which no product finds a permutation: every product
     with S is a matmul."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qsl.lie, "_permutation_of", lambda A: None)
+        mp.setattr(qsl.matcore, "_permutation_of", lambda A: None)
+        yield
+
+
+@contextlib.contextmanager
+def _formed_lift():
+    """A context in which each product with the lift forms the lift
+    H⊗1 + 1⊗H and multiplies, in place of its two contractions."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsl.matcore, "_times_lift", lambda H, Y: _lift(H) @ Y)
         yield
 
 
@@ -73,13 +86,15 @@ def _reports(H_s, S, drift, dH, filt=None):
 
 
 def _both_paths(matrix, kind, H_s, drift, dH, filt=None):
-    """(σ, reports) of a fresh symmetry, and (σ, reports) of one made with
-    the detector patched out."""
+    """(σ, reports) of a fresh symmetry, and (σ, reports) of one with the
+    detector patched out."""
     S = Symmetry(kind, matrix)
-    got = S._permutation, _reports(H_s, S, drift, dH, filt)
+    got = (qsl.matcore._permutation_of(S.matrix),
+           _reports(H_s, S, drift, dH, filt))
     with _dense():
         T = Symmetry(kind, matrix)
-        want = T._permutation, _reports(H_s, T, drift, dH, filt)
+        want = (qsl.matcore._permutation_of(T.matrix),
+                _reports(H_s, T, drift, dH, filt))
     return got, want
 
 
@@ -126,13 +141,13 @@ class TestDetector:
     @pytest.mark.parametrize("real", [True, False])
     def test_gathers_equal_products(self, rng, real):
         P = rydberg_chain_model(4).symmetry.matrix
-        sigma = _permutation_of(P)
         X = random_hermitian(rng, 16)
         X = X.real.copy() if real else X
         for right in (False, True):
             for Y in (X, X.T):  # C- and F-ordered operands
-                got = _times_symmetry(P, Y, sigma, right)
-                want = _times_symmetry(P, Y, None, right)
+                got = _times_symmetry(P, Y, right)
+                with _dense():
+                    want = _times_symmetry(P, Y, right)
                 assert got.flags.c_contiguous
                 assert np.array_equal(got, want)
 
@@ -146,8 +161,8 @@ def test_rydberg_equals_the_matmul_path(N, params):
     b = rydberg_chain_model(N, **PARAMS[params])
     with _dense():
         c = rydberg_chain_model(N, **PARAMS[params])
-        assert c.symmetry._permutation is None
-    assert b.symmetry._permutation is not None
+        assert qsl.matcore._permutation_of(c.symmetry.matrix) is None
+    assert _permutation_of(b.symmetry.matrix) is not None
     assert b.perturbation.op_norm == c.perturbation.op_norm
     lo, hi = b.spectral_estimates
     for filt in (None, {"degree": chebyshev_degree_for(1e-2, lo, hi),
@@ -204,8 +219,7 @@ def _first_moved(P):
 
 
 def _near_miss(case):
-    """A Hermitian matrix that is nearly the N = 4 swap, or a permutation
-    of the wrong kind, and its kind."""
+    """A Hermitian matrix that is nearly the N = 4 swap."""
     P = _swap()
     i, j = _first_moved(P)
     if case == "one_ulp_below_one":
@@ -218,27 +232,39 @@ def _near_miss(case):
     elif case == "hermitised_cycle":
         C = np.eye(16)[np.roll(np.arange(16), 1)]
         P = (C + C.T) / 2
-    elif case == "quadratic":
-        return permutation_operator([1, 0], [4, 4]).real.copy(), "quadratic"
-    return P, "linear"
+    return P
 
 
 @pytest.mark.parametrize("case", ["one_ulp_below_one", "extra_tiny_entry",
-                                  "complex_phase", "hermitised_cycle",
-                                  "quadratic"])
+                                  "complex_phase", "hermitised_cycle"])
 def test_near_misses_take_the_matmul_path(rng, case):
-    """A 1 off by one ulp, an extra 1e-300, a phase, the hermitised 16-cycle
-    (a non-involution) and a quadratic swap find no permutation, and give
-    the bounds of the matmul path."""
-    M, kind = _near_miss(case)
-    d = 4 if kind == "quadratic" else 16
-    H_s, drift, dH = (random_hermitian(rng, d) for _ in range(3))
-    (sigma, got), (_, want) = _both_paths(M, kind, H_s, drift, dH)
+    """A 1 off by one ulp, an extra 1e-300, a phase and the hermitised
+    16-cycle (a non-involution) find no permutation, and give the bounds
+    of the matmul path."""
+    M = _near_miss(case)
+    H_s, drift, dH = (random_hermitian(rng, 16) for _ in range(3))
+    (sigma, got), (_, want) = _both_paths(M, "linear", H_s, drift, dH)
     assert sigma is None
     assert got == want
     if case == "one_ulp_below_one":  # and stays next to the exact swap's
-        (_, exact), _ = _both_paths(_swap(), kind, H_s, drift, dH)
+        (_, exact), _ = _both_paths(_swap(), "linear", H_s, drift, dH)
         assert exact[3][0] == pytest.approx(got[3][0], rel=1e-12)
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("d", [2, 4])
+def test_quadratic_swap_equals_the_matmul_path(rng, d, real):
+    """The copy swap, a float64 quadratic permutation, is not gathered:
+    the acceptance rule, the residual and the commutator numerator
+    contract the lift, and give the bounds of the formed lift's matmul,
+    each entry of which is one entry of H or the same two summed."""
+    M = permutation_operator([1, 0], [d, d]).real.copy()
+    assert _permutation_of(M) is not None
+    H_s, drift, dH = (_draw(rng, d, real) for _ in range(3))
+    got = _reports(H_s, Symmetry("quadratic", M), drift, dH)
+    with _formed_lift():
+        want = _reports(H_s, Symmetry("quadratic", M), drift, dH)
+    assert got == want
 
 
 @pytest.mark.parametrize("method", ["exact", "commutator"])
@@ -250,7 +276,7 @@ def test_scorer_drops_the_permutation(N, method):
     rng = np.random.default_rng(N)
     b = rydberg_chain_model(N)
     drift, H_s = b.drift, b.target_hamiltonian
-    assert b.symmetry._permutation is not None
+    assert _permutation_of(b.symmetry.matrix) is not None
     scorer = _StackScorer(b.symmetry, drift, target_hamiltonian=H_s,
                           method=method)
     M = _candidates(rng, "linear", 2**N, drift)
@@ -268,3 +294,33 @@ def test_scorer_drops_the_permutation(N, method):
         H_s, b.symmetry, restore_symmetry(b.symmetry, drift),
         method=method).bound_time
     assert want[-1] == pytest.approx(swap, rel=1e-10)
+
+
+@pytest.mark.parametrize("target", ["unitary", "exact", "commutator"])
+@pytest.mark.parametrize("kind", ["linear", "quadratic"])
+def test_scorer_values_equal_the_matmul_path(kind, target):
+    """Stacks never gather: a ``_StackScorer`` call restores, accepts and
+    scores a stack that holds the permutation itself (the Rydberg swap, or
+    the copy swap), with the values it gets when no product finds a
+    permutation."""
+    rng = np.random.default_rng(3)
+    if kind == "linear":
+        b = rydberg_chain_model(4)
+        drift, P, d = b.drift, b.symmetry.matrix, 16
+    else:
+        d = 2
+        drift = random_hermitian(rng, d)
+        P = permutation_operator([1, 0], [d, d]).real.copy()
+    H_s = random_hermitian(rng, d)
+    U = np.linalg.qr(H_s)[0]
+    scorer = _StackScorer(
+        Symmetry(kind, P), drift,
+        target_unitary=U if target == "unitary" else None,
+        target_hamiltonian=None if target == "unitary" else H_s,
+        method="exact" if target == "unitary" else target)
+    M = np.concatenate([_candidates(rng, kind, d, drift), P[None]])
+    values = scorer(M)
+    with _dense():
+        want = scorer(M)
+    assert np.isfinite(values).any()
+    assert np.array_equal(values, want)

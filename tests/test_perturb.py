@@ -27,8 +27,8 @@ from qsl.perturb import (
     Perturbation,
     _commuting_limit,
     _quadratic_constraint,
-    _quadratic_setup,
     _restore_quadratic,
+    _unit_lifts,
     restore_symmetry,
 )
 from conftest import (analytic_cap, bound_residual, cluster_gap, loop_labels,
@@ -419,7 +419,7 @@ class TestOneExit:
         dim = d if kind == "linear" else d * d
         S = Symmetry(kind, random_hermitian(rng, dim))
         monkeypatch.setattr(qsl.perturb, f"_restore_{kind}",
-                            lambda S, H: -0.5 * H)
+                            lambda S, H, *lifts: -0.5 * H)
         with pytest.raises(ConditioningError) as err:
             restore_symmetry(S, random_hermitian(rng, d))
         diagnostics = err.value.diagnostics
@@ -499,7 +499,7 @@ def test_stacked_quadratic_restore(d, seed, kinds, real_frame, real_drift):
             assert not dH[i].any()
         for alone in (_restore_quadratic(S[i:i + 1], H)[0],
                       _restore_quadratic(S_i, H),
-                      _restore_quadratic(S_i, H, _quadratic_setup(H))):
+                      _restore_quadratic(S_i, H, _unit_lifts(d))):
             assert np.array_equal(alone, dH[i])
 
 
